@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .field import BaseField, KPoly, NotSeparable
+from .field import BaseField, KPoly, NotSeparable, expansion_scope
 from .rationals import qstr
 from .clusters import (build_cluster_tree, InternalInconsistency,
                        ResidueModeOverflow, cluster_chain)
@@ -332,32 +332,39 @@ def run(argv=None) -> int:
         if args.prime is None:
             print("error: --prime is required", file=sys.stderr)
             return 1
-        K = BaseField(args.prime, args.unramified_degree)
-        f = _input_poly(args, K)
-        tree = build_cluster_tree(f, K, mode=args.residue_mode,
-                                  extension_budget=args.extension_budget,
-                                  seed=args.seed)
-        if args.command == "picture":
-            sys.stdout.write(_render_picture(tree, args.format))
-            return 0
-        if tree.root is None:
-            print("error: no proper clusters (degree < 2?)", file=sys.stderr)
-            return 1
-        records = all_records(tree)
-        if args.command == "invariants":
-            sys.stdout.write(_render_invariants(tree, records, args.format))
-            return 0
-        fib = assemble(tree, records)
-        fmt = "ascii" if args.format == "tikz" else args.format
-        data = export(fib, fmt)
-        sys.stdout.buffer.write(data)
-        return 0
+        return _run_pipeline(args)
     except (PolySyntaxError, NotSeparable, ResidueModeOverflow, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     except InternalInconsistency as ex:
         print(f"internal consistency failure: {ex}", file=sys.stderr)
         return 2
+
+
+@expansion_scope
+def _run_pipeline(args) -> int:
+    """picture, invariants or fibre: build, records, assemble and export
+    share one expansion memo."""
+    K = BaseField(args.prime, args.unramified_degree)
+    f = _input_poly(args, K)
+    tree = build_cluster_tree(f, K, mode=args.residue_mode,
+                              extension_budget=args.extension_budget,
+                              seed=args.seed)
+    if args.command == "picture":
+        sys.stdout.write(_render_picture(tree, args.format))
+        return 0
+    if tree.root is None:
+        print("error: no proper clusters (degree < 2?)", file=sys.stderr)
+        return 1
+    records = all_records(tree)
+    if args.command == "invariants":
+        sys.stdout.write(_render_invariants(tree, records, args.format))
+        return 0
+    fib = assemble(tree, records)
+    fmt = "ascii" if args.format == "tikz" else args.format
+    data = export(fib, fmt)
+    sys.stdout.buffer.write(data)
+    return 0
 
 
 # ---------------------------------------------------------------------------

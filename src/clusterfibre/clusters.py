@@ -38,7 +38,8 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from .field import BaseField, KPoly, NotSeparable, discriminant_val, extend_unramified
+from .field import (BaseField, KPoly, NotSeparable, discriminant_val, expansion_scope,
+                    extend_unramified)
 from .ff import ff_factor
 from .rationals import OO, qstr
 from .valuation import MacLaneVal
@@ -261,9 +262,10 @@ class _Builder:
                     self._context(cand, phi2, cand.eval(phi2), node, depth + 1)
             current = node
         if not stopped_deep:
-            q, r = self.f.divmod(phi)
-            if r.is_zero():
-                if not (q % phi).is_zero():
+            expansion = self.f.phi_expand(phi)
+            if expansion[0].is_zero():
+                # f = phi * q and q mod phi is the next expansion coefficient
+                if not expansion[1].is_zero():
                     leaf = LeafOrbit(phi.degree, 1, "divides", current, phi)
                     self._attach_leaf(leaf, current)
                 else:
@@ -275,6 +277,7 @@ class _Builder:
                 self.nonlinear_residual = h.degree
 
 
+@expansion_scope
 def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
                        extension_budget: int = 64, seed: int = 0) -> ClusterTree:
     """Full pipeline: normalize, discover, choose centres, build cluster chains,

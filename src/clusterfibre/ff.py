@@ -499,7 +499,11 @@ def find_irreducible_int_poly(p: int, degree: int):
 
 
 def _gauss_solve_mod_p(rows, rhs, p):
-    """Solve M x = rhs over F_p; rows is a list of row tuples. Returns list or None."""
+    """Solve M x = rhs over F_p; rows is a list of row tuples.
+
+    Returns the solution as a list, or None when there is none or it is not
+    unique (M has a nontrivial kernel).
+    """
     n = len(rows)
     m = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -520,6 +524,8 @@ def _gauss_solve_mod_p(rows, rhs, p):
         r += 1
         if r == n:
             break
+    if r < m:
+        return None
     for i in range(r, n):
         if aug[i][m] % p:
             return None
@@ -577,19 +583,21 @@ def ff_extend(F: FField, h: FFPoly, rng: Optional[random.Random] = None):
         for _ in range(n):
             powers.append(e_mul(powers[-1], gamma))
         rows = [flat(v) for v in powers]
-        # minimal polynomial: first dependence among 1, gamma, ..., gamma^n
-        cols = list(zip(*rows[:n]))  # n x n matrix, columns indexed by power
-        sol = _gauss_solve_mod_p([tuple(col) for col in cols],
-                                 [(-x) % p for x in rows[n]], p)
+        # minimal polynomial: the dependence of gamma^n on 1, ..., gamma^(n-1),
+        # which is unique exactly when gamma generates E over F_p; a gamma in
+        # a proper subfield leaves the n x n power matrix singular
+        power_cols = [tuple(col) for col in zip(*rows[:n])]
+        sol = _gauss_solve_mod_p(power_cols, [(-x) % p for x in rows[n]], p)
         if sol is None:
             continue
         modulus = tuple(sol) + (1,)
         G = FField(p, modulus)
-        # coordinates w.r.t. gamma-powers: solve P * x = vec for the basis images
-        power_cols = [tuple(col) for col in zip(*rows[:n])]
 
         def to_G(u):
+            # coordinates w.r.t. the gamma-powers
             x = _gauss_solve_mod_p(power_cols, list(flat(u)), p)
+            if x is None:
+                raise AssertionError("powers of the extension generator are not a basis")
             return FFElem(G, tuple(x))
 
         emb_cols = []

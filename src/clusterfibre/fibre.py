@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .clusters import ClusterTree, InternalInconsistency
-from .ff import FFPoly
+from .ff import FFPoly, squarefree_decomposition
 from .invariants import InvariantRecord, all_records
 from .rationals import qstr
 
@@ -165,16 +165,11 @@ def _is_square_in(k, ft: FFPoly) -> bool:
     """Is ft a square in k[x]? (even multiplicities and square leading unit)."""
     if ft.is_zero():
         return True
-    for g, mult in squarefree_decomposition_cached(ft):
+    for g, mult in squarefree_decomposition(ft):
         if mult % 2:
             return False
     lead = ft.lead()
     return (lead ** ((k.order - 1) // 2)) == k.one
-
-
-def squarefree_decomposition_cached(ft: FFPoly):
-    from .ff import squarefree_decomposition
-    return squarefree_decomposition(ft)
 
 
 def assemble(tree: ClusterTree, records: Optional[Dict[int, InvariantRecord]] = None,
@@ -193,7 +188,7 @@ def assemble(tree: ClusterTree, records: Optional[Dict[int, InvariantRecord]] = 
             # over the closure every unit is a square, so u = 0 already splits;
             # the polynomial part must then consist of even multiplicities
             split = (r.n == 2 and r.u == 0)
-            if split and any(m % 2 for _, m in squarefree_decomposition_cached(r.ftilde)):
+            if split and any(m % 2 for _, m in squarefree_decomposition(r.ftilde)):
                 raise InternalInconsistency("ubereven component with odd branch part")
         else:
             split = (r.n == 2 and r.u == 0 and _is_square_in(r.k_v, r.ftilde))

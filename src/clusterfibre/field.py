@@ -14,15 +14,42 @@ p-adic valuations of its coordinates; this is checked at construction time.
 
 KPoly is a dense univariate polynomial over K.  The phi-adic expansion
 (repeated division by a monic phi) is the workhorse for everything
-valuation-theoretic downstream.
+valuation-theoretic downstream.  Inside an ``expansion_scope`` call each
+(polynomial, phi) pair is expanded once; the memo is dropped when the
+outermost scoped call returns, so nothing outlives that call.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 from fractions import Fraction
 from .ff import (FField, FFElem, FFPoly, prime_field, is_irreducible,
                  find_irreducible_int_poly)
 from .rationals import OO, ext_min
+
+
+# Memo of the innermost open expansion scope: (id(poly), id(phi)) ->
+# (poly, phi, expansion).  Holding both objects keeps their ids from being
+# reused while the scope is open.  A ContextVar keeps each thread's and each
+# task's scope its own.
+_EXPANSIONS = contextvars.ContextVar("clusterfibre_expansions", default=None)
+
+
+def expansion_scope(fn):
+    """Decorator: phi-adic expansions made during a call of ``fn`` are
+    memoized and dropped when it returns or raises.  A call made inside an
+    open scope shares the outer memo."""
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _EXPANSIONS.get() is not None:
+            return fn(*args, **kwargs)
+        token = _EXPANSIONS.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _EXPANSIONS.reset(token)
+    return scoped
 
 
 class NegativeValuation(ValueError):
@@ -336,10 +363,12 @@ class KPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return KPoly(self.field, []), self
-        inv = other.lead().inverse()
+        inv = None if other.is_monic() else other.lead().inverse()
         quo = [self.field.zero] * (dq + 1)
         for i in range(dq, -1, -1):
-            c = rem[i + other.degree] * inv
+            c = rem[i + other.degree]
+            if inv is not None:
+                c = c * inv
             quo[i] = c
             if not c.is_zero():
                 for j, b in enumerate(other.coeffs):
@@ -386,8 +415,17 @@ class KPoly:
             return False
         return self.gcd(self.derivative()).degree == 0
 
-    def phi_expand(self, phi: "KPoly"):
-        """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi."""
+    def phi_expand(self, phi: "KPoly") -> tuple:
+        """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi.
+
+        Inside an ``expansion_scope`` the result is shared by every caller
+        that expands the same objects, hence a tuple.
+        """
+        memo = _EXPANSIONS.get()
+        if memo is not None:
+            hit = memo.get((id(self), id(phi)))
+            if hit is not None:
+                return hit[2]
         if not phi.is_monic() or phi.degree < 1:
             raise ValueError("expansion base must be monic of positive degree")
         out = []
@@ -395,8 +433,9 @@ class KPoly:
         while not g.is_zero():
             g, r = g.divmod(phi)
             out.append(r)
-        if not out:
-            out = [KPoly(self.field, [])]
+        out = tuple(out) if out else (KPoly(self.field, []),)
+        if memo is not None:
+            memo[(id(self), id(phi))] = (self, phi, out)
         return out
 
     def resultant(self, other) -> KElem:

@@ -28,6 +28,7 @@ from typing import Dict
 
 from .clusters import ClusterNode, ClusterTree, InternalInconsistency, cluster_chain, p0_flag
 from .ff import FFPoly, squarefree_decomposition
+from .field import expansion_scope
 from .newton import residue_tower
 
 
@@ -251,5 +252,6 @@ def genus_double_cover(ft: FFPoly, n: int) -> int:
     return max(branch // 2 - 1, 0)
 
 
+@expansion_scope
 def all_records(tree: ClusterTree, ell_offset: int = 0) -> Dict[int, InvariantRecord]:
     return {node.id: compute_record(tree, node, ell_offset) for node in tree.nodes}

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional
 
-from .field import KPoly
+from .field import KPoly, expansion_scope
 from .ff import FField, FFElem, FFPoly, Embedding, ff_extend, is_irreducible
 from .rationals import OO
 from .valuation import MacLaneVal, NotAKeyPolynomial, RadiusNotAboveCentreValue
@@ -324,6 +324,7 @@ class Reduction:
         return f"Reduction(i0={self.i0}, i1={self.i1}, poly={self.poly!r})"
 
 
+@expansion_scope
 def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     """The reduction f|_v along the chain of v (Gauss handled coefficientwise)."""
     if f.is_zero():
@@ -343,21 +344,11 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     phi = v.steps[-1].phi
     prev = v.truncation(n - 1)
     expansion = f.phi_expand(phi)
-    alpha = OO
-    for s, a in enumerate(expansion):
-        if a.is_zero():
-            continue
-        t = prev.eval(a) + lam * s
-        if alpha is OO or t < alpha:
-            alpha = t
-    i0 = i1 = None
-    for s, a in enumerate(expansion):
-        if a.is_zero():
-            continue
-        if prev.eval(a) + lam * s == alpha:
-            if i0 is None:
-                i0 = s
-            i1 = s
+    terms = [(s, prev.eval(a) + lam * s) for s, a in enumerate(expansion)
+             if not a.is_zero()]
+    alpha = min(t for _, t in terms)
+    on_line = [s for s, t in terms if t == alpha]
+    i0, i1 = on_line[0], on_line[-1]
     e_n = v.e_rel[n]
     kf = tower.top
     coeffs = []
@@ -368,8 +359,8 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
             coeffs.append(kf.zero)
             continue
         alpha_j = alpha - s * lam
-        inner = _graded_H(v, residue_tower(v), n - 1, alpha_j, a_s)
-        coeffs.append(_rho(residue_tower(v), n, inner))
+        inner = _graded_H(v, tower, n - 1, alpha_j, a_s)
+        coeffs.append(_rho(tower, n, inner))
     poly = FFPoly(kf, coeffs)
     h_exp = Fraction(i0, e_n) - v.ell[n] * v.e_levels[n - 1] * alpha
     if h_exp.denominator != 1:

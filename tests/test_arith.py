@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterfibre.rationals import OO, ext_min, qstr, qparse
-from clusterfibre.field import (BaseField, NegativeValuation, extend_unramified,
-                                discriminant_val)
-from clusterfibre.ff import (FFPoly, prime_field, ff_factor, ff_extend,
+from clusterfibre.field import (BaseField, KPoly, NegativeValuation, expansion_scope,
+                                extend_unramified, discriminant_val)
+from clusterfibre import field
+from clusterfibre.ff import (FField, FFPoly, prime_field, ff_factor, ff_extend,
                              is_irreducible, find_irreducible_int_poly,
                              NotIrreducible)
 
@@ -141,6 +142,116 @@ class TestPhiExpand:
         assert all(c.degree < phi.degree for c in coeffs)
 
 
+class TestExpansionMemo:
+    """phi-adic expansions are memoized within one scoped call and dropped
+    when it returns."""
+
+    def _tree(self):
+        from clusterfibre.clusters import build_cluster_tree
+        K = BaseField(5)
+        return build_cluster_tree(K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5]), K)
+
+    def test_scoped_equals_unscoped(self):
+        K = BaseField(7)
+        phi = K.poly([-14, 0, 0, 1])
+        f = phi * phi - K.poly([0, 0, 7]) * phi + K.poly([3, 1])
+        plain = f.phi_expand(phi)
+
+        @expansion_scope
+        def twice():
+            assert field._EXPANSIONS.get() is not None
+            return f.phi_expand(phi), f.phi_expand(phi)
+
+        first, second = twice()
+        assert isinstance(plain, tuple) and isinstance(first, tuple)
+        assert first == plain and second is first
+        assert f.phi_expand(phi) is not first  # nothing kept after the call
+
+    def test_no_memo_after_entry_points(self, monkeypatch, capsys):
+        from clusterfibre.clusters import build_cluster_tree, cluster_chain
+        from clusterfibre.field import NotSeparable
+        from clusterfibre.newton import reduce_poly
+        from clusterfibre.cli import run
+        scoped = []
+        original = KPoly.phi_expand
+
+        def spy(self, phi):
+            scoped.append(field._EXPANSIONS.get() is not None)
+            return original(self, phi)
+
+        monkeypatch.setattr(KPoly, "phi_expand", spy)
+        tree = self._tree()
+        assert field._EXPANSIONS.get() is None
+        cc = cluster_chain(tree.nodes[-1])
+        reduce_poly(cc, tree.field.poly([1, 2, 3]))
+        assert field._EXPANSIONS.get() is None
+        assert run(["fibre", "(x^2-5)^3 - 5^5", "--prime", "5"]) == 0
+        assert field._EXPANSIONS.get() is None
+        assert scoped and all(scoped)
+        K = tree.field
+        with pytest.raises(NotSeparable):
+            build_cluster_tree(K.poly([-5, 1]) ** 2, K)
+        assert field._EXPANSIONS.get() is None
+        with pytest.raises(ValueError):
+            reduce_poly(cc, K.poly([]))
+        assert field._EXPANSIONS.get() is None
+        assert run(["picture", "(x-5)^2", "--prime", "5"]) == 1
+        assert field._EXPANSIONS.get() is None
+
+    def test_nothing_retained_between_calls(self, monkeypatch):
+        from clusterfibre.clusters import cluster_chain
+        from clusterfibre.newton import reduce_poly
+        tree = self._tree()
+        cc = cluster_chain(tree.nodes[-1])
+        K = tree.field
+        g = K.poly([7, -3, 0, 2, 1])
+        reduce_poly(cc, K.poly([1, 1]))  # builds and caches the residue tower
+        counts = [0]
+        original = KPoly.divmod
+
+        def counting(self, other):
+            counts[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(KPoly, "divmod", counting)
+        first = reduce_poly(cc, g)
+        n_first, counts[0] = counts[0], 0
+        second = reduce_poly(cc, g)
+        assert n_first > 0 and counts[0] == n_first
+        assert first.poly == second.poly
+
+    def test_threads_keep_their_own_scope(self):
+        import sys
+        import threading
+        from clusterfibre.clusters import cluster_chain
+        from clusterfibre.newton import reduce_poly
+        tree = self._tree()
+        cc = cluster_chain(tree.nodes[-1])
+        K = tree.field
+        rng = random.Random(5)
+        polys = [K.poly([rng.randrange(-30, 30) for _ in range(rng.randrange(2, 8))])
+                 for _ in range(12)]
+        polys = [g for g in polys if not g.is_zero()]
+        expected = [reduce_poly(cc, g).poly for g in polys]
+        results = {}
+
+        def work(t):
+            results[t] = [reduce_poly(cc, g).poly for g in polys]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(results[t] == expected for t in range(4))
+
+
 class TestFiniteFields:
     def test_factor_cube(self):
         k = prime_field(5)
@@ -212,6 +323,16 @@ class TestFiniteFields:
         assert G2.degree == 4
         mapped = emb2.map_poly(h2)
         assert mapped.evaluate(root2).is_zero()
+
+    def test_extend_past_generator_in_subfield(self):
+        # h has prime-field coefficients, so its root Y generates only
+        # GF(5^3) inside GF(25)[Y]/(h) = GF(5^6): Y is not a primitive element
+        k = FField(5, find_irreducible_int_poly(5, 2))
+        h = FFPoly.from_ints(k, [1, 1, 0, 1])
+        G, emb, root = ff_extend(k, h)
+        assert G.degree == 6
+        assert is_irreducible(FFPoly.from_ints(prime_field(5), G.modulus))
+        assert emb.map_poly(h).evaluate(root).is_zero()
 
     def test_extend_rejects_reducible(self):
         k = prime_field(3)

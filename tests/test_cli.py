@@ -1,6 +1,7 @@
 """Parser, commands, exit codes, determinism."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -135,6 +136,19 @@ class TestCommands:
 
     def test_missing_prime(self, capsys):
         assert run(["picture", "x^2-5"]) == 1
+
+    def test_geometric_over_unramified_base(self, capsys):
+        # extending GF(25) by a cubic with prime-field coefficients: the
+        # first generator tried lies in GF(125), not a primitive element
+        code = run(["fibre", "(x^3+x+1)^2-5^5", "--prime", "5", "-m", "2",
+                    "--residue-mode", "geometric", "--format", "dot"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()[1:-1]
+        labels = [tuple(int(x) for x in re.findall(r"\d+", l)[1:]) for l in lines if "label" in l]
+        edges = [tuple(int(x) for x in re.findall(r"\d+", l)) for l in lines if "--" in l]
+        total = sum(m * (2 * g - 2) for m, g in labels)
+        total += sum(labels[a][0] + labels[b][0] for a, b in edges)
+        assert total == 2 * ((6 - 1) // 2) - 2
 
 
 class TestSelfcheck:
