@@ -186,18 +186,16 @@ def normalize_input(f: KPoly):
 
 
 class _Builder:
-    def __init__(self, f: KPoly, K: BaseField, seed: int):
+    def __init__(self, f: KPoly, K: BaseField, seed: int, depth_bound: int):
         self.f = f
         self.K = K
         self.rng = random.Random(seed)
         self.root: Optional[ClusterNode] = None
         self.orphan_leaf: Optional[LeafOrbit] = None
         self.nonlinear_residual: Optional[int] = None  # degree of first nonlinear factor
-        self.depth_bound = None
+        self.depth_bound = depth_bound
 
     def build(self):
-        dv = discriminant_val(self.f)
-        self.depth_bound = 2 * max(0, int(dv)) + self.f.degree + 4
         v0 = MacLaneVal.gauss(self.K)
         self._context(v0, self.K.x(), Fraction(0), None, 0)
         return self.root
@@ -285,9 +283,13 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
     if mode not in ("exact", "geometric"):
         raise ValueError("mode must be 'exact' or 'geometric'")
     f_norm, shift = normalize_input(f)
+    # v(disc) bounds the refinement depth.  It is computed once: the
+    # valuation on Q(theta) extends uniquely to each unramified extension
+    # built below, so embedding f there leaves v(disc) unchanged.
+    depth_bound = 2 * max(0, int(discriminant_val(f_norm))) + f_norm.degree + 4
     work_f, work_K = f_norm, K
     while True:
-        builder = _Builder(work_f, work_K, seed)
+        builder = _Builder(work_f, work_K, seed, depth_bound)
         root = builder.build()
         if mode == "geometric" and builder.nonlinear_residual is not None:
             grow = builder.nonlinear_residual

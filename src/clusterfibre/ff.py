@@ -6,6 +6,20 @@ has its own identity, and moving between fields always goes through an
 explicit Embedding.  There is no implicit coercion anywhere: arithmetic
 between elements of different field objects raises.
 
+Polynomial products run on packed integers (Kronecker substitution, von zur
+Gathen-Gerhard, *Modern Computer Algebra* 8.4): every coordinate of every
+coefficient becomes one digit of a Python int, one int multiplication forms
+the whole product, and the reduction of all coefficients mod (modulus, p) is
+a handful of shifts, masks and multiplications by constants on that int
+(``_Packing``).  ``FFPoly.pow_mod`` stays packed for its whole
+square-and-multiply loop and takes remainders by Barrett reduction, with the
+quotient of X^(2n-1) by the modulus computed once per call.
+
+Irreducibility is Ben-Or's test (Ben-Or, "Probabilistic algorithms in
+finite fields", FOCS 1981): f of degree n is irreducible exactly when
+gcd(X^(q^i) - X, f) = 1 for i = 1 .. n/2, and the test stops at the first
+i that shows a factor.
+
 Factorization is squarefree decomposition, then distinct-degree splitting,
 then Cantor-Zassenhaus equal-degree splitting.  The equal-degree step draws
 random elements from a caller-supplied ``random.Random``, so results are
@@ -141,7 +155,10 @@ class FFElem:
     def inverse(self) -> "FFElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.order - 2)
+        F = self.field
+        if F.degree == 1:
+            return FFElem(F, (pow(self.coords[0], -1, F.p),))
+        return self ** (F.order - 2)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -200,6 +217,83 @@ class Embedding:
             basis = FFElem(inner.src, tuple(1 if i == j else 0 for i in range(inner.src.degree)))
             cols.append(self(inner(basis)).coords)
         return Embedding(inner.src, self.dst, cols)
+
+
+def _repunit(count: int, width: int) -> int:
+    """The int with a 1 at bits 0, width, 2*width, ... (count ones)."""
+    return ((1 << (count * width)) - 1) // ((1 << width) - 1)
+
+
+class _Packing:
+    """Polynomials over one FField packed into Python ints.
+
+    Coordinate u of the coefficient of X^i is the digit at i*S + u, with
+    S = 2d - 1 digits of W bits per coefficient, so the product of two
+    packed polynomials is one int multiplication and no t-power of a
+    product coefficient reaches the next coefficient.  Packed values keep
+    every digit nonnegative and never let one carry into the next; a packed
+    polynomial is canonical when each coefficient has t-degree < d and
+    digits 0 <= c < p.
+
+    ``reduce`` makes a packed value canonical without unpacking it: Barrett
+    division of every coefficient by the modulus (its quotient digits come
+    from one multiplication by floor(t^(2d-1) / modulus)), then every digit
+    mod p by multiplication with r = floor(2^k / p) + 1 and a shift, exact
+    for digits below 2^k / p.  Its input may have up to ``blocks``
+    coefficients of t-degree <= 2d - 2 with digits <= ``bound``; W leaves
+    room for the growth of a digit in both steps.
+    """
+
+    def __init__(self, F: FField, bound: int, blocks: int):
+        p, d = F.p, F.degree
+        self.field, self.p, self.d, self.S = F, p, d, 2 * d - 1
+        # largest digit the Barrett step can make from digits <= bound
+        top = bound * (1 + d * (d - 1) * (p - 1) ** 2)
+        self.k = top.bit_length() + p.bit_length()
+        self.r = (1 << self.k) // p + 1
+        self.w = ((top * self.r).bit_length() + 7) // 8
+        W = self.W = 8 * self.w
+        self.block_bits = self.S * W
+        per_block = _repunit(blocks, self.block_bits)
+        self.low_d = per_block * ((1 << (d * W)) - 1)
+        self.low_d1 = per_block * ((1 << ((d - 1) * W)) - 1)
+        self.quot_mask = _repunit(blocks * self.S, W) * ((1 << (W - self.k)) - 1)
+        # floor(t^(2d-1) / modulus) mod p, and -modulus below t^d, as digits
+        rem = [0] * (2 * d - 1) + [1]
+        mu = [0] * d
+        for i in range(d - 1, -1, -1):
+            c = mu[i] = rem[i + d]
+            for j in range(d):
+                rem[i + j] = (rem[i + j] - c * F.modulus[j]) % p
+        self.mu = self._digits(mu)
+        self.neg_mod = self._digits([-c for c in F.modulus[:d]])
+
+    def _digits(self, coords) -> int:
+        return sum((c % self.p) << (u * self.W) for u, c in enumerate(coords))
+
+    def pack(self, coeffs) -> int:
+        """FFElem sequence -> packed int, digits normalised to 0 <= c < p."""
+        p, w = self.p, self.w
+        pad = bytes(w * (self.d - 1))
+        return int.from_bytes(
+            b"".join([b"".join([(c % p).to_bytes(w, "little") for c in a.coords]) + pad
+                      for a in coeffs]), "little")
+
+    def unpack(self, packed: int, blocks: int):
+        """Canonical packed int of at most ``blocks`` coefficients -> FFElems."""
+        F, w, d = self.field, self.w, self.d
+        raw = packed.to_bytes(blocks * self.S * w, "little")
+        return [FFElem(F, tuple(int.from_bytes(raw[o:o + w], "little")
+                                for o in range(i, i + d * w, w)))
+                for i in range(0, len(raw), self.S * w)]
+
+    def reduce(self, packed: int) -> int:
+        if self.d > 1:
+            W, d = self.W, self.d
+            high = (packed >> ((d - 1) * W)) & self.low_d
+            quot = ((high * self.mu) >> (d * W)) & self.low_d1
+            packed = (packed & self.low_d) + ((quot * self.neg_mod) & self.low_d)
+        return packed - self.p * (((packed * self.r) >> self.k) & self.quot_mask)
 
 
 class FFPoly:
@@ -262,15 +356,15 @@ class FFPoly:
         return FFPoly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
+        F = self.field
         if self.is_zero() or other.is_zero():
-            return FFPoly(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return FFPoly(self.field, out)
+            return FFPoly(F, [])
+        if other.field is not F:
+            raise TypeError("mixed-field arithmetic; use an explicit Embedding")
+        la, lb = len(self.coeffs), len(other.coeffs)
+        pk = _Packing(F, min(la, lb) * F.degree * (F.p - 1) ** 2, la + lb - 1)
+        prod = pk.pack(self.coeffs) * pk.pack(other.coeffs)
+        return FFPoly(F, pk.unpack(pk.reduce(prod), la + lb - 1))
 
     def scale(self, c: FFElem) -> "FFPoly":
         return FFPoly(self.field, [a * c for a in self.coeffs])
@@ -288,10 +382,12 @@ class FFPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return FFPoly(self.field, []), self
-        inv_lead = other.lead().inverse()
+        inv_lead = None if other.lead() == self.field.one else other.lead().inverse()
         quo = [self.field.zero] * (dq + 1)
         for i in range(dq, -1, -1):
-            c = rem[i + other.degree] * inv_lead
+            c = rem[i + other.degree]
+            if inv_lead is not None:
+                c = c * inv_lead
             quo[i] = c
             if not c.is_zero():
                 for j, b in enumerate(other.coeffs):
@@ -305,7 +401,7 @@ class FFPoly:
         return self.divmod(other)[1]
 
     def monic(self) -> "FFPoly":
-        if self.is_zero():
+        if self.is_zero() or self.lead() == self.field.one:
             return self
         return self.scale(self.lead().inverse())
 
@@ -326,14 +422,42 @@ class FFPoly:
         return acc
 
     def pow_mod(self, n: int, modulus: "FFPoly") -> "FFPoly":
-        result = FFPoly.const(self.field, self.field.one)
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            n >>= 1
-        return result
+        """self^n mod modulus, for n >= 0."""
+        F = self.field
+        if n < 0:
+            raise ValueError("negative exponent")
+        if n == 0:
+            return FFPoly.const(F, F.one)
+        f = modulus.monic()
+        base = self % f
+        if base.is_zero():
+            return base
+        # Barrett reduction by f: every operand has fewer than m = deg f
+        # coefficients, a product fewer than 2m - 1, and its quotient by f is
+        # floor(floor(product / X^(m-1)) * mu / X^m) with mu = X^(2m-1) // f
+        m = f.degree
+        pk = _Packing(F, (m + 1) * F.degree * (F.p - 1) ** 2, 2 * m)
+        bits = pk.block_bits
+        neg_f = pk.pack([-c for c in f.coeffs[:m]])
+        low = (1 << (m * bits)) - 1
+        mu, rem = 0, 1 << ((2 * m - 1) * bits)
+        for j in range(m - 1, -1, -1):
+            c = rem >> ((m + j) * bits)
+            mu |= c << (j * bits)
+            rem = pk.reduce((rem & ((1 << ((m + j) * bits)) - 1)) + ((c * neg_f) << (j * bits)))
+
+        def mul_mod(a, b):
+            prod = pk.reduce(a * b)
+            quot = pk.reduce(((prod >> ((m - 1) * bits)) * mu) >> (m * bits))
+            return pk.reduce((prod & low) + ((quot * neg_f) & low))
+
+        b = pk.pack(base.coeffs)
+        result = b
+        for bit in bin(n)[3:]:
+            result = mul_mod(result, result)
+            if bit == "1":
+                result = mul_mod(result, b)
+        return FFPoly(F, pk.unpack(result, m))
 
     def compose_frobenius_root(self) -> "FFPoly":
         """Given f = g(X^p) return g with p-th roots taken on coefficients."""
@@ -447,36 +571,17 @@ def ff_factor(f: FFPoly, rng: Optional[random.Random] = None):
 
 
 def is_irreducible(f: FFPoly) -> bool:
-    """Rabin test: X^{q^n} = X mod f and gcd(X^{q^{n/r}} - X, f) = 1."""
+    """Ben-Or test: gcd(X^{q^i} - X, f) = 1 for i = 1 .. deg f // 2."""
     if f.degree < 1:
         return False
-    if f.degree == 1:
-        return True
     F = f.field
+    f = f.monic()
     x = FFPoly.x(F)
-    n = f.degree
     h = x % f
-    powers = {}
-    for i in range(1, n + 1):
+    for _ in range(f.degree // 2):
         h = h.pow_mod(F.order, f)
-        powers[i] = h
-    if not (powers[n] - x % f).is_zero():
-        return False
-    for r in {d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)}:
-        g = f.gcd(powers[n // r] - x)
-        if g.degree != 0:
+        if f.gcd(h - x).degree != 0:
             return False
-    return True
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
     return True
 
 

@@ -560,8 +560,11 @@ def extend_unramified(K: BaseField, t: int):
 
 def _find_irreducible_over(k: FField, t: int) -> FFPoly:
     """Smallest (in a fixed counting order) monic irreducible of degree t over k."""
-    # try polynomials with prime-subfield coefficients first; they exist and
-    # stay irreducible over k exactly when gcd(t, [k:F_p]) = 1
+    # Candidates X^t + c_{t-1} X^{t-1} + ... + c_0 are counted by code =
+    # sum_i n(c_i) q^i, so c_0 varies fastest; an element of k with
+    # coordinates (a_0, ..., a_{d-1}) over F_p has number n = sum_u a_u p^u.
+    # The order must not change: the field built from the result defines
+    # theta, and geometric-mode output prints centres in theta coordinates.
     q = k.order
     p = k.p
     count = 0

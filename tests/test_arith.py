@@ -10,7 +10,7 @@ from clusterfibre.rationals import OO, ext_min, qstr, qparse
 from clusterfibre.field import (BaseField, KPoly, NegativeValuation, expansion_scope,
                                 extend_unramified, discriminant_val)
 from clusterfibre import field
-from clusterfibre.ff import (FField, FFPoly, prime_field, ff_factor, ff_extend,
+from clusterfibre.ff import (FField, FFElem, FFPoly, prime_field, ff_factor, ff_extend,
                              is_irreducible, find_irreducible_int_poly,
                              NotIrreducible)
 
@@ -343,6 +343,165 @@ class TestFiniteFields:
         mod = find_irreducible_int_poly(3, 2)
         k = prime_field(3)
         assert is_irreducible(FFPoly.from_ints(k, mod))
+
+
+def _gauss_count(q, n):
+    """Number of monic irreducibles of degree n over GF(q):
+    (1/n) sum_{e | n} mu(e) q^(n/e)."""
+    def mobius(e):
+        sign, k = 1, 2
+        while e > 1:
+            if e % k == 0:
+                e //= k
+                if e % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return sign
+    return sum(mobius(e) * q ** (n // e) for e in range(1, n + 1) if n % e == 0) // n
+
+
+def _school_divmod(a, b):
+    """Schoolbook long division on FFElem lists (b nonzero, trimmed)."""
+    k = b[0].field
+    rem = list(a)
+    quo = [k.zero] * max(0, len(rem) - len(b) + 1)
+    inv = b[-1].inverse()
+    for i in range(len(rem) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] * inv
+        quo[i] = c
+        for j, bj in enumerate(b):
+            rem[i + j] = rem[i + j] - c * bj
+    return quo, rem
+
+
+def _school_mul(a, b):
+    if not a or not b:
+        return []
+    k = a[0].field
+    out = [k.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _monic_polys(k, n):
+    """All monic degree-n polynomials over k, as FFElem lists."""
+    elems = [k.elem(tuple((v // k.p ** u) % k.p for u in range(k.degree)))
+             for v in range(k.order)]
+    for code in range(k.order ** n):
+        yield [elems[(code // k.order ** i) % k.order] for i in range(n)] + [k.one]
+
+
+def _irreducible_by_trial_division(f):
+    k = f[0].field
+    n = len(f) - 1
+    for e in range(1, n // 2 + 1):
+        for g in _monic_polys(k, e):
+            if all(c.is_zero() for c in _school_divmod(f, g)[1]):
+                return False
+    return True
+
+
+# fields of the kernel tests: prime fields, extensions of degree 2, 3 and 5,
+# and a prime large enough that a packed digit spans several machine words
+_KERNEL_FIELDS = [prime_field(3), BaseField(5, 2).residue_field, BaseField(5, 3).residue_field,
+                  BaseField(3, 5).residue_field, prime_field(10007), prime_field(2 ** 61 - 1)]
+
+
+@st.composite
+def _kernel_polys(draw, k, max_len=8):
+    """FFPoly over k with a nonzero lead; other coordinates may be any
+    representative of their class mod p, not only 0 <= c < p."""
+    n = draw(st.integers(0, max_len))
+    coeffs = []
+    for i in range(n):
+        coords = [draw(st.integers(0, k.p - 1)) for _ in range(k.degree)]
+        if i == n - 1:
+            if not any(coords):
+                coords[0] = 1
+        else:
+            coords = [c + k.p * draw(st.integers(-2, 2)) for c in coords]
+        coeffs.append(FFElem(k, tuple(coords)))
+    return FFPoly(k, coeffs)
+
+
+class TestResidueKernels:
+    @pytest.mark.parametrize("p,m,max_degree", [(3, 1, 4), (3, 2, 3)])
+    def test_is_irreducible_exhaustive(self, p, m, max_degree):
+        k = prime_field(p) if m == 1 else BaseField(p, m).residue_field
+        for n in range(1, max_degree + 1):
+            count = 0
+            for f in _monic_polys(k, n):
+                verdict = is_irreducible(FFPoly(k, f))
+                assert verdict == _irreducible_by_trial_division(f), f
+                count += verdict
+            assert count == _gauss_count(k.order, n)
+
+    def test_is_irreducible_ignores_scaling(self):
+        k = BaseField(5, 2).residue_field
+        f = FFPoly.from_ints(k, [2, 1, 0, 1])
+        for c in (k.elem(3), k.gen, k.gen + k.one):
+            assert is_irreducible(f.scale(c)) == is_irreducible(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_kernels_match_schoolbook(self, data):
+        k = data.draw(st.sampled_from(_KERNEL_FIELDS))
+        a = data.draw(_kernel_polys(k))
+        b = data.draw(_kernel_polys(k))
+        f = data.draw(_kernel_polys(k).filter(lambda g: not g.is_zero()))
+        assert a * b == FFPoly(k, _school_mul(a.coeffs, b.coeffs))
+        # division may pass an input coefficient through unchanged, so it is
+        # compared up to the representatives of the coordinates
+        canon = lambda cs: FFPoly(k, [k.elem(c.coords) for c in cs])
+        quo, rem = a.divmod(f)
+        ref_quo, ref_rem = _school_divmod(a.coeffs, f.coeffs)
+        assert (canon(quo.coeffs), canon(rem.coeffs)) == (canon(ref_quo), canon(ref_rem))
+        n = data.draw(st.integers(0, 10 ** 6))
+        mul_mod = lambda u, v: FFPoly(k, _school_divmod(_school_mul(u, v), f.coeffs)[1]).coeffs
+        ref, square = [k.one], a.coeffs
+        for bit in reversed(bin(n)[2:]):
+            if bit == "1":
+                ref = mul_mod(ref, square)
+            square = mul_mod(square, square)
+        assert a.pow_mod(n, f) == FFPoly(k, ref)
+
+    @pytest.mark.parametrize("k", _KERNEL_FIELDS, ids=repr)
+    def test_kernels_at_largest_digits(self, k):
+        # every coordinate p - 1: the largest digits a packed product holds
+        top = k.elem((k.p - 1,) * k.degree)
+        for length in (1, 2, 7, 20):
+            a = FFPoly(k, [top] * length)
+            assert a * a == FFPoly(k, _school_mul(a.coeffs, a.coeffs))
+            f = FFPoly(k, [top] * length + [k.one])
+            square = FFPoly(k, _school_divmod(_school_mul(a.coeffs, a.coeffs), f.coeffs)[1])
+            assert a.pow_mod(2, f) == square
+
+    def test_pow_mod_exponent_of_field_size(self):
+        # X^(q^2) = X mod every irreducible quadratic over GF(q)
+        k = BaseField(5, 3).residue_field
+        x = FFPoly.x(k)
+        f = _find_quadratic_irreducible(k)
+        assert x.pow_mod(k.order ** 2, f) == x
+        assert x.pow_mod(k.order, f) != x
+
+    def test_prime_field_inverse(self):
+        k = prime_field(10007)
+        for c in (1, 2, 5003, 10006, 10007 + 3):
+            x = FFElem(k, (c,))
+            assert (x * x.inverse()) == k.one
+
+    def test_compositum_of_the_slow_case(self):
+        # the tower 1 -> 3 -> 15 at p = 5; both minimal polynomials depend on
+        # the order in which _find_irreducible_over tries candidates and on
+        # every verdict of is_irreducible along the way
+        K3, _ = extend_unramified(BaseField(5), 3)
+        assert K3.gen_minpoly == (1, 1, 0, 1)
+        K15, _ = extend_unramified(K3, 5)
+        assert K15.gen_minpoly == (131, 359, 243, 139, 290, -119, -166, -7, -165,
+                                   0, 23, 22, 5, 5, 0, 1)
 
 
 def _find_quadratic_irreducible(G):

@@ -1,11 +1,16 @@
 """Parser, commands, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import clusterfibre
 from clusterfibre.field import BaseField
 from clusterfibre.cli import parse_poly, PolySyntaxError, run
 
@@ -149,6 +154,24 @@ class TestCommands:
         total = sum(m * (2 * g - 2) for m, g in labels)
         total += sum(labels[a][0] + labels[b][0] for a, b in edges)
         assert total == 2 * ((6 - 1) // 2) - 2
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        # python -m clusterfibre runs the CLI without a RuntimeWarning
+        src = str(Path(clusterfibre.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "clusterfibre",
+             "picture", "(x^2-5)^3 - 5^5", "--prime", "5"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("cluster picture over Q_5")
+        bad = subprocess.run([sys.executable, "-m", "clusterfibre", "picture", "x^2", "--prime", "5"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert bad.returncode == 1
 
 
 class TestSelfcheck:

@@ -227,6 +227,19 @@ class TestGeometricMode:
         assert geo.field.m > 1
         assert len(geo.nodes) >= len(exact.nodes)
 
+    def test_one_discriminant_per_build(self, monkeypatch):
+        # the build restarts twice (m = 1 -> 3 -> 15); v(disc) is the same
+        # over every unramified extension, so it is computed once
+        from clusterfibre import clusters
+        calls = []
+        real = clusters.discriminant_val
+        monkeypatch.setattr(clusters, "discriminant_val", lambda f: calls.append(f) or real(f))
+        K = BaseField(5)
+        f = K.poly([-3, -68, -100, -80, 7, 27, -10, 33, 2])
+        tree = build_cluster_tree(f, K, mode="geometric")
+        assert tree.field.m == 15
+        assert len(calls) == 1
+
     def test_budget(self):
         K = BaseField(3)
         f = K.poly([1, 0, 1]) ** 2 - K.poly([3 ** 5])
