@@ -23,8 +23,8 @@ from .rationals import qstr
 from .clusters import (build_cluster_tree, InternalInconsistency,
                        ResidueModeOverflow, cluster_chain)
 from .invariants import all_records
-from .fibre import (assemble, export, fibre_graph, graphs_isomorphic,
-                    farey_chain, poly_str)
+from .fibre import (assemble, cluster_dicts, export, fibre_graph,
+                    graphs_isomorphic, farey_chain, poly_str)
 
 
 class PolySyntaxError(ValueError):
@@ -130,7 +130,6 @@ def _parse_power(toks, K):
     if toks.peek() == "^":
         toks.take()
         toks.skip_ws()
-        neg = False
         if toks.peek() == "-":
             raise PolySyntaxError("negative exponents are not allowed", toks.pos)
         n = toks.number()
@@ -208,7 +207,7 @@ def _render_picture(tree, fmt):
             "base_field": {"p": tree.field.p, "m": tree.field.m},
             "normalization_shift": tree.shift,
             "mode": "geometric" if tree.mode == "geometric" else "arithmetic",
-            "clusters": _cluster_dicts(tree),
+            "clusters": cluster_dicts(tree),
         }
         import json as _json
         return _json.dumps(fib_like, sort_keys=True, indent=1) + "\n"
@@ -234,23 +233,6 @@ def _render_picture(tree, fmt):
 
     walk(tree.root, 0)
     return "\n".join(lines) + "\n"
-
-
-def _cluster_dicts(tree):
-    out = []
-    for node in tree.nodes:
-        out.append({
-            "id": node.id, "degree": node.degree, "radius": qstr(node.radius),
-            "size": node.size, "centre": poly_str(node.centre),
-            "parent": node.parent.id if node.parent else None,
-            "proper": True, "degree_minimal": node.is_degree_minimal,
-        })
-        for leaf in node.leaves:
-            out.append({"id": None, "degree": leaf.degree, "radius": "inf",
-                        "size": leaf.degree, "parent": node.id, "proper": False,
-                        "centre": poly_str(leaf.poly) if leaf.poly else None,
-                        "degree_minimal": False})
-    return out
 
 
 def _render_tikz(tree):
@@ -435,7 +417,8 @@ def _check_farey(rng) -> bool:
             t = rng.randrange(-4, 5)
             if farey_chain(alpha, a + t, b + t).dens != ch.dens:
                 return False
-    except Exception:
+    except Exception as ex:  # any failure, including internal asserts, fails the suite
+        print(f"      exception: {type(ex).__name__}: {ex}", file=sys.stderr)
         return False
     return True
 

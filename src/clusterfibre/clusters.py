@@ -79,10 +79,6 @@ class LeafOrbit:
         self.lift_from = lift_from
         self.lift_h = lift_h
 
-    @property
-    def geometric_degree(self) -> int:
-        return self.degree // self.residual_degree
-
     def __repr__(self):
         return f"Leaf(deg={self.degree}, {self.certificate})"
 
@@ -108,10 +104,6 @@ class ClusterNode:
         self.child_residuals = {}           # child id -> FFPoly (centre reduction), distinct-centre only
 
     @property
-    def is_proper(self) -> bool:
-        return True
-
-    @property
     def is_degree_minimal(self) -> bool:
         return all(c.degree != self.degree for c in self.children)
 
@@ -126,10 +118,6 @@ class ClusterNode:
         yield self
         for c in self.children:
             yield from c.descendants()
-
-    def all_leaves_below(self):
-        for n in self.descendants():
-            yield from n.leaves
 
     def __repr__(self):
         return (f"Cluster(deg={self.degree}, radius={qstr(self.radius)}, "
@@ -148,9 +136,6 @@ class ClusterTree:
         for idx, n in enumerate(self.nodes):
             n.id = idx
 
-    def node_map(self):
-        return {n.id: n for n in self.nodes}
-
     def leaves(self):
         out = []
         for n in self.nodes:
@@ -161,13 +146,13 @@ class ClusterTree:
 def normalize_input(f: KPoly):
     """Rescale x by a power of p so every root gains strictly positive valuation.
 
-    Returns (f(x / p^c), c) with c >= 0 minimal, so each root r of f turns
-    into p^c r; raises NotSeparable on input with repeated roots.
+    Returns (f(x / p^c), c, v_disc) with c >= 0 minimal, so each root r of f
+    turns into p^c r, and v_disc the valuation of the discriminant of the
+    rescaled polynomial; computing v_disc is the separability test, so this
+    raises NotSeparable on input with repeated roots.
     """
     if f.degree < 1:
         raise ValueError("need a non-constant polynomial")
-    if not f.is_separable():
-        raise NotSeparable("polynomial has repeated roots")
     K = f.field
     v0 = MacLaneVal.gauss(K)
     N = newton_polygon(v0, K.x(), f)
@@ -177,12 +162,14 @@ def normalize_input(f: KPoly):
     else:
         min_rootval = -max(slopes)
     if min_rootval is OO or min_rootval > 0:
-        return f, 0
-    # smallest integer c with min_rootval + c > 0; rescaling x by p^-c turns
-    # each root r into p^c r
-    frac = Fraction(-min_rootval)
-    c = frac.numerator // frac.denominator + 1
-    return f.subst_scaled_x(-c), c
+        c = 0
+    else:
+        # smallest integer c with min_rootval + c > 0; rescaling x by p^-c
+        # turns each root r into p^c r
+        frac = Fraction(-min_rootval)
+        c = frac.numerator // frac.denominator + 1
+        f = f.subst_scaled_x(-c)
+    return f, c, discriminant_val(f)
 
 
 class _Builder:
@@ -282,11 +269,11 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
     recompute reductions along them, and assert the counting laws."""
     if mode not in ("exact", "geometric"):
         raise ValueError("mode must be 'exact' or 'geometric'")
-    f_norm, shift = normalize_input(f)
+    f_norm, shift, v_disc = normalize_input(f)
     # v(disc) bounds the refinement depth.  It is computed once: the
     # valuation on Q(theta) extends uniquely to each unramified extension
     # built below, so embedding f there leaves v(disc) unchanged.
-    depth_bound = 2 * max(0, int(discriminant_val(f_norm))) + f_norm.degree + 4
+    depth_bound = 2 * max(0, int(v_disc)) + f_norm.degree + 4
     work_f, work_K = f_norm, K
     while True:
         builder = _Builder(work_f, work_K, seed, depth_bound)

@@ -92,10 +92,12 @@ def oracle_signature(root: RationalCluster):
 
 def tree_signature(node):
     """Same canonical form computed from a builder ClusterNode of degree 1."""
-    assert node.degree == 1
+    if node.degree != 1:
+        raise AssertionError("degree-1 oracle given a cluster of higher degree")
     kids = sorted(tree_signature(c) for c in node.children)
     singles = len([l for l in node.leaves if l.degree == 1])
-    assert singles == len(node.leaves), "degree-1 oracle instance grew a big orbit"
+    if singles != len(node.leaves):
+        raise AssertionError("degree-1 oracle instance grew a big orbit")
     return (node.size, Fraction(node.radius), singles, tuple(kids))
 
 
@@ -178,7 +180,8 @@ def oracle_fibre_graph(roots, p, lead_val=0):
         c0 = 1 if _not2z(c0_crit) else 0
         u = Fraction(c.size - sum(w.size for w in c.children) - (2 - p0), e) \
             + len(vtilde) + delta * c0
-        assert u.denominator == 1 and u >= 0
+        if u.denominator != 1 or u < 0:
+            raise AssertionError(f"u must be a nonnegative integer, got {u}")
         u = int(u)
         genus = 0 if n_v == 1 else max((u - 1) // 2, 0)
         data[id(c)] = dict(lam=lam, e=e, eps=eps, b=b, nu=nu_v, n=n_v, m=m_v,

@@ -37,13 +37,6 @@ class NotIrreducible(ValueError):
     pass
 
 
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
 def _int_poly_mul_mod(a, b, modulus, p):
     """Product of int coefficient vectors, reduced mod (modulus, p)."""
     d = len(modulus) - 1
@@ -91,16 +84,6 @@ class FField:
         if len(coords) != self.degree:
             coords = coords + (0,) * (self.degree - len(coords))
         return FFElem(self, coords)
-
-    def from_int_poly(self, coeffs) -> "FFElem":
-        """Element given as an integer polynomial in the field generator."""
-        acc = self.zero
-        for c in reversed(list(coeffs)):
-            acc = acc * self.gen + self.elem(c)
-        return acc
-
-    def all_prime_subfield(self):
-        return [self.elem(i) for i in range(self.p)]
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})#{self.uid}"
@@ -207,16 +190,6 @@ class Embedding:
     @staticmethod
     def identity(F: FField) -> "Embedding":
         return Embedding(F, F, None)
-
-    def compose_after(self, inner: "Embedding") -> "Embedding":
-        """self o inner."""
-        if inner.dst is not self.src:
-            raise TypeError("embeddings do not compose")
-        cols = []
-        for j in range(inner.src.degree):
-            basis = FFElem(inner.src, tuple(1 if i == j else 0 for i in range(inner.src.degree)))
-            cols.append(self(inner(basis)).coords)
-        return Embedding(inner.src, self.dst, cols)
 
 
 def _repunit(count: int, width: int) -> int:
@@ -585,22 +558,33 @@ def is_irreducible(f: FFPoly) -> bool:
     return True
 
 
-def find_irreducible_int_poly(p: int, degree: int):
-    """Deterministically pick a monic integer polynomial of the given degree
-    that is irreducible mod p (smallest in the counting order)."""
-    F = prime_field(p)
-    if degree == 1:
-        return (0, 1)
-    bound = p ** degree
-    for code in range(bound):
-        coeffs, c = [], code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        cand = tuple(coeffs) + (1,)
-        if is_irreducible(FFPoly.from_ints(F, cand)):
+def find_irreducible_over(k: FField, t: int) -> FFPoly:
+    """Smallest (in a fixed counting order) monic irreducible of degree t over k."""
+    # Candidates X^t + c_{t-1} X^{t-1} + ... + c_0 are counted by code =
+    # sum_i n(c_i) q^i, so c_0 varies fastest; an element of k with
+    # coordinates (a_0, ..., a_{d-1}) over F_p has number n = sum_u a_u p^u.
+    # The order must not change: the field built from the result defines
+    # theta, and geometric-mode output prints centres in theta coordinates.
+    q, p = k.order, k.p
+    for code in range(q ** t):
+        cs, c = [], code
+        for _ in range(t):
+            v, c = c % q, c // q
+            vec = []
+            for _ in range(k.degree):
+                vec.append(v % p)
+                v //= p
+            cs.append(k.elem(tuple(vec)))
+        cand = FFPoly(k, cs + [k.one])
+        if is_irreducible(cand):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def find_irreducible_int_poly(p: int, degree: int):
+    """The monic integer polynomial of the given degree that reduces to
+    ``find_irreducible_over(GF(p), degree)``, coefficients in [0, p)."""
+    return tuple(c.coords[0] for c in find_irreducible_over(prime_field(p), degree).coeffs)
 
 
 def _gauss_solve_mod_p(rows, rhs, p):
@@ -706,7 +690,6 @@ def ff_extend(F: FField, h: FFPoly, rng: Optional[random.Random] = None):
             return FFElem(G, tuple(x))
 
         emb_cols = []
-        basis_pow = [F.one] + [F.zero] * (t - 1)
         for j in range(a):
             vec = [F.gen ** j] + [F.zero] * (t - 1)
             emb_cols.append(to_G(vec).coords)

@@ -75,8 +75,7 @@ class ChainSpec:
     """P^1(alpha, a, b): multiplicities alpha*d_i along the minimal sequence."""
 
     __slots__ = ("alpha", "a", "b", "fractions", "dens", "mults",
-                 "row", "cluster", "side", "to_cluster", "scheme_exp",
-                 "scheme_const", "geometric_copies")
+                 "row", "cluster", "side", "to_cluster", "geometric_copies")
 
     def __init__(self, alpha: int, a: Fraction, b: Fraction):
         if alpha < 1:
@@ -92,8 +91,6 @@ class ChainSpec:
         self.cluster = None
         self.side = "minus"
         self.to_cluster = None  # None = open-ended
-        self.scheme_exp = None
-        self.scheme_const = None
         self.geometric_copies = 1
 
     @property
@@ -127,28 +124,24 @@ def open_chain(alpha: int, a) -> ChainSpec:
 
 
 class Component:
-    __slots__ = ("cluster", "multiplicity", "n", "genus", "split",
-                 "geometric_count", "k_degree", "ftilde")
+    __slots__ = ("cluster", "multiplicity", "n", "genus", "split", "geometric_count")
 
-    def __init__(self, cluster, multiplicity, n, genus, split, k_degree, ftilde):
+    def __init__(self, cluster, multiplicity, n, genus, split):
         self.cluster = cluster
         self.multiplicity = multiplicity
         self.n = n
         self.genus = genus
         self.split = split
         self.geometric_count = 2 if split else 1
-        self.k_degree = k_degree
-        self.ftilde = ftilde
 
 
 class OpenP1Family:
-    __slots__ = ("cluster", "multiplicity", "count", "scheme")
+    __slots__ = ("cluster", "multiplicity", "count")
 
-    def __init__(self, cluster, multiplicity, count, scheme):
+    def __init__(self, cluster, multiplicity, count):
         self.cluster = cluster
         self.multiplicity = multiplicity
         self.count = count
-        self.scheme = scheme
 
 
 class SpecialFibre:
@@ -192,15 +185,14 @@ def assemble(tree: ClusterTree, records: Optional[Dict[int, InvariantRecord]] = 
                 raise InternalInconsistency("ubereven component with odd branch part")
         else:
             split = (r.n == 2 and r.u == 0 and _is_square_in(r.k_v, r.ftilde))
-        fib.components[node.id] = Component(node.id, r.m, r.n, r.genus, split,
-                                            r.f_v, r.ftilde)
+        fib.components[node.id] = Component(node.id, r.m, r.n, r.genus, split)
         if r.n == 1:
             count = r.f_v * r.fbar.degree
             gcd_check = r.fbar.gcd(r.fbar.derivative())
             if gcd_check.degree != 0:
                 raise InternalInconsistency("leaf residual part must be squarefree")
             if count:
-                fib.open_p1.append(OpenP1Family(node.id, r.e, count, r.fbar))
+                fib.open_p1.append(OpenP1Family(node.id, r.e, count))
         # connector to the parent, or the root's open tail
         if node.parent is not None:
             rp = records[node.parent.id]
@@ -211,7 +203,6 @@ def assemble(tree: ClusterTree, records: Optional[Dict[int, InvariantRecord]] = 
             for side, target in copies:
                 ch = ChainSpec(r.epsilon * r.gamma, r.s, end)
                 ch.row, ch.cluster, ch.side, ch.to_cluster = "connector", node.id, side, target
-                ch.scheme_exp, ch.scheme_const = r.gbar_exp, r.gbar_const
                 ch.geometric_copies = r.f_v
                 fib.chains.append(ch)
         else:
@@ -221,7 +212,6 @@ def assemble(tree: ClusterTree, records: Optional[Dict[int, InvariantRecord]] = 
                 if ch.length == 0:
                     continue
                 ch.row, ch.cluster, ch.side = "root_tail", node.id, side
-                ch.scheme_exp, ch.scheme_const = r.gbar_exp, r.gbar_const
                 ch.geometric_copies = r.f_v
                 fib.chains.append(ch)
         if r.delta == 1:
@@ -231,7 +221,6 @@ def assemble(tree: ClusterTree, records: Optional[Dict[int, InvariantRecord]] = 
                 if ch.length == 0:
                     continue
                 ch.row, ch.cluster, ch.side = "minimal_tail", node.id, side
-                ch.scheme_exp, ch.scheme_const = r.gbar0_exp, r.gbar0_const
                 ch.geometric_copies = r.f_v
                 fib.chains.append(ch)
     _check_attachments(fib)
@@ -478,18 +467,14 @@ def ffpoly_str(f: FFPoly, var="X") -> str:
     return " + ".join(terms)
 
 
-def export_json(fib: SpecialFibre) -> bytes:
-    tree = fib.tree
+def cluster_dicts(tree: ClusterTree,
+                  records: Optional[Dict[int, InvariantRecord]] = None) -> List[dict]:
+    """The JSON ``clusters`` list: each proper cluster followed by its leaf
+    orbits.  Given the invariant records, every entry carries its
+    ``invariants`` as well."""
     clusters = []
     for node in tree.nodes:
-        r = fib.records[node.id]
-        inv = r.as_dict()
-        inv["gbar"] = f"y^{r.gbar_exp} - {ffpoly_str(FFPoly.const(r.k_v, r.gbar_const))}"
-        if r.delta:
-            inv["gbar0"] = f"y^{r.gbar0_exp} - {ffpoly_str(FFPoly.const(r.k_v, r.gbar0_const))}"
-        inv["fbar"] = ffpoly_str(r.fbar)
-        inv["ftilde"] = ffpoly_str(r.ftilde)
-        clusters.append({
+        entry = {
             "id": node.id,
             "degree": node.degree,
             "radius": qstr(node.radius),
@@ -498,10 +483,19 @@ def export_json(fib: SpecialFibre) -> bytes:
             "parent": node.parent.id if node.parent else None,
             "proper": True,
             "degree_minimal": node.is_degree_minimal,
-            "invariants": inv,
-        })
+        }
+        if records is not None:
+            r = records[node.id]
+            inv = r.as_dict()
+            inv["gbar"] = f"y^{r.gbar_exp} - {ffpoly_str(FFPoly.const(r.k_v, r.gbar_const))}"
+            if r.delta:
+                inv["gbar0"] = f"y^{r.gbar0_exp} - {ffpoly_str(FFPoly.const(r.k_v, r.gbar0_const))}"
+            inv["fbar"] = ffpoly_str(r.fbar)
+            inv["ftilde"] = ffpoly_str(r.ftilde)
+            entry["invariants"] = inv
+        clusters.append(entry)
         for leaf in node.leaves:
-            clusters.append({
+            entry = {
                 "id": None,
                 "degree": leaf.degree,
                 "radius": "inf",
@@ -510,14 +504,21 @@ def export_json(fib: SpecialFibre) -> bytes:
                 "parent": node.id,
                 "proper": False,
                 "degree_minimal": False,
-                "invariants": {"certificate": leaf.certificate,
-                               "residual_degree": leaf.residual_degree},
-            })
+            }
+            if records is not None:
+                entry["invariants"] = {"certificate": leaf.certificate,
+                                       "residual_degree": leaf.residual_degree}
+            clusters.append(entry)
+    return clusters
+
+
+def export_json(fib: SpecialFibre) -> bytes:
+    tree = fib.tree
     payload = {
         "base_field": {"p": tree.field.p, "m": tree.field.m},
         "normalization_shift": tree.shift,
         "mode": fib.mode,
-        "clusters": clusters,
+        "clusters": cluster_dicts(tree, fib.records),
         "fibre": {
             "components": [{
                 "cluster": c.cluster,

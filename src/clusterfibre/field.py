@@ -25,7 +25,7 @@ import contextvars
 import functools
 from fractions import Fraction
 from .ff import (FField, FFElem, FFPoly, prime_field, is_irreducible,
-                 find_irreducible_int_poly)
+                 find_irreducible_int_poly, find_irreducible_over)
 from .rationals import OO, ext_min
 
 
@@ -381,15 +381,6 @@ class KPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def monic(self) -> "KPoly":
-        return self.scale(self.lead().inverse())
-
-    def gcd(self, other) -> "KPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def derivative(self) -> "KPoly":
         K = self.field
         return KPoly(K, [K.rat(i) * c for i, c in enumerate(self.coeffs)][1:])
@@ -409,11 +400,6 @@ class KPoly:
             out.append(c * K.rat(power))
             power *= scale
         return KPoly(K, out)
-
-    def is_separable(self) -> bool:
-        if self.degree < 1:
-            return False
-        return self.gcd(self.derivative()).degree == 0
 
     def phi_expand(self, phi: "KPoly") -> tuple:
         """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi.
@@ -451,9 +437,9 @@ class KPoly:
                 return K.zero
             if (f.degree * g.degree) % 2:
                 sign = -sign
-            acc = acc * g.lead() ** _ke_pow_int(f.degree - r.degree)
+            acc = acc * g.lead() ** (f.degree - r.degree)
             f, g = g, r
-        acc = acc * g.lead() ** _ke_pow_int(f.degree)
+        acc = acc * g.lead() ** f.degree
         return acc if sign > 0 else -acc
 
     def __repr__(self):
@@ -462,17 +448,17 @@ class KPoly:
         return "KPoly[" + ", ".join(repr(c) for c in self.coeffs) + "]"
 
 
-def _ke_pow_int(n: int) -> int:
-    return max(n, 0)
-
-
 def discriminant_val(f: KPoly):
-    """Valuation of disc(f) = res(f, f') / lc(f), used only as a work bound."""
+    """Valuation of disc(f) = res(f, f') / lc(f).
+
+    This is the pipeline's only separability test: it raises NotSeparable
+    when the resultant is zero, i.e. when f has a repeated root.  The value
+    bounds the refinement depth of the cluster discovery.
+    """
     r = f.resultant(f.derivative())
     if r.is_zero():
-        raise NotSeparable("polynomial has a repeated root")
-    v = r.val() - f.lead().val()
-    return v
+        raise NotSeparable("polynomial has repeated roots")
+    return r.val() - f.lead().val()
 
 
 def extend_unramified(K: BaseField, t: int):
@@ -491,7 +477,7 @@ def extend_unramified(K: BaseField, t: int):
     k = K.residue_field
 
     # degree-t irreducible over the residue field, lifted to Z[theta][y]
-    hbar = _find_irreducible_over(k, t)
+    hbar = find_irreducible_over(k, t)
     h_coeffs = []
     for c in hbar.coeffs:
         h_coeffs.append(K.elem(*[int(x) for x in c.coords]) if m > 1 else K.rat(int(c.coords[0])))
@@ -556,38 +542,6 @@ def extend_unramified(K: BaseField, t: int):
             raise AssertionError("embedding failed minimal polynomial check")
         return K2, embed
     raise AssertionError("no primitive element found for the compositum")
-
-
-def _find_irreducible_over(k: FField, t: int) -> FFPoly:
-    """Smallest (in a fixed counting order) monic irreducible of degree t over k."""
-    # Candidates X^t + c_{t-1} X^{t-1} + ... + c_0 are counted by code =
-    # sum_i n(c_i) q^i, so c_0 varies fastest; an element of k with
-    # coordinates (a_0, ..., a_{d-1}) over F_p has number n = sum_u a_u p^u.
-    # The order must not change: the field built from the result defines
-    # theta, and geometric-mode output prints centres in theta coordinates.
-    q = k.order
-    p = k.p
-    count = 0
-    code = 0
-    while True:
-        coeffs, c = [], code
-        for _ in range(t):
-            coeffs.append(c % q)
-            c //= q
-        cs = []
-        for v in coeffs:
-            vec = []
-            for _ in range(k.degree):
-                vec.append(v % p)
-                v //= p
-            cs.append(k.elem(tuple(vec)))
-        cand = FFPoly(k, cs + [k.one])
-        if is_irreducible(cand):
-            return cand
-        code += 1
-        count += 1
-        if count > q ** t:
-            raise AssertionError("no irreducible polynomial found")
 
 
 def _gauss_solve_q(cols, rhs):

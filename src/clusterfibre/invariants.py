@@ -47,7 +47,7 @@ def _not_in_2Z(x) -> bool:
 
 
 class InvariantRecord:
-    __slots__ = ("node_id", "degree", "size", "lam", "epsilon", "b", "ell", "e",
+    __slots__ = ("degree", "size", "lam", "epsilon", "b", "ell", "e",
                  "f_v", "k_v", "nu", "n", "m", "i_v", "i0_v", "p", "s", "gamma",
                  "delta", "p0", "s0", "gamma0", "vtilde", "c0", "u", "genus",
                  "ubereven", "gbar_exp", "gbar_const", "gbar0_exp", "gbar0_const",
@@ -124,7 +124,6 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     tower = residue_tower(cc)
     K = tree.field
     r = InvariantRecord()
-    r.node_id = node.id
     r.degree = node.degree
     r.size = node.size
     r.lam = Fraction(node.radius)
@@ -138,7 +137,8 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     r.i_v = node.i_v
     r.i0_v = node.i0_v
     e_nu = r.e * r.nu
-    assert Fraction(e_nu).denominator == 1
+    if Fraction(e_nu).denominator != 1:
+        raise InternalInconsistency(f"e * nu must be an integer, got {e_nu}")
     r.n = 1 if int(e_nu) % 2 == 1 else 2
     r.m = 2 * r.e // r.n
     r.p = 1 if r.i_v % 2 == 1 else 2

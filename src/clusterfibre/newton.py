@@ -22,10 +22,10 @@ at the designated generator through the recorded embedding.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .field import KPoly, expansion_scope
-from .ff import FField, FFElem, FFPoly, Embedding, ff_extend, is_irreducible
+from .ff import FField, FFElem, FFPoly, ff_extend, is_irreducible
 from .rationals import OO
 from .valuation import MacLaneVal, NotAKeyPolynomial, RadiusNotAboveCentreValue
 
@@ -54,10 +54,6 @@ class EdgeData:
     def __init__(self, lam, i0, u0, i1, u1):
         self.lam, self.i0, self.u0, self.i1, self.u1 = lam, i0, u0, i1, u1
 
-    @property
-    def width(self) -> int:
-        return self.i1 - self.i0
-
     def __repr__(self):
         from .rationals import qstr
         return f"Edge(lam={qstr(self.lam)}, ({self.i0},{qstr(self.u0)})..({self.i1},{qstr(self.u1)}))"
@@ -66,10 +62,8 @@ class EdgeData:
 class NewtonPolygon:
     """Lower convex hull of the expansion points (i, v_prev(a_i))."""
 
-    def __init__(self, points, v_prev=None, phi=None):
+    def __init__(self, points):
         self.points = sorted(points)
-        self.v_prev = v_prev
-        self.phi = phi
         self.vertices = _lower_hull(self.points)
 
     def edges(self) -> List[EdgeData]:
@@ -107,7 +101,7 @@ def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly) -> NewtonPolygon:
     for i, a in enumerate(f.phi_expand(phi)):
         if not a.is_zero():
             pts.append((i, v_prev.eval(a)))
-    return NewtonPolygon(pts, v_prev, phi)
+    return NewtonPolygon(pts)
 
 
 def principal_part(N: NewtonPolygon, vphi) -> NewtonPolygon:
@@ -119,11 +113,8 @@ def principal_part(N: NewtonPolygon, vphi) -> NewtonPolygon:
             verts.append((i1, u1))
         else:
             break
-    M = NewtonPolygon.__new__(NewtonPolygon)
-    M.points = verts
-    M.vertices = verts
-    M.v_prev, M.phi = N.v_prev, N.phi
-    return M
+    # the vertices of a lower hull are their own lower hull
+    return NewtonPolygon(verts)
 
 
 def selected_edge(N: NewtonPolygon, lam) -> EdgeData:
@@ -147,25 +138,19 @@ def selected_edge(N: NewtonPolygon, lam) -> EdgeData:
 
 
 class ResidueTower:
-    """Fields k_0 .. k_n with step embeddings, generators, and moduli."""
+    """Fields k_0 .. k_n with step embeddings, generators, and relative degrees."""
 
-    __slots__ = ("fields", "embeddings", "gens", "moduli", "rel_degrees")
+    __slots__ = ("fields", "embeddings", "gens", "rel_degrees")
 
-    def __init__(self, fields, embeddings, gens, moduli, rel_degrees):
+    def __init__(self, fields, embeddings, gens, rel_degrees):
         self.fields = fields
         self.embeddings = embeddings  # embeddings[i]: k_i -> k_{i+1}
         self.gens = gens              # gens[i+1]: image of the level-i variable in k_{i+1}
-        self.moduli = moduli          # moduli[i+1]: reduction of phi_{i+1} over k_i
-        self.rel_degrees = rel_degrees
+        self.rel_degrees = rel_degrees  # rel_degrees[i]: [k_{i+1} : k_i]
 
     @property
     def top(self) -> FField:
         return self.fields[-1]
-
-    def embed_to_top(self, level: int, x: FFElem) -> FFElem:
-        for i in range(level, len(self.fields) - 1):
-            x = self.embeddings[i](x)
-        return x
 
 
 def residue_tower(v: MacLaneVal) -> ResidueTower:
@@ -175,7 +160,7 @@ def residue_tower(v: MacLaneVal) -> ResidueTower:
         return v._cache["tower"]
     depth = v.depth if not v.is_pseudo else v.depth - 1
     if depth == 0:
-        tower = ResidueTower([v.field.residue_field], [], [None], [None], [])
+        tower = ResidueTower([v.field.residue_field], [], [None], [])
     elif v.is_pseudo or depth < v.depth:
         tower = residue_tower(v.truncation(depth))
     else:
@@ -190,8 +175,7 @@ def residue_tower(v: MacLaneVal) -> ResidueTower:
             raise AssertionError("tower modulus has unexpected degree")
         G, emb, root = ff_extend(base.fields[-1], modulus)
         tower = ResidueTower(base.fields + [G], base.embeddings + [emb],
-                             base.gens + [root], base.moduli + [modulus],
-                             base.rel_degrees + [modulus.degree])
+                             base.gens + [root], base.rel_degrees + [modulus.degree])
     v._cache["tower"] = tower
     return tower
 
@@ -305,15 +289,14 @@ class Reduction:
     normalization is recoverable from the plain one.
     """
 
-    __slots__ = ("poly", "alpha", "i0", "i1", "b", "floor_shift", "h_exponent")
+    __slots__ = ("poly", "alpha", "i0", "i1", "b", "h_exponent")
 
-    def __init__(self, poly, alpha, i0, i1, b, floor_shift, h_exponent):
+    def __init__(self, poly, alpha, i0, i1, b, h_exponent):
         self.poly = poly
         self.alpha = alpha
         self.i0 = i0
         self.i1 = i1
         self.b = b
-        self.floor_shift = floor_shift
         self.h_exponent = h_exponent
 
     @property
@@ -336,7 +319,7 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
         kf = tower.fields[0]
         coeffs = [(c * v.field.rat(unit)).residue() for c in f.coeffs]
         poly = FFPoly(kf, coeffs)
-        return Reduction(poly, alpha, 0, f.degree, 1, 0, 0)
+        return Reduction(poly, alpha, 0, f.degree, 1, 0)
     if v.is_pseudo:
         raise ValueError("reduction with respect to an infinite pseudo-valuation")
     n = v.depth
@@ -365,7 +348,7 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     h_exp = Fraction(i0, e_n) - v.ell[n] * v.e_levels[n - 1] * alpha
     if h_exp.denominator != 1:
         raise AssertionError("graded shift exponent must be an integer")
-    return Reduction(poly, alpha, i0, i1, e_n, i0 // e_n, int(h_exp))
+    return Reduction(poly, alpha, i0, i1, e_n, int(h_exp))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +445,8 @@ def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, alpha, c: FFElem
     lam = v.steps[level - 1].lam
     phi = v.steps[level - 1].phi
     scaled = alpha * v.e_levels[level]
-    assert Fraction(scaled).denominator == 1
+    if Fraction(scaled).denominator != 1:
+        raise AssertionError("preimage value is not in the value group")
     u_a, i_a = _ui_pair(e_i, h_i, int(scaled))
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
     gen_up = tower.gens[level + 1]
@@ -497,7 +481,8 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
     K = v.field
     if v.is_gauss:
         phi = KPoly(K, [_lift_subfield_elem(K, c) for c in h.coeffs[:-1]] + [K.one])
-        assert is_key(v, phi)
+        if not is_key(v, phi):
+            raise AssertionError("lifted Gauss-level centre is not a key polynomial")
         return phi
     n = v.depth
     e_n = v.e_rel[n]

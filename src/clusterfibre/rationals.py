@@ -72,14 +72,6 @@ class _Infinity:
 OO = _Infinity()
 
 
-def is_finite(x) -> bool:
-    return x is not OO
-
-
-def qq(num, den=1) -> Fraction:
-    return Fraction(num, den)
-
-
 def ext_min(values):
     """Minimum of an iterable of extended rationals; OO for an empty one."""
     best = OO
@@ -89,11 +81,6 @@ def ext_min(values):
         if best is OO or x < best:
             best = x
     return best
-
-
-def ext_cmp_key(x):
-    """Sort key placing finite values in order and OO last."""
-    return (1, Fraction(0)) if x is OO else (0, x)
 
 
 def qstr(x) -> str:

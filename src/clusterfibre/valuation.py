@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .field import BaseField, KElem, KPoly
+from .field import BaseField, KPoly
 from .rationals import OO, ext_min
 
 
@@ -64,7 +64,7 @@ class MacLaneVal:
     """An augmentation chain over the Gauss valuation, with cached invariants."""
 
     __slots__ = ("field", "steps", "e_levels", "e_rel", "h_rel", "ell", "ellp",
-                 "centre_values", "_cache")
+                 "_cache")
 
     def __init__(self, field: BaseField, steps=()):
         self.field = field
@@ -81,7 +81,6 @@ class MacLaneVal:
         h_rel = [None]
         ell = [None]
         ellp = [None]
-        centre_values = []  # v_{i-1}(phi_i) for each step i
         for idx, step in enumerate(self.steps):
             phi, lam = step.phi, step.lam
             if not phi.is_monic() or phi.degree < 1:
@@ -92,7 +91,6 @@ class MacLaneVal:
                 raise BadChain("centre degrees must divide along the chain")
             prev_deg = phi.degree
             vphi = self._eval_level(idx, phi)
-            centre_values.append(vphi)
             if lam is not OO and lam <= vphi:
                 raise RadiusNotAboveCentreValue(
                     "augmentation radius must exceed the current centre value")
@@ -127,7 +125,6 @@ class MacLaneVal:
         self.h_rel = h_rel
         self.ell = ell
         self.ellp = ellp
-        self.centre_values = centre_values
 
     @staticmethod
     def gauss(field: BaseField) -> "MacLaneVal":
@@ -226,9 +223,6 @@ class MacLaneVal:
             if term is not OO and (best is OO or term < best):
                 best = term
         return best
-
-    def eval_elem(self, c: KElem):
-        return c.val()
 
     def equiv(self, g: KPoly, h: KPoly) -> bool:
         """g =_v h, tested as v(g - h) > v(g)."""

@@ -495,7 +495,7 @@ class TestResidueKernels:
 
     def test_compositum_of_the_slow_case(self):
         # the tower 1 -> 3 -> 15 at p = 5; both minimal polynomials depend on
-        # the order in which _find_irreducible_over tries candidates and on
+        # the order in which ff.find_irreducible_over tries candidates and on
         # every verdict of is_irreducible along the way
         K3, _ = extend_unramified(BaseField(5), 3)
         assert K3.gen_minpoly == (1, 1, 0, 1)
@@ -538,3 +538,43 @@ class TestUnramifiedExtension:
         K = BaseField(5)
         f = K.poly([-5, 0, 1])
         assert discriminant_val(f) == 1
+
+
+class TestDiscriminantOracle:
+    """discriminant_val is the pipeline's only separability test: it must give
+    the p-adic valuation of sympy's discriminant, and raise NotSeparable
+    exactly when that discriminant is zero."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from clusterfibre.field import NotSeparable, vp_fraction
+        x = sympy.Symbol("x")
+        rng = random.Random(4242)
+
+        def rand(deg, size):
+            cs = [rng.randrange(-size, size + 1) for _ in range(deg)]
+            return sympy.Poly(cs + [rng.choice([1, -1, 2, 3])], x, domain="ZZ") \
+                if deg else sympy.Poly(rng.choice([1, -2, 6]), x, domain="ZZ")
+
+        seen = {"separable": 0, "repeated": 0}
+        for p in (3, 5, 7):
+            K = BaseField(p)
+            for trial in range(45):
+                kind = trial % 3
+                if kind == 0:    # free draw
+                    f = rand(rng.randrange(1, 8), p ** 3)
+                elif kind == 1:  # g^2 * h: a repeated root
+                    f = rand(rng.randrange(1, 3), p ** 2) ** 2 * rand(rng.randrange(0, 4), p ** 2)
+                else:            # g * (g + p^k): close roots, deep discriminant
+                    g = rand(rng.randrange(1, 3), p ** 2)
+                    f = g * (g + p ** rng.randrange(1, 5))
+                fk = K.poly([Fraction(int(c)) for c in reversed(f.all_coeffs())])
+                disc = int(sympy.discriminant(f))
+                if disc == 0:
+                    seen["repeated"] += 1
+                    with pytest.raises(NotSeparable):
+                        discriminant_val(fk)
+                else:
+                    seen["separable"] += 1
+                    assert discriminant_val(fk) == vp_fraction(Fraction(disc), p), (p, f)
+        assert seen["repeated"] >= 45 and seen["separable"] >= 60

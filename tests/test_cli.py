@@ -1,7 +1,9 @@
 """Parser, commands, exit codes, determinism."""
 
+import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import pytest
 
 import clusterfibre
 from clusterfibre.field import BaseField
+from clusterfibre import cli
 from clusterfibre.cli import parse_poly, PolySyntaxError, run
 
 
@@ -187,3 +190,23 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "user input" in out
+
+    def test_farey_failure_is_reported(self, monkeypatch, capsys):
+        def broken(alpha, a, b):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(cli, "farey_chain", broken)
+        assert cli._check_farey(random.Random(0)) is False
+        assert "exception: ZeroDivisionError: injected" in capsys.readouterr().err
+
+
+class TestOptimizedInterpreter:
+    def test_no_bare_assert(self):
+        # python -O strips assert statements, so every check in the package
+        # must raise explicitly
+        found = []
+        for path in sorted(Path(clusterfibre.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+        assert found == []
