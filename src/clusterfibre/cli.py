@@ -27,6 +27,14 @@ from .fibre import (assemble, cluster_dicts, export, fibre_graph,
                     graphs_isomorphic, farey_chain, poly_str)
 
 
+# Largest degree an expression may reach, and largest exponent it may use:
+# parse_poly refuses a power or product beyond either before computing it,
+# so hostile input such as x^100000000 fails at once instead of building a
+# dense polynomial.
+MAX_DEGREE = 1024
+MAX_EXPONENT = 1024
+
+
 class PolySyntaxError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
@@ -121,8 +129,15 @@ def _parse_product(toks, K):
     acc = _parse_power(toks, K)
     while toks.peek() == "*":
         toks.take()
-        acc = acc * _parse_power(toks, K)
+        rhs = _parse_power(toks, K)
+        _check_degree(acc.degree + rhs.degree, toks)
+        acc = acc * rhs
     return acc
+
+
+def _check_degree(degree, toks):
+    if degree > MAX_DEGREE:
+        raise PolySyntaxError(f"degree {degree} exceeds the limit {MAX_DEGREE}", toks.pos)
 
 
 def _parse_power(toks, K):
@@ -135,6 +150,9 @@ def _parse_power(toks, K):
         n = toks.number()
         if n.denominator != 1:
             raise PolySyntaxError("exponents must be integers", toks.pos)
+        if n > MAX_EXPONENT:
+            raise PolySyntaxError(f"exponent {n} exceeds the limit {MAX_EXPONENT}", toks.pos)
+        _check_degree(base.degree * int(n), toks)
         return base ** int(n)
     return base
 
@@ -318,7 +336,7 @@ def run(argv=None) -> int:
     except (PolySyntaxError, NotSeparable, ResidueModeOverflow, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    except InternalInconsistency as ex:
+    except (InternalInconsistency, AssertionError) as ex:
         print(f"internal consistency failure: {ex}", file=sys.stderr)
         return 2
 

@@ -124,12 +124,11 @@ def open_chain(alpha: int, a) -> ChainSpec:
 
 
 class Component:
-    __slots__ = ("cluster", "multiplicity", "n", "genus", "split", "geometric_count")
+    __slots__ = ("cluster", "multiplicity", "genus", "split", "geometric_count")
 
-    def __init__(self, cluster, multiplicity, n, genus, split):
+    def __init__(self, cluster, multiplicity, genus, split):
         self.cluster = cluster
         self.multiplicity = multiplicity
-        self.n = n
         self.genus = genus
         self.split = split
         self.geometric_count = 2 if split else 1
@@ -185,7 +184,7 @@ def assemble(tree: ClusterTree, records: Optional[Dict[int, InvariantRecord]] = 
                 raise InternalInconsistency("ubereven component with odd branch part")
         else:
             split = (r.n == 2 and r.u == 0 and _is_square_in(r.k_v, r.ftilde))
-        fib.components[node.id] = Component(node.id, r.m, r.n, r.genus, split)
+        fib.components[node.id] = Component(node.id, r.m, r.genus, split)
         if r.n == 1:
             count = r.f_v * r.fbar.degree
             gcd_check = r.fbar.gcd(r.fbar.derivative())

@@ -14,9 +14,13 @@ p-adic valuations of its coordinates; this is checked at construction time.
 
 KPoly is a dense univariate polynomial over K.  The phi-adic expansion
 (repeated division by a monic phi) is the workhorse for everything
-valuation-theoretic downstream.  Inside an ``expansion_scope`` call each
-(polynomial, phi) pair is expanded once; the memo is dropped when the
-outermost scoped call returns, so nothing outlives that call.
+valuation-theoretic downstream.  Division and expansion run on integer
+coordinates over one common denominator (``_zdivmod``): the operands are
+converted once, the loop multiplies and subtracts integers only, and the
+results are converted back to Fractions once.  Inside an
+``expansion_scope`` call each (polynomial, phi) pair is expanded once; the
+memo is dropped when the outermost scoped call returns, so nothing outlives
+that call.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import contextvars
 import functools
 from fractions import Fraction
+from math import lcm
 from .ff import (FField, FFElem, FFPoly, prime_field, is_irreducible,
                  find_irreducible_int_poly, find_irreducible_over)
 from .rationals import OO, ext_min
@@ -77,26 +82,99 @@ def vp_fraction(x: Fraction, p: int):
 
 
 def _qpoly_divmod(a, b):
-    """divmod of Fraction coefficient lists (dense, may have float-free zeros)."""
-    a = list(a)
-    db = len(b) - 1
+    """divmod of Fraction coefficient lists (dense, may have trailing zeros)."""
+    b = list(b)
     while b and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    if db < 0:
+        b.pop()
+    if not b:
         raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - db)
-    inv = Fraction(1) / b[-1]
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] * inv
-        q[i] = c
-        if c:
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    r = a[:db]
+    inv = 1 / b[-1]
+    rows, den = _to_z(a)
+    q, r, den = _zdivmod(rows, den, _zdivisor([c * inv for c in b], 1, None))
+    r = [Fraction(n, den) for n in r]
     while r and r[-1] == 0:
         r.pop()
-    return q, r
+    return [Fraction(n, den) * inv for n in q], r
+
+
+# Division on integer coordinates.  A polynomial over Q(theta) is passed as
+# one flat list of integers, the m power-basis coordinates of each
+# coefficient in turn, over one positive common denominator.  Products in
+# Z[theta] are reduced by the monic integer gen_minpoly, so no Fraction is
+# formed between _to_z and the conversion back.
+
+def _to_z(coords):
+    """(rows, den): den the least common denominator of the Fractions in
+    ``coords`` and rows their numerators over it."""
+    den = lcm(*[c.denominator for c in coords])
+    if den == 1:
+        return [c.numerator for c in coords], 1
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _zdivisor(coords, m, mod):
+    """Prepare the monic divisor g with flat Fraction ``coords`` (m per
+    coefficient, reduced by the integer ``mod`` when m > 1) for _zdivmod.
+
+    Returns (cols, d, lead) with g = G / lead, G integral of degree d:
+    cols[k] holds the coordinates of theta^k * G_j for j < d, flat.
+    """
+    rows, lead = _to_z(coords)
+    dm = len(rows) - m
+    cols = [rows[:dm]]
+    for _ in range(1, m):
+        prev, nxt = cols[-1], []
+        for lo in range(0, dm, m):
+            t = prev[lo + m - 1]
+            nxt.append(-t * mod[0])
+            nxt.extend(prev[lo + r - 1] - t * mod[r] for r in range(1, m))
+        cols.append(nxt)
+    return cols, dm // m, lead
+
+
+def _zdivmod(rows, den, divisor):
+    """Divide rows / den by the divisor from _zdivisor: returns (q, r, den2)
+    with f = q * g + r, deg r < deg g, both over den2.  Consumes ``rows``.
+
+    When g = G / lead with lead > 1 this is pseudo-division: rows are first
+    multiplied by lead to the number of quotient terms, after which every
+    top coefficient is divisible by lead and all arithmetic is integral.
+    """
+    cols, d, lead = divisor
+    m = len(cols)
+    dm = d * m
+    nq = len(rows) // m - d
+    if nq <= 0:
+        return [], rows, den
+    if lead != 1:
+        scale = lead ** nq
+        rows = [a * scale for a in rows]
+        den *= scale
+    q = [0] * (nq * m)
+    for lo in range((nq - 1) * m, -1, -m):
+        top = rows[lo + dm:lo + dm + m]
+        q[lo:lo + m] = top
+        for c, col in zip(top, cols):
+            if c:
+                if lead != 1:
+                    c //= lead
+                rows[lo:lo + dm] = [a - c * b for a, b in zip(rows[lo:lo + dm], col)]
+    return q, rows[:dm], den
+
+
+def _flat(f):
+    """The coordinates of the KPoly f, m per coefficient, in one list."""
+    return [c for a in f.coeffs for c in a.coords]
+
+
+def _from_z(K, rows, den):
+    """The KPoly with flat integer coordinates ``rows`` over ``den``."""
+    m = K.m
+    out = []
+    for lo in range(0, len(rows), m):
+        block = rows[lo:lo + m]
+        out.append(KElem(K, [Fraction(n, den) for n in block]) if any(block) else K.zero)
+    return KPoly(K, out)
 
 
 class BaseField:
@@ -359,21 +437,15 @@ class KPoly:
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return KPoly(self.field, []), self
+        K = self.field
+        if len(self.coeffs) < len(other.coeffs):
+            return KPoly(K, []), self
         inv = None if other.is_monic() else other.lead().inverse()
-        quo = [self.field.zero] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree]
-            if inv is not None:
-                c = c * inv
-            quo[i] = c
-            if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * b
-        return KPoly(self.field, quo), KPoly(self.field, rem)
+        monic = other if inv is None else other.scale(inv)
+        rows, den = _to_z(_flat(self))
+        q, r, den = _zdivmod(rows, den, _zdivisor(_flat(monic), K.m, K.gen_minpoly))
+        q = _from_z(K, q, den)
+        return (q if inv is None else q.scale(inv)), _from_z(K, r, den)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -414,12 +486,17 @@ class KPoly:
                 return hit[2]
         if not phi.is_monic() or phi.degree < 1:
             raise ValueError("expansion base must be monic of positive degree")
-        out = []
-        g = self
-        while not g.is_zero():
-            g, r = g.divmod(phi)
-            out.append(r)
-        out = tuple(out) if out else (KPoly(self.field, []),)
+        if self.degree < phi.degree:
+            out = (self,)
+        else:
+            K = self.field
+            divisor = _zdivisor(_flat(phi), K.m, K.gen_minpoly)
+            rows, den = _to_z(_flat(self))
+            out = []
+            while rows:
+                rows, r, den = _zdivmod(rows, den, divisor)
+                out.append(_from_z(K, r, den))
+            out = tuple(out)
         if memo is not None:
             memo[(id(self), id(phi))] = (self, phi, out)
         return out
@@ -478,24 +555,13 @@ def extend_unramified(K: BaseField, t: int):
 
     # degree-t irreducible over the residue field, lifted to Z[theta][y]
     hbar = find_irreducible_over(k, t)
-    h_coeffs = []
-    for c in hbar.coeffs:
-        h_coeffs.append(K.elem(*[int(x) for x in c.coords]) if m > 1 else K.rat(int(c.coords[0])))
+    h = KPoly(K, [K.elem(*[int(x) for x in c.coords]) for c in hbar.coeffs])
 
     # E = K[eta]/(h): vectors of t KElems
+
     def e_mul(u, v):
-        out = [K.zero] * (2 * t - 1)
-        for i, ui in enumerate(u):
-            if not ui.is_zero():
-                for j, vj in enumerate(v):
-                    out[i + j] = out[i + j] + ui * vj
-        for i in range(len(out) - 1, t - 1, -1):
-            c = out[i]
-            if not c.is_zero():
-                out[i] = K.zero
-                for j in range(t):
-                    out[i - t + j] = out[i - t + j] - c * h_coeffs[j]
-        return out[:t]
+        out = (KPoly(K, u) * KPoly(K, v)) % h
+        return list(out.coeffs) + [K.zero] * (t - len(out.coeffs))
 
     def flat(u):
         coords = []

@@ -63,8 +63,7 @@ class NewtonPolygon:
     """Lower convex hull of the expansion points (i, v_prev(a_i))."""
 
     def __init__(self, points):
-        self.points = sorted(points)
-        self.vertices = _lower_hull(self.points)
+        self.vertices = _lower_hull(sorted(points))
 
     def edges(self) -> List[EdgeData]:
         out = []

@@ -142,6 +142,133 @@ class TestPhiExpand:
         assert all(c.degree < phi.degree for c in coeffs)
 
 
+def _reference_divmod(f, g):
+    """The KElem division loop that KPoly.divmod ran before it moved to
+    integer coordinates: every operation is Fraction arithmetic."""
+    K = f.field
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return KPoly(K, []), f
+    inv = None if g.is_monic() else g.lead().inverse()
+    quo = [K.zero] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = rem[i + g.degree]
+        if inv is not None:
+            c = c * inv
+        quo[i] = c
+        if not c.is_zero():
+            for j, b in enumerate(g.coeffs):
+                rem[i + j] = rem[i + j] - c * b
+    return KPoly(K, quo), KPoly(K, rem)
+
+
+def _reference_expand(f, phi):
+    out = []
+    g = f
+    while not g.is_zero():
+        g, r = _reference_divmod(g, phi)
+        out.append(r)
+    return tuple(out) if out else (KPoly(f.field, []),)
+
+
+def _kernel_base(m):
+    # built when a test runs, not at import: a field made at import would
+    # shift the FField numbers in the parametrized ids further down
+    return BaseField({1: 3, 2: 5, 3: 3}[m], m)
+
+
+def _coordinate(p):
+    """Integers, p-power denominators and denominators prime to p."""
+    den = st.one_of(st.just(1), st.integers(1, 4).map(lambda k: p ** k),
+                    st.sampled_from([2, 4, 7, 8, 11, 13, 16]).filter(lambda q: q % p))
+    return st.builds(Fraction, st.integers(-40, 40), den)
+
+
+def _element(K):
+    return st.one_of(st.just(K.zero),
+                     st.lists(_coordinate(K.p), min_size=K.m, max_size=K.m).map(K.elem))
+
+
+def _kpoly(K, max_degree):
+    return st.lists(_element(K), max_size=max_degree + 1).map(K.poly)
+
+
+def _expand_back(coeffs, phi):
+    acc = phi.field.poly([])
+    for c in reversed(coeffs):
+        acc = acc * phi + c
+    return acc
+
+
+class TestIntegerKernel:
+    """phi_expand and divmod run on integer coordinates over a common
+    denominator; they must agree exactly with the Fraction loop."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, m, data):
+        K = _kernel_base(m)
+        f = data.draw(_kpoly(K, 9))
+        phi = K.poly(data.draw(st.lists(_element(K), min_size=1, max_size=3)) + [K.one])
+        g = data.draw(_kpoly(K, 4).filter(lambda g: not g.is_zero()))
+        assert f.phi_expand(phi) == _reference_expand(f, phi)
+        assert f.divmod(g) == _reference_divmod(f, g)
+        assert f.divmod(phi) == _reference_divmod(f, phi)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_expansion_identity(self, m, data):
+        K = _kernel_base(m)
+        f = data.draw(_kpoly(K, 12))
+        phi = K.poly(data.draw(st.lists(_element(K), min_size=1, max_size=4)) + [K.one])
+        coeffs = f.phi_expand(phi)
+        assert _expand_back(coeffs, phi) == f
+        assert all(a.degree < phi.degree for a in coeffs)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_non_monic_divisor(self, m, data):
+        K = _kernel_base(m)
+        f = data.draw(_kpoly(K, 10))
+        g = data.draw(_kpoly(K, 4).filter(lambda g: not g.is_zero() and not g.is_monic()))
+        q, r = f.divmod(g)
+        assert q * g + r == f
+        assert r.degree < g.degree
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_small_cases(self, m):
+        K = _kernel_base(m)
+        phi = K.poly([K.rat(Fraction(-2, 9)), 1, 1])
+        zero, const = K.poly([]), K.poly([K.rat(Fraction(7, 4))])
+        low = K.poly([K.rat(3), K.rat(Fraction(1, 5))])
+        for f in (zero, const, low):
+            assert f.phi_expand(phi) == (f,)
+            assert f.divmod(phi) == (zero, f)
+            assert f.divmod(phi.scale(K.rat(3))) == (zero, f)
+        q, r = const.divmod(const)
+        assert q == K.poly([1]) and r.is_zero()
+
+    def test_after_extend_unramified(self):
+        # the image of theta under this embedding has denominator 72,
+        # prime to p = 5, so f and phi carry such denominators
+        K = BaseField(5, 2)
+        K2, embed = extend_unramified(K, 3)
+        th = K.theta
+        f = K.poly([th, 5, K.rat(Fraction(1, 25)), th * th, -th, 1]) ** 2
+        phi = K.poly([th - K.rat(5), th, 1])
+        f2, phi2 = (K2.poly([embed(c) for c in h.coeffs]) for h in (f, phi))
+        assert any(c.denominator % 5 and c.denominator > 1
+                   for a in f2.coeffs for c in a.coords)
+        assert f2.phi_expand(phi2) == _reference_expand(f2, phi2)
+        assert tuple(K2.poly([embed(c) for c in a.coeffs]) for a in f.phi_expand(phi)) \
+            == f2.phi_expand(phi2)
+        assert f2.divmod(f2.derivative()) == _reference_divmod(f2, f2.derivative())
+
+
 class TestExpansionMemo:
     """phi-adic expansions are memoized within one scoped call and dropped
     when it returns."""
@@ -207,13 +334,13 @@ class TestExpansionMemo:
         g = K.poly([7, -3, 0, 2, 1])
         reduce_poly(cc, K.poly([1, 1]))  # builds and caches the residue tower
         counts = [0]
-        original = KPoly.divmod
+        original = field._zdivmod
 
-        def counting(self, other):
+        def counting(rows, den, divisor):
             counts[0] += 1
-            return original(self, other)
+            return original(rows, den, divisor)
 
-        monkeypatch.setattr(KPoly, "divmod", counting)
+        monkeypatch.setattr(field, "_zdivmod", counting)
         first = reduce_poly(cc, g)
         n_first, counts[0] = counts[0], 0
         second = reduce_poly(cc, g)

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -145,6 +146,14 @@ class TestCommands:
     def test_missing_prime(self, capsys):
         assert run(["picture", "x^2-5"]) == 1
 
+    def test_assertion_is_an_internal_failure(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise AssertionError("x")
+
+        monkeypatch.setattr(cli, "build_cluster_tree", broken)
+        assert run(["fibre", "x^2-5", "--prime", "5"]) == 2
+        assert "internal consistency failure: x" in capsys.readouterr().err
+
     def test_geometric_over_unramified_base(self, capsys):
         # extending GF(25) by a cubic with prime-field coefficients: the
         # first generator tried lies in GF(125), not a primitive element
@@ -157,6 +166,31 @@ class TestCommands:
         total = sum(m * (2 * g - 2) for m, g in labels)
         total += sum(labels[a][0] + labels[b][0] for a, b in edges)
         assert total == 2 * ((6 - 1) // 2) - 2
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("expr", ["x^100000000", "(x+1)^5000"])
+    def test_large_exponent_fails_fast(self, expr, capsys):
+        start = time.perf_counter()
+        assert run(["picture", expr, "--prime", "5"]) == 1
+        assert time.perf_counter() - start < 1
+        assert f"exceeds the limit {cli.MAX_EXPONENT}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["(x^40)^40", "x^600*x^600", "x^512*x^512*x"])
+    def test_large_degree_fails_fast(self, expr, capsys):
+        start = time.perf_counter()
+        assert run(["picture", expr, "--prime", "5"]) == 1
+        assert time.perf_counter() - start < 1
+        assert f"exceeds the limit {cli.MAX_DEGREE}" in capsys.readouterr().err
+
+    def test_limits_are_inclusive(self):
+        K = BaseField(5)
+        assert parse_poly(f"x^{cli.MAX_EXPONENT}", K).degree == cli.MAX_EXPONENT
+        assert parse_poly(f"x^{cli.MAX_DEGREE - 1}*x", K).degree == cli.MAX_DEGREE
+        with pytest.raises(PolySyntaxError):
+            parse_poly(f"x^{cli.MAX_EXPONENT + 1}", K)
+        with pytest.raises(PolySyntaxError):
+            parse_poly(f"x^{cli.MAX_DEGREE}*x", K)
 
 
 class TestModuleEntry:
