@@ -21,7 +21,7 @@ from fractions import Fraction
 from .field import BaseField, KPoly, NotSeparable, expansion_scope
 from .rationals import qstr
 from .clusters import (build_cluster_tree, InternalInconsistency,
-                       ResidueModeOverflow, cluster_chain)
+                       ResidueModeOverflow, cluster_chain, normalize_input)
 from .invariants import all_records
 from .fibre import (assemble, cluster_dicts, export, fibre_graph,
                     graphs_isomorphic, farey_chain, poly_str)
@@ -88,7 +88,10 @@ class _Tokens:
                 self.pos += 1
             if self.pos == dstart:
                 raise PolySyntaxError("expected a denominator", dstart)
-            return Fraction(value, int(self.text[dstart:self.pos]))
+            den = int(self.text[dstart:self.pos])
+            if den == 0:
+                raise PolySyntaxError("zero denominator", dstart)
+            return Fraction(value, den)
         self.pos = save
         return Fraction(value)
 
@@ -326,12 +329,13 @@ def _render_invariants(tree, records, fmt):
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.prime is None and (args.command != "selfcheck" or args.expression
+                                   or args.coeffs):
+            print("error: --prime is required", file=sys.stderr)
+            return 1
         if args.command == "selfcheck":
             ok = selfcheck(args)
             return 0 if ok else 2
-        if args.prime is None:
-            print("error: --prime is required", file=sys.stderr)
-            return 1
         return _run_pipeline(args)
     except (PolySyntaxError, NotSeparable, ResidueModeOverflow, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
@@ -387,18 +391,17 @@ _CORPUS = [
 
 
 def selfcheck(args) -> bool:
-    """Run the property suites; print one line per suite; True iff all pass."""
+    """Run the property suites; print one line per suite; True iff all pass.
+    Bad user input raises (exit 1) before any suite runs."""
+    inputs = list(_CORPUS)
+    if args.expression or args.coeffs:
+        K = BaseField(args.prime, args.unramified_degree)
+        f = _input_poly(args, K)
+        normalize_input(f)  # a constant or repeated roots is bad input
+        inputs.append((args.prime, None, K, f))
     rng = random.Random(args.seed)
     ok = True
     ok &= _report("farey chain properties", _check_farey(rng))
-    inputs = list(_CORPUS)
-    if args.expression or args.coeffs:
-        if args.prime is None:
-            print("error: --prime is required with an expression", file=sys.stderr)
-            return False
-        K = BaseField(args.prime, args.unramified_degree)
-        f = _input_poly(args, K)
-        inputs.append((args.prime, None, K, f))
     for entry in inputs:
         if len(entry) == 2:
             p, expr = entry

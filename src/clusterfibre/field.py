@@ -3,24 +3,23 @@
 The base field is the unramified extension K = Q_p(theta) of degree m, with
 theta a root of a monic integer polynomial whose reduction mod p is
 irreducible.  Elements are restricted to the number field Q(theta) sitting
-inside K, stored as coordinate vectors of Fractions in the power basis
-1, theta, ..., theta^(m-1).  Every computation in the package stays inside
-Q(theta), so all arithmetic is exact; completions are never approximated.
+inside K, so all arithmetic is exact; completions are never approximated.
 
-The normalized valuation has val(p) = 1.  Because the reduction of the
-defining polynomial stays irreducible, the power basis reduces to a basis of
-the residue field, and the valuation of an element is the minimum of the
-p-adic valuations of its coordinates; this is checked at construction time.
+Elements and polynomials share one integer representation: a KElem holds
+its m power-basis coordinates (1, theta, ..., theta^(m-1)) over one
+positive denominator, a KPoly the coordinates of all its coefficients in
+one flat tuple over one positive denominator, both in lowest terms.
+Products are reduced by the monic integer defining polynomial, so the
+arithmetic forms no Fraction; Fractions appear only where values enter
+(``BaseField.elem``, ``rat``, ``poly``), in ``KElem.coords`` and in
+valuations.  The valuation has val(p) = 1.  The power basis reduces to the
+basis of the residue field that FField uses, so a valuation is that of the
+content (gcd of the coordinates over the denominator), and a reduction
+takes each coordinate mod p.
 
-KPoly is a dense univariate polynomial over K.  The phi-adic expansion
-(repeated division by a monic phi) is the workhorse for everything
-valuation-theoretic downstream.  Division and expansion run on integer
-coordinates over one common denominator (``_zdivmod``): the operands are
-converted once, the loop multiplies and subtracts integers only, and the
-results are converted back to Fractions once.  Inside an
+Division and phi-adic expansion share one kernel, ``_zdivmod``.  Inside an
 ``expansion_scope`` call each (polynomial, phi) pair is expanded once; the
-memo is dropped when the outermost scoped call returns, so nothing outlives
-that call.
+memo is dropped when the outermost scoped call returns.
 """
 
 from __future__ import annotations
@@ -28,10 +27,11 @@ from __future__ import annotations
 import contextvars
 import functools
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from .ff import (FField, FFElem, FFPoly, prime_field, is_irreducible,
                  find_irreducible_int_poly, find_irreducible_over)
-from .rationals import OO, ext_min
+from .rationals import OO
 
 
 # Memo of the innermost open expansion scope: (id(poly), id(phi)) ->
@@ -81,55 +81,133 @@ def vp_fraction(x: Fraction, p: int):
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-def _qpoly_divmod(a, b):
-    """divmod of Fraction coefficient lists (dense, may have trailing zeros)."""
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError
-    inv = 1 / b[-1]
-    rows, den = _to_z(a)
-    q, r, den = _zdivmod(rows, den, _zdivisor([c * inv for c in b], 1, None))
-    r = [Fraction(n, den) for n in r]
-    while r and r[-1] == 0:
-        r.pop()
-    return [Fraction(n, den) * inv for n in q], r
+# Integer coordinates: m power-basis coordinates per coefficient of
+# Q(theta), over one denominator.
+
+def _normal(nums, den):
+    """nums / den in lowest terms with a positive denominator."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(n // g for n in nums), den // g
 
 
-# Division on integer coordinates.  A polynomial over Q(theta) is passed as
-# one flat list of integers, the m power-basis coordinates of each
-# coefficient in turn, over one positive common denominator.  Products in
-# Z[theta] are reduced by the monic integer gen_minpoly, so no Fraction is
-# formed between _to_z and the conversion back.
-
-def _to_z(coords):
-    """(rows, den): den the least common denominator of the Fractions in
-    ``coords`` and rows their numerators over it."""
-    den = lcm(*[c.denominator for c in coords])
-    if den == 1:
-        return [c.numerator for c in coords], 1
-    return [c.numerator * (den // c.denominator) for c in coords], den
+def _plus(a, da, b, db, sign):
+    """a / da + sign * b / db, as (coordinates, denominator)."""
+    if da == db:
+        den = da
+    else:
+        den = lcm(da, db)
+        a = [x * (den // da) for x in a]
+        b = [y * (den // db) for y in b]
+    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)], den
 
 
-def _zdivisor(coords, m, mod):
-    """Prepare the monic divisor g with flat Fraction ``coords`` (m per
-    coefficient, reduced by the integer ``mod`` when m > 1) for _zdivmod.
+def _conv(a, b):
+    """The product of two nonempty integer coefficient sequences."""
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + nb] = [o + x * y for o, y in zip(out[i:i + nb], b)]
+    return out
 
-    Returns (cols, d, lead) with g = G / lead, G integral of degree d:
+
+def _theta_reduce(row, mod):
+    """The first m coordinates of the list ``row`` (a polynomial in theta)
+    after reduction by the monic integer polynomial ``mod`` of degree m;
+    ``row`` is consumed."""
+    m = len(mod) - 1
+    for i in range(len(row) - 1, m - 1, -1):
+        c = row[i]
+        if c:
+            row[i - m:i] = [a - c * b for a, b in zip(row[i - m:i], mod)]
+    return row[:m]
+
+
+def _theta_multiples(rows, mod):
+    """[rows, theta * rows, ..., theta^(m-1) * rows] for the flat
+    coordinates ``rows``, m per coefficient, m = deg mod."""
+    m = len(mod) - 1
+    out = [list(rows)]
+    for _ in range(1, m):
+        prev = out[-1]
+        out.append([c for lo in range(0, len(prev), m)
+                    for c in _theta_reduce([0] + prev[lo:lo + m], mod)])
+    return out
+
+
+def _content_val(nums, den, p):
+    """The least valuation of the coordinates nums / den; OO if all are 0."""
+    g = gcd(*nums)
+    if not g:
+        return OO
+    return vp_int(g, p) - vp_int(den, p)
+
+
+def _residues(nums, den, p, shift=0):
+    """The coordinates of p^(-shift) * nums / den mod p.  Raises
+    NegativeValuation when one of them has negative valuation."""
+    e = vp_int(den, p)
+    inv = pow(den // p ** e, -1, p)
+    e += shift
+    if e < 0:
+        return (0,) * len(nums)
+    q = p ** e
+    if any(n % q for n in nums):
+        raise NegativeValuation("cannot reduce an element of negative valuation")
+    return tuple(n // q * inv % p for n in nums)
+
+
+def _power(x, n: int, one):
+    """x ** n for n >= 0, by repeated squaring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
+
+
+def _zsolve(cols, rhs):
+    """(y, d) with sum_k y[k] * cols[k] = d * rhs, d != 0, for the square
+    integer system with columns ``cols``; None if it is singular.
+    Fraction-free (Bareiss) Gauss-Jordan elimination, after which every
+    diagonal entry is d."""
+    n = len(rhs)
+    a = [[col[i] for col in cols] + [rhs[i]] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        pk = top[k]
+        for i in range(n):
+            if i != k:
+                c = a[i][k]
+                a[i] = [(pk * x - c * y) // prev for x, y in zip(a[i], top)]
+        prev = pk
+    return [row[n] for row in a], prev
+
+
+# Division.  A monic divisor g = G / lead (G integral, lead its
+# denominator) is prepared once by _zdivisor; _zdivmod then divides by it
+# with integer multiplications and subtractions only.
+
+def _zdivisor(phi):
+    """Prepare the monic KPoly ``phi`` for _zdivmod.
+
+    Returns (cols, d, lead) with phi = G / lead, G integral of degree d:
     cols[k] holds the coordinates of theta^k * G_j for j < d, flat.
     """
-    rows, lead = _to_z(coords)
-    dm = len(rows) - m
-    cols = [rows[:dm]]
-    for _ in range(1, m):
-        prev, nxt = cols[-1], []
-        for lo in range(0, dm, m):
-            t = prev[lo + m - 1]
-            nxt.append(-t * mod[0])
-            nxt.extend(prev[lo + r - 1] - t * mod[r] for r in range(1, m))
-        cols.append(nxt)
-    return cols, dm // m, lead
+    m = phi.field.m
+    dm = len(phi.rows) - m
+    return _theta_multiples(phi.rows[:dm], phi.field.gen_minpoly), dm // m, phi.den
 
 
 def _zdivmod(rows, den, divisor):
@@ -162,27 +240,42 @@ def _zdivmod(rows, den, divisor):
     return q, rows[:dm], den
 
 
-def _flat(f):
-    """The coordinates of the KPoly f, m per coefficient, in one list."""
-    return [c for a in f.coeffs for c in a.coords]
+# Every composite below PRIME_BOUND fails the strong probable-prime test to
+# a prime base up to 41 (Sorenson and Webster, Math. Comp. 2017); the bases
+# up to 37 alone pass the composite 318665857834031151167461.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _from_z(K, rows, den):
-    """The KPoly with flat integer coordinates ``rows`` over ``den``."""
-    m = K.m
-    out = []
-    for lo in range(0, len(rows), m):
-        block = rows[lo:lo + m]
-        out.append(KElem(K, [Fraction(n, den) for n in block]) if any(block) else K.zero)
-    return KPoly(K, out)
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class BaseField:
     """Unramified p-adic base field with exact Q(theta) coefficients."""
 
     def __init__(self, p: int, m: int = 1, gen_minpoly=None):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"residue characteristic must be below {PRIME_BOUND}")
         if p < 3 or not _is_prime(p):
             raise ValueError("residue characteristic must be an odd prime")
+        if m < 1:
+            raise ValueError("unramified degree must be at least 1")
         if gen_minpoly is None:
             gen_minpoly = find_irreducible_int_poly(p, m)
         gen_minpoly = tuple(int(c) for c in gen_minpoly)
@@ -198,34 +291,28 @@ class BaseField:
             if not is_irreducible(red):
                 raise ValueError("gen_minpoly reduction mod p must stay irreducible")
             self.residue_field = FField(p, gen_minpoly)
-        self.zero = KElem(self, (Fraction(0),) * m)
-        self.one = KElem(self, (Fraction(1),) + (Fraction(0),) * (m - 1))
+        self.zero = KElem(self, (0,) * m)
+        self.one = KElem(self, (1,) + (0,) * (m - 1))
 
     def elem(self, *coords) -> "KElem":
         if len(coords) == 1 and isinstance(coords[0], (list, tuple)):
             coords = tuple(coords[0])
-        cs = tuple(Fraction(c) for c in coords)
+        cs = [Fraction(c) for c in coords]
         if len(cs) > self.m:
             raise ValueError("too many coordinates")
-        return KElem(self, cs + (Fraction(0),) * (self.m - len(cs)))
+        den = lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        return KElem(self, nums + [0] * (self.m - len(cs)), den)
 
     def rat(self, x) -> "KElem":
         return self.elem(Fraction(x))
 
     @property
     def theta(self) -> "KElem":
-        if self.m == 1:
-            return self.zero
-        return self.elem(*([0, 1]))
+        return self.elem(0, 1) if self.m > 1 else self.zero
 
     def poly(self, coeffs) -> "KPoly":
-        out = []
-        for c in coeffs:
-            if isinstance(c, KElem):
-                out.append(c)
-            else:
-                out.append(self.rat(c))
-        return KPoly(self, out)
+        return KPoly(self, [c if isinstance(c, KElem) else self.rat(c) for c in coeffs])
 
     def x(self) -> "KPoly":
         return self.poly([0, 1])
@@ -234,244 +321,213 @@ class BaseField:
         return f"Q_{self.p}" if self.m == 1 else f"Q_{self.p}(theta_deg{self.m})"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class KElem:
-    __slots__ = ("field", "coords")
+    """An element of Q(theta): the integer power-basis coordinates ``nums``
+    over the positive denominator ``den``, in lowest terms."""
 
-    def __init__(self, field: BaseField, coords):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: BaseField, nums, den: int = 1):
         self.field = field
-        self.coords = tuple(coords)
+        self.nums, self.den = _normal(nums, den)
+
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __eq__(self, other):
         return (isinstance(other, KElem) and other.field is self.field
-                and other.coords == self.coords)
+                and other.nums == self.nums and other.den == self.den)
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
-        return KElem(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return KElem(self.field, *_plus(self.nums, self.den, other.nums, other.den, 1))
 
     def __sub__(self, other):
-        return KElem(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return KElem(self.field, *_plus(self.nums, self.den, other.nums, other.den, -1))
 
     def __neg__(self):
-        return KElem(self.field, tuple(-a for a in self.coords))
+        return KElem(self.field, [-n for n in self.nums], self.den)
 
     def __mul__(self, other):
         K = self.field
-        if K.m == 1:
-            return KElem(K, (self.coords[0] * other.coords[0],))
-        out = [Fraction(0)] * (2 * K.m - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    out[i + j] += a * b
-        mod = K.gen_minpoly
-        for i in range(len(out) - 1, K.m - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = Fraction(0)
-                for j in range(K.m):
-                    out[i - K.m + j] -= c * mod[j]
-        return KElem(K, tuple(out[:K.m]))
+        nums = _theta_reduce(_conv(self.nums, other.nums), K.gen_minpoly)
+        return KElem(K, nums, self.den * other.den)
 
     def inverse(self) -> "KElem":
         K = self.field
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if K.m == 1:
-            return KElem(K, (1 / self.coords[0],))
-        # extended Euclid in Q[x] against the defining polynomial: maintain
-        # s with s * self = r (mod minpoly); degrees of s stay below m
-        a = [Fraction(c) for c in K.gen_minpoly]
-        b = [c for c in self.coords]
-        while b and b[-1] == 0:
-            b.pop()
-        s_prev, s_cur = [Fraction(0)], [Fraction(1)]
-        while len(b) > 1:
-            q, r = _qpoly_divmod(a, b)
-            prod = [Fraction(0)] * (len(q) + len(s_cur))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s_cur):
-                        prod[i + j] += qi * sj
-            nxt = [Fraction(0)] * max(len(s_prev), len(prod))
-            for i, c in enumerate(s_prev):
-                nxt[i] += c
-            for i, c in enumerate(prod):
-                nxt[i] -= c
-            while nxt and nxt[-1] == 0:
-                nxt.pop()
-            a, b = b, r
-            s_prev, s_cur = s_cur, nxt
-        inv = 1 / b[0]
-        out = [c * inv for c in s_cur] + [Fraction(0)] * K.m
-        return KElem(K, tuple(out[:K.m]))
+        # y with nums * y = den: column k of the system is theta^k * nums
+        y, d = _zsolve(_theta_multiples(self.nums, K.gen_minpoly),
+                       [self.den] + [0] * (K.m - 1))
+        return KElem(K, y, d)
 
     def __pow__(self, n: int) -> "KElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = self.field.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one)
 
     def val(self):
         """Normalized valuation: min of coordinate p-adic valuations; val(p)=1."""
-        return ext_min(vp_fraction(c, self.field.p) for c in self.coords)
+        return _content_val(self.nums, self.den, self.field.p)
 
     def residue(self) -> FFElem:
         """Reduction to the residue field; requires val >= 0."""
-        if self.val() is not OO and self.val() < 0:
-            raise NegativeValuation("cannot reduce an element of negative valuation")
-        K, p = self.field, self.field.p
-        k = K.residue_field
-        acc = k.zero
-        gen_pow = k.one
-        for c in self.coords:
-            num = c.numerator % p
-            den = c.denominator % p
-            acc = acc + k.elem(num * pow(den, -1, p)) * gen_pow
-            gen_pow = gen_pow * k.gen if K.m > 1 else gen_pow
-        return acc
+        K = self.field
+        return FFElem(K.residue_field, _residues(self.nums, self.den, K.p))
 
     def __repr__(self):
         if self.field.m == 1:
             return str(self.coords[0])
-        return "(" + " + ".join(f"{c}*th^{i}" if i else str(c)
-                                for i, c in enumerate(self.coords) if c) + ")" \
-            if not self.is_zero() else "0"
+        terms = [f"{c}*th^{i}" if i else str(c) for i, c in enumerate(self.coords) if c]
+        return "(" + " + ".join(terms) + ")" if terms else "0"
 
 
 class KPoly:
-    """Dense univariate polynomial over the base field; zero = empty tuple."""
+    """Dense univariate polynomial over the base field.
 
-    __slots__ = ("field", "coeffs")
+    ``rows`` holds the integer coordinates of the coefficients, m per
+    coefficient from the constant term up, over the positive denominator
+    ``den``; in lowest terms, with no trailing zero coefficient, so the zero
+    polynomial has no rows.
+    """
+
+    __slots__ = ("field", "rows", "den")
 
     def __init__(self, field: BaseField, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        coeffs = list(coeffs)
+        den = lcm(*[c.den for c in coeffs])
+        self._set(field, [n * (den // c.den) for c in coeffs for n in c.nums], den)
+
+    @classmethod
+    def _of(cls, field: BaseField, rows, den: int) -> "KPoly":
+        """The polynomial with flat integer coordinates ``rows`` over ``den``."""
+        f = cls.__new__(cls)
+        f._set(field, rows, den)
+        return f
+
+    def _set(self, field, rows, den):
+        m = field.m
+        end = len(rows)
+        while end and not any(rows[end - m:end]):
+            end -= m
         self.field = field
-        self.coeffs = tuple(cs)
+        self.rows, self.den = _normal(rows[:end], den)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self[i] for i in range(len(self.rows) // self.field.m))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) // self.field.m - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def __getitem__(self, i) -> KElem:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        m = self.field.m
+        if 0 <= i < len(self.rows) // m:
+            return KElem(self.field, self.rows[i * m:i * m + m], self.den)
         return self.field.zero
 
     def lead(self) -> KElem:
         if self.is_zero():
             raise ValueError("zero polynomial")
-        return self.coeffs[-1]
+        return self[self.degree]
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.lead() == self.field.one
+        rows, m = self.rows, self.field.m
+        return bool(rows) and rows[-m] == self.den and not any(rows[len(rows) - m + 1:])
 
     def __eq__(self, other):
         return (isinstance(other, KPoly) and other.field is self.field
-                and other.coeffs == self.coeffs)
+                and other.rows == self.rows and other.den == self.den)
 
     def __hash__(self):
-        return hash(tuple(c.coords for c in self.coeffs))
+        return hash((self.rows, self.den))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return KPoly(self.field, [self[i] + other[i] for i in range(n)])
+        return KPoly._of(self.field, *_plus(self.rows, self.den, other.rows, other.den, 1))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return KPoly(self.field, [self[i] - other[i] for i in range(n)])
+        return KPoly._of(self.field, *_plus(self.rows, self.den, other.rows, other.den, -1))
 
     def __neg__(self):
-        return KPoly(self.field, [-c for c in self.coeffs])
+        return KPoly._of(self.field, [-n for n in self.rows], self.den)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return KPoly(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return KPoly(self.field, out)
+        K = self.field
+        if not self.rows or not other.rows:
+            return KPoly._of(K, (), 1)
+        m = K.m
+        if m == 1:
+            rows = _conv(self.rows, other.rows)
+        else:
+            # a coefficient of the product has theta-degree up to 2m - 2:
+            # spread each coefficient over w = 2m - 1 places, multiply once,
+            # then reduce each coefficient of the product
+            w, pad = 2 * m - 1, (0,) * (m - 1)
+
+            def spread(r):
+                return [c for lo in range(0, len(r), m) for c in r[lo:lo + m] + pad]
+
+            prod = _conv(spread(self.rows), spread(other.rows))
+            rows = [c for lo in range(0, len(prod) + 1 - w, w)
+                    for c in _theta_reduce(prod[lo:lo + w], K.gen_minpoly)]
+        return KPoly._of(K, rows, self.den * other.den)
 
     def scale(self, c: KElem) -> "KPoly":
-        return KPoly(self.field, [a * c for a in self.coeffs])
+        return self * KPoly._of(self.field, c.nums, c.den)
 
     def __pow__(self, n: int) -> "KPoly":
-        result = self.field.poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.poly([1]))
 
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError
         K = self.field
-        if len(self.coeffs) < len(other.coeffs):
-            return KPoly(K, []), self
+        if len(self.rows) < len(other.rows):
+            return KPoly._of(K, (), 1), self
         inv = None if other.is_monic() else other.lead().inverse()
         monic = other if inv is None else other.scale(inv)
-        rows, den = _to_z(_flat(self))
-        q, r, den = _zdivmod(rows, den, _zdivisor(_flat(monic), K.m, K.gen_minpoly))
-        q = _from_z(K, q, den)
-        return (q if inv is None else q.scale(inv)), _from_z(K, r, den)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
+        q, r, den = _zdivmod(list(self.rows), self.den, _zdivisor(monic))
+        q = KPoly._of(K, q, den)
+        return (q if inv is None else q.scale(inv)), KPoly._of(K, r, den)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
 
     def derivative(self) -> "KPoly":
-        K = self.field
-        return KPoly(K, [K.rat(i) * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x: KElem) -> KElem:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        m, rows = self.field.m, self.rows
+        return KPoly._of(self.field, [(k // m) * n for k, n in enumerate(rows)][m:], self.den)
 
     def subst_scaled_x(self, c_exp: int) -> "KPoly":
         """Return f(p^c * x)."""
-        K = self.field
-        scale = Fraction(K.p) ** c_exp
-        out, power = [], Fraction(1)
-        for c in self.coeffs:
-            out.append(c * K.rat(power))
-            power *= scale
-        return KPoly(K, out)
+        p, m = self.field.p, self.field.m
+        # coefficient i gains p^(c i); for c < 0 the rows are multiplied
+        # through by p^(-c deg f), and so is the denominator
+        top = max(0, -c_exp * self.degree)
+        rows = [n * p ** (c_exp * (j // m) + top) for j, n in enumerate(self.rows)]
+        return KPoly._of(self.field, rows, self.den * p ** top)
+
+    def gauss_val(self):
+        """The Gauss valuation: the least valuation of a coefficient."""
+        return _content_val(self.rows, self.den, self.field.p)
+
+    def residue(self, alpha: int = 0) -> FFPoly:
+        """The reduction of p^(-alpha) * self to the residue field,
+        coefficientwise; requires gauss_val() >= alpha."""
+        k, m = self.field.residue_field, self.field.m
+        coords = _residues(self.rows, self.den, self.field.p, alpha)
+        return FFPoly(k, [FFElem(k, coords[lo:lo + m]) for lo in range(0, len(coords), m)])
 
     def phi_expand(self, phi: "KPoly") -> tuple:
         """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi.
@@ -490,12 +546,12 @@ class KPoly:
             out = (self,)
         else:
             K = self.field
-            divisor = _zdivisor(_flat(phi), K.m, K.gen_minpoly)
-            rows, den = _to_z(_flat(self))
+            divisor = _zdivisor(phi)
+            rows, den = list(self.rows), self.den
             out = []
             while rows:
                 rows, r, den = _zdivmod(rows, den, divisor)
-                out.append(_from_z(K, r, den))
+                out.append(KPoly._of(K, r, den))
             out = tuple(out)
         if memo is not None:
             memo[(id(self), id(phi))] = (self, phi, out)
@@ -551,48 +607,32 @@ def extend_unramified(K: BaseField, t: int):
         return K, lambda a: a
     p, m = K.p, K.m
     M = m * t
-    k = K.residue_field
 
-    # degree-t irreducible over the residue field, lifted to Z[theta][y]
-    hbar = find_irreducible_over(k, t)
+    # degree-t irreducible over the residue field, lifted to Z[theta][y]:
+    # E = K[eta]/(h) holds the remainders mod h.  Powers of an integral
+    # generator mod the monic integral h are integral (den 1), so their
+    # flat coordinates are the columns of an integer system.
+    hbar = find_irreducible_over(K.residue_field, t)
     h = KPoly(K, [K.elem(*[int(x) for x in c.coords]) for c in hbar.coeffs])
 
-    # E = K[eta]/(h): vectors of t KElems
-
-    def e_mul(u, v):
-        out = (KPoly(K, u) * KPoly(K, v)) % h
-        return list(out.coeffs) + [K.zero] * (t - len(out.coeffs))
-
-    def flat(u):
-        coords = []
-        for c in u:
-            coords.extend(c.coords)
-        return coords
-
-    eta = [K.zero, K.one] + [K.zero] * (t - 2)
-    theta = [K.theta] + [K.zero] * (t - 1)
+    def flat(v):
+        return list(v.rows) + [0] * (M - len(v.rows))
 
     for mult in range(1, p * M + 2):
-        gen = [a + K.rat(mult) * b for a, b in zip(eta, theta)] if m > 1 else eta
-        powers = [[K.one] + [K.zero] * (t - 1)]
+        gen = K.poly([K.rat(mult) * K.theta, 1]) if m > 1 else K.x()
+        powers = [K.poly([1])]
         for _ in range(M):
-            powers.append(e_mul(powers[-1], gen))
-        rows = [flat(v) for v in powers]
-        cols = rows[:M]  # column j of the system is the vector of gen^j
-        sol = _gauss_solve_q(cols, [-x for x in rows[M]])
-        if sol is None:
-            if m == 1:
-                raise AssertionError("degenerate extension of the rationals")
-            continue
-        if any(c.denominator != 1 for c in sol):
-            continue
-        minpoly = tuple(int(c) for c in sol) + (1,)
+            powers.append(powers[-1] * gen % h)
+        cols = [flat(v) for v in powers[:M]]  # column j: the vector of gen^j
+        sol = _zsolve(cols, [-x for x in flat(powers[M])])
+        if sol is None or any(c % sol[1] for c in sol[0]):
+            continue  # gen is not primitive, or its minimal polynomial not integral
+        minpoly = tuple(c // sol[1] for c in sol[0]) + (1,)
         red = FFPoly.from_ints(prime_field(p), minpoly)
         if not is_irreducible(red):
             continue
         K2 = BaseField(p, M, minpoly)
-        theta_img_coords = _gauss_solve_q(cols, flat(theta))
-        theta_img = K2.elem(*theta_img_coords)
+        theta_img = KElem(K2, *_zsolve(cols, flat(K.poly([K.theta]))))
 
         def embed(a: KElem, _img=theta_img, _K2=K2):
             acc = _K2.zero
@@ -608,35 +648,3 @@ def extend_unramified(K: BaseField, t: int):
             raise AssertionError("embedding failed minimal polynomial check")
         return K2, embed
     raise AssertionError("no primitive element found for the compositum")
-
-
-def _gauss_solve_q(cols, rhs):
-    """Solve over Q: sum_j x_j * cols[j] = rhs. cols: list of columns. None if unsolvable."""
-    ncols = len(cols)
-    nrows = len(rhs)
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(rhs[i])]
-           for i in range(nrows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][ncols]
-    return x

@@ -232,10 +232,7 @@ def _graded_H(v: MacLaneVal, tower: ResidueTower, level: int, alpha, g: KPoly) -
     if val < alpha:
         raise ValueError("graded reduction of an element below the stated degree")
     if level == 0:
-        p = v.field.p
-        unit = Fraction(p) ** (-scaled)
-        coeffs = [(c * v.field.rat(unit)).residue() for c in g.coeffs]
-        return Laurent(kf, 0, FFPoly(kf, coeffs))
+        return Laurent(kf, 0, g.residue(scaled))
     e_i = v.e_rel[level]
     h_i = v.h_rel[level]
     lam = v.steps[level - 1].lam
@@ -311,16 +308,12 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     """The reduction f|_v along the chain of v (Gauss handled coefficientwise)."""
     if f.is_zero():
         raise ValueError("reduction of the zero polynomial")
-    tower = residue_tower(v)
     if v.is_gauss:
         alpha = v.eval(f)
-        unit = Fraction(v.field.p) ** (-int(alpha))
-        kf = tower.fields[0]
-        coeffs = [(c * v.field.rat(unit)).residue() for c in f.coeffs]
-        poly = FFPoly(kf, coeffs)
-        return Reduction(poly, alpha, 0, f.degree, 1, 0)
+        return Reduction(f.residue(int(alpha)), alpha, 0, f.degree, 1, 0)
     if v.is_pseudo:
         raise ValueError("reduction with respect to an infinite pseudo-valuation")
+    tower = residue_tower(v)
     n = v.depth
     lam = v.steps[-1].lam
     phi = v.steps[-1].phi
@@ -359,7 +352,7 @@ def is_key(v: MacLaneVal, phi: KPoly) -> bool:
     irreducible reduction with full edge and i0 = 0."""
     if not phi.is_monic() or phi.degree < 1:
         return False
-    if any(c.val() is not OO and c.val() < 0 for c in phi.coeffs):
+    if phi.gauss_val() < 0:
         return False
     if v.is_gauss:
         red = reduce_poly(v, phi)
@@ -394,9 +387,7 @@ def _balanced(x: int, p: int) -> int:
 
 def _lift_subfield_elem(K, t) -> "KElem":
     """Integer lift of a residue element with balanced coordinates."""
-    if K.m > 1:
-        return K.elem(*[_balanced(int(x), K.p) for x in t.coords])
-    return K.rat(_balanced(int(t.coords[0]), K.p))
+    return K.elem(*[_balanced(x, K.p) for x in t.coords])
 
 
 def _decompose_over_step(tower: ResidueTower, level: int, c: FFElem):
@@ -496,7 +487,7 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
         alpha_j = (d - j) * e_n * lam
         a_j = _inv_graded(v, tower, n - 1, alpha_j, c_j)
         acc = acc + a_j * phi_n ** (j * e_n)
-    if any(c.val() is not OO and c.val() < 0 for c in acc.coeffs):
+    if acc.gauss_val() < 0:
         raise AssertionError("lifted key has non-integral coefficients")
     red = reduce_poly(v, acc)
     if not (red.i0 == 0 and red.poly == h):

@@ -24,10 +24,11 @@ tests rather than trusted.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .field import BaseField, KPoly
-from .rationals import OO, ext_min
+from .rationals import OO
 
 
 class NotAKeyPolynomial(ValueError):
@@ -85,7 +86,7 @@ class MacLaneVal:
             phi, lam = step.phi, step.lam
             if not phi.is_monic() or phi.degree < 1:
                 raise BadChain("centres must be monic of positive degree")
-            if any(c.val() is not OO and c.val() < 0 for c in phi.coeffs):
+            if phi.gauss_val() < 0:
                 raise BadChain("centres must have integral coefficients")
             if prev_deg is not None and phi.degree % prev_deg:
                 raise BadChain("centre degrees must divide along the chain")
@@ -110,7 +111,7 @@ class MacLaneVal:
                 ellp.append(None)
             else:
                 den = Fraction(lam).denominator
-                ev = _lcm(e_levels[-1], den)
+                ev = lcm(e_levels[-1], den)
                 e_levels.append(ev)
                 e_i = ev // e_levels[-2]
                 h_i = int(ev * lam)
@@ -213,7 +214,7 @@ class MacLaneVal:
         if g.is_zero():
             return OO
         if level == 0:
-            return ext_min(c.val() for c in g.coeffs)
+            return g.gauss_val()
         phi, lam = self.steps[level - 1].phi, self.steps[level - 1].lam
         best = OO
         for s, a in enumerate(g.phi_expand(phi)):
@@ -335,7 +336,3 @@ class MacLaneVal:
         inner = ", ".join(f"v(deg{s.phi.degree})={qstr(s.lam)}" for s in self.steps)
         return f"[v0, {inner}]"
 
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b

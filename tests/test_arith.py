@@ -1,5 +1,6 @@
 """Exact arithmetic layer: extended rationals, base field, finite fields."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -94,6 +95,40 @@ class TestBaseField:
             b = K.elem(rng.randrange(-20, 20), rng.randrange(-20, 20))
             assert (a * b).residue() == a.residue() * b.residue()
             assert (a + b).residue() == a.residue() + b.residue()
+
+
+class TestPrimality:
+    """BaseField's primality test is deterministic Miller-Rabin, exact below
+    field.PRIME_BOUND, and fails fast on large input."""
+
+    CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    # strong pseudoprimes to every prime base up to 7, 23 and 37 in turn
+    STRONG = [3215031751, 3825123056546413051, 318665857834031151167461]
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        ns = list(range(-3, 3000)) + self.CARMICHAEL + self.STRONG
+        ns += [rng.randrange(3, field.PRIME_BOUND) | 1 for _ in range(300)]
+        primes = [sympy.randprime(10 ** k, 10 ** (k + 1)) for k in range(3, 24)]
+        ns += primes + [a * b for a, b in zip(primes, primes[1:])] + [q * q for q in primes[:8]]
+        ns += [sympy.prevprime(field.PRIME_BOUND), field.PRIME_BOUND - 2]
+        for n in ns:
+            assert field._is_prime(n) == sympy.isprime(n), n
+
+    def test_pseudoprimes_are_composite(self):
+        for n in self.CARMICHAEL + self.STRONG:
+            assert not field._is_prime(n), n
+            with pytest.raises(ValueError):
+                BaseField(n)
+
+    def test_bound_is_refused(self):
+        # the bound itself is the least composite that passes every base
+        with pytest.raises(ValueError, match="below"):
+            BaseField(field.PRIME_BOUND)
+        with pytest.raises(ValueError, match="below"):
+            BaseField(2 ** 89 - 1)  # a Mersenne prime past the bound
 
 
 class TestPhiExpand:
@@ -267,6 +302,237 @@ class TestIntegerKernel:
         assert tuple(K2.poly([embed(c) for c in a.coeffs]) for a in f.phi_expand(phi)) \
             == f2.phi_expand(phi2)
         assert f2.divmod(f2.derivative()) == _reference_divmod(f2, f2.derivative())
+
+
+# A test-local model of Q(theta): an element is a tuple of m Fraction
+# power-basis coordinates, a polynomial a list of such tuples.  Every
+# operation is Fraction arithmetic, independent of the integer layer.
+
+def _q_reduce(row, mod):
+    m = len(mod) - 1
+    row = list(row) + [Fraction(0)] * max(0, m - len(row))
+    for i in range(len(row) - 1, m - 1, -1):
+        c, row[i] = row[i], Fraction(0)
+        for j in range(m):
+            row[i - m + j] -= c * mod[j]
+    return tuple(row[:m])
+
+
+def _q_mul(a, b, mod):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _q_reduce(out, mod)
+
+
+def _q_inverse(a, mod):
+    """Solve a * y = 1 by Gauss-Jordan elimination over Q."""
+    m = len(a)
+    cols, col = [], tuple(a)
+    for _ in range(m):
+        cols.append(col)
+        col = _q_reduce((Fraction(0),) + col, mod)
+    aug = [[cols[j][i] for j in range(m)] + [Fraction(int(i == 0))] for i in range(m)]
+    for k in range(m):
+        piv = next(i for i in range(k, m) if aug[i][k])
+        aug[k], aug[piv] = aug[piv], aug[k]
+        aug[k] = [x / aug[k][k] for x in aug[k]]
+        for i in range(m):
+            if i != k:
+                aug[i] = [x - aug[i][k] * y for x, y in zip(aug[i], aug[k])]
+    return tuple(row[m] for row in aug)
+
+
+def _q_trim(f):
+    f = list(f)
+    while f and not any(f[-1]):
+        f.pop()
+    return f
+
+
+def _q_polymul(f, g, mod):
+    m = len(mod) - 1
+    if not f or not g:
+        return []
+    out = [(Fraction(0),) * m] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = tuple(x + y for x, y in zip(out[i + j], _q_mul(a, b, mod)))
+    return _q_trim(out)
+
+
+def _q_divmod(f, g, mod):
+    f, g = _q_trim(f), _q_trim(g)
+    m = len(mod) - 1
+    inv = _q_inverse(g[-1], mod)
+    quo = [(Fraction(0),) * m] * max(0, len(f) - len(g) + 1)
+    for i in range(len(f) - len(g), -1, -1):
+        c = quo[i] = _q_mul(f[i + len(g) - 1], inv, mod)
+        for j, b in enumerate(g):
+            f[i + j] = tuple(x - y for x, y in zip(f[i + j], _q_mul(c, b, mod)))
+    return _q_trim(quo), _q_trim(f[:len(g) - 1])
+
+
+def _q_det(rows, mod):
+    """Determinant over Q(theta) by Gaussian elimination."""
+    m = len(mod) - 1
+    rows = [list(r) for r in rows]
+    det = (Fraction(1),) + (Fraction(0),) * (m - 1)
+    for k in range(len(rows)):
+        piv = next((i for i in range(k, len(rows)) if any(rows[i][k])), None)
+        if piv is None:
+            return (Fraction(0),) * m
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = tuple(-x for x in det)
+        det = _q_mul(det, rows[k][k], mod)
+        inv = _q_inverse(rows[k][k], mod)
+        for i in range(k + 1, len(rows)):
+            c = _q_mul(rows[i][k], inv, mod)
+            rows[i] = [tuple(x - y for x, y in zip(u, _q_mul(c, w, mod)))
+                       for u, w in zip(rows[i], rows[k])]
+    return det
+
+
+def _q_resultant(f, g, mod):
+    """res(f, g) as the determinant of the Sylvester matrix."""
+    m = len(mod) - 1
+    zero = (Fraction(0),) * m
+    df, dg = len(f) - 1, len(g) - 1
+    n = df + dg
+    rows = [[zero] * i + list(reversed(f)) + [zero] * (n - df - 1 - i) for i in range(dg)]
+    rows += [[zero] * i + list(reversed(g)) + [zero] * (n - dg - 1 - i) for i in range(df)]
+    return _q_det(rows, mod)
+
+
+def _q_val(a, p):
+    return ext_min(field.vp_fraction(c, p) for c in a)
+
+
+def _q_residue(a, k, p):
+    """The reduction coordinatewise, by a running power of the generator."""
+    acc, power = k.zero, k.one
+    for c in a:
+        acc = acc + k.elem(c.numerator * pow(c.denominator, -1, p)) * power
+        power = power * k.gen if k.degree > 1 else power
+    return acc
+
+
+def _q(f):
+    return [a.coords for a in f.coeffs]
+
+
+def _canonical(x):
+    """x is stored in lowest terms over a positive denominator, and a
+    polynomial has no trailing zero coefficient."""
+    nums = x.nums if isinstance(x, field.KElem) else x.rows
+    assert x.den > 0 and math.gcd(x.den, *nums) == 1
+    if isinstance(x, KPoly):
+        m = x.field.m
+        assert len(nums) % m == 0 and (not nums or any(nums[-m:]))
+    return True
+
+
+class TestIntegerRepresentation:
+    """KElem and KPoly store integer coordinates over one denominator; every
+    operation must agree with the Fraction model above."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_elements(self, m, data):
+        K = _kernel_base(m)
+        mod = [Fraction(c) for c in K.gen_minpoly]
+        a, b = data.draw(_element(K)), data.draw(_element(K))
+        assert all(_canonical(x) for x in (a, b, a + b, a - b, a * b, -a))
+        assert (a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+        assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+        assert (a * b).coords == _q_mul(a.coords, b.coords, mod)
+        assert a * b == b * a and (a - b) + b == a
+        assert a.val() == _q_val(a.coords, K.p)
+        if not a.is_zero():
+            assert a.inverse().coords == _q_inverse(a.coords, mod)
+            assert _canonical(a.inverse()) and _canonical(a ** -3)
+        if a.val() is OO or a.val() >= 0:
+            assert a.residue() == _q_residue(a.coords, K.residue_field, K.p)
+        else:
+            with pytest.raises(NegativeValuation):
+                a.residue()
+        # lowest terms: equal values are equal objects
+        assert K.elem(*a.coords) == a and a.den > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_polynomials(self, m, data):
+        K = _kernel_base(m)
+        mod = [Fraction(c) for c in K.gen_minpoly]
+        f, g = data.draw(_kpoly(K, 6)), data.draw(_kpoly(K, 3))
+        assert _q(f * g) == _q_polymul(_q(f), _q(g), mod)
+        assert all(_canonical(x) for x in (f, g, f * g, f + g, f - g, f.derivative()))
+        one = (Fraction(1),) + (Fraction(0),) * (m - 1)
+        assert f.is_monic() == (bool(_q(f)) and _q(f)[-1] == one)
+        assert f.gauss_val() == ext_min([_q_val(a, K.p) for a in _q(f)])
+        if not g.is_zero():
+            q, r = f.divmod(g)
+            assert (_q(q), _q(r)) == _q_divmod(_q(f), _q(g), mod)
+            assert _canonical(q) and _canonical(r)
+        phi = K.poly(data.draw(st.lists(_element(K), min_size=1, max_size=3)) + [K.one])
+        rest, expansion = _q(f), []
+        while rest:
+            rest, r = _q_divmod(rest, _q(phi), mod)
+            expansion.append(r)
+        assert [_q(a) for a in f.phi_expand(phi)] == (expansion or [[]])
+        if f.degree >= 1 and g.degree >= 1:
+            assert f.resultant(g).coords == _q_resultant(_q(f), _q(g), mod)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_polynomial_residue(self, m, data):
+        K = _kernel_base(m)
+        f = data.draw(_kpoly(K, 5).filter(lambda f: not f.is_zero()))
+        alpha = data.draw(st.integers(-2, 2))
+        scaled = [tuple(c * Fraction(K.p) ** -alpha for c in a) for a in _q(f)]
+        if f.gauss_val() >= alpha:
+            expected = [_q_residue(a, K.residue_field, K.p) for a in scaled]
+            assert f.residue(alpha) == FFPoly(K.residue_field, expected)
+        else:
+            with pytest.raises(NegativeValuation):
+                f.residue(alpha)
+
+    def test_monic(self):
+        K = BaseField(5, 2)
+        assert K.poly([K.theta, 1]).is_monic()
+        for lead in (K.theta, K.one + K.theta, K.rat(2), K.rat(Fraction(1, 5))):
+            f = K.poly([1, lead])
+            assert not f.is_monic()
+            with pytest.raises(ValueError):
+                K.x().phi_expand(f)
+        assert not K.poly([]).is_monic()
+
+    def test_no_fraction_in_the_arithmetic(self, monkeypatch):
+        # the arithmetic must not build a Fraction: make building one fail
+        K = BaseField(5, 2)
+        f = K.poly([K.elem(Fraction(1, 3), 2), K.rat(Fraction(5, 7)), K.elem(0, 1), 1])
+        g = K.poly([K.elem(2, Fraction(-1, 25)), K.elem(3, 1)])
+        a = K.elem(Fraction(2, 15), 4)
+        b = K.elem(3, Fraction(5, 7))
+        phi = K.poly([K.elem(1, 1), 0, 1])
+
+        def no_fraction(*args, **kwargs):
+            raise AssertionError("Fraction built")
+
+        monkeypatch.setattr(field, "Fraction", no_fraction)
+        f * g + f - g
+        f.divmod(g)
+        f.phi_expand(phi)
+        f.resultant(g).val()
+        f.gauss_val()
+        f.subst_scaled_x(-2)
+        (a * a.inverse() - b ** 3).residue()
+        f.residue(0)
 
 
 class TestExpansionMemo:

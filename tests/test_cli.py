@@ -142,9 +142,27 @@ class TestCommands:
         assert run(["picture", "x^2-25", "--prime", "0"]) == 1
         assert run(["fibre", "x", "--prime", "5"]) == 1  # no proper clusters
         assert run(["picture", "(x-5)^2", "--prime", "5"]) == 1  # not separable
+        assert run(["fibre", "x^2-5/0", "--prime", "5"]) == 1  # zero denominator
 
     def test_missing_prime(self, capsys):
         assert run(["picture", "x^2-5"]) == 1
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_unramified_degree_below_one(self, m, capsys):
+        assert run(["fibre", "x^2-5", "--prime", "5", "-m", m]) == 1
+        assert capsys.readouterr().err == "error: unramified degree must be at least 1\n"
+
+    def test_large_primes_are_fast(self, capsys):
+        # primality is settled at once: a prime near 10^18 runs, a composite
+        # without small factors and a prime past the exact range exit 1
+        start = time.perf_counter()
+        assert run(["picture", "x^2-5", "--prime", "1000000000000000003"]) == 0
+        assert run(["picture", "x^2-5", "--prime", str(1000000007 * 1000000009)]) == 1
+        assert run(["picture", "x^2-5", "--prime", str(2 ** 89 - 1)]) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: residue characteristic must be an odd prime"
+        assert err[1].startswith("error: residue characteristic must be below")
 
     def test_assertion_is_an_internal_failure(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -224,6 +242,23 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "user input" in out
+
+    def test_user_input_needs_a_prime(self, capsys):
+        assert run(["selfcheck", "x^2-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --prime is required\n"
+
+    @pytest.mark.parametrize("expr, message", [
+        ("(x-5)^2", "polynomial has repeated roots"),
+        ("7", "need a non-constant polynomial"),
+        ("x^2 +", "unexpected end of input"),
+    ])
+    def test_bad_user_input_before_any_suite(self, expr, message, capsys):
+        # bad input exits 1 before a suite runs: no PASS or FAIL line
+        assert run(["selfcheck", expr, "--prime", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_farey_failure_is_reported(self, monkeypatch, capsys):
         def broken(alpha, a, b):
