@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .field import BaseField, KPoly, NotSeparable, expansion_scope
+from .field import BaseField, KPoly, MAX_UNRAMIFIED_DEGREE, NotSeparable, expansion_scope
 from .rationals import qstr
 from .clusters import (build_cluster_tree, InternalInconsistency,
                        ResidueModeOverflow, cluster_chain, normalize_input)
@@ -94,6 +94,19 @@ class _Tokens:
             return Fraction(value, den)
         self.pos = save
         return Fraction(value)
+
+
+def _coefficient_list(text: str):
+    """``c0,c1,...``: optionally signed integer or a/b literals, as in parse_poly."""
+    toks, out = _Tokens(text), []
+    while True:
+        sign = -1 if toks.peek() == "-" else 1
+        if toks.peek() in ("+", "-"):
+            toks.take()
+        out.append(sign * toks.number())
+        if toks.peek() is None:
+            return out
+        toks.expect(",")
 
 
 def parse_poly(text: str, K: BaseField) -> KPoly:
@@ -206,17 +219,13 @@ def _build_parser():
     ap.add_argument("--residue-mode", choices=["exact", "geometric"], default="exact")
     ap.add_argument("--format", choices=["json", "ascii", "dot", "tikz"], default="ascii")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--extension-budget", type=int, default=64)
+    ap.add_argument("--extension-budget", type=int, default=MAX_UNRAMIFIED_DEGREE)
     return ap
 
 
 def _input_poly(args, K):
     if args.coeffs:
-        try:
-            coeffs = [Fraction(c.strip()) for c in args.coeffs.split(",")]
-        except (ValueError, ZeroDivisionError) as ex:
-            raise PolySyntaxError(f"bad coefficient list: {ex}", 0)
-        return K.poly(coeffs)
+        return K.poly(_coefficient_list(args.coeffs))
     if not args.expression:
         raise PolySyntaxError("no polynomial given", 0)
     return parse_poly(args.expression, K)

@@ -6,6 +6,15 @@ has its own identity, and moving between fields always goes through an
 explicit Embedding.  There is no implicit coercion anywhere: arithmetic
 between elements of different field objects raises.
 
+Elements and polynomials share one integer representation: an FFElem holds
+its d power-basis coordinates, an FFPoly those of all its coefficients in
+one flat tuple, each in [0, p), with no trailing zero coefficient.  An
+element product is one convolution reduced by the modulus, mod p, and an
+inverse solves the system whose columns are t^k * a; these helpers
+(``_conv``, ``_theta_reduce``, ``_theta_multiples``) serve field.py too.
+All polynomial division, and with it gcd, factorization and ``ff_extend``,
+goes through one remainder kernel by a monic divisor, ``_divide``.
+
 Polynomial products run on packed integers (Kronecker substitution, von zur
 Gathen-Gerhard, *Modern Computer Algebra* 8.4): every coordinate of every
 coefficient becomes one digit of a Python int, one int multiplication forms
@@ -30,6 +39,7 @@ canonical order regardless).
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
 from typing import Optional
 
 
@@ -37,21 +47,45 @@ class NotIrreducible(ValueError):
     pass
 
 
-def _int_poly_mul_mod(a, b, modulus, p):
-    """Product of int coefficient vectors, reduced mod (modulus, p)."""
-    d = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
+def _conv(a, b):
+    """The product of two nonempty integer coefficient sequences."""
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + nb] = [o + x * y for o, y in zip(out[i:i + nb], b)]
+    return out
+
+
+def _theta_reduce(row, mod):
+    """The first m coordinates of the list ``row`` (a polynomial in theta)
+    after reduction by the monic integer polynomial ``mod`` of degree m;
+    ``row`` is consumed."""
+    m = len(mod) - 1
+    for i in range(len(row) - 1, m - 1, -1):
+        c = row[i]
         if c:
-            out[i] = 0
-            for j in range(d):
-                out[i - d + j] = (out[i - d + j] - c * modulus[j]) % p
-    return tuple(c % p for c in out[:d]) + (0,) * max(0, d - len(out))
+            row[i - m:i] = [a - c * b for a, b in zip(row[i - m:i], mod)]
+    return row[:m]
+
+
+def _theta_multiples(rows, mod):
+    """[rows, theta * rows, ..., theta^(m-1) * rows] for the flat
+    coordinates ``rows``, m per coefficient, m = deg mod."""
+    m = len(mod) - 1
+    out = [list(rows)]
+    for _ in range(1, m):
+        prev = out[-1]
+        out.append([c for lo in range(0, len(prev), m)
+                    for c in _theta_reduce([0] + prev[lo:lo + m], mod)])
+    return out
+
+
+def _fmul(a, b, F):
+    """The coordinates of the product of the elements of F with
+    coordinates a and b."""
+    p = F.p
+    return [c % p for c in _theta_reduce(_conv(a, b), F.modulus)]
 
 
 class FField:
@@ -120,20 +154,20 @@ class FFElem:
 
     def __mul__(self, other):
         self._check(other)
-        F = self.field
-        return FFElem(F, _int_poly_mul_mod(self.coords, other.coords, F.modulus, F.p))
+        return FFElem(self.field, _fmul(self.coords, other.coords, self.field))
 
     def __pow__(self, n):
         F = self.field
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = F.one, self
+        result, base = F.one.coords, self.coords
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _fmul(result, base, F)
             n >>= 1
-        return result
+            if n:
+                base = _fmul(base, base, F)
+        return FFElem(F, result)
 
     def inverse(self) -> "FFElem":
         if self.is_zero():
@@ -141,7 +175,10 @@ class FFElem:
         F = self.field
         if F.degree == 1:
             return FFElem(F, (pow(self.coords[0], -1, F.p),))
-        return self ** (F.order - 2)
+        # y with a * y = 1: column k of the system is t^k * a
+        cols = _theta_multiples(self.coords, F.modulus)
+        y = _gauss_solve_mod_p(list(zip(*cols)), [1] + [0] * (F.degree - 1), F.p)
+        return FFElem(F, y)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -219,7 +256,7 @@ class _Packing:
 
     def __init__(self, F: FField, bound: int, blocks: int):
         p, d = F.p, F.degree
-        self.field, self.p, self.d, self.S = F, p, d, 2 * d - 1
+        self.p, self.d, self.S = p, d, 2 * d - 1
         # largest digit the Barrett step can make from digits <= bound
         top = bound * (1 + d * (d - 1) * (p - 1) ** 2)
         self.k = top.bit_length() + p.bit_length()
@@ -232,33 +269,27 @@ class _Packing:
         self.low_d1 = per_block * ((1 << ((d - 1) * W)) - 1)
         self.quot_mask = _repunit(blocks * self.S, W) * ((1 << (W - self.k)) - 1)
         # floor(t^(2d-1) / modulus) mod p, and -modulus below t^d, as digits
-        rem = [0] * (2 * d - 1) + [1]
-        mu = [0] * d
-        for i in range(d - 1, -1, -1):
-            c = mu[i] = rem[i + d]
-            for j in range(d):
-                rem[i + j] = (rem[i + j] - c * F.modulus[j]) % p
-        self.mu = self._digits(mu)
+        self.mu = self._digits(_divide([0] * (2 * d - 1) + [1], F.modulus, p, (0, 1))[0])
         self.neg_mod = self._digits([-c for c in F.modulus[:d]])
 
     def _digits(self, coords) -> int:
         return sum((c % self.p) << (u * self.W) for u, c in enumerate(coords))
 
-    def pack(self, coeffs) -> int:
-        """FFElem sequence -> packed int, digits normalised to 0 <= c < p."""
-        p, w = self.p, self.w
-        pad = bytes(w * (self.d - 1))
+    def pack(self, rows) -> int:
+        """Flat coordinates, d per coefficient, each 0 <= c < p -> packed int."""
+        w, d = self.w, self.d
+        pad = bytes(w * (d - 1))
         return int.from_bytes(
-            b"".join([b"".join([(c % p).to_bytes(w, "little") for c in a.coords]) + pad
-                      for a in coeffs]), "little")
+            b"".join([b"".join([c.to_bytes(w, "little") for c in rows[lo:lo + d]]) + pad
+                      for lo in range(0, len(rows), d)]), "little")
 
     def unpack(self, packed: int, blocks: int):
-        """Canonical packed int of at most ``blocks`` coefficients -> FFElems."""
-        F, w, d = self.field, self.w, self.d
+        """Canonical packed int of at most ``blocks`` coefficients -> flat
+        coordinates, d per coefficient."""
+        w, d = self.w, self.d
         raw = packed.to_bytes(blocks * self.S * w, "little")
-        return [FFElem(F, tuple(int.from_bytes(raw[o:o + w], "little")
-                                for o in range(i, i + d * w, w)))
-                for i in range(0, len(raw), self.S * w)]
+        return [int.from_bytes(raw[o:o + w], "little")
+                for i in range(0, len(raw), self.S * w) for o in range(i, i + d * w, w)]
 
     def reduce(self, packed: int) -> int:
         if self.d > 1:
@@ -269,17 +300,53 @@ class _Packing:
         return packed - self.p * (((packed * self.r) >> self.k) & self.quot_mask)
 
 
-class FFPoly:
-    """Polynomial over one FField, dense coefficient tuple, zero = ()."""
+def _divide(rows, g, p, mod):
+    """Divide by the monic g over F_p[t]/(mod), both given by their flat
+    coordinates, deg mod per coefficient: (q, r) with rows = q * g + r,
+    deg r < deg g and digits in [0, p).  Consumes ``rows``.  Each quotient
+    coefficient c removes c * g = sum_k c_k * t^k * g, with the t^k * g
+    formed once; digits are reduced mod p only where they are read."""
+    d = len(mod) - 1
+    nd = len(g) - d
+    nq = (len(rows) - nd) // d
+    cols = [[c % p for c in col] for col in _theta_multiples(g[:nd], mod)]
+    q = [0] * (nq * d)
+    for lo in range((nq - 1) * d, -1, -d):
+        top = q[lo:lo + d] = [c % p for c in rows[lo + nd:lo + nd + d]]
+        for c, col in zip(top, cols):
+            if c:
+                rows[lo:lo + nd] = [a - c * b for a, b in zip(rows[lo:lo + nd], col)]
+    return q, [c % p for c in rows[:nd]]
 
-    __slots__ = ("field", "coeffs")
+
+class FFPoly:
+    """Polynomial over one FField.
+
+    ``rows`` holds the coordinates of the coefficients, d per coefficient
+    from the constant term up, each in [0, p), with no trailing zero
+    coefficient, so the zero polynomial has no rows.
+    """
+
+    __slots__ = ("field", "rows")
 
     def __init__(self, field: FField, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        p = field.p
+        self._set(field, [c % p for a in coeffs for c in a.coords])
+
+    @classmethod
+    def _of(cls, field: FField, rows) -> "FFPoly":
+        """The polynomial with flat coordinates ``rows``, each in [0, p)."""
+        f = cls.__new__(cls)
+        f._set(field, rows)
+        return f
+
+    def _set(self, field, rows):
+        d = field.degree
+        end = len(rows)
+        while end and not any(rows[end - d:end]):
+            end -= d
         self.field = field
-        self.coeffs = tuple(cs)
+        self.rows = tuple(rows[:end])
 
     @staticmethod
     def from_ints(field, ints) -> "FFPoly":
@@ -294,78 +361,89 @@ class FFPoly:
         return FFPoly(field, [c])
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(self[i] for i in range(len(self.rows) // self.field.degree))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) // self.field.degree - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def __getitem__(self, i) -> FFElem:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        d = self.field.degree
+        if 0 <= i < len(self.rows) // d:
+            return FFElem(self.field, self.rows[i * d:i * d + d])
         return self.field.zero
 
     def lead(self) -> FFElem:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self.degree]
+
+    def is_monic(self) -> bool:
+        rows, d = self.rows, self.field.degree
+        return bool(rows) and rows[-d] == 1 and not any(rows[len(rows) - d + 1:])
 
     def __eq__(self, other):
         return (isinstance(other, FFPoly) and other.field is self.field
-                and other.coeffs == self.coeffs)
+                and other.rows == self.rows)
 
     def __hash__(self):
-        return hash((self.field.uid,) + tuple(c.coords for c in self.coeffs))
+        return hash((self.field.uid, self.rows))
+
+    def _check(self, other) -> FField:
+        if other.field is not self.field:
+            raise TypeError("mixed-field arithmetic; use an explicit Embedding")
+        return self.field
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FFPoly(self.field, [self[i] + other[i] for i in range(n)])
+        F = self._check(other)
+        p = F.p
+        return FFPoly._of(F, [(a + b) % p for a, b in zip_longest(self.rows, other.rows,
+                                                                  fillvalue=0)])
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FFPoly(self.field, [self[i] - other[i] for i in range(n)])
+        return self + -other
 
     def __neg__(self):
-        return FFPoly(self.field, [-c for c in self.coeffs])
+        p = self.field.p
+        return FFPoly._of(self.field, [-c % p for c in self.rows])
 
     def __mul__(self, other):
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return FFPoly(F, [])
-        if other.field is not F:
-            raise TypeError("mixed-field arithmetic; use an explicit Embedding")
-        la, lb = len(self.coeffs), len(other.coeffs)
-        pk = _Packing(F, min(la, lb) * F.degree * (F.p - 1) ** 2, la + lb - 1)
-        prod = pk.pack(self.coeffs) * pk.pack(other.coeffs)
-        return FFPoly(F, pk.unpack(pk.reduce(prod), la + lb - 1))
+        F = self._check(other)
+        if not self.rows or not other.rows:
+            return FFPoly._of(F, ())
+        d = F.degree
+        la, lb = len(self.rows) // d, len(other.rows) // d
+        pk = _Packing(F, min(la, lb) * d * (F.p - 1) ** 2, la + lb - 1)
+        prod = pk.pack(self.rows) * pk.pack(other.rows)
+        return FFPoly._of(F, pk.unpack(pk.reduce(prod), la + lb - 1))
 
     def scale(self, c: FFElem) -> "FFPoly":
-        return FFPoly(self.field, [a * c for a in self.coeffs])
+        F, d = self.field, self.field.degree
+        rows, cs = self.rows, c.coords
+        return FFPoly._of(F, [x for lo in range(0, len(rows), d)
+                              for x in _fmul(rows[lo:lo + d], cs, F)])
 
     def shift(self, k: int) -> "FFPoly":
         """Multiply by X^k, k >= 0."""
         if self.is_zero():
             return self
-        return FFPoly(self.field, [self.field.zero] * k + list(self.coeffs))
+        return FFPoly._of(self.field, (0,) * (k * self.field.degree) + self.rows)
 
     def divmod(self, other):
+        F = self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return FFPoly(self.field, []), self
-        inv_lead = None if other.lead() == self.field.one else other.lead().inverse()
-        quo = [self.field.zero] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree]
-            if inv_lead is not None:
-                c = c * inv_lead
-            quo[i] = c
-            if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * b
-        return FFPoly(self.field, quo), FFPoly(self.field, rem)
+        if len(self.rows) < len(other.rows):
+            return FFPoly._of(F, ()), self
+        inv = None if other.is_monic() else other.lead().inverse()
+        g = other if inv is None else other.scale(inv)
+        q, r = _divide(list(self.rows), g.rows, F.p, F.modulus)
+        q = FFPoly._of(F, q)
+        return (q if inv is None else q.scale(inv)), FFPoly._of(F, r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -374,19 +452,21 @@ class FFPoly:
         return self.divmod(other)[1]
 
     def monic(self) -> "FFPoly":
-        if self.is_zero() or self.lead() == self.field.one:
+        if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.lead().inverse())
 
     def gcd(self, other) -> "FFPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        # every divisor is monic, so no division inverts a lead
+        a, b = self, other.monic()
+        while b.rows:
+            a, b = b, (a % b).monic()
+        return a.monic()
 
     def derivative(self) -> "FFPoly":
         F = self.field
-        return FFPoly(F, [F.elem(i) * c for i, c in enumerate(self.coeffs)][1:])
+        d, p = F.degree, F.p
+        return FFPoly._of(F, [(j // d) * c % p for j, c in enumerate(self.rows)][d:])
 
     def evaluate(self, x: FFElem) -> FFElem:
         acc = self.field.zero
@@ -408,41 +488,34 @@ class FFPoly:
         # Barrett reduction by f: every operand has fewer than m = deg f
         # coefficients, a product fewer than 2m - 1, and its quotient by f is
         # floor(floor(product / X^(m-1)) * mu / X^m) with mu = X^(2m-1) // f
-        m = f.degree
-        pk = _Packing(F, (m + 1) * F.degree * (F.p - 1) ** 2, 2 * m)
+        m, p, d = f.degree, F.p, F.degree
+        pk = _Packing(F, (m + 1) * d * (p - 1) ** 2, 2 * m)
         bits = pk.block_bits
-        neg_f = pk.pack([-c for c in f.coeffs[:m]])
+        neg_f = pk.pack([-c % p for c in f.rows[:m * d]])
         low = (1 << (m * bits)) - 1
-        mu, rem = 0, 1 << ((2 * m - 1) * bits)
-        for j in range(m - 1, -1, -1):
-            c = rem >> ((m + j) * bits)
-            mu |= c << (j * bits)
-            rem = pk.reduce((rem & ((1 << ((m + j) * bits)) - 1)) + ((c * neg_f) << (j * bits)))
+        mu = pk.pack(_divide([0] * ((2 * m - 1) * d) + list(F.one.coords), f.rows, p, F.modulus)[0])
 
         def mul_mod(a, b):
             prod = pk.reduce(a * b)
             quot = pk.reduce(((prod >> ((m - 1) * bits)) * mu) >> (m * bits))
             return pk.reduce((prod & low) + ((quot * neg_f) & low))
 
-        b = pk.pack(base.coeffs)
+        b = pk.pack(base.rows)
         result = b
         for bit in bin(n)[3:]:
             result = mul_mod(result, result)
             if bit == "1":
                 result = mul_mod(result, b)
-        return FFPoly(F, pk.unpack(result, m))
+        return FFPoly._of(F, pk.unpack(result, m))
 
     def compose_frobenius_root(self) -> "FFPoly":
         """Given f = g(X^p) return g with p-th roots taken on coefficients."""
-        p, F = self.field.p, self.field
-        root_exp = F.order // p
-        out = []
-        for i in range(0, len(self.coeffs), p):
-            out.append(self.coeffs[i] ** root_exp)
-        return FFPoly(F, out)
+        F = self.field
+        root_exp = F.order // F.p
+        return FFPoly(F, [self[i] ** root_exp for i in range(0, self.degree + 1, F.p)])
 
     def key(self):
-        return (len(self.coeffs),) + tuple(c.coords for c in self.coeffs)
+        return (self.degree + 1,) + self.rows
 
     def __repr__(self):
         return f"FFPoly({[list(c.coords) for c in self.coeffs]})"
@@ -509,8 +582,7 @@ def _equal_degree_split(f: FFPoly, d: int, rng: random.Random):
         return [f]
     exponent = (F.order ** d - 1) // 2
     while True:
-        a = FFPoly(F, [F.elem(tuple(rng.randrange(F.p) for _ in range(F.degree)))
-                       for _ in range(f.degree)])
+        a = FFPoly._of(F, [rng.randrange(F.p) for _ in range(f.degree * F.degree)])
         if a.degree < 1:
             continue
         g = f.gcd(a)
@@ -562,20 +634,17 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
     """Smallest (in a fixed counting order) monic irreducible of degree t over k."""
     # Candidates X^t + c_{t-1} X^{t-1} + ... + c_0 are counted by code =
     # sum_i n(c_i) q^i, so c_0 varies fastest; an element of k with
-    # coordinates (a_0, ..., a_{d-1}) over F_p has number n = sum_u a_u p^u.
+    # coordinates (a_0, ..., a_{d-1}) over F_p has number n = sum_u a_u p^u,
+    # so the base-p digits of code are the flat coordinates of c_0 .. c_{t-1}.
     # The order must not change: the field built from the result defines
     # theta, and geometric-mode output prints centres in theta coordinates.
-    q, p = k.order, k.p
-    for code in range(q ** t):
-        cs, c = [], code
-        for _ in range(t):
-            v, c = c % q, c // q
-            vec = []
-            for _ in range(k.degree):
-                vec.append(v % p)
-                v //= p
-            cs.append(k.elem(tuple(vec)))
-        cand = FFPoly(k, cs + [k.one])
+    p = k.p
+    for code in range(k.order ** t):
+        rows, c = [], code
+        for _ in range(t * k.degree):
+            c, digit = divmod(c, p)
+            rows.append(digit)
+        cand = FFPoly._of(k, rows + list(k.one.coords))
         if is_irreducible(cand):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -584,47 +653,29 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
 def find_irreducible_int_poly(p: int, degree: int):
     """The monic integer polynomial of the given degree that reduces to
     ``find_irreducible_over(GF(p), degree)``, coefficients in [0, p)."""
-    return tuple(c.coords[0] for c in find_irreducible_over(prime_field(p), degree).coeffs)
+    return find_irreducible_over(prime_field(p), degree).rows
 
 
 def _gauss_solve_mod_p(rows, rhs, p):
-    """Solve M x = rhs over F_p; rows is a list of row tuples.
-
-    Returns the solution as a list, or None when there is none or it is not
-    unique (M has a nontrivial kernel).
-    """
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
+    """Solve the square system M x = rhs over F_p, M given by its rows.
+    Returns the solution as a list, or None when M is singular."""
+    n = len(rhs)
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c] % p), None)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] % p), None)
         if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    if r < m:
-        return None
-    for i in range(r, n):
-        if aug[i][m] % p:
             return None
-    x = [0] * m
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][m] % p
-    return x
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        top = aug[c] = [(v * inv) % p for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] % p:
+                f = aug[i][c]
+                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], top)]
+    return [row[n] for row in aug]
 
 
-def ff_extend(F: FField, h: FFPoly, rng: Optional[random.Random] = None):
+def ff_extend(F: FField, h: FFPoly):
     """Build the extension of F by a monic irreducible h.
 
     Returns ``(G, emb, root)`` where G is an absolute field of degree
@@ -640,38 +691,16 @@ def ff_extend(F: FField, h: FFPoly, rng: Optional[random.Random] = None):
     p, a, t = F.p, F.degree, h.degree
     n = a * t
     hm = h.monic()
-
-    # Arithmetic in E = F[Y]/(h): vectors of t coefficients in F.
-    def e_mul(u, v):
-        out = [F.zero] * (2 * t - 1)
-        for i, ui in enumerate(u):
-            if not ui.is_zero():
-                for j, vj in enumerate(v):
-                    out[i + j] = out[i + j] + ui * vj
-        for i in range(len(out) - 1, t - 1, -1):
-            c = out[i]
-            if not c.is_zero():
-                out[i] = F.zero
-                for j in range(t):
-                    out[i - t + j] = out[i - t + j] - c * hm[j]
-        return out[:t]
-
-    def flat(u):
-        coords = []
-        for c in u:
-            coords.extend(c.coords)
-        return tuple(coords)
-
-    y_vec = [F.zero, F.one] + [F.zero] * (t - 2)
-    theta_vec = [F.gen] + [F.zero] * (t - 1)
+    y = FFPoly.x(F)
 
     for c in range(p * a + 1):
-        # candidate generator gamma = Y + c*theta_F
-        gamma = [yi + F.elem(c) * ti for yi, ti in zip(y_vec, theta_vec)]
-        powers = [[F.one] + [F.zero] * (t - 1)]
+        # candidate generator gamma = Y + c*theta_F in E = F[Y]/(h); the n
+        # coordinates over F_p of a remainder mod h are its padded rows
+        gamma = y + FFPoly.const(F, F.elem(c) * F.gen)
+        powers = [FFPoly.const(F, F.one)]
         for _ in range(n):
-            powers.append(e_mul(powers[-1], gamma))
-        rows = [flat(v) for v in powers]
+            powers.append(powers[-1] * gamma % hm)
+        rows = [v.rows + (0,) * (n - len(v.rows)) for v in powers]
         # minimal polynomial: the dependence of gamma^n on 1, ..., gamma^(n-1),
         # which is unique exactly when gamma generates E over F_p; a gamma in
         # a proper subfield leaves the n x n power matrix singular
@@ -684,17 +713,14 @@ def ff_extend(F: FField, h: FFPoly, rng: Optional[random.Random] = None):
 
         def to_G(u):
             # coordinates w.r.t. the gamma-powers
-            x = _gauss_solve_mod_p(power_cols, list(flat(u)), p)
+            x = _gauss_solve_mod_p(power_cols, list(u.rows) + [0] * (n - len(u.rows)), p)
             if x is None:
                 raise AssertionError("powers of the extension generator are not a basis")
             return FFElem(G, tuple(x))
 
-        emb_cols = []
-        for j in range(a):
-            vec = [F.gen ** j] + [F.zero] * (t - 1)
-            emb_cols.append(to_G(vec).coords)
+        emb_cols = [to_G(FFPoly.const(F, F.gen ** j)).coords for j in range(a)]
         emb = Embedding(F, G, emb_cols)
-        root = to_G(y_vec)
+        root = to_G(y)
         # sanity: root satisfies the mapped modulus
         mapped = emb.map_poly(hm)
         if not mapped.evaluate(root).is_zero():

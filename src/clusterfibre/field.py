@@ -30,7 +30,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from .ff import (FField, FFElem, FFPoly, prime_field, is_irreducible,
-                 find_irreducible_int_poly, find_irreducible_over)
+                 find_irreducible_int_poly, find_irreducible_over,
+                 _conv, _theta_reduce, _theta_multiples)
 from .rationals import OO
 
 
@@ -103,40 +104,6 @@ def _plus(a, da, b, db, sign):
         a = [x * (den // da) for x in a]
         b = [y * (den // db) for y in b]
     return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)], den
-
-
-def _conv(a, b):
-    """The product of two nonempty integer coefficient sequences."""
-    nb = len(b)
-    out = [0] * (len(a) + nb - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + nb] = [o + x * y for o, y in zip(out[i:i + nb], b)]
-    return out
-
-
-def _theta_reduce(row, mod):
-    """The first m coordinates of the list ``row`` (a polynomial in theta)
-    after reduction by the monic integer polynomial ``mod`` of degree m;
-    ``row`` is consumed."""
-    m = len(mod) - 1
-    for i in range(len(row) - 1, m - 1, -1):
-        c = row[i]
-        if c:
-            row[i - m:i] = [a - c * b for a, b in zip(row[i - m:i], mod)]
-    return row[:m]
-
-
-def _theta_multiples(rows, mod):
-    """[rows, theta * rows, ..., theta^(m-1) * rows] for the flat
-    coordinates ``rows``, m per coefficient, m = deg mod."""
-    m = len(mod) - 1
-    out = [list(rows)]
-    for _ in range(1, m):
-        prev = out[-1]
-        out.append([c for lo in range(0, len(prev), m)
-                    for c in _theta_reduce([0] + prev[lo:lo + m], mod)])
-    return out
 
 
 def _content_val(nums, den, p):
@@ -266,6 +233,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The largest m for which BaseField searches its own defining polynomial
+# (Ben-Or tests on candidates of degree m), and the default extension
+# budget, which bounds the fields built with a given gen_minpoly.
+MAX_UNRAMIFIED_DEGREE = 64
+
+
 class BaseField:
     """Unramified p-adic base field with exact Q(theta) coefficients."""
 
@@ -277,6 +250,8 @@ class BaseField:
         if m < 1:
             raise ValueError("unramified degree must be at least 1")
         if gen_minpoly is None:
+            if m > MAX_UNRAMIFIED_DEGREE:
+                raise ValueError(f"unramified degree must be at most {MAX_UNRAMIFIED_DEGREE}")
             gen_minpoly = find_irreducible_int_poly(p, m)
         gen_minpoly = tuple(int(c) for c in gen_minpoly)
         if len(gen_minpoly) != m + 1 or gen_minpoly[-1] != 1:
@@ -525,9 +500,8 @@ class KPoly:
     def residue(self, alpha: int = 0) -> FFPoly:
         """The reduction of p^(-alpha) * self to the residue field,
         coefficientwise; requires gauss_val() >= alpha."""
-        k, m = self.field.residue_field, self.field.m
-        coords = _residues(self.rows, self.den, self.field.p, alpha)
-        return FFPoly(k, [FFElem(k, coords[lo:lo + m]) for lo in range(0, len(coords), m)])
+        return FFPoly._of(self.field.residue_field,
+                          _residues(self.rows, self.den, self.field.p, alpha))
 
     def phi_expand(self, phi: "KPoly") -> tuple:
         """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi.
@@ -612,8 +586,7 @@ def extend_unramified(K: BaseField, t: int):
     # E = K[eta]/(h) holds the remainders mod h.  Powers of an integral
     # generator mod the monic integral h are integral (den 1), so their
     # flat coordinates are the columns of an integer system.
-    hbar = find_irreducible_over(K.residue_field, t)
-    h = KPoly(K, [K.elem(*[int(x) for x in c.coords]) for c in hbar.coeffs])
+    h = KPoly._of(K, find_irreducible_over(K.residue_field, t).rows, 1)
 
     def flat(v):
         return list(v.rows) + [0] * (M - len(v.rows))

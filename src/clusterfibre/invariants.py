@@ -150,10 +150,12 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     r.gamma0 = 2 if (r.p0 == 2 and _is_odd_integer(r.epsilon * r.nu)) else 1
     # marked children: odd crossing parity with the component
     r.vtilde = set()
+    f_w = {}
     for child in node.children:
         ccw = cluster_chain(child)
-        f_w = residue_tower(ccw).top.degree // K.m
-        crit = Fraction(r.f_v * child.size, f_w * r.b * r.degree) - r.ell * r.nu * ccw.epsilon
+        f_w[child.id] = residue_tower(ccw).top.degree // K.m
+        crit = (Fraction(r.f_v * child.size, f_w[child.id] * r.b * r.degree)
+                - r.ell * r.nu * ccw.epsilon)
         if _not_in_2Z(crit):
             r.vtilde.add(child.id)
     c0_crit = Fraction(2 - r.p0, r.b) - r.ell * r.nu * r.epsilon
@@ -164,11 +166,7 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     # denominator would over-count by f_v whenever k_v is bigger than k
     u_main = Fraction(node.size - child_sum - (2 - r.p0) * r.degree,
                       r.e * r.f_v)
-    u_marks = Fraction(0)
-    for child in node.children:
-        if child.id in r.vtilde:
-            f_w = residue_tower(cluster_chain(child)).top.degree // K.m
-            u_marks += Fraction(f_w, r.f_v)
+    u_marks = Fraction(sum(f_w[c] for c in r.vtilde), r.f_v)
     u = u_main + u_marks + r.delta * r.c0
     if Fraction(u).denominator != 1 or u < 0:
         raise InternalInconsistency(f"u must be a nonnegative integer, got {u}")
@@ -183,7 +181,7 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     r.gbar0_const = red.poly[0] if r.delta else None
     r.x_exponent_parity = (red.h_exponent - ell_offset * int(e_nu)) % 2
     r.fbar = fbar(tree, node)
-    r.ftilde = ftilde_poly(tree, node, r)
+    r.ftilde = ftilde_poly(node, r)
     # open-ended count law ties the residual degree to the cluster counts
     open_count = Fraction(node.size - child_sum + r.degree * (r.p0 - 2), r.e)
     if Fraction(open_count).denominator != 1 or r.f_v * r.fbar.degree != int(open_count):
@@ -218,8 +216,8 @@ def fbar(tree: ClusterTree, node: ClusterNode) -> FFPoly:
     return poly
 
 
-def ftilde_poly(tree: ClusterTree, node: ClusterNode, rec: InvariantRecord) -> FFPoly:
-    base = fbar(tree, node)
+def ftilde_poly(node: ClusterNode, rec: InvariantRecord) -> FFPoly:
+    """The branch polynomial of the component, built on ``rec.fbar``."""
     x_parity = rec.x_exponent_parity
     # the x exponent parity must match the marked same-centre child / c0 term
     marked_same = any(c.id in rec.vtilde and c.centre == node.centre
@@ -227,7 +225,7 @@ def ftilde_poly(tree: ClusterTree, node: ClusterNode, rec: InvariantRecord) -> F
     expected = (rec.delta * rec.c0 + (1 if marked_same else 0)) % 2
     if x_parity != expected:
         raise InternalInconsistency("x-exponent parity disagrees with the marks")
-    out = base.shift(x_parity)
+    out = rec.fbar.shift(x_parity)
     for child in node.children:
         if child.id in rec.vtilde and child.centre != node.centre:
             out = out * node.child_residuals[id(child)]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List
 
 from .field import KPoly, expansion_scope
-from .ff import FField, FFElem, FFPoly, ff_extend, is_irreducible
+from .ff import FField, FFElem, FFPoly, ff_extend, is_irreducible, _gauss_solve_mod_p
 from .rationals import OO
 from .valuation import MacLaneVal, NotAKeyPolynomial, RadiusNotAboveCentreValue
 
@@ -394,29 +394,16 @@ def _decompose_over_step(tower: ResidueTower, level: int, c: FFElem):
     """Write c in k_level as sum emb(t_j) * gen^j, j < rel degree of the step."""
     emb = tower.embeddings[level - 1]
     gen = tower.gens[level]
-    kf = tower.fields[level]
     sub = tower.fields[level - 1]
-    rel = tower.rel_degrees[level - 1]
-    p = kf.p
-    cols = []
-    basis_elems = []
-    for j in range(rel):
-        for t in range(sub.degree):
-            b = FFElem(sub, tuple(1 if u == t else 0 for u in range(sub.degree)))
-            val = emb(b) * gen ** j
-            cols.append(val.coords)
-            basis_elems.append((j, b))
-    from .ff import _gauss_solve_mod_p
-    rows = [tuple(col[i] for col in cols) for i in range(kf.degree)]
-    sol = _gauss_solve_mod_p(rows, list(c.coords), p)
+    d = sub.degree
+    # column j * d + u: the image of the basis element t^u of k_{level-1},
+    # times gen^j, so the solution holds the coordinates of t_0, t_1, ...
+    cols = [(emb(FFElem(sub, tuple(int(i == u) for i in range(d)))) * gen ** j).coords
+            for j in range(tower.rel_degrees[level - 1]) for u in range(d)]
+    sol = _gauss_solve_mod_p(list(zip(*cols)), list(c.coords), c.field.p)
     if sol is None:
         raise AssertionError("step decomposition failed")
-    out = [sub.zero] * rel
-    for coeff, (j, b) in zip(sol, basis_elems):
-        if coeff:
-            scaled = FFElem(sub, tuple((coeff * x) % p for x in b.coords))
-            out[j] = out[j] + scaled
-    return out
+    return [FFElem(sub, sol[lo:lo + d]) for lo in range(0, len(sol), d)]
 
 
 def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, alpha, c: FFElem) -> KPoly:

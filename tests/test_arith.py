@@ -906,6 +906,220 @@ def _find_quadratic_irreducible(G):
     raise AssertionError
 
 
+# A model of the residue layer on lists of coordinate tuples, one tuple per
+# coefficient: the FFElem-object loops the flat representation replaced,
+# with their own element product (schoolbook, then reduction by the
+# modulus) and inverse by x^(q - 2).
+
+def _m_elem_mul(k, a, b):
+    p, mod, d = k.p, k.modulus, k.degree
+    out = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    for i in range(len(out) - 1, d - 1, -1):
+        c, out[i] = out[i], 0
+        for j in range(d):
+            out[i - d + j] = (out[i - d + j] - c * mod[j]) % p
+    return tuple(out[:d])
+
+
+def _m_elem_inv(k, a):
+    n, result, base = k.order - 2, k.one.coords, a
+    while n:
+        if n & 1:
+            result = _m_elem_mul(k, result, base)
+        base = _m_elem_mul(k, base, base)
+        n >>= 1
+    return result
+
+
+def _m_trim(k, cs):
+    cs = [tuple(c % k.p for c in x) for x in cs]
+    while cs and not any(cs[-1]):
+        cs.pop()
+    return cs
+
+
+def _m_add(k, a, b, sign=1):
+    zero = k.zero.coords
+    n = max(len(a), len(b))
+    a, b = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
+    return _m_trim(k, [[x + sign * y for x, y in zip(u, v)] for u, v in zip(a, b)])
+
+
+def _m_mul(k, a, b):
+    if not a or not b:
+        return []
+    out = [k.zero.coords] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = tuple(s + t for s, t in zip(out[i + j], _m_elem_mul(k, x, y)))
+    return _m_trim(k, out)
+
+
+def _m_divmod(k, a, b):
+    rem = list(a)
+    quo = [k.zero.coords] * max(0, len(a) - len(b) + 1)
+    inv = _m_elem_inv(k, b[-1])
+    for i in range(len(a) - len(b), -1, -1):
+        c = quo[i] = _m_elem_mul(k, rem[i + len(b) - 1], inv)
+        for j, y in enumerate(b):
+            rem[i + j] = tuple((s - t) % k.p for s, t in zip(rem[i + j], _m_elem_mul(k, c, y)))
+    return _m_trim(k, quo), _m_trim(k, rem)
+
+
+def _m_monic(k, a):
+    return [_m_elem_mul(k, x, _m_elem_inv(k, a[-1])) for x in a] if a else a
+
+
+def _m_gcd(k, a, b):
+    while b:
+        a, b = b, _m_divmod(k, a, b)[1]
+    return _m_monic(k, a)
+
+
+def _m_derivative(k, a):
+    return _m_trim(k, [tuple(i * c for c in x) for i, x in enumerate(a)][1:])
+
+
+def _m_pow_mod(k, a, n, f):
+    result, square = [k.one.coords], _m_divmod(k, a, f)[1]
+    while n:
+        if n & 1:
+            result = _m_divmod(k, _m_mul(k, result, square), f)[1]
+        square = _m_divmod(k, _m_mul(k, square, square), f)[1]
+        n >>= 1
+    return _m_divmod(k, result, f)[1]
+
+
+def _coords(f):
+    """The model's form of f, after checking that f is stored canonically:
+    d digits in [0, p) per coefficient and no trailing zero coefficient."""
+    k, rows = f.field, f.rows
+    d = k.degree
+    assert isinstance(rows, tuple) and len(rows) % d == 0
+    assert all(0 <= c < k.p for c in rows)
+    assert not rows or any(rows[-d:])
+    return [c.coords for c in f.coeffs]
+
+
+class TestFlatResidueRepresentation:
+    """FFPoly stores flat coordinates mod p; every operation must agree with
+    the coordinate-tuple model above."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_against_the_model(self, data):
+        k = data.draw(st.sampled_from(_KERNEL_FIELDS))
+        a = data.draw(_kernel_polys(k, max_len=6))
+        b = data.draw(_kernel_polys(k, max_len=6))
+        f = data.draw(_kernel_polys(k, max_len=5).filter(lambda g: not g.is_zero()))
+        ma, mb, mf = _coords(a), _coords(b), _coords(f)
+        assert _coords(a + b) == _m_add(k, ma, mb)
+        assert _coords(a - b) == _m_add(k, ma, mb, -1)
+        assert _coords(-a) == _m_add(k, [], ma, -1)
+        assert _coords(a * b) == _m_mul(k, ma, mb)
+        quo, rem = a.divmod(f)
+        assert (_coords(quo), _coords(rem)) == _m_divmod(k, ma, mf)
+        assert _coords(a // f) == _coords(quo) and _coords(a % f) == _coords(rem)
+        assert _coords(a.gcd(b)) == _m_gcd(k, ma, mb)
+        assert _coords(a.monic()) == _m_monic(k, ma)
+        assert _coords(a.derivative()) == _m_derivative(k, ma)
+        n = data.draw(st.integers(0, 10 ** 4))
+        expected = _m_pow_mod(k, ma, n, mf) if n else [k.one.coords]
+        assert _coords(a.pow_mod(n, f)) == expected
+        c = k.elem(tuple(data.draw(st.integers(0, k.p - 1)) for _ in range(k.degree)))
+        assert _coords(a.scale(c)) == _m_trim(k, [_m_elem_mul(k, x, c.coords) for x in ma])
+        assert _coords(a.shift(2)) == (_m_trim(k, [k.zero.coords] * 2 + ma) if ma else [])
+
+    @pytest.mark.parametrize("k", _KERNEL_FIELDS, ids=repr)
+    def test_zero_and_constant_operands(self, k):
+        zero, one = FFPoly(k, []), FFPoly.const(k, k.one)
+        c = FFPoly.const(k, k.elem((k.p - 1,) * k.degree))
+        f = FFPoly(k, [k.gen, k.one, k.elem(2)])
+        for a in (zero, one, c, f):
+            ma = _coords(a)
+            for b in (zero, one, c, f):
+                mb = _coords(b)
+                assert _coords(a * b) == _m_mul(k, ma, mb)
+                assert _coords(a + b) == _m_add(k, ma, mb)
+                assert _coords(a.gcd(b)) == _m_gcd(k, ma, mb)
+                if mb:
+                    assert tuple(map(_coords, a.divmod(b))) == _m_divmod(k, ma, mb)
+            assert _coords(a.derivative()) == _m_derivative(k, ma)
+        with pytest.raises(ZeroDivisionError):
+            f.divmod(zero)
+        assert FFPoly(k, [k.zero, k.zero]) == zero and zero.rows == ()
+
+    @pytest.mark.parametrize("k", _KERNEL_FIELDS, ids=repr)
+    def test_inverse(self, k):
+        rng = random.Random(k.order % 1000)
+        elems = [k.one, k.gen, k.elem((k.p - 1,) * k.degree)]
+        elems += [k.elem(tuple(rng.randrange(k.p) for _ in range(k.degree))) for _ in range(20)]
+        for x in elems:
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert inv == x ** (k.order - 2)
+            assert inv.coords == _m_elem_inv(k, x.coords)
+            assert x * inv == k.one
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_key_orders_by_degree_then_coordinates(self, data):
+        # the flat key sorts as (number of coefficients, coordinate tuples)
+        k = data.draw(st.sampled_from(_KERNEL_FIELDS[:4]))
+        polys = data.draw(st.lists(_kernel_polys(k, max_len=4), min_size=2, max_size=6))
+        reference = lambda f: (len(f.coeffs), [c.coords for c in f.coeffs])
+        assert sorted(polys, key=FFPoly.key) == sorted(polys, key=reference)
+        # a linear factor sorts before a quadratic one with a smaller constant
+        f = FFPoly.from_ints(prime_field(3), [2, 1, 2, 1])  # (X + 2)(X^2 + 1) over GF(3)
+        assert [g.degree for g, _ in ff_factor(f)] == [1, 2]
+
+    def test_kernels_run_on_ints(self, monkeypatch):
+        # divmod, gcd, pow_mod, is_irreducible and ff_factor never multiply
+        # FFElem objects, and the first four never raise one to a power
+        k = BaseField(5, 2).residue_field
+        g = FFPoly(k, [k.gen, k.elem(3), k.one])
+        h = FFPoly(k, [k.elem(2), k.gen + k.one])
+        f = g * g * g * g * g * h * FFPoly.x(k).shift(3)  # a 5th power: Frobenius roots
+        expected = (f.divmod(h), f.gcd(g * h), g.pow_mod(k.order ** 2, f),
+                    is_irreducible(g), is_irreducible(f), ff_factor(f, random.Random(1)))
+
+        def forbidden(*args):
+            raise AssertionError("FFElem arithmetic in a kernel")
+
+        monkeypatch.setattr(FFElem, "__mul__", forbidden)
+        monkeypatch.setattr(FFElem, "__pow__", forbidden)
+        assert (f.divmod(h), f.gcd(g * h), g.pow_mod(k.order ** 2, f),
+                is_irreducible(g), is_irreducible(f)) == expected[:5]
+        monkeypatch.undo()
+        monkeypatch.setattr(FFElem, "__mul__", forbidden)
+        assert ff_factor(f, random.Random(1)) == expected[5]
+
+    # (p, field modulus, h as coordinate tuples) -> (modulus of G, embedding
+    # matrix, root), as the FFElem-object construction produced them
+    _EXTEND_PINS = [
+        (3, (0, 1), [(1,), (0,), (1,)], ((1, 0, 1), [(1, 0)], (0, 1))),
+        (5, (2, 0, 1), [(1, 0), (1, 0), (0, 0), (1, 0)],
+         ((3, 0, 3, 2, 3, 0, 1), [(1, 0, 0, 0, 0, 0), (0, 3, 1, 0, 1, 3)], (0, 3, 4, 0, 4, 2))),
+        (3, (1, 0, 1), [(2, 1), (1, 1), (0, 0), (1, 1)],
+         ((1, 0, 1, 0, 2, 0, 1), [(1, 0, 0, 0, 0, 0), (0, 2, 0, 2, 0, 0)], (0, 1, 0, 0, 0, 0))),
+        (5, (1, 1, 0, 1), [(1, 0, 0), (4, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0)],
+         ((1, 4, 3, 4, 0, 1, 4, 3, 0, 0, 3, 2, 0, 0, 0, 1),
+          [(1,) + (0,) * 14, (0, 4, 4, 0, 0, 1, 2, 0, 0, 0, 4, 0, 0, 0, 0),
+           (0, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+          (0, 2, 1, 0, 0, 4, 3, 0, 0, 0, 1, 0, 0, 0, 0))),
+    ]
+
+    @pytest.mark.parametrize("p,modulus,h,expected", _EXTEND_PINS)
+    def test_ff_extend_pins(self, p, modulus, h, expected):
+        F = FField(p, modulus)
+        G, emb, root = ff_extend(F, FFPoly(F, [FFElem(F, c) for c in h]))
+        assert (G.modulus, emb.matrix, root.coords) == expected
+
+
 class TestUnramifiedExtension:
     def test_extend_from_qp(self):
         K = BaseField(3)

@@ -15,7 +15,7 @@ import pytest
 
 import clusterfibre
 from clusterfibre.field import BaseField
-from clusterfibre import cli
+from clusterfibre import cli, field
 from clusterfibre.cli import parse_poly, PolySyntaxError, run
 
 
@@ -136,6 +136,9 @@ class TestCommands:
         code = run(["picture", "--coeffs=-5,0,1", "--prime", "5"])
         assert code == 0
         assert "size=2" in capsys.readouterr().out
+        K = BaseField(5)
+        assert cli._coefficient_list(" +5, -3/4 ,1") == [5, F(-3, 4), 1]
+        assert K.poly(cli._coefficient_list("-5,0,1")) == parse_poly("x^2-5", K)
 
     def test_malformed_input(self, capsys):
         assert run(["picture", "x^2 +", "--prime", "5"]) == 1
@@ -151,6 +154,20 @@ class TestCommands:
     def test_unramified_degree_below_one(self, m, capsys):
         assert run(["fibre", "x^2-5", "--prime", "5", "-m", m]) == 1
         assert capsys.readouterr().err == "error: unramified degree must be at least 1\n"
+
+    @pytest.mark.parametrize("m", ["65", "400"])
+    def test_unramified_degree_above_the_cap(self, m, capsys):
+        # the search for a defining polynomial of degree m is refused
+        # before it starts
+        start = time.perf_counter()
+        assert run(["picture", "x^2-3", "--prime", "3", "-m", m]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: unramified degree must be at most 64\n"
+
+    def test_unramified_degree_at_the_cap(self):
+        assert field.MAX_UNRAMIFIED_DEGREE == 64
+        assert cli._build_parser().parse_args(["picture"]).extension_budget == 64
+        assert BaseField(3, 64).m == 64
 
     def test_large_primes_are_fast(self, capsys):
         # primality is settled at once: a prime near 10^18 runs, a composite
@@ -200,6 +217,16 @@ class TestHostileInput:
         assert run(["picture", expr, "--prime", "5"]) == 1
         assert time.perf_counter() - start < 1
         assert f"exceeds the limit {cli.MAX_DEGREE}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeffs", ["1e3000000,0,1", "1.5,0,1", "0x10,1", "1_0,1",
+                                        "1,,1", "1,0,1,", "--1,1", "1/-2,1"])
+    def test_coefficient_list_takes_only_literals(self, coeffs, capsys):
+        # the entries of --coeffs are the integer and a/b literals of an
+        # expression; exponent notation must not reach Fraction
+        start = time.perf_counter()
+        assert run(["picture", "--coeffs=" + coeffs, "--prime", "3"]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("error: expected")
 
     def test_limits_are_inclusive(self):
         K = BaseField(5)
