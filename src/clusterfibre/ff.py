@@ -102,22 +102,18 @@ class FField:
         self.modulus = modulus
         FField._counter += 1
         self.uid = FField._counter
-        self.zero = FFElem(self, (0,) * self.degree)
-        self.one = FFElem(self, (1,) + (0,) * (self.degree - 1))
-        self.gen = FFElem(self, tuple(1 if i == 1 else 0 for i in range(self.degree))) \
-            if self.degree > 1 else FFElem(self, (-modulus[0] % p,))
+        self.zero = FFElem._of(self, (0,) * self.degree)
+        self.one = FFElem._of(self, (1,) + (0,) * (self.degree - 1))
+        self.gen = FFElem._of(self, tuple(1 if i == 1 else 0 for i in range(self.degree))) \
+            if self.degree > 1 else FFElem._of(self, (-modulus[0] % p,))
 
     @property
     def order(self) -> int:
         return self.p ** self.degree
 
     def elem(self, coords) -> "FFElem":
-        if isinstance(coords, int):
-            coords = (coords,) + (0,) * (self.degree - 1)
-        coords = tuple(c % self.p for c in coords)
-        if len(coords) != self.degree:
-            coords = coords + (0,) * (self.degree - len(coords))
-        return FFElem(self, coords)
+        coords = (coords,) if isinstance(coords, int) else tuple(coords)
+        return FFElem(self, coords + (0,) * (self.degree - len(coords)))
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})#{self.uid}"
@@ -128,11 +124,22 @@ def prime_field(p: int) -> FField:
 
 
 class FFElem:
+    """An element of an FField: its power-basis coordinates, each in [0, p)."""
+
     __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
+        p = field.p
         self.field = field
-        self.coords = tuple(coords)
+        self.coords = tuple(c % p for c in coords)
+
+    @classmethod
+    def _of(cls, field, coords) -> "FFElem":
+        """The element with coordinates ``coords``, each already in [0, p)."""
+        a = cls.__new__(cls)
+        a.field = field
+        a.coords = tuple(coords)
+        return a
 
     def _check(self, other):
         if not isinstance(other, FFElem) or other.field is not self.field:
@@ -141,20 +148,20 @@ class FFElem:
     def __add__(self, other):
         self._check(other)
         p = self.field.p
-        return FFElem(self.field, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+        return FFElem._of(self.field, [(a + b) % p for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._check(other)
         p = self.field.p
-        return FFElem(self.field, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
+        return FFElem._of(self.field, [(a - b) % p for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
         p = self.field.p
-        return FFElem(self.field, tuple((-a) % p for a in self.coords))
+        return FFElem._of(self.field, [(-a) % p for a in self.coords])
 
     def __mul__(self, other):
         self._check(other)
-        return FFElem(self.field, _fmul(self.coords, other.coords, self.field))
+        return FFElem._of(self.field, _fmul(self.coords, other.coords, self.field))
 
     def __pow__(self, n):
         F = self.field
@@ -167,18 +174,18 @@ class FFElem:
             n >>= 1
             if n:
                 base = _fmul(base, base, F)
-        return FFElem(F, result)
+        return FFElem._of(F, result)
 
     def inverse(self) -> "FFElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         F = self.field
         if F.degree == 1:
-            return FFElem(F, (pow(self.coords[0], -1, F.p),))
+            return FFElem._of(F, (pow(self.coords[0], -1, F.p),))
         # y with a * y = 1: column k of the system is t^k * a
         cols = _theta_multiples(self.coords, F.modulus)
         y = _gauss_solve_mod_p(list(zip(*cols)), [1] + [0] * (F.degree - 1), F.p)
-        return FFElem(F, y)
+        return FFElem._of(F, y)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -219,7 +226,7 @@ class Embedding:
             if c:
                 for i, m in enumerate(col):
                     out[i] = (out[i] + c * m) % p
-        return FFElem(self.dst, tuple(out))
+        return FFElem._of(self.dst, out)
 
     def map_poly(self, f: "FFPoly") -> "FFPoly":
         return FFPoly(self.dst, [self(c) for c in f.coeffs])
@@ -330,8 +337,7 @@ class FFPoly:
     __slots__ = ("field", "rows")
 
     def __init__(self, field: FField, coeffs):
-        p = field.p
-        self._set(field, [c % p for a in coeffs for c in a.coords])
+        self._set(field, [c for a in coeffs for c in a.coords])
 
     @classmethod
     def _of(cls, field: FField, rows) -> "FFPoly":
@@ -374,7 +380,7 @@ class FFPoly:
     def __getitem__(self, i) -> FFElem:
         d = self.field.degree
         if 0 <= i < len(self.rows) // d:
-            return FFElem(self.field, self.rows[i * d:i * d + d])
+            return FFElem._of(self.field, self.rows[i * d:i * d + d])
         return self.field.zero
 
     def lead(self) -> FFElem:
@@ -716,7 +722,7 @@ def ff_extend(F: FField, h: FFPoly):
             x = _gauss_solve_mod_p(power_cols, list(u.rows) + [0] * (n - len(u.rows)), p)
             if x is None:
                 raise AssertionError("powers of the extension generator are not a basis")
-            return FFElem(G, tuple(x))
+            return FFElem._of(G, x)
 
         emb_cols = [to_G(FFPoly.const(F, F.gen ** j)).coords for j in range(a)]
         emb = Embedding(F, G, emb_cols)

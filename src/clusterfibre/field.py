@@ -20,6 +20,12 @@ takes each coordinate mod p.
 Division and phi-adic expansion share one kernel, ``_zdivmod``.  Inside an
 ``expansion_scope`` call each (polynomial, phi) pair is expanded once; the
 memo is dropped when the outermost scoped call returns.
+
+The resultant, and with it the discriminant, is one subresultant kernel,
+``_zresultant``, on the integer numerators: pseudo-remainders followed by
+exact divisions in Z[theta], which keep the coefficients from growing
+(Collins 1967, Brown-Traub 1971).  The denominators come out once at the
+end.
 """
 
 from __future__ import annotations
@@ -207,6 +213,109 @@ def _zdivmod(rows, den, divisor):
     return q, rows[:dm], den
 
 
+def _zinverse(nums, mod):
+    """(y, d) with nums * y = d, d a nonzero integer, for the nonzero
+    element of Z[theta] with coordinates ``nums``: the Bareiss solution of
+    the system whose column k is theta^k * nums."""
+    return _zsolve(_theta_multiples(nums, mod), [1] + [0] * (len(mod) - 2))
+
+
+# The resultant.  Polynomials over Z[theta] are flat coordinate lists, m per
+# coefficient; an element is the list of its m coordinates.
+
+def _zscale(rows, c, mod):
+    """The flat ``rows`` with every coefficient multiplied by the element c."""
+    m = len(c)
+    if m == 1:
+        c = c[0]
+        return [c * a for a in rows]
+    return [x for lo in range(0, len(rows), m)
+            for x in _theta_reduce(_conv(c, rows[lo:lo + m]), mod)]
+
+
+def _zdivide_exactly(rows, c, mod):
+    """The flat ``rows`` with every coefficient divided by the element c,
+    which must divide each of them in Z[theta]: a multiplication by the
+    Bareiss inverse c * y = d, then an integer division of every coordinate
+    by d.  A remainder is a broken law of the subresultant PRS and raises
+    AssertionError; nothing is rounded."""
+    y, d = _zinverse(c, mod)
+    if len(c) > 1:
+        rows = _zscale(rows, y, mod)
+    out = []
+    for a in rows:
+        q, r = divmod(a, d)
+        if r:
+            raise AssertionError("subresultant division is not exact")
+        out.append(q)
+    return out
+
+
+def _zpower(c, n, mod):
+    """The element c ** n, n >= 0."""
+    out = [1] + [0] * (len(c) - 1)
+    for _ in range(n):
+        out = _zscale(out, c, mod)
+    return out
+
+
+def _zprem(a, b, mod):
+    """The pseudo-remainder lead(b)^(deg a - deg b + 1) * a mod b of the
+    flat polynomials a and b, deg a >= deg b >= 1: each step multiplies by
+    lead(b) and cancels the top coefficient with a multiple of b."""
+    m = len(mod) - 1
+    lead, low = b[-m:], b[:-m]
+    r = a
+    for _ in range((len(a) - len(b)) // m + 1):
+        top = r[-m:]
+        r = _zscale(r[:-m], lead, mod)
+        if any(top):
+            lo = len(r) - len(low)
+            r[lo:] = [x - y for x, y in zip(r[lo:], _zscale(low, top, mod))]
+    while r and not any(r[-m:]):
+        del r[-m:]
+    return r
+
+
+def _zresultant(a, b, mod):
+    """The coordinates of res(a, b) for nonzero flat polynomials a and b
+    over Z[theta], theta a root of the monic ``mod``.
+
+    Subresultant PRS (Collins, J. ACM 1967; Brown-Traub, J. ACM 1971; the
+    sign and the degree drops as in Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 3.3.7): each pseudo-remainder is
+    divided exactly by g * h^delta, where g is the lead of the last divisor
+    and h tracks the leads of the subresultants, h <- g^delta / h^(delta-1).
+    """
+    m = len(mod) - 1
+    one = [1] + [0] * (m - 1)
+    da, db = len(a) // m - 1, len(b) // m - 1
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            sign = -1
+    g = h = one
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _zprem(a, b, mod)
+        if not r:
+            return [0] * m
+        a, da = b, db
+        b = _zdivide_exactly(r, _zscale(g, _zpower(h, delta, mod), mod), mod)
+        db = len(b) // m - 1
+        g = a[-m:]
+        if delta:
+            h = _zdivide_exactly(_zpower(g, delta, mod), _zpower(h, delta - 1, mod), mod)
+    # b is a nonzero constant: res = lead(b)^da / h^(da - 1)
+    out = _zpower(b, da, mod)
+    if da > 1:
+        out = _zdivide_exactly(out, _zpower(h, da - 1, mod), mod)
+    return out if sign > 0 else [-x for x in out]
+
+
 # Every composite below PRIME_BOUND fails the strong probable-prime test to
 # a prime base up to 41 (Sorenson and Webster, Math. Comp. 2017); the bases
 # up to 37 alone pass the composite 318665857834031151167461.
@@ -339,10 +448,8 @@ class KElem:
         K = self.field
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # y with nums * y = den: column k of the system is theta^k * nums
-        y, d = _zsolve(_theta_multiples(self.nums, K.gen_minpoly),
-                       [self.den] + [0] * (K.m - 1))
-        return KElem(K, y, d)
+        y, d = _zinverse(self.nums, K.gen_minpoly)
+        return KElem(K, [self.den * c for c in y], d)
 
     def __pow__(self, n: int) -> "KElem":
         if n < 0:
@@ -356,7 +463,7 @@ class KElem:
     def residue(self) -> FFElem:
         """Reduction to the residue field; requires val >= 0."""
         K = self.field
-        return FFElem(K.residue_field, _residues(self.nums, self.den, K.p))
+        return FFElem._of(K.residue_field, _residues(self.nums, self.den, K.p))
 
     def __repr__(self):
         if self.field.m == 1:
@@ -532,22 +639,13 @@ class KPoly:
         return out
 
     def resultant(self, other) -> KElem:
-        f, g = self, other
+        """res(self, other), exactly.  With self = F / D and other = G / E,
+        res(self, other) = res(F, G) / (D^deg other * E^deg self)."""
         K = self.field
-        if f.is_zero() or g.is_zero():
+        if self.is_zero() or other.is_zero():
             return K.zero
-        sign = 1
-        acc = K.one
-        while g.degree > 0:
-            r = f % g
-            if r.is_zero():
-                return K.zero
-            if (f.degree * g.degree) % 2:
-                sign = -sign
-            acc = acc * g.lead() ** (f.degree - r.degree)
-            f, g = g, r
-        acc = acc * g.lead() ** f.degree
-        return acc if sign > 0 else -acc
+        nums = _zresultant(self.rows, other.rows, K.gen_minpoly)
+        return KElem(K, nums, self.den ** other.degree * other.den ** self.degree)
 
     def __repr__(self):
         if self.is_zero():

@@ -403,7 +403,7 @@ def _decompose_over_step(tower: ResidueTower, level: int, c: FFElem):
     sol = _gauss_solve_mod_p(list(zip(*cols)), list(c.coords), c.field.p)
     if sol is None:
         raise AssertionError("step decomposition failed")
-    return [FFElem(sub, sol[lo:lo + d]) for lo in range(0, len(sol), d)]
+    return [FFElem._of(sub, sol[lo:lo + d]) for lo in range(0, len(sol), d)]
 
 
 def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, alpha, c: FFElem) -> KPoly:

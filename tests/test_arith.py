@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -535,6 +536,94 @@ class TestIntegerRepresentation:
         f.residue(0)
 
 
+@st.composite
+def _sparse_kpoly(draw, K, max_degree):
+    """A nonzero lead and at most two other nonzero coefficients, so the
+    remainder sequence drops by more than one degree at a time."""
+    d = draw(st.integers(0, max_degree))
+    coeffs = [K.zero] * (d + 1)
+    for i in draw(st.lists(st.integers(0, d), max_size=2)):
+        coeffs[i] = draw(_element(K))
+    coeffs[d] = draw(_element(K).filter(lambda a: not a.is_zero()))
+    return K.poly(coeffs)
+
+
+class TestResultant:
+    """KPoly.resultant, the subresultant PRS over Z[theta], against the
+    Sylvester determinant of the Fraction model."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_against_sylvester(self, m, data):
+        K = _kernel_base(m)
+        mod = [Fraction(c) for c in K.gen_minpoly]
+        shape = st.one_of(_kpoly(K, 8), _sparse_kpoly(K, 8)).filter(lambda f: not f.is_zero())
+        f, g = data.draw(shape), data.draw(shape)
+        res = f.resultant(g)
+        assert _canonical(res)
+        assert res.coords == _q_resultant(_q(f), _q(g), mod)
+        swapped = g.resultant(f)
+        assert swapped == (res if f.degree * g.degree % 2 == 0 else -res)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_common_factor_and_products(self, m, data):
+        K = _kernel_base(m)
+        shape = st.one_of(_kpoly(K, 3), _sparse_kpoly(K, 3)).filter(lambda f: not f.is_zero())
+        f, g, h = data.draw(shape), data.draw(shape), data.draw(shape)
+        assert f.resultant(g * h) == f.resultant(g) * f.resultant(h)
+        if h.degree >= 1:
+            assert (f * h).resultant(g * h).is_zero()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_constant_and_zero_operands(self, m):
+        K = _kernel_base(m)
+        c = K.elem(Fraction(2, 9), Fraction(-1, 7)) if m > 1 else K.rat(Fraction(2, 9))
+        f = K.poly([K.rat(Fraction(1, 3)), 0, c, K.rat(5)])
+        const, zero = K.poly([c]), K.poly([])
+        assert f.resultant(const) == const.resultant(f) == c ** 3
+        assert const.resultant(K.poly([7])) == K.one
+        assert f.resultant(zero).is_zero() and zero.resultant(const).is_zero()
+
+    def test_abnormal_sequence(self, monkeypatch):
+        # Knuth's example (TAOCP vol. 2, 4.6.1): the remainder sequence has
+        # degrees 8, 6, 4, 2, 1, 0, so three steps drop by two
+        seen = []  # (deg a, deg b) of every pseudo-remainder taken
+        prem = field._zprem
+
+        def recording(a, b, mod):
+            m = len(mod) - 1
+            seen.append((len(a) // m - 1, len(b) // m - 1))
+            return prem(a, b, mod)
+
+        monkeypatch.setattr(field, "_zprem", recording)
+        K = BaseField(3)
+        f = K.poly([-5, 2, 8, -3, -3, 0, 1, 0, 1])
+        g = K.poly([21, -9, -4, 0, 5, 0, 3])
+        res = f.resultant(g)
+        assert seen == [(8, 6), (6, 4), (4, 2), (2, 1)]
+        assert res.coords == _q_resultant(_q(f), _q(g), [Fraction(c) for c in K.gen_minpoly])
+        # the same drops over Z[theta], with theta in every coefficient
+        K = BaseField(5, 2)
+        th = K.theta
+        f = K.poly([th, 0, 0, 3, 0, 0, 0, 0, 1])
+        g = K.poly([K.rat(Fraction(2, 7)), 0, th, 0, 0, 0, 1])
+        del seen[:]
+        res = f.resultant(g)
+        assert seen[:3] == [(8, 6), (6, 4), (4, 3)]
+        assert res.coords == _q_resultant(_q(f), _q(g), [Fraction(c) for c in K.gen_minpoly])
+
+    def test_inexact_division_raises(self):
+        K = BaseField(5, 2)
+        with pytest.raises(AssertionError, match="not exact"):
+            field._zdivide_exactly([6, 7], [3], (0, 1))
+        with pytest.raises(AssertionError, match="not exact"):
+            field._zdivide_exactly([2, 1, 4, 0], [2, 0], K.gen_minpoly)
+        assert field._zdivide_exactly([6, -9], [3], (0, 1)) == [2, -3]
+
+
 class TestExpansionMemo:
     """phi-adic expansions are memoized within one scoped call and dropped
     when it returns."""
@@ -1065,6 +1154,19 @@ class TestFlatResidueRepresentation:
             assert inv.coords == _m_elem_inv(k, x.coords)
             assert x * inv == k.one
 
+    def test_constructor_reduces_coordinates(self):
+        # the public constructor takes any representative of a class mod p
+        for k in (prime_field(5), FField(5, (2, 1, 1))):
+            d = k.degree
+            zero = FFElem(k, (5, -10)[:d])
+            assert zero.is_zero() and zero == k.zero and hash(zero) == hash(k.zero)
+            with pytest.raises(ZeroDivisionError):
+                zero.inverse()
+            x = FFElem(k, (7, -4)[:d])
+            assert x.coords == (2, 1)[:d] and x == k.elem((2, 1)[:d])
+            assert x.inverse() == k.elem((2, 1)[:d]).inverse()
+            assert x * x.inverse() == k.one
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_key_orders_by_degree_then_coordinates(self, data):
@@ -1185,3 +1287,61 @@ class TestDiscriminantOracle:
                     seen["separable"] += 1
                     assert discriminant_val(fk) == vp_fraction(Fraction(disc), p), (p, f)
         assert seen["repeated"] >= 45 and seen["separable"] >= 60
+
+    def test_product_of_48_rational_roots(self):
+        sympy = pytest.importorskip("sympy")
+        from clusterfibre.field import vp_fraction
+        coeffs = _rational_root_product(48, 3)
+        disc = int(sympy.discriminant(sympy.Poly(coeffs[::-1], sympy.Symbol("x"), domain="ZZ")))
+        assert discriminant_val(BaseField(3).poly(coeffs)) == vp_fraction(Fraction(disc), 3)
+
+    def test_product_of_48_rational_roots_is_fast(self):
+        # 0.74 s with the Euclid sequence over Q; about 0.09 s with the
+        # subresultant kernel (2 vCPUs, CPython 3.11)
+        f = BaseField(3).poly(_rational_root_product(48, 3))
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            discriminant_val(f)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.5
+
+    def test_integer_polynomials_over_an_unramified_base(self):
+        from clusterfibre.field import NotSeparable
+        rng = random.Random(808)
+        for p in (3, 5, 7):
+            K1, K2 = BaseField(p), BaseField(p, 2)
+            for trial in range(12):
+                g = [rng.randrange(-p ** 3, p ** 3) for _ in range(rng.randrange(1, 6))] + [1]
+                f = K1.poly(g) * K1.poly(g) if trial % 4 == 0 else K1.poly(g) * K1.poly([p ** trial, 1])
+                cs = [c.coords[0] for c in f.coeffs]
+                try:
+                    want = discriminant_val(K1.poly(cs))
+                except NotSeparable:
+                    with pytest.raises(NotSeparable):
+                        discriminant_val(K2.poly(cs))
+                    continue
+                assert discriminant_val(K2.poly(cs)) == want
+
+    def test_theta_coefficients(self):
+        K = BaseField(5, 2)
+        th = K.theta
+        f = K.poly([th * K.rat(5), K.rat(Fraction(1, 25)), th * th - K.rat(3),
+                    K.elem(Fraction(2, 7), 1), 0, th])
+        mod = [Fraction(c) for c in K.gen_minpoly]
+        res = _q_resultant(_q(f), _q(f.derivative()), mod)
+        assert discriminant_val(f) == _q_val(res, 5) - f.lead().val()
+
+
+def _rational_root_product(n, p, seed=48):
+    """Integer coefficients, constant first, of the product of x - a over n
+    distinct seeded roots a = p * r, 0 < r < p^4."""
+    rng = random.Random(seed)
+    roots = set()
+    while len(roots) < n:
+        roots.add(p * rng.randrange(1, p ** 4))
+    coeffs = [1]
+    for a in sorted(roots):
+        coeffs = [-a * coeffs[0]] + [coeffs[i - 1] - a * coeffs[i]
+                                     for i in range(1, len(coeffs))] + [coeffs[-1]]
+    return coeffs

@@ -189,6 +189,20 @@ class TestCommands:
         assert run(["fibre", "x^2-5", "--prime", "5"]) == 2
         assert "internal consistency failure: x" in capsys.readouterr().err
 
+    def test_inexact_subresultant_division_is_an_internal_failure(self, monkeypatch, capsys):
+        # a Bareiss inverse whose denominator is off by a large prime makes
+        # the resultant's exact divisions leave a remainder
+        inverse = field._zinverse
+
+        def off(nums, mod):
+            y, d = inverse(nums, mod)
+            return y, d * (2 ** 61 - 1)
+
+        monkeypatch.setattr(field, "_zinverse", off)
+        assert run(["fibre", "x^4+x+1", "--prime", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "internal consistency failure: subresultant division is not exact" in err
+
     def test_geometric_over_unramified_base(self, capsys):
         # extending GF(25) by a cubic with prime-field coefficients: the
         # first generator tried lies in GF(125), not a primitive element
