@@ -73,12 +73,27 @@ class NotSeparable(ValueError):
 
 
 def vp_int(n: int, p: int) -> int:
+    """The exponent of p in n != 0, in O(log v) divisions: divide by
+    p, p^2, p^4, ... while they divide, then by the same powers downwards."""
     if n == 0:
         raise ValueError("valuation of integer 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    n //= p
+    v = 1
+    powers = []  # powers[k] = p^(2^k), each of which has divided n
+    q = p
+    while n % q == 0:
+        n //= q
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    # what is left of v is below 2^len(powers): take its binary digits
+    while powers:
+        q = powers.pop()
+        if n % q == 0:
+            n //= q
+            v += 1 << len(powers)
     return v
 
 

@@ -17,6 +17,15 @@ of a residual polynomial are recoverable.
 No graded ring is ever materialized: a Laurent value is a pair
 (shift, polynomial) and mapping one level up means evaluating the variable
 at the designated generator through the recorded embedding.
+
+Values travel as integers scaled by the group index of their level (see
+valuation.py): the Newton polygon's hull, the line value alpha of a
+reduction and its on-line indices, and the alpha handed down the graded
+maps.  The value of a term a_s one level down is (A - s h_i) / e_i for the
+scaled alpha A; that division, and the one giving ``h_exponent``, is exact
+by the theory and checked, and a remainder raises AssertionError naming the
+law.  Fractions appear only at the public boundary: polygon vertices and
+slopes, ``Reduction.alpha``, and the alpha given to ``graded_H``.
 """
 
 from __future__ import annotations
@@ -60,16 +69,22 @@ class EdgeData:
 
 
 class NewtonPolygon:
-    """Lower convex hull of the expansion points (i, v_prev(a_i))."""
+    """Lower convex hull of the expansion points (i, v_prev(a_i)).
 
-    def __init__(self, points):
-        self.vertices = _lower_hull(sorted(points))
+    ``scaled`` holds the vertices (i, e * v_prev(a_i)) over the group index
+    e of v_prev; ``vertices`` the same points with their values.
+    """
+
+    def __init__(self, scaled, e: int):
+        self.scaled = scaled
+        self.e = e
+        self.vertices = [(i, Fraction(u, e)) for i, u in scaled]
 
     def edges(self) -> List[EdgeData]:
         out = []
-        for (i0, u0), (i1, u1) in zip(self.vertices, self.vertices[1:]):
-            lam = Fraction(u0 - u1, i1 - i0)
-            out.append(EdgeData(lam, i0, u0, i1, u1))
+        for k, ((i0, s0), (i1, s1)) in enumerate(zip(self.scaled, self.scaled[1:])):
+            lam = Fraction(s0 - s1, self.e * (i1 - i0))
+            out.append(EdgeData(lam, i0, self.vertices[k][1], i1, self.vertices[k + 1][1]))
         return out
 
     def slopes(self):
@@ -96,24 +111,19 @@ def _lower_hull(points):
 def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly) -> NewtonPolygon:
     if f.is_zero():
         raise ValueError("Newton polygon of the zero polynomial")
-    pts = []
-    for i, a in enumerate(f.phi_expand(phi)):
-        if not a.is_zero():
-            pts.append((i, v_prev.eval(a)))
-    return NewtonPolygon(pts)
+    n = v_prev.depth
+    pts = [(i, v_prev._scaled(n, a)) for i, a in enumerate(f.phi_expand(phi)) if a.rows]
+    return NewtonPolygon(_lower_hull(pts), v_prev.e_levels[-1])
 
 
 def principal_part(N: NewtonPolygon, vphi) -> NewtonPolygon:
     """Sub-polygon of the edges with slope < -vphi."""
-    verts = [N.vertices[0]]
-    for (i0, u0), (i1, u1) in zip(N.vertices, N.vertices[1:]):
-        slope = Fraction(u1 - u0, i1 - i0)
-        if slope < -vphi:
-            verts.append((i1, u1))
-        else:
+    k = 1
+    for (i0, s0), (i1, s1) in zip(N.scaled, N.scaled[1:]):
+        if Fraction(s1 - s0, N.e * (i1 - i0)) >= -vphi:
             break
-    # the vertices of a lower hull are their own lower hull
-    return NewtonPolygon(verts)
+        k += 1
+    return NewtonPolygon(N.scaled[:k], N.e)
 
 
 def selected_edge(N: NewtonPolygon, lam) -> EdgeData:
@@ -121,15 +131,12 @@ def selected_edge(N: NewtonPolygon, lam) -> EdgeData:
     if lam is OO:
         i1, u1 = N.vertices[0]
         return EdgeData(OO, 0, OO, i1, u1)
-    best = None
-    lo = hi = None
-    for (i, u) in N.vertices:
-        key = u + lam * i
-        if best is None or key < best:
-            best, lo, hi = key, (i, u), (i, u)
-        elif key == best:
-            hi = (i, u)
-    return EdgeData(lam, lo[0], lo[1], hi[0], hi[1])
+    # the line's height at a vertex, scaled by e * denominator(lam)
+    keys = [s * lam.denominator + N.e * lam.numerator * i for i, s in N.scaled]
+    best = min(keys)
+    on_line = [k for k, key in enumerate(keys) if key == best]
+    (i0, u0), (i1, u1) = N.vertices[on_line[0]], N.vertices[on_line[-1]]
+    return EdgeData(lam, i0, u0, i1, u1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +207,28 @@ class Laurent:
         return f"X^{self.shift} * {self.poly!r}"
 
 
+def _exact(num: int, den: int, law: str) -> int:
+    """num / den, which the law named says is an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{law}: {num}/{den} is not an integer")
+    return q
+
+
+def _child_value(v: MacLaneVal, level: int, scaled_alpha: int, s: int) -> int:
+    """e_{level-1} (alpha - s lambda_level), from alpha scaled by e_level:
+    the value a phi_level-adic coefficient a_s needs for a_s phi^s to have
+    value alpha.  Along s, s + e_level, ... it falls by h_level per step."""
+    return _exact(scaled_alpha - s * v.h_rel[level], v.e_rel[level],
+                  f"graded value in the value group at level {level - 1}")
+
+
 def _ui_pair(e_i: int, h_i: int, scaled_alpha: int):
     """u, i with u*e_i + i*h_i = scaled_alpha and 0 <= i < e_i."""
     if e_i == 1:
-        return scaled_alpha - 0, 0
+        return scaled_alpha, 0
     i = (scaled_alpha * pow(h_i, -1, e_i)) % e_i
-    u = (scaled_alpha - i * h_i) // e_i
-    return u, i
+    return _exact(scaled_alpha - i * h_i, e_i, "graded value in the value group"), i
 
 
 def graded_H(v: MacLaneVal, level: int, alpha, g: KPoly) -> Laurent:
@@ -214,45 +236,37 @@ def graded_H(v: MacLaneVal, level: int, alpha, g: KPoly) -> Laurent:
 
     alpha must lie in the value group of the depth-``level`` truncation.
     """
-    tower = residue_tower(v)
-    return _graded_H(v, tower, level, alpha, g)
+    scaled = alpha * v.e_levels[level]
+    if Fraction(scaled).denominator != 1:
+        raise AlphaNotInValueGroup(f"{alpha} is not in the value group at level {level}")
+    return _graded_H(v, residue_tower(v), level, int(scaled), g)
 
 
-def _graded_H(v: MacLaneVal, tower: ResidueTower, level: int, alpha, g: KPoly) -> Laurent:
+def _graded_H(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
+              g: KPoly) -> Laurent:
+    """graded_H with alpha given as e_level * alpha."""
     kf = tower.fields[level]
     if g.is_zero():
         return Laurent(kf, 0, FFPoly(kf, []))
-    scaled = alpha * v.e_levels[level]
-    if not isinstance(scaled, int) and Fraction(scaled).denominator != 1:
-        raise AlphaNotInValueGroup(f"{alpha} is not in the value group at level {level}")
-    scaled = int(scaled)
-    val = v._eval_level(level, g)
-    if val > alpha:
+    val = v._scaled(level, g)
+    if val > scaled_alpha:
         return Laurent(kf, 0, FFPoly(kf, []))
-    if val < alpha:
+    if val < scaled_alpha:
         raise ValueError("graded reduction of an element below the stated degree")
     if level == 0:
-        return Laurent(kf, 0, g.residue(scaled))
-    e_i = v.e_rel[level]
-    h_i = v.h_rel[level]
-    lam = v.steps[level - 1].lam
-    phi = v.steps[level - 1].phi
-    u_a, i_a = _ui_pair(e_i, h_i, scaled)
+        return Laurent(kf, 0, g.residue(scaled_alpha))
+    e_i, h_i = v.e_rel[level], v.h_rel[level]
+    u_a, i_a = _ui_pair(e_i, h_i, scaled_alpha)
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
+    # u_a again, from i_a alone: an index off the progression leaves a remainder
+    child = _child_value(v, level, scaled_alpha, i_a)
     coeffs = []
-    expansion = g.phi_expand(phi)
-    j = 0
-    s = i_a
-    while s < len(expansion):
-        a_s = expansion[s]
-        alpha_j = alpha - s * lam
+    for a_s in g.phi_expand(v.steps[level - 1].phi)[i_a::e_i]:
         if a_s.is_zero():
             coeffs.append(kf.zero)
         else:
-            inner = _graded_H(v, tower, level - 1, alpha_j, a_s)
-            coeffs.append(_rho(tower, level, inner))
-        j += 1
-        s = i_a + j * e_i
+            coeffs.append(_rho(tower, level, _graded_H(v, tower, level - 1, child, a_s)))
+        child -= h_i
     return Laurent(kf, c_a, FFPoly(kf, coeffs))
 
 
@@ -309,38 +323,31 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     if f.is_zero():
         raise ValueError("reduction of the zero polynomial")
     if v.is_gauss:
-        alpha = v.eval(f)
-        return Reduction(f.residue(int(alpha)), alpha, 0, f.degree, 1, 0)
+        alpha = v._scaled(0, f)
+        return Reduction(f.residue(alpha), Fraction(alpha), 0, f.degree, 1, 0)
     if v.is_pseudo:
         raise ValueError("reduction with respect to an infinite pseudo-valuation")
     tower = residue_tower(v)
     n = v.depth
-    lam = v.steps[-1].lam
-    phi = v.steps[-1].phi
-    prev = v.truncation(n - 1)
-    expansion = f.phi_expand(phi)
-    terms = [(s, prev.eval(a) + lam * s) for s, a in enumerate(expansion)
-             if not a.is_zero()]
+    e_n, h_n = v.e_rel[n], v.h_rel[n]
+    expansion = f.phi_expand(v.steps[-1].phi)
+    # the values e_n * v_{n-1}(a_s) + h_n * s of the terms, scaled by e_v
+    terms = [(s, e_n * v._scaled(n - 1, a) + h_n * s) for s, a in enumerate(expansion)
+             if a.rows]
     alpha = min(t for _, t in terms)
     on_line = [s for s, t in terms if t == alpha]
     i0, i1 = on_line[0], on_line[-1]
-    e_n = v.e_rel[n]
     kf = tower.top
+    child = _child_value(v, n, alpha, i0)
     coeffs = []
-    for j in range((i1 - i0) // e_n + 1):
-        s = i0 + j * e_n
-        a_s = expansion[s] if s < len(expansion) else KPoly(v.field, [])
+    for a_s in expansion[i0:i1 + 1:e_n]:
         if a_s.is_zero():
             coeffs.append(kf.zero)
-            continue
-        alpha_j = alpha - s * lam
-        inner = _graded_H(v, tower, n - 1, alpha_j, a_s)
-        coeffs.append(_rho(tower, n, inner))
-    poly = FFPoly(kf, coeffs)
-    h_exp = Fraction(i0, e_n) - v.ell[n] * v.e_levels[n - 1] * alpha
-    if h_exp.denominator != 1:
-        raise AssertionError("graded shift exponent must be an integer")
-    return Reduction(poly, alpha, i0, i1, e_n, int(h_exp))
+        else:
+            coeffs.append(_rho(tower, n, _graded_H(v, tower, n - 1, child, a_s)))
+        child -= h_n
+    h_exp = _exact(i0 - v.ell[n] * alpha, e_n, "integral graded shift exponent")
+    return Reduction(FFPoly(kf, coeffs), Fraction(alpha, v.e_levels[n]), i0, i1, e_n, h_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -406,37 +413,31 @@ def _decompose_over_step(tower: ResidueTower, level: int, c: FFElem):
     return [FFElem._of(sub, sol[lo:lo + d]) for lo in range(0, len(sol), d)]
 
 
-def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, alpha, c: FFElem) -> KPoly:
+def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
+                c: FFElem) -> KPoly:
     """Preimage construction: a in K[x] with deg a < deg phi_{level+1},
-    value alpha at depth ``level``, and rho(H(level, alpha, a)) = c."""
+    value alpha = scaled_alpha / e_level at depth ``level``, and
+    rho(H(level, alpha, a)) = c."""
     K = v.field
     if c.is_zero():
         raise ValueError("preimage of zero requested")
     if level == 0:
-        scaled = int(alpha)
         parts = _decompose_over_step(tower, 1, c)
         lift = KPoly(K, [_lift_subfield_elem(K, t) for t in parts])
-        return lift.scale(K.rat(Fraction(K.p) ** scaled))
-    e_i = v.e_rel[level]
-    h_i = v.h_rel[level]
-    lam = v.steps[level - 1].lam
-    phi = v.steps[level - 1].phi
-    scaled = alpha * v.e_levels[level]
-    if Fraction(scaled).denominator != 1:
-        raise AssertionError("preimage value is not in the value group")
-    u_a, i_a = _ui_pair(e_i, h_i, int(scaled))
+        return lift.scale(K.rat(Fraction(K.p) ** scaled_alpha))
+    e_i, h_i = v.e_rel[level], v.h_rel[level]
+    u_a, i_a = _ui_pair(e_i, h_i, scaled_alpha)
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
     gen_up = tower.gens[level + 1]
     target = c * gen_up ** (-c_a) if c_a else c
     parts = _decompose_over_step(tower, level + 1, target)
+    phi = v.steps[level - 1].phi
+    child = _child_value(v, level, scaled_alpha, i_a)
     acc = KPoly(K, [])
     for j, t_j in enumerate(parts):
-        if t_j.is_zero():
-            continue
-        s = i_a + j * e_i
-        alpha_j = alpha - s * lam
-        a_j = _inv_graded(v, tower, level - 1, alpha_j, t_j)
-        acc = acc + a_j * phi ** s
+        if not t_j.is_zero():
+            a_j = _inv_graded(v, tower, level - 1, child - j * h_i, t_j)
+            acc = acc + a_j * phi ** (i_a + j * e_i)
     return acc
 
 
@@ -463,7 +464,6 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
         return phi
     n = v.depth
     e_n = v.e_rel[n]
-    lam = v.steps[-1].lam
     phi_n = v.steps[-1].phi
     d = h.degree
     acc = phi_n ** (d * e_n)
@@ -471,8 +471,8 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
         c_j = h[j]
         if c_j.is_zero():
             continue
-        alpha_j = (d - j) * e_n * lam
-        a_j = _inv_graded(v, tower, n - 1, alpha_j, c_j)
+        # alpha_j = (d - j) e_n lambda_n at depth n - 1, times e_{n-1}
+        a_j = _inv_graded(v, tower, n - 1, (d - j) * v.h_rel[n], c_j)
         acc = acc + a_j * phi_n ** (j * e_n)
     if acc.gauss_val() < 0:
         raise AssertionError("lifted key has non-integral coefficients")

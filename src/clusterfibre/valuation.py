@@ -14,6 +14,17 @@ the Bezout pair ell_i h_i + ell'_i e_i = 1 with 0 <= ell_i < e_i) are
 computed eagerly at construction; chains have depth at most log2(deg f), so
 there is nothing to defer.
 
+Values at depth i lie in (1/e_{v_i}) Z, so the evaluation kernel
+``_scaled`` works on the integers e_{v_i} v_i, in which the recursion reads
+
+    e_{v_i} v_i(g) = min_s ( e_i * e_{v_{i-1}} v_{i-1}(a_s) + h_i * s ),
+
+with only s = 0 kept on an infinite last step.  A centre of degree above
+deg g expands g to itself, so v_i(g) = v_{i-1}(g) there, and the kernel
+starts at the deepest level whose centre has degree at most deg g.  The
+radii lambda_i are kept as given (Fraction or int); ``eval`` converts the
+scaled value to a Fraction once, and the order and meet compare those.
+
 Comparison uses the discoid order: v <= w exactly when w sends the centre of
 a minimal chain of v to at least v's radius.  The meet walks the minimal
 chain of one argument and caps the first step that overshoots, which is
@@ -76,12 +87,14 @@ class MacLaneVal:
     # -- construction -----------------------------------------------------
 
     def _validate_and_cache(self):
+        # the lists are filled step by step, so the kernel evaluates each
+        # prefix on the data of the steps below it
+        self.e_levels = e_levels = [1]
+        self.e_rel = e_rel = [None]
+        self.h_rel = h_rel = [None]
+        self.ell = ell = [None]
+        self.ellp = ellp = [None]
         prev_deg = None
-        e_levels = [1]
-        e_rel = [None]
-        h_rel = [None]
-        ell = [None]
-        ellp = [None]
         for idx, step in enumerate(self.steps):
             phi, lam = step.phi, step.lam
             if not phi.is_monic() or phi.degree < 1:
@@ -91,17 +104,16 @@ class MacLaneVal:
             if prev_deg is not None and phi.degree % prev_deg:
                 raise BadChain("centre degrees must divide along the chain")
             prev_deg = phi.degree
-            vphi = self._eval_level(idx, phi)
-            if lam is not OO and lam <= vphi:
+            vphi = self._scaled(idx, phi)
+            if lam is not OO and lam.numerator * e_levels[-1] <= vphi * lam.denominator:
                 raise RadiusNotAboveCentreValue(
                     "augmentation radius must exceed the current centre value")
             if lam is OO and idx != len(self.steps) - 1:
                 raise BadChain("only the final radius may be infinite")
             if idx > 0:
-                prev_phi = self.steps[idx - 1].phi
-                diff = phi - prev_phi
+                diff = phi - self.steps[idx - 1].phi
                 # MacLane chain condition: phi not v-equivalent to the previous centre
-                if diff.is_zero() or self._eval_level(idx, diff) > vphi:
+                if diff.is_zero() or self._scaled(idx, diff) > vphi:
                     raise BadChain("consecutive centres must not be v-equivalent")
             if lam is OO:
                 e_levels.append(e_levels[-1])
@@ -110,22 +122,16 @@ class MacLaneVal:
                 ell.append(None)
                 ellp.append(None)
             else:
-                den = Fraction(lam).denominator
-                ev = lcm(e_levels[-1], den)
+                ev = lcm(e_levels[-1], lam.denominator)
                 e_levels.append(ev)
                 e_i = ev // e_levels[-2]
-                h_i = int(ev * lam)
+                h_i = ev // lam.denominator * lam.numerator
                 l_i = pow(h_i, -1, e_i) % e_i if e_i > 1 else 0
                 lp_i = (1 - l_i * h_i) // e_i
                 e_rel.append(e_i)
                 h_rel.append(h_i)
                 ell.append(l_i)
                 ellp.append(lp_i)
-        self.e_levels = e_levels
-        self.e_rel = e_rel
-        self.h_rel = h_rel
-        self.ell = ell
-        self.ellp = ellp
 
     @staticmethod
     def gauss(field: BaseField) -> "MacLaneVal":
@@ -206,31 +212,41 @@ class MacLaneVal:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, g: KPoly):
-        if g.is_zero():
-            return OO
-        return self._eval_level(self.depth, g)
+        """v(g), an extended rational."""
+        scaled = self._scaled(self.depth, g)
+        return OO if scaled is OO else Fraction(scaled, self.e_levels[-1])
 
-    def _eval_level(self, level: int, g: KPoly):
-        if g.is_zero():
+    def _scaled(self, level: int, g: KPoly):
+        """e_level * v_level(g): an int, or OO when g is zero or vanishes on a
+        pseudo step.  v_level is the valuation of the depth-``level`` prefix
+        and e_level its group index."""
+        if not g.rows:
             return OO
-        if level == 0:
-            return g.gauss_val()
-        phi, lam = self.steps[level - 1].phi, self.steps[level - 1].lam
-        best = OO
-        for s, a in enumerate(g.phi_expand(phi)):
-            if a.is_zero():
-                continue
-            term = self._eval_level(level - 1, a) + lam * s
-            if term is not OO and (best is OO or term < best):
-                best = term
-        return best
+        # a centre of degree above deg g leaves its level's value unchanged
+        j, steps, deg = level, self.steps, g.degree
+        while j and steps[j - 1].phi.degree > deg:
+            j -= 1
+        if j == 0:
+            val = g.gauss_val()
+        else:
+            expansion = g.phi_expand(steps[j - 1].phi)
+            e_j, h_j = self.e_rel[j], self.h_rel[j]
+            if h_j is None:
+                # an infinite radius keeps only the constant term
+                val = self._scaled(j - 1, expansion[0])
+            else:
+                val = min(e_j * self._scaled(j - 1, a) + h_j * s
+                          for s, a in enumerate(expansion) if a.rows)
+        if j == level or val is OO:
+            return val
+        return val * (self.e_levels[level] // self.e_levels[j])
 
     def equiv(self, g: KPoly, h: KPoly) -> bool:
         """g =_v h, tested as v(g - h) > v(g)."""
         diff = g - h
         if diff.is_zero():
             return True
-        return self.eval(diff) > self.eval(g)
+        return self._scaled(self.depth, diff) > self._scaled(self.depth, g)
 
     # -- order structure ----------------------------------------------------
 

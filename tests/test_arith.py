@@ -132,6 +132,46 @@ class TestPrimality:
             BaseField(2 ** 89 - 1)  # a Mersenne prime past the bound
 
 
+def _vp_naive(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@st.composite
+def _valued_integer(draw):
+    """(n, p) with n = +-u * p^k, p | u allowed; k above 5000 for small p."""
+    p = draw(st.one_of(st.sampled_from([2, 3, 5, 7, 101]),
+                       st.integers(2, field.PRIME_BOUND)))
+    k = draw(st.integers(0, 6000 if p < 1000 else 40))
+    u = draw(st.integers(1, 10 ** 30)) * draw(st.sampled_from([1, -1]))
+    return u * p ** k, p
+
+
+class TestIntegerValuation:
+    """field.vp_int, which divides by p^(2^k), against the plain loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_valued_integer())
+    def test_against_the_loop(self, np_):
+        n, p = np_
+        assert field.vp_int(n, p) == _vp_naive(n, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, field.PRIME_BOUND - 2])
+    def test_long_valuations(self, p):
+        for k in (0, 1, 2, 3, 5000, 5001, 2 ** 13 - 1, 2 ** 13):
+            if p > 7 and k > 100:
+                continue
+            for u in (1, -1, p + 1, p * p - 1):
+                assert field.vp_int(u * p ** k, p) == k + _vp_naive(u, p)
+
+    def test_zero_is_refused(self):
+        with pytest.raises(ValueError):
+            field.vp_int(0, 5)
+
+
 class TestPhiExpand:
     def test_simple_square(self):
         K = BaseField(5)

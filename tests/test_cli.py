@@ -15,7 +15,7 @@ import pytest
 
 import clusterfibre
 from clusterfibre.field import BaseField
-from clusterfibre import cli, field
+from clusterfibre import cli, field, newton
 from clusterfibre.cli import parse_poly, PolySyntaxError, run
 
 
@@ -202,6 +202,21 @@ class TestCommands:
         assert run(["fibre", "x^4+x+1", "--prime", "3"]) == 2
         err = capsys.readouterr().err
         assert "internal consistency failure: subresultant division is not exact" in err
+
+    def test_broken_integrality_is_an_internal_failure(self, monkeypatch, capsys):
+        # an index i off by one on a level with e_i = 2 puts the graded
+        # values of the expansion terms off the value group; the scaled
+        # kernel must stop there, not floor them into a wrong residue
+        ui_pair = newton._ui_pair
+
+        def off(e_i, h_i, scaled_alpha):
+            u, i = ui_pair(e_i, h_i, scaled_alpha)
+            return u, (i + 1) % e_i
+
+        monkeypatch.setattr(newton, "_ui_pair", off)
+        assert run(["fibre", "(x^2-5)^3 - 5^5", "--prime", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "internal consistency failure: graded value in the value group at level 0" in err
 
     def test_geometric_over_unramified_base(self, capsys):
         # extending GF(25) by a cubic with prime-field coefficients: the

@@ -1,11 +1,17 @@
 """Chain evaluation, comparison, meet, and chain numerics."""
 
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clusterfibre.field import BaseField
+from clusterfibre import newton, valuation
+from clusterfibre.ff import FFPoly
+from clusterfibre.field import BaseField, KPoly
+from clusterfibre.newton import (Laurent, augment, graded_H, newton_polygon,
+                                 principal_part, reduce_poly, residue_tower, selected_edge)
 from clusterfibre.rationals import OO
 from clusterfibre.valuation import (MacLaneVal, AugStep, BadChain,
                                     RadiusNotAboveCentreValue)
@@ -258,3 +264,212 @@ class TestAugmentMonotone:
             assert v2.eval(g) >= v1.eval(g)
             if g.degree < 2:
                 assert v2.eval(g) == v1.eval(g)
+
+
+# ---------------------------------------------------------------------------
+# The scaled kernel against a Fraction model of the full descent
+
+
+def _model_eval(v, level, g):
+    """v_level(g) by descending every level, with Fraction sums."""
+    if g.is_zero():
+        return OO
+    if level == 0:
+        return F(g.gauss_val())
+    step = v.steps[level - 1]
+    best = OO
+    for s, a in enumerate(g.phi_expand(step.phi)):
+        if a.is_zero():
+            continue
+        term = _model_eval(v, level - 1, a) + step.lam * s
+        if term is not OO and (best is OO or term < best):
+            best = term
+    return best
+
+
+def _model_hull(points):
+    verts = []
+    for bx, by in points:
+        while len(verts) >= 2:
+            (ox, oy), (ax, ay) = verts[-2], verts[-1]
+            if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= 0:
+                verts.pop()
+            else:
+                break
+        verts.append((bx, by))
+    return verts
+
+
+def _model_H(v, tower, level, alpha, g):
+    """(shift, poly) of H_{level, alpha}(g), alpha a Fraction."""
+    kf = tower.fields[level]
+    if g.is_zero() or _model_eval(v, level, g) > alpha:
+        return 0, FFPoly(kf, [])
+    assert _model_eval(v, level, g) == alpha
+    if level == 0:
+        return 0, g.residue(int(alpha))
+    lam, phi = v.steps[level - 1].lam, v.steps[level - 1].phi
+    e_i, e_prev = v.e_rel[level], v.e_levels[level - 1]
+    i_a = next(i for i in range(e_i) if ((alpha - i * lam) * e_prev).denominator == 1)
+    u_a = int((alpha - i_a * lam) * e_prev)
+    expansion = g.phi_expand(phi)
+    coeffs = []
+    for s in range(i_a, len(expansion), e_i):
+        shift, poly = _model_H(v, tower, level - 1, alpha - s * lam, expansion[s])
+        coeffs.append(newton._rho(tower, level, Laurent(tower.fields[level - 1], shift, poly)))
+    return v.ellp[level] * i_a - v.ell[level] * u_a, FFPoly(kf, coeffs)
+
+
+def _model_reduce(v, f):
+    """(poly, alpha, i0, i1, b, h_exponent) of reduce_poly(v, f)."""
+    if v.is_gauss:
+        alpha = F(f.gauss_val())
+        return f.residue(int(alpha)), alpha, 0, f.degree, 1, 0
+    tower = residue_tower(v)
+    n, lam, phi = v.depth, v.steps[-1].lam, v.steps[-1].phi
+    expansion = f.phi_expand(phi)
+    terms = [(s, _model_eval(v, n - 1, a) + lam * s) for s, a in enumerate(expansion)
+             if not a.is_zero()]
+    alpha = min(t for _, t in terms)
+    on_line = [s for s, t in terms if t == alpha]
+    i0, i1, e_n = on_line[0], on_line[-1], v.e_rel[n]
+    coeffs = []
+    for s in range(i0, i1 + 1, e_n):
+        shift, poly = _model_H(v, tower, n - 1, alpha - s * lam, expansion[s])
+        coeffs.append(newton._rho(tower, n, Laurent(tower.fields[n - 1], shift, poly)))
+    h_exp = F(i0, e_n) - v.ell[n] * v.e_levels[n - 1] * alpha
+    assert h_exp.denominator == 1
+    return FFPoly(tower.top, coeffs), alpha, i0, i1, e_n, int(h_exp)
+
+
+@functools.lru_cache(maxsize=None)
+def _chains(p, m):
+    """Checked chains over Q_p(theta) (theta = 0 for m = 1), by name:
+    'linear' repeats degree 1 (the shape of products of rational roots) and
+    ends with e = 2; 'ramified' has e = 2 and e = 3 at its two levels;
+    'pseudo' is 'ramified' closed by an infinite radius."""
+    K = BaseField(p, m)
+    t = K.theta if m > 1 else K.zero
+    x = K.x()
+    y = x - K.poly([t])
+    v0 = MacLaneVal.gauss(K)
+    lin = augment(v0, y, F(1))
+    lin = augment(lin, y - K.poly([p]), F(2))
+    lin = augment(lin, y - K.poly([p]) + K.poly([p * p]) * K.poly([K.one + t]), F(7, 2))
+    quad = y * y - K.poly([p])
+    ram = augment(augment(v0, y, F(1, 2)), quad, F(5, 3))
+    pseudo = augment(ram, quad ** 3 - K.poly([p ** 5]), OO)
+    return K, {"linear": lin, "ramified": ram, "pseudo": pseudo}
+
+
+_FIELDS = [(3, 1), (5, 1), (3, 2)]
+
+
+@st.composite
+def _test_poly(draw, K, v):
+    """h * phi^k + r for a centre phi of v: terms on several lines."""
+    p = K.p
+
+    def small():
+        d = draw(st.integers(0, 3))
+        cs = []
+        for _ in range(d + 1):
+            nums = [draw(st.integers(-2 * p, 2 * p)) for _ in range(K.m)]
+            cs.append(K.elem(*[F(n, p ** draw(st.integers(0, 1))) for n in nums]))
+        return K.poly(cs)
+
+    phi = draw(st.sampled_from([K.x()] + [s.phi for s in v.steps]))
+    g = small() * phi ** draw(st.integers(0, 2)) + draw(st.sampled_from([K.poly([]), small()]))
+    return g if not g.is_zero() else K.poly([1])
+
+
+class TestScaledKernel:
+    """eval, newton_polygon, reduce_poly and graded_H on the scaled kernel,
+    against the Fraction model of the full descent."""
+
+    @pytest.mark.parametrize("name", ["linear", "ramified", "pseudo"])
+    @pytest.mark.parametrize("pm", _FIELDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_against_the_fraction_model(self, pm, name, data):
+        K, chains = _chains(*pm)
+        v = chains[name]
+        g = data.draw(_test_poly(K, v))
+        for d in range(v.depth + 1):
+            w = v.truncation(d)
+            val = w.eval(g)
+            assert val == _model_eval(v, d, g)
+            assert val is OO or type(val) is F
+            if d < v.depth:
+                phi = v.steps[d].phi
+                N = newton_polygon(w, phi, g)
+                points = [(i, _model_eval(v, d, a)) for i, a in enumerate(g.phi_expand(phi))
+                          if not a.is_zero()]
+                hull = _model_hull(points)
+                edges = [(F(u0 - u1, i1 - i0), i0, u0, i1, u1)
+                         for (i0, u0), (i1, u1) in zip(hull, hull[1:])]
+                assert N.vertices == hull
+                assert [(e.lam, e.i0, e.u0, e.i1, e.u1) for e in N.edges()] == edges
+                for lam, i0, _, i1, _ in edges:
+                    e = selected_edge(N, lam)
+                    assert (e.i0, e.i1) == (i0, i1)
+                vphi = _model_eval(v, d, phi)
+                steep = sum(lam > vphi for lam, *_ in edges)
+                assert principal_part(N, vphi).vertices == hull[:steep + 1]
+            if w.is_pseudo:
+                continue
+            red = reduce_poly(w, g)
+            got = (red.poly, red.alpha, red.i0, red.i1, red.b, red.h_exponent)
+            assert got == _model_reduce(w, g)
+            assert type(red.alpha) is F
+            tower = residue_tower(w)
+            for level in range(d + 1):
+                alpha = _model_eval(v, level, g)
+                lau = graded_H(w, level, alpha, g)
+                assert (lau.shift, lau.poly) == _model_H(w, tower, level, alpha, g)
+
+    def test_level_skipping_saves_expansions(self, monkeypatch):
+        # constants and centres of lower degree are never expanded by the
+        # degree-1 centres above them
+        K, chains = _chains(5, 1)
+        v = chains["linear"]
+        g = K.poly([25, 5])
+        assert _model_eval(v, v.depth, g) == 2
+        calls = []
+        expand = KPoly.phi_expand
+
+        def counting(self, phi):
+            calls.append(phi)
+            return expand(self, phi)
+
+        monkeypatch.setattr(KPoly, "phi_expand", counting)
+        assert v.eval(g) == 2
+        assert calls == [v.centre]  # each coefficient a_s is a constant
+
+    def test_fraction_count(self, monkeypatch):
+        # eval and reduce_poly build at most one Fraction per call: the
+        # conversion of the scaled value at the boundary
+        K, chains = _chains(5, 1)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return F(*args)
+
+        rng = random.Random(3)
+        polys = [K.poly([rng.randrange(-30, 30) for _ in range(rng.randrange(1, 9))]) + K.x() ** 7
+                 for _ in range(25)]
+        for v in chains.values():
+            residue_tower(v)
+        monkeypatch.setattr(valuation, "Fraction", counting)
+        monkeypatch.setattr(newton, "Fraction", counting)
+        assert chains["linear"].depth == 3
+        for v in chains.values():
+            for g in polys:
+                del built[:]
+                v.eval(g)
+                assert len(built) <= 1
+                if not v.is_pseudo:
+                    del built[:]
+                    reduce_poly(v, g)
+                    assert len(built) <= 1
