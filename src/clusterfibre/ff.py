@@ -209,27 +209,35 @@ class Embedding:
     """
 
     def __init__(self, src: FField, dst: FField, matrix=None):
+        if matrix is None and dst is not src:
+            raise TypeError("identity embedding with distinct fields")
         self.src = src
         self.dst = dst
         self.matrix = matrix  # list of dst-coordinate tuples, one per src basis vector
 
+    def image(self, rows):
+        """The flat target coordinates of the flat source coordinates
+        ``rows``, src.degree of them per element."""
+        if self.matrix is None:
+            return rows
+        p, d, out = self.dst.p, self.src.degree, []
+        for lo in range(0, len(rows), d):
+            acc = [0] * self.dst.degree
+            for c, col in zip(rows[lo:lo + d], self.matrix):
+                if c:
+                    acc = [a + c * m for a, m in zip(acc, col)]
+            out += [a % p for a in acc]
+        return out
+
     def __call__(self, x: FFElem) -> FFElem:
         if x.field is not self.src:
             raise TypeError("element not in the embedding's source field")
-        if self.matrix is None:
-            if self.dst is not self.src:
-                raise TypeError("identity embedding with distinct fields")
-            return x
-        p = self.dst.p
-        out = [0] * self.dst.degree
-        for c, col in zip(x.coords, self.matrix):
-            if c:
-                for i, m in enumerate(col):
-                    out[i] = (out[i] + c * m) % p
-        return FFElem._of(self.dst, out)
+        return x if self.matrix is None else FFElem._of(self.dst, self.image(x.coords))
 
     def map_poly(self, f: "FFPoly") -> "FFPoly":
-        return FFPoly(self.dst, [self(c) for c in f.coeffs])
+        if f.field is not self.src:
+            raise TypeError("polynomial not over the embedding's source field")
+        return FFPoly._of(self.dst, self.image(f.rows))
 
     @staticmethod
     def identity(F: FField) -> "Embedding":

@@ -132,13 +132,13 @@ def _content_val(nums, den, p):
     g = gcd(*nums)
     if not g:
         return OO
-    return vp_int(g, p) - vp_int(den, p)
+    return vp_int(g, p) - (vp_int(den, p) if den != 1 else 0)
 
 
 def _residues(nums, den, p, shift=0):
     """The coordinates of p^(-shift) * nums / den mod p.  Raises
     NegativeValuation when one of them has negative valuation."""
-    e = vp_int(den, p)
+    e = vp_int(den, p) if den != 1 else 0
     inv = pow(den // p ** e, -1, p)
     e += shift
     if e < 0:

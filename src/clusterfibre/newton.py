@@ -10,13 +10,17 @@ The graded reduction H(level, alpha, g) returns a Laurent polynomial over
 k_level, computed by recursive descent on phi-adic expansions: only the
 expansion terms sitting on the line u + lambda*i = alpha contribute, their
 indices form an arithmetic progression with gap e_level, and each
-contributes its own lower-level H image.  The Laurent monomial twist
+contributes its own lower-level H image.  Each term's value is computed
+once: ``reduce_poly`` keeps the values it finds the line with, and the
+internal ``_graded_H`` takes a g already known to have value alpha and
+evaluates only its progression one level down.  The Laurent monomial twist
 X^{c(alpha)} is carried as an explicit integer shift so both normalizations
 of a residual polynomial are recoverable.
 
 No graded ring is ever materialized: a Laurent value is a pair
-(shift, polynomial) and mapping one level up means evaluating the variable
-at the designated generator through the recorded embedding.
+(shift, polynomial), and mapping one level up takes the flat coordinates of
+its coefficients through the step embedding, then evaluates
+X^shift * poly(X) at the step generator by Horner's rule.
 
 Values travel as integers scaled by the group index of their level (see
 valuation.py): the Newton polygon's hull, the line value alpha of a
@@ -34,7 +38,8 @@ from fractions import Fraction
 from typing import List
 
 from .field import KPoly, expansion_scope
-from .ff import FField, FFElem, FFPoly, ff_extend, is_irreducible, _gauss_solve_mod_p
+from .ff import (FField, FFElem, FFPoly, ff_extend, is_irreducible, _fmul,
+                 _gauss_solve_mod_p)
 from .rationals import OO
 from .valuation import MacLaneVal, NotAKeyPolynomial, RadiusNotAboveCentreValue
 
@@ -234,56 +239,68 @@ def _ui_pair(e_i: int, h_i: int, scaled_alpha: int):
 def graded_H(v: MacLaneVal, level: int, alpha, g: KPoly) -> Laurent:
     """H_{level, alpha}(g): zero if the level value of g exceeds alpha.
 
-    alpha must lie in the value group of the depth-``level`` truncation.
+    alpha must lie in the value group of the depth-``level`` truncation, and
+    a g of value below alpha raises ValueError.
     """
     scaled = alpha * v.e_levels[level]
     if Fraction(scaled).denominator != 1:
         raise AlphaNotInValueGroup(f"{alpha} is not in the value group at level {level}")
-    return _graded_H(v, residue_tower(v), level, int(scaled), g)
+    tower = residue_tower(v)
+    val = v._scaled(level, g)
+    if val < scaled:
+        raise ValueError("graded reduction of an element below the stated degree")
+    if val != scaled:
+        return Laurent(tower.fields[level], 0, FFPoly._of(tower.fields[level], ()))
+    return _graded_H(v, tower, level, val, g)
 
 
 def _graded_H(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
               g: KPoly) -> Laurent:
-    """graded_H with alpha given as e_level * alpha."""
+    """graded_H with alpha given as e_level * alpha, for a g of that value."""
     kf = tower.fields[level]
-    if g.is_zero():
-        return Laurent(kf, 0, FFPoly(kf, []))
-    val = v._scaled(level, g)
-    if val > scaled_alpha:
-        return Laurent(kf, 0, FFPoly(kf, []))
-    if val < scaled_alpha:
-        raise ValueError("graded reduction of an element below the stated degree")
     if level == 0:
         return Laurent(kf, 0, g.residue(scaled_alpha))
-    e_i, h_i = v.e_rel[level], v.h_rel[level]
-    u_a, i_a = _ui_pair(e_i, h_i, scaled_alpha)
+    e_i = v.e_rel[level]
+    u_a, i_a = _ui_pair(e_i, v.h_rel[level], scaled_alpha)
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
     # u_a again, from i_a alone: an index off the progression leaves a remainder
     child = _child_value(v, level, scaled_alpha, i_a)
-    coeffs = []
-    for a_s in g.phi_expand(v.steps[level - 1].phi)[i_a::e_i]:
-        if a_s.is_zero():
-            coeffs.append(kf.zero)
+    terms = [(a, v._scaled(level - 1, a))
+             for a in g.phi_expand(v.steps[level - 1].phi)[i_a::e_i]]
+    return Laurent(kf, c_a, FFPoly._of(kf, _images(v, tower, level, child, terms)))
+
+
+def _images(v: MacLaneVal, tower: ResidueTower, level: int, child: int, terms) -> list:
+    """The flat coordinates over k_level of rho(H(level - 1, a)) for the
+    terms (a, e_{v_{level-1}} v_{level-1}(a)) of one progression, whose first
+    term is on the line when its value is ``child``; a term above the line
+    maps to zero."""
+    d, h_i = tower.fields[level].degree, v.h_rel[level]
+    rows = []
+    for a, val in terms:
+        if val == child:
+            rows += _rho(tower, level, _graded_H(v, tower, level - 1, child, a))
+        elif val < child:
+            raise AssertionError(f"graded reduction below the stated degree at level {level - 1}")
         else:
-            coeffs.append(_rho(tower, level, _graded_H(v, tower, level - 1, child, a_s)))
+            rows += [0] * d
         child -= h_i
-    return Laurent(kf, c_a, FFPoly(kf, coeffs))
+    return rows
 
 
-def _rho(tower: ResidueTower, level: int, lau: Laurent) -> FFElem:
-    """Map a Laurent value over k_{level-1} into k_level via the step generator."""
-    emb = tower.embeddings[level - 1]
-    gen = tower.gens[level]
-    kf = tower.fields[level]
-    if lau.is_zero():
-        return kf.zero
-    if gen.is_zero() and lau.shift < 0:
+def _rho(tower: ResidueTower, level: int, lau: Laurent) -> list:
+    """The coordinates in k_level of a nonzero Laurent value over k_{level-1}: its
+    coefficients mapped up by the step embedding, then X^shift * poly(X)
+    evaluated at the step generator by Horner's rule."""
+    kf, gen = tower.fields[level], tower.gens[level]
+    rows = tower.embeddings[level - 1].image(lau.poly.rows)
+    d, p = kf.degree, kf.p
+    if lau.shift < 0 and gen.is_zero():
         raise AssertionError("negative power of a vanishing step generator")
-    acc = kf.zero
-    for j, c in enumerate(lau.poly.coeffs):
-        if not c.is_zero():
-            acc = acc + emb(c) * gen ** (lau.shift + j)
-    return acc
+    acc = rows[-d:]
+    for lo in range(len(rows) - 2 * d, -1, -d):
+        acc = [(a + c) % p for a, c in zip(_fmul(acc, gen.coords, kf), rows[lo:lo + d])]
+    return _fmul(acc, (gen ** lau.shift).coords, kf) if lau.shift else acc
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +348,17 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     n = v.depth
     e_n, h_n = v.e_rel[n], v.h_rel[n]
     expansion = f.phi_expand(v.steps[-1].phi)
-    # the values e_n * v_{n-1}(a_s) + h_n * s of the terms, scaled by e_v
-    terms = [(s, e_n * v._scaled(n - 1, a) + h_n * s) for s, a in enumerate(expansion)
-             if a.rows]
+    # e_{v_{n-1}} v_{n-1}(a_s), once per term; t is the value of a_s phi^s, scaled
+    vals = [v._scaled(n - 1, a) for a in expansion]
+    terms = [(s, e_n * u + h_n * s) for s, u in enumerate(vals) if u is not OO]
     alpha = min(t for _, t in terms)
     on_line = [s for s, t in terms if t == alpha]
     i0, i1 = on_line[0], on_line[-1]
-    kf = tower.top
-    child = _child_value(v, n, alpha, i0)
-    coeffs = []
-    for a_s in expansion[i0:i1 + 1:e_n]:
-        if a_s.is_zero():
-            coeffs.append(kf.zero)
-        else:
-            coeffs.append(_rho(tower, n, _graded_H(v, tower, n - 1, child, a_s)))
-        child -= h_n
+    rows = _images(v, tower, n, _child_value(v, n, alpha, i0),
+                   zip(expansion[i0:i1 + 1:e_n], vals[i0:i1 + 1:e_n]))
     h_exp = _exact(i0 - v.ell[n] * alpha, e_n, "integral graded shift exponent")
-    return Reduction(FFPoly(kf, coeffs), Fraction(alpha, v.e_levels[n]), i0, i1, e_n, h_exp)
+    return Reduction(FFPoly._of(tower.top, rows), Fraction(alpha, v.e_levels[n]), i0, i1,
+                     e_n, h_exp)
 
 
 # ---------------------------------------------------------------------------

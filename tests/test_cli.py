@@ -218,6 +218,20 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "internal consistency failure: graded value in the value group at level 0" in err
 
+    def test_term_below_the_line_is_an_internal_failure(self, monkeypatch, capsys):
+        # a child value one above the true one puts the on-line expansion
+        # terms of the graded descent below the line: a broken law of the
+        # descent, which must exit 2 and not report bad input
+        child_value = newton._child_value
+
+        def above(v, level, scaled_alpha, s):
+            return child_value(v, level, scaled_alpha, s) + 1
+
+        monkeypatch.setattr(newton, "_child_value", above)
+        assert run(["fibre", "(x^2-5)^3 - 5^5", "--prime", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "internal consistency failure: graded reduction below the stated degree" in err
+
     def test_geometric_over_unramified_base(self, capsys):
         # extending GF(25) by a cubic with prime-field coefficients: the
         # first generator tried lies in GF(125), not a primitive element

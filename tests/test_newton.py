@@ -1,18 +1,23 @@
 """Polygons, graded reductions, residual polynomials, key lifting."""
 
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from clusterfibre import newton
+from clusterfibre.cli import parse_poly
+from clusterfibre.clusters import build_cluster_tree, cluster_chain
 from clusterfibre.field import BaseField
-from clusterfibre.ff import FFPoly, is_irreducible
+from clusterfibre.ff import Embedding, FFElem, FFPoly, is_irreducible
 from clusterfibre.rationals import OO
 from clusterfibre.valuation import MacLaneVal, NotAKeyPolynomial
 from clusterfibre.newton import (newton_polygon, principal_part, selected_edge,
                                  graded_H, reduce_poly, residue_tower, is_key,
                                  augment, lift_key, residual_order, HEqualsX,
-                                 AlphaNotInValueGroup)
+                                 AlphaNotInValueGroup, Laurent)
 
 
 def _chains(p):
@@ -337,3 +342,240 @@ def _pick_irreducible(k, d, avoid_x=False):
         if is_irreducible(cand):
             return cand
     raise AssertionError
+
+
+# ---------------------------------------------------------------------------
+# The graded descent against a model of the element-object descent: every
+# term's value evaluated by its caller and again by the callee, and each
+# Laurent coefficient mapped up by its own embedding, power, product and sum
+
+
+def _model_embed(emb, c):
+    """emb(c) from the embedding matrix, column by column."""
+    if emb.matrix is None:
+        return c
+    return emb.dst.elem([sum(x * col[i] for x, col in zip(c.coords, emb.matrix))
+                         for i in range(emb.dst.degree)])
+
+
+def _model_rho(tower, level, lau):
+    """The sum of emb(c_j) * gen^(shift + j) in k_level."""
+    gen, acc = tower.gens[level], tower.fields[level].zero
+    if not lau.is_zero() and lau.shift < 0 and gen.is_zero():
+        raise AssertionError("negative power of a vanishing step generator")
+    for j, c in enumerate(lau.poly.coeffs):
+        if not c.is_zero():
+            acc = acc + _model_embed(tower.embeddings[level - 1], c) * gen ** (lau.shift + j)
+    return acc
+
+
+def _model_H(v, tower, level, scaled_alpha, g):
+    """H(level, alpha, g) for alpha = scaled_alpha / e_level, with the value
+    of g checked here although the caller may have computed it."""
+    kf = tower.fields[level]
+    val = v._scaled(level, g)
+    if val is OO or val > scaled_alpha:
+        return Laurent(kf, 0, FFPoly(kf, []))
+    if val < scaled_alpha:
+        raise ValueError("graded reduction of an element below the stated degree")
+    if level == 0:
+        return Laurent(kf, 0, g.residue(scaled_alpha))
+    e_i, h_i = v.e_rel[level], v.h_rel[level]
+    u_a, i_a = newton._ui_pair(e_i, h_i, scaled_alpha)
+    child = newton._child_value(v, level, scaled_alpha, i_a)
+    coeffs = []
+    for a_s in g.phi_expand(v.steps[level - 1].phi)[i_a::e_i]:
+        coeffs.append(_model_rho(tower, level, _model_H(v, tower, level - 1, child, a_s)))
+        child -= h_i
+    return Laurent(kf, v.ellp[level] * i_a - v.ell[level] * u_a, FFPoly(kf, coeffs))
+
+
+def _model_reduce(v, f):
+    """The fields (poly, alpha, i0, i1, b, h_exponent) of reduce_poly(v, f)."""
+    tower, n = residue_tower(v), v.depth
+    e_n, h_n = v.e_rel[n], v.h_rel[n]
+    expansion = f.phi_expand(v.steps[-1].phi)
+    terms = [(s, e_n * v._scaled(n - 1, a) + h_n * s) for s, a in enumerate(expansion)
+             if not a.is_zero()]
+    alpha = min(t for _, t in terms)
+    on_line = [s for s, t in terms if t == alpha]
+    i0, i1 = on_line[0], on_line[-1]
+    child = newton._child_value(v, n, alpha, i0)
+    coeffs = []
+    for a_s in expansion[i0:i1 + 1:e_n]:
+        coeffs.append(_model_rho(tower, n, _model_H(v, tower, n - 1, child, a_s)))
+        child -= h_n
+    h_exp = F(i0 - v.ell[n] * alpha, e_n)
+    assert h_exp.denominator == 1
+    return FFPoly(tower.top, coeffs), F(alpha, v.e_levels[n]), i0, i1, e_n, int(h_exp)
+
+
+def _fields(red):
+    return red.poly, red.alpha, red.i0, red.i1, red.b, red.h_exponent
+
+
+@functools.lru_cache(maxsize=None)
+def _descent_chains():
+    """Chains by name: identity towers (the running sextic and cubic, whose
+    first step has generator 0), the selfcheck input (x^2+1)^2 - 3^5 in both
+    residue modes (an F_3 -> F_9 step in exact mode, a degree-2 residue field
+    in geometric mode), F_3 -> F_9 -> F_81, and F_25 -> F_625 with e = 2."""
+    out = {"sextic": _chains(5)[3], "cubic": _cubic_chain(7)[2]}
+    K = BaseField(3)
+    f = parse_poly("(x^2+1)^2 - 3^5", K)
+    for mode in ("exact", "geometric"):
+        tree = build_cluster_tree(f, K, mode=mode, seed=0)
+        for node in tree.nodes:
+            out[f"{mode} #{node.id}"] = cluster_chain(node)
+    v1 = MacLaneVal.gauss(K).augment_unchecked(K.poly([1, 0, 1]), F(1))
+    h = _pick_irreducible(residue_tower(v1).top, 2, avoid_x=True)
+    out["F_81"] = v1.augment_unchecked(lift_key(v1, h), F(5, 2))
+    K = BaseField(5, 2)
+    v0 = MacLaneVal.gauss(K)
+    out["F_625"] = v0.augment_unchecked(
+        lift_key(v0, _pick_irreducible(K.residue_field, 2, avoid_x=True)), F(1, 2))
+    for v in out.values():
+        residue_tower(v)
+    return out
+
+
+_DESCENT_NAMES = sorted(_descent_chains())
+
+
+def _descent_poly(draw, v):
+    """small * phi^k + small for a centre phi of v (or x), with coefficients
+    of denominator 1 or p: terms on several lines.  ``draw(lo, hi)`` picks an
+    int in [lo, hi]."""
+    K = v.field
+    p = K.p
+
+    def small():
+        cs = []
+        for _ in range(draw(0, 3) + 1):
+            nums = [F(draw(-2 * p, 2 * p), p ** draw(0, 1)) for _ in range(K.m)]
+            cs.append(K.elem(*nums))
+        return K.poly(cs)
+
+    centres = [K.x()] + [s.phi for s in v.steps]
+    g = small() * centres[draw(0, len(centres) - 1)] ** draw(0, 2)
+    if draw(0, 1):
+        g = g + small()
+    return g if not g.is_zero() else K.poly([1])
+
+
+def _sample(count, seed=0):
+    """(chain, polynomial) pairs over every descent chain."""
+    rng = random.Random(seed)
+    chains = _descent_chains()
+    return [(chains[name], _descent_poly(rng.randint, chains[name]))
+            for name in _DESCENT_NAMES for _ in range(count)]
+
+
+class TestGradedDescent:
+    def test_chains_cover_the_tower_shapes(self):
+        towers = [residue_tower(v) for v in _descent_chains().values()]
+        embeddings = [e for t in towers for e in t.embeddings]
+        assert any(e.matrix is not None and e.src.degree > 1 for e in embeddings)
+        assert any(e.matrix is not None and e.src.degree == 1 for e in embeddings)
+        assert any(e.matrix is None for e in embeddings)
+        assert any(g.is_zero() for t in towers for g in t.gens[1:])
+
+    @pytest.mark.parametrize("name", _DESCENT_NAMES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_against_the_model(self, name, data):
+        v = _descent_chains()[name]
+        g = _descent_poly(lambda lo, hi: data.draw(st.integers(lo, hi)), v)
+        assert _fields(reduce_poly(v, g)) == _model_reduce(v, g)
+        tower = residue_tower(v)
+        for level in range(v.depth + 1):
+            scaled = v._scaled(level, g)
+            for delta in (0, -1):
+                alpha = F(scaled + delta * v.e_levels[level], v.e_levels[level])
+                lau = graded_H(v, level, alpha, g)
+                want = _model_H(v, tower, level, scaled + delta * v.e_levels[level], g)
+                assert (lau.shift, lau.poly) == (want.shift, want.poly)
+                assert lau.is_zero() == (delta != 0)
+            with pytest.raises(ValueError, match="below the stated degree"):
+                graded_H(v, level, F(scaled, v.e_levels[level]) + 1, g)
+
+    @pytest.mark.parametrize("name", _DESCENT_NAMES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rho_against_the_model(self, name, data):
+        # every level of every tower, shifts of both signs
+        tower = residue_tower(_descent_chains()[name])
+        level = data.draw(st.integers(1, len(tower.fields) - 1))
+        sub = tower.fields[level - 1]
+        coeffs = data.draw(st.lists(st.lists(st.integers(0, sub.p - 1), min_size=sub.degree,
+                                             max_size=sub.degree), min_size=1, max_size=4))
+        poly = FFPoly(sub, [sub.elem(c) for c in coeffs])
+        assume(not poly.is_zero())  # the descent maps up only terms on the line
+        lau = Laurent(sub, data.draw(st.integers(-3, 3)), poly)
+        if lau.shift < 0 and tower.gens[level].is_zero():
+            with pytest.raises(AssertionError, match="vanishing step generator"):
+                newton._rho(tower, level, lau)
+            return
+        got = newton._rho(tower, level, lau)
+        assert FFElem._of(tower.fields[level], got) == _model_rho(tower, level, lau)
+
+    def test_zero_generator_with_shift_zero(self):
+        # gen = 0 keeps only the constant coefficient, and only at shift 0
+        tower = residue_tower(_descent_chains()["sextic"])
+        assert tower.gens[1].is_zero()
+        k = tower.fields[0]
+        poly = FFPoly.from_ints(k, [3, 1, 4])
+        assert list(newton._rho(tower, 1, Laurent(k, 0, poly))) == [3]
+        assert list(newton._rho(tower, 1, Laurent(k, 2, poly))) == [0]
+        assert _model_rho(tower, 1, Laurent(k, 0, poly)) == tower.fields[1].elem(3)
+
+    def test_descent_shifts_take_both_signs(self, monkeypatch):
+        # the sample the guards below use reaches _rho with negative, zero
+        # and positive shifts
+        shifts = set()
+        rho = newton._rho
+
+        def recording(tower, level, lau):
+            shifts.add((lau.shift > 0) - (lau.shift < 0))
+            return rho(tower, level, lau)
+
+        monkeypatch.setattr(newton, "_rho", recording)
+        for v, g in _sample(12):
+            reduce_poly(v, g)
+        assert shifts == {-1, 0, 1}
+
+    def test_each_term_valued_once(self, monkeypatch):
+        # the descent asks for the value of each expansion term at most once
+        # per level; the kernel's own recursion inside _scaled is not counted
+        calls, depth = [], [0]
+        scaled = MacLaneVal._scaled
+
+        def counting(self, level, g):
+            if not depth[0]:
+                calls.append((level, id(g)))
+            depth[0] += 1
+            try:
+                return scaled(self, level, g)
+            finally:
+                depth[0] -= 1
+
+        sample = _sample(12)
+        monkeypatch.setattr(MacLaneVal, "_scaled", counting)
+        deep = 0
+        for v, g in sample:
+            calls.clear()
+            reduce_poly(v, g)
+            assert calls and len(calls) == len(set(calls))
+            deep += any(level < v.depth - 1 for level, _ in calls)
+        assert deep  # the descent went below the top level
+
+    def test_no_element_objects_in_the_descent(self, monkeypatch):
+        sample = _sample(12)
+        want = [_model_reduce(v, g) for v, g in sample]
+
+        def refuse(*args):
+            raise AssertionError("element-object arithmetic inside reduce_poly")
+
+        for owner, name in ((FFElem, "__add__"), (FFElem, "__mul__"), (Embedding, "__call__")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert [_fields(reduce_poly(v, g)) for v, g in sample] == want

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from clusterfibre import newton, valuation
 from clusterfibre.ff import FFPoly
 from clusterfibre.field import BaseField, KPoly
-from clusterfibre.newton import (Laurent, augment, graded_H, newton_polygon,
+from clusterfibre.newton import (augment, graded_H, newton_polygon,
                                  principal_part, reduce_poly, residue_tower, selected_edge)
 from clusterfibre.rationals import OO
 from clusterfibre.valuation import (MacLaneVal, AugStep, BadChain,
@@ -300,6 +300,17 @@ def _model_hull(points):
     return verts
 
 
+def _model_rho(tower, level, shift, poly):
+    """X^shift * poly(X) at the step generator of ``level``, one FFElem
+    term emb(c_j) * gen^(shift + j) per coefficient."""
+    emb, gen = tower.embeddings[level - 1], tower.gens[level]
+    acc = tower.fields[level].zero
+    for j, c in enumerate(poly.coeffs):
+        if not c.is_zero():
+            acc = acc + emb(c) * gen ** (shift + j)
+    return acc
+
+
 def _model_H(v, tower, level, alpha, g):
     """(shift, poly) of H_{level, alpha}(g), alpha a Fraction."""
     kf = tower.fields[level]
@@ -316,7 +327,7 @@ def _model_H(v, tower, level, alpha, g):
     coeffs = []
     for s in range(i_a, len(expansion), e_i):
         shift, poly = _model_H(v, tower, level - 1, alpha - s * lam, expansion[s])
-        coeffs.append(newton._rho(tower, level, Laurent(tower.fields[level - 1], shift, poly)))
+        coeffs.append(_model_rho(tower, level, shift, poly))
     return v.ellp[level] * i_a - v.ell[level] * u_a, FFPoly(kf, coeffs)
 
 
@@ -336,7 +347,7 @@ def _model_reduce(v, f):
     coeffs = []
     for s in range(i0, i1 + 1, e_n):
         shift, poly = _model_H(v, tower, n - 1, alpha - s * lam, expansion[s])
-        coeffs.append(newton._rho(tower, n, Laurent(tower.fields[n - 1], shift, poly)))
+        coeffs.append(_model_rho(tower, n, shift, poly))
     h_exp = F(i0, e_n) - v.ell[n] * v.e_levels[n - 1] * alpha
     assert h_exp.denominator == 1
     return FFPoly(tower.top, coeffs), alpha, i0, i1, e_n, int(h_exp)
