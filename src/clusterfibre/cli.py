@@ -7,8 +7,8 @@ given, on the user input).  Polynomials are written in x (and th for the
 unramified generator when the degree is larger than one), with integer or
 rational literals and the operators + - * ^.
 
-Exit status: 0 on success, 1 on input errors, 2 on internal-consistency
-failures, which indicate a bug rather than bad input.
+Exit status: 0 on success, 1 on an InputError (usage errors included), 2 on
+any other failure, which indicates a bug rather than bad input.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .field import BaseField, KPoly, MAX_UNRAMIFIED_DEGREE, NotSeparable, expansion_scope
+from .errors import InputError
+from .field import BaseField, KPoly, MAX_UNRAMIFIED_DEGREE, expansion_scope
 from .rationals import qstr
-from .clusters import (build_cluster_tree, InternalInconsistency,
-                       ResidueModeOverflow, cluster_chain, normalize_input)
+from .clusters import build_cluster_tree, cluster_chain, normalize_input
 from .invariants import all_records
 from .fibre import (assemble, cluster_dicts, export, fibre_graph,
                     graphs_isomorphic, farey_chain, poly_str)
@@ -30,15 +30,13 @@ from .fibre import (assemble, cluster_dicts, export, fibre_graph,
 # Largest degree an expression may reach, and largest exponent it may use:
 # parse_poly refuses a power or product beyond either before computing it,
 # so hostile input such as x^100000000 fails at once instead of building a
-# dense polynomial.
+# dense polynomial.  Parentheses nest at most MAX_NESTING deep, well inside
+# the interpreter's recursion limit (see _parse_power), and a literal has at
+# most MAX_DIGITS digits, the most int() converts from text by default.
 MAX_DEGREE = 1024
 MAX_EXPONENT = 1024
-
-
-class PolySyntaxError(ValueError):
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+MAX_NESTING = 256
+MAX_DIGITS = 4300
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +47,11 @@ class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0  # open parentheses
+
+    def at(self, message, position=None) -> str:
+        """The message of a parse error, naming where parsing stopped."""
+        return f"{message} (at position {self.pos if position is None else position})"
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -66,17 +69,25 @@ class _Tokens:
     def expect(self, c):
         got = self.peek()
         if got != c:
-            raise PolySyntaxError(f"expected {c!r}", self.pos)
+            raise InputError(self.at(f"expected {c!r}"))
         self.pos += 1
+
+    def digits(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos - start > MAX_DIGITS:
+            raise InputError(self.at(f"literal of {self.pos - start} digits exceeds "
+                                     f"the limit {MAX_DIGITS}", start))
+        return self.text[start:self.pos]
 
     def number(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PolySyntaxError("expected a number", start)
-        value = int(self.text[start:self.pos])
+        digits = self.digits()
+        if not digits:
+            raise InputError(self.at("expected a number", start))
+        value = int(digits)
         # rational literal a/b
         save = self.pos
         self.skip_ws()
@@ -84,26 +95,27 @@ class _Tokens:
             self.pos += 1
             self.skip_ws()
             dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == dstart:
-                raise PolySyntaxError("expected a denominator", dstart)
-            den = int(self.text[dstart:self.pos])
+            digits = self.digits()
+            if not digits:
+                raise InputError(self.at("expected a denominator", dstart))
+            den = int(digits)
             if den == 0:
-                raise PolySyntaxError("zero denominator", dstart)
+                raise InputError(self.at("zero denominator", dstart))
             return Fraction(value, den)
         self.pos = save
         return Fraction(value)
 
 
 def _coefficient_list(text: str):
-    """``c0,c1,...``: optionally signed integer or a/b literals, as in parse_poly."""
+    """``c0,c1,...``: optionally signed integer or a/b literals, as in
+    parse_poly, and at most MAX_DEGREE + 1 of them."""
     toks, out = _Tokens(text), []
     while True:
         sign = -1 if toks.peek() == "-" else 1
         if toks.peek() in ("+", "-"):
             toks.take()
         out.append(sign * toks.number())
+        _check_degree(len(out) - 1, toks)
         if toks.peek() is None:
             return out
         toks.expect(",")
@@ -115,7 +127,7 @@ def parse_poly(text: str, K: BaseField) -> KPoly:
     poly = _parse_sum(toks, K)
     toks.skip_ws()
     if toks.pos != len(text):
-        raise PolySyntaxError("trailing input", toks.pos)
+        raise InputError(toks.at("trailing input"))
     return poly
 
 
@@ -153,21 +165,32 @@ def _parse_product(toks, K):
 
 def _check_degree(degree, toks):
     if degree > MAX_DEGREE:
-        raise PolySyntaxError(f"degree {degree} exceeds the limit {MAX_DEGREE}", toks.pos)
+        raise InputError(toks.at(f"degree {degree} exceeds the limit {MAX_DEGREE}"))
 
 
 def _parse_power(toks, K):
-    base = _parse_atom(toks, K)
+    # a parenthesized group is parsed here rather than in _parse_atom, so a
+    # nesting level costs three frames: sum, product, power
+    if toks.peek() == "(":
+        toks.take()
+        toks.depth += 1
+        if toks.depth > MAX_NESTING:
+            raise InputError(toks.at(f"parentheses nest deeper than the limit {MAX_NESTING}"))
+        base = _parse_sum(toks, K)
+        toks.expect(")")
+        toks.depth -= 1
+    else:
+        base = _parse_atom(toks, K)
     if toks.peek() == "^":
         toks.take()
         toks.skip_ws()
         if toks.peek() == "-":
-            raise PolySyntaxError("negative exponents are not allowed", toks.pos)
+            raise InputError(toks.at("negative exponents are not allowed"))
         n = toks.number()
         if n.denominator != 1:
-            raise PolySyntaxError("exponents must be integers", toks.pos)
+            raise InputError(toks.at("exponents must be integers"))
         if n > MAX_EXPONENT:
-            raise PolySyntaxError(f"exponent {n} exceeds the limit {MAX_EXPONENT}", toks.pos)
+            raise InputError(toks.at(f"exponent {n} exceeds the limit {MAX_EXPONENT}"))
         _check_degree(base.degree * int(n), toks)
         return base ** int(n)
     return base
@@ -176,12 +199,7 @@ def _parse_power(toks, K):
 def _parse_atom(toks, K):
     c = toks.peek()
     if c is None:
-        raise PolySyntaxError("unexpected end of input", toks.pos)
-    if c == "(":
-        toks.take()
-        inner = _parse_sum(toks, K)
-        toks.expect(")")
-        return inner
+        raise InputError(toks.at("unexpected end of input"))
     if c == "x":
         toks.take()
         return K.x()
@@ -193,21 +211,27 @@ def _parse_atom(toks, K):
             word += toks.text[toks.pos]
             toks.pos += 1
         if word not in ("th", "theta"):
-            raise PolySyntaxError(f"unknown symbol {word!r}", start)
+            raise InputError(toks.at(f"unknown symbol {word!r}", start))
         if K.m == 1:
-            raise PolySyntaxError("theta needs an unramified degree > 1", start)
+            raise InputError(toks.at("theta needs an unramified degree > 1", start))
         return K.poly([K.theta])
-    if c.isdigit():
+    if c.isdecimal():
         return K.poly([toks.number()])
-    raise PolySyntaxError(f"unexpected character {c!r}", toks.pos)
+    raise InputError(toks.at(f"unexpected character {c!r}"))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is bad input: exit 1, like every other
+        raise InputError(message)
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="clusterfibre",
         description="Cluster pictures and special fibres of hyperelliptic "
                     "curves y^2 = f(x) over p-adic fields")
@@ -227,7 +251,7 @@ def _input_poly(args, K):
     if args.coeffs:
         return K.poly(_coefficient_list(args.coeffs))
     if not args.expression:
-        raise PolySyntaxError("no polynomial given", 0)
+        raise InputError("no polynomial given (at position 0)")
     return parse_poly(args.expression, K)
 
 
@@ -336,21 +360,22 @@ def _render_invariants(tree, records, fmt):
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """The command line: 0 on success, 1 on an InputError, 2 on any other
+    failure, which is a bug.  ``--help`` raises SystemExit(0)."""
     try:
+        args = _build_parser().parse_args(argv)
         if args.prime is None and (args.command != "selfcheck" or args.expression
                                    or args.coeffs):
-            print("error: --prime is required", file=sys.stderr)
-            return 1
+            raise InputError("--prime is required")
         if args.command == "selfcheck":
-            ok = selfcheck(args)
-            return 0 if ok else 2
+            return 0 if selfcheck(args) else 2
         return _run_pipeline(args)
-    except (PolySyntaxError, NotSeparable, ResidueModeOverflow, ValueError) as ex:
+    except InputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    except (InternalInconsistency, AssertionError) as ex:
-        print(f"internal consistency failure: {ex}", file=sys.stderr)
+    except Exception as ex:
+        print(f"internal consistency failure: {str(ex) or type(ex).__name__}",
+              file=sys.stderr)
         return 2
 
 
@@ -367,8 +392,7 @@ def _run_pipeline(args) -> int:
         sys.stdout.write(_render_picture(tree, args.format))
         return 0
     if tree.root is None:
-        print("error: no proper clusters (degree < 2?)", file=sys.stderr)
-        return 1
+        raise InputError("no proper clusters (degree < 2?)")
     records = all_records(tree)
     if args.command == "invariants":
         sys.stdout.write(_render_invariants(tree, records, args.format))

@@ -38,21 +38,14 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from .field import (BaseField, KPoly, NotSeparable, discriminant_val, expansion_scope,
+from .errors import InputError, InternalInconsistency
+from .field import (BaseField, KPoly, discriminant_val, expansion_scope,
                     extend_unramified)
 from .ff import ff_factor
 from .rationals import OO, qstr
 from .valuation import MacLaneVal
 from .newton import (newton_polygon, reduce_poly, lift_key,
                      residual_order, is_key)
-
-
-class InternalInconsistency(AssertionError):
-    pass
-
-
-class ResidueModeOverflow(RuntimeError):
-    pass
 
 
 class LeafOrbit:
@@ -149,10 +142,10 @@ def normalize_input(f: KPoly):
     Returns (f(x / p^c), c, v_disc) with c >= 0 minimal, so each root r of f
     turns into p^c r, and v_disc the valuation of the discriminant of the
     rescaled polynomial; computing v_disc is the separability test, so this
-    raises NotSeparable on input with repeated roots.
+    raises InputError on input with repeated roots.
     """
     if f.degree < 1:
-        raise ValueError("need a non-constant polynomial")
+        raise InputError("need a non-constant polynomial")
     K = f.field
     v0 = MacLaneVal.gauss(K)
     N = newton_polygon(v0, K.x(), f)
@@ -254,7 +247,7 @@ class _Builder:
                     leaf = LeafOrbit(phi.degree, 1, "divides", current, phi)
                     self._attach_leaf(leaf, current)
                 else:
-                    raise NotSeparable("centre divides the input twice")
+                    raise InputError("centre divides the input twice")
 
     def _note_factors(self, factors):
         for h, _ in factors:
@@ -268,7 +261,7 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
     """Full pipeline: normalize, discover, choose centres, build cluster chains,
     recompute reductions along them, and assert the counting laws."""
     if mode not in ("exact", "geometric"):
-        raise ValueError("mode must be 'exact' or 'geometric'")
+        raise InputError("mode must be 'exact' or 'geometric'")
     f_norm, shift, v_disc = normalize_input(f)
     # v(disc) bounds the refinement depth.  It is computed once: the
     # valuation on Q(theta) extends uniquely to each unramified extension
@@ -282,7 +275,7 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
             grow = builder.nonlinear_residual
             new_m = work_K.m * grow
             if new_m > extension_budget:
-                raise ResidueModeOverflow(
+                raise InputError(
                     f"geometric mode needs residue degree {new_m} > budget {extension_budget}")
             work_K, embed = extend_unramified(work_K, grow)
             work_f = KPoly(work_K, [embed(c) for c in work_f.coeffs])

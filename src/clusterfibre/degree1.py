@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
+from .errors import InputError, InternalInconsistency
 from .field import vp_int
 
 
@@ -93,11 +94,11 @@ def oracle_signature(root: RationalCluster):
 def tree_signature(node):
     """Same canonical form computed from a builder ClusterNode of degree 1."""
     if node.degree != 1:
-        raise AssertionError("degree-1 oracle given a cluster of higher degree")
+        raise InternalInconsistency("degree-1 oracle given a cluster of higher degree")
     kids = sorted(tree_signature(c) for c in node.children)
     singles = len([l for l in node.leaves if l.degree == 1])
     if singles != len(node.leaves):
-        raise AssertionError("degree-1 oracle instance grew a big orbit")
+        raise InternalInconsistency("degree-1 oracle instance grew a big orbit")
     return (node.size, Fraction(node.radius), singles, tuple(kids))
 
 
@@ -118,7 +119,7 @@ def oracle_fibre_graph(roots, p, lead_val=0):
 
     root = rational_cluster_tree(roots, p)
     if root is None:
-        raise ValueError("need at least two roots")
+        raise InputError("need at least two roots")
     nodes = list(root.descendants())
 
     # centres: a designated root per cluster, children before parents
@@ -155,7 +156,7 @@ def oracle_fibre_graph(roots, p, lead_val=0):
             while m is not None and not _in_cluster(r_, m):
                 m = m.parent
             if m is None:
-                raise AssertionError
+                raise InternalInconsistency("a root lies outside the oracle tree")
             inner = m
             if _in_cluster(r_, c):
                 inner = c
@@ -181,7 +182,7 @@ def oracle_fibre_graph(roots, p, lead_val=0):
         u = Fraction(c.size - sum(w.size for w in c.children) - (2 - p0), e) \
             + len(vtilde) + delta * c0
         if u.denominator != 1 or u < 0:
-            raise AssertionError(f"u must be a nonnegative integer, got {u}")
+            raise InternalInconsistency(f"u must be a nonnegative integer, got {u}")
         u = int(u)
         genus = 0 if n_v == 1 else max((u - 1) // 2, 0)
         data[id(c)] = dict(lam=lam, e=e, eps=eps, b=b, nu=nu_v, n=n_v, m=m_v,

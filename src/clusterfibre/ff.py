@@ -42,9 +42,7 @@ import random
 from itertools import zip_longest
 from typing import Optional
 
-
-class NotIrreducible(ValueError):
-    pass
+from .errors import InputError, InternalInconsistency
 
 
 def _conv(a, b):
@@ -96,7 +94,7 @@ class FField:
     def __init__(self, p: int, modulus):
         modulus = tuple(c % p for c in modulus)
         if not modulus or modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
+            raise InputError("modulus must be monic")
         self.p = p
         self.degree = len(modulus) - 1
         self.modulus = modulus
@@ -393,7 +391,7 @@ class FFPoly:
 
     def lead(self) -> FFElem:
         if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
+            raise InputError("zero polynomial has no leading coefficient")
         return self[self.degree]
 
     def is_monic(self) -> bool:
@@ -492,7 +490,7 @@ class FFPoly:
         """self^n mod modulus, for n >= 0."""
         F = self.field
         if n < 0:
-            raise ValueError("negative exponent")
+            raise InputError("negative exponent")
         if n == 0:
             return FFPoly.const(F, F.one)
         f = modulus.monic()
@@ -617,7 +615,7 @@ def ff_factor(f: FFPoly, rng: Optional[random.Random] = None):
     of the factors (to their multiplicities), times lead(f), rebuilds f.
     """
     if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
+        raise InputError("cannot factor the zero polynomial")
     if rng is None:
         rng = random.Random(0)
     factors = []
@@ -661,7 +659,7 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
         cand = FFPoly._of(k, rows + list(k.one.coords))
         if is_irreducible(cand):
             return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InternalInconsistency("no irreducible polynomial found")  # unreachable
 
 
 def find_irreducible_int_poly(p: int, degree: int):
@@ -697,7 +695,7 @@ def ff_extend(F: FField, h: FFPoly):
     mapping h's coefficients through emb.
     """
     if h.degree < 1 or not is_irreducible(h):
-        raise NotIrreducible("modulus of a field extension must be irreducible")
+        raise InputError("modulus of a field extension must be irreducible")
     if h.degree == 1:
         root = -(h[0] * h[1].inverse())
         return F, Embedding.identity(F), root
@@ -729,7 +727,7 @@ def ff_extend(F: FField, h: FFPoly):
             # coordinates w.r.t. the gamma-powers
             x = _gauss_solve_mod_p(power_cols, list(u.rows) + [0] * (n - len(u.rows)), p)
             if x is None:
-                raise AssertionError("powers of the extension generator are not a basis")
+                raise InternalInconsistency("powers of the extension generator are not a basis")
             return FFElem._of(G, x)
 
         emb_cols = [to_G(FFPoly.const(F, F.gen ** j)).coords for j in range(a)]
@@ -738,6 +736,6 @@ def ff_extend(F: FField, h: FFPoly):
         # sanity: root satisfies the mapped modulus
         mapped = emb.map_poly(hm)
         if not mapped.evaluate(root).is_zero():
-            raise AssertionError("extension construction failed root check")
+            raise InternalInconsistency("extension construction failed root check")
         return G, emb, root
-    raise AssertionError("no primitive generator found")  # unreachable for finite fields
+    raise InternalInconsistency("no primitive generator found")  # unreachable for finite fields

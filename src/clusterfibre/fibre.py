@@ -26,14 +26,11 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .clusters import ClusterTree, InternalInconsistency
+from .clusters import ClusterTree
+from .errors import InputError, InternalInconsistency
 from .ff import FFPoly, squarefree_decomposition
 from .invariants import InvariantRecord, all_records
 from .rationals import qstr
-
-
-class DegenerateRange(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +76,10 @@ class ChainSpec:
 
     def __init__(self, alpha: int, a: Fraction, b: Fraction):
         if alpha < 1:
-            raise DegenerateRange("chain multiplier must be positive")
+            raise InputError("chain multiplier must be positive")
         a, b = Fraction(a), Fraction(b)
         if a <= b:
-            raise DegenerateRange("chain needs a > b")
+            raise InputError("chain needs a > b")
         self.alpha, self.a, self.b = alpha, a, b
         self.fractions = _unimodular_sequence(alpha * a, alpha * b)
         self.dens = [f.denominator for f in self.fractions[1:-1]]
@@ -164,15 +161,14 @@ def _is_square_in(k, ft: FFPoly) -> bool:
     return (lead ** ((k.order - 1) // 2)) == k.one
 
 
-def assemble(tree: ClusterTree, records: Optional[Dict[int, InvariantRecord]] = None,
-             mode: Optional[str] = None) -> SpecialFibre:
+def assemble(tree: ClusterTree,
+             records: Optional[Dict[int, InvariantRecord]] = None) -> SpecialFibre:
     """Build the special fibre data from a cluster tree and its records."""
     if tree.root is None:
         raise InternalInconsistency("no proper cluster: the fibre needs deg f >= 2")
     if records is None:
         records = all_records(tree)
-    if mode is None:
-        mode = "geometric" if tree.mode == "geometric" else "arithmetic"
+    mode = "geometric" if tree.mode == "geometric" else "arithmetic"
     fib = SpecialFibre(tree, records, mode)
     for node in tree.nodes:
         r = records[node.id]
@@ -595,4 +591,4 @@ def export(fib: SpecialFibre, fmt: str) -> bytes:
         return export_dot(fib)
     if fmt == "ascii":
         return export_ascii(fib)
-    raise ValueError(f"unknown export format {fmt!r}")
+    raise InputError(f"unknown export format {fmt!r}")

@@ -35,6 +35,7 @@ import functools
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from .errors import InputError, InternalInconsistency
 from .ff import (FField, FFElem, FFPoly, prime_field, is_irreducible,
                  find_irreducible_int_poly, find_irreducible_over,
                  _conv, _theta_reduce, _theta_multiples)
@@ -64,19 +65,11 @@ def expansion_scope(fn):
     return scoped
 
 
-class NegativeValuation(ValueError):
-    pass
-
-
-class NotSeparable(ValueError):
-    pass
-
-
 def vp_int(n: int, p: int) -> int:
     """The exponent of p in n != 0, in O(log v) divisions: divide by
     p, p^2, p^4, ... while they divide, then by the same powers downwards."""
     if n == 0:
-        raise ValueError("valuation of integer 0")
+        raise InputError("valuation of integer 0")
     if n % p:
         return 0
     n //= p
@@ -137,7 +130,7 @@ def _content_val(nums, den, p):
 
 def _residues(nums, den, p, shift=0):
     """The coordinates of p^(-shift) * nums / den mod p.  Raises
-    NegativeValuation when one of them has negative valuation."""
+    InputError when one of them has negative valuation."""
     e = vp_int(den, p) if den != 1 else 0
     inv = pow(den // p ** e, -1, p)
     e += shift
@@ -145,7 +138,7 @@ def _residues(nums, den, p, shift=0):
         return (0,) * len(nums)
     q = p ** e
     if any(n % q for n in nums):
-        raise NegativeValuation("cannot reduce an element of negative valuation")
+        raise InputError("cannot reduce an element of negative valuation")
     return tuple(n // q * inv % p for n in nums)
 
 
@@ -253,7 +246,7 @@ def _zdivide_exactly(rows, c, mod):
     which must divide each of them in Z[theta]: a multiplication by the
     Bareiss inverse c * y = d, then an integer division of every coordinate
     by d.  A remainder is a broken law of the subresultant PRS and raises
-    AssertionError; nothing is rounded."""
+    InternalInconsistency; nothing is rounded."""
     y, d = _zinverse(c, mod)
     if len(c) > 1:
         rows = _zscale(rows, y, mod)
@@ -261,7 +254,7 @@ def _zdivide_exactly(rows, c, mod):
     for a in rows:
         q, r = divmod(a, d)
         if r:
-            raise AssertionError("subresultant division is not exact")
+            raise InternalInconsistency("subresultant division is not exact")
         out.append(q)
     return out
 
@@ -368,18 +361,18 @@ class BaseField:
 
     def __init__(self, p: int, m: int = 1, gen_minpoly=None):
         if p >= PRIME_BOUND:
-            raise ValueError(f"residue characteristic must be below {PRIME_BOUND}")
+            raise InputError(f"residue characteristic must be below {PRIME_BOUND}")
         if p < 3 or not _is_prime(p):
-            raise ValueError("residue characteristic must be an odd prime")
+            raise InputError("residue characteristic must be an odd prime")
         if m < 1:
-            raise ValueError("unramified degree must be at least 1")
+            raise InputError("unramified degree must be at least 1")
         if gen_minpoly is None:
             if m > MAX_UNRAMIFIED_DEGREE:
-                raise ValueError(f"unramified degree must be at most {MAX_UNRAMIFIED_DEGREE}")
+                raise InputError(f"unramified degree must be at most {MAX_UNRAMIFIED_DEGREE}")
             gen_minpoly = find_irreducible_int_poly(p, m)
         gen_minpoly = tuple(int(c) for c in gen_minpoly)
         if len(gen_minpoly) != m + 1 or gen_minpoly[-1] != 1:
-            raise ValueError("gen_minpoly must be monic of degree m")
+            raise InputError("gen_minpoly must be monic of degree m")
         self.p = p
         self.m = m
         self.gen_minpoly = gen_minpoly
@@ -388,7 +381,7 @@ class BaseField:
         else:
             red = FFPoly.from_ints(prime_field(p), gen_minpoly)
             if not is_irreducible(red):
-                raise ValueError("gen_minpoly reduction mod p must stay irreducible")
+                raise InputError("gen_minpoly reduction mod p must stay irreducible")
             self.residue_field = FField(p, gen_minpoly)
         self.zero = KElem(self, (0,) * m)
         self.one = KElem(self, (1,) + (0,) * (m - 1))
@@ -398,7 +391,7 @@ class BaseField:
             coords = tuple(coords[0])
         cs = [Fraction(c) for c in coords]
         if len(cs) > self.m:
-            raise ValueError("too many coordinates")
+            raise InputError("too many coordinates")
         den = lcm(*[c.denominator for c in cs])
         nums = [c.numerator * (den // c.denominator) for c in cs]
         return KElem(self, nums + [0] * (self.m - len(cs)), den)
@@ -537,7 +530,7 @@ class KPoly:
 
     def lead(self) -> KElem:
         if self.is_zero():
-            raise ValueError("zero polynomial")
+            raise InputError("zero polynomial")
         return self[self.degree]
 
     def is_monic(self) -> bool:
@@ -637,7 +630,7 @@ class KPoly:
             if hit is not None:
                 return hit[2]
         if not phi.is_monic() or phi.degree < 1:
-            raise ValueError("expansion base must be monic of positive degree")
+            raise InputError("expansion base must be monic of positive degree")
         if self.degree < phi.degree:
             out = (self,)
         else:
@@ -671,13 +664,13 @@ class KPoly:
 def discriminant_val(f: KPoly):
     """Valuation of disc(f) = res(f, f') / lc(f).
 
-    This is the pipeline's only separability test: it raises NotSeparable
+    This is the pipeline's only separability test: it raises InputError
     when the resultant is zero, i.e. when f has a repeated root.  The value
     bounds the refinement depth of the cluster discovery.
     """
     r = f.resultant(f.derivative())
     if r.is_zero():
-        raise NotSeparable("polynomial has repeated roots")
+        raise InputError("polynomial has repeated roots")
     return r.val() - f.lead().val()
 
 
@@ -731,6 +724,6 @@ def extend_unramified(K: BaseField, t: int):
         for c in reversed(K.gen_minpoly):
             check = check * theta_img + K2.rat(c)
         if not check.is_zero():
-            raise AssertionError("embedding failed minimal polynomial check")
+            raise InternalInconsistency("embedding failed minimal polynomial check")
         return K2, embed
-    raise AssertionError("no primitive element found for the compositum")
+    raise InternalInconsistency("no primitive element found for the compositum")

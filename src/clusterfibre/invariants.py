@@ -26,14 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-from .clusters import ClusterNode, ClusterTree, InternalInconsistency, cluster_chain, p0_flag
+from .clusters import ClusterNode, ClusterTree, cluster_chain, p0_flag
+from .errors import InputError, InternalInconsistency
 from .ff import FFPoly, squarefree_decomposition
 from .field import expansion_scope
 from .newton import residue_tower
-
-
-class InexactDivision(InternalInconsistency):
-    pass
 
 
 def _is_odd_integer(x) -> bool:
@@ -211,7 +208,7 @@ def fbar(tree: ClusterTree, node: ClusterNode) -> FFPoly:
         for _ in range(mult):
             q, rem = poly.divmod(factor)
             if not rem.is_zero():
-                raise InexactDivision("child residual factor does not divide f|_v")
+                raise InternalInconsistency("child residual factor does not divide f|_v")
             poly = q
     return poly
 
@@ -238,7 +235,7 @@ def genus_double_cover(ft: FFPoly, n: int) -> int:
     if n == 1:
         return 0
     if ft.is_zero():
-        raise ValueError("zero branch polynomial")
+        raise InputError("zero branch polynomial")
     branch = 0
     for g, mult in squarefree_decomposition(ft):
         if mult % 2 == 1:

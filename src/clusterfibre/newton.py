@@ -27,9 +27,10 @@ valuation.py): the Newton polygon's hull, the line value alpha of a
 reduction and its on-line indices, and the alpha handed down the graded
 maps.  The value of a term a_s one level down is (A - s h_i) / e_i for the
 scaled alpha A; that division, and the one giving ``h_exponent``, is exact
-by the theory and checked, and a remainder raises AssertionError naming the
-law.  Fractions appear only at the public boundary: polygon vertices and
-slopes, ``Reduction.alpha``, and the alpha given to ``graded_H``.
+by the theory and checked, and a remainder raises InternalInconsistency
+naming the law.  Fractions appear only at the public boundary: polygon
+vertices and slopes, ``Reduction.alpha``, and the alpha given to
+``graded_H``.
 """
 
 from __future__ import annotations
@@ -37,23 +38,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
+from .errors import InputError, InternalInconsistency
 from .field import KPoly, expansion_scope
 from .ff import (FField, FFElem, FFPoly, ff_extend, is_irreducible, _fmul,
                  _gauss_solve_mod_p)
 from .rationals import OO
-from .valuation import MacLaneVal, NotAKeyPolynomial, RadiusNotAboveCentreValue
-
-
-class AlphaNotInValueGroup(ValueError):
-    pass
-
-
-class HEqualsX(ValueError):
-    pass
-
-
-class NotIrreducibleResidual(ValueError):
-    pass
+from .valuation import MacLaneVal
 
 
 # ---------------------------------------------------------------------------
@@ -115,33 +105,10 @@ def _lower_hull(points):
 
 def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly) -> NewtonPolygon:
     if f.is_zero():
-        raise ValueError("Newton polygon of the zero polynomial")
+        raise InputError("Newton polygon of the zero polynomial")
     n = v_prev.depth
     pts = [(i, v_prev._scaled(n, a)) for i, a in enumerate(f.phi_expand(phi)) if a.rows]
     return NewtonPolygon(_lower_hull(pts), v_prev.e_levels[-1])
-
-
-def principal_part(N: NewtonPolygon, vphi) -> NewtonPolygon:
-    """Sub-polygon of the edges with slope < -vphi."""
-    k = 1
-    for (i0, s0), (i1, s1) in zip(N.scaled, N.scaled[1:]):
-        if Fraction(s1 - s0, N.e * (i1 - i0)) >= -vphi:
-            break
-        k += 1
-    return NewtonPolygon(N.scaled[:k], N.e)
-
-
-def selected_edge(N: NewtonPolygon, lam) -> EdgeData:
-    """Endpoints of the part of N touched first by a line of slope -lam."""
-    if lam is OO:
-        i1, u1 = N.vertices[0]
-        return EdgeData(OO, 0, OO, i1, u1)
-    # the line's height at a vertex, scaled by e * denominator(lam)
-    keys = [s * lam.denominator + N.e * lam.numerator * i for i, s in N.scaled]
-    best = min(keys)
-    on_line = [k for k, key in enumerate(keys) if key == best]
-    (i0, u0), (i1, u1) = N.vertices[on_line[0]], N.vertices[on_line[-1]]
-    return EdgeData(lam, i0, u0, i1, u1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +150,7 @@ def residue_tower(v: MacLaneVal) -> ResidueTower:
         red = reduce_poly(prefix, phi_n)
         modulus = red.poly
         if modulus.degree != phi_n.degree // (prefix.deg * red.b):
-            raise AssertionError("tower modulus has unexpected degree")
+            raise InternalInconsistency("tower modulus has unexpected degree")
         G, emb, root = ff_extend(base.fields[-1], modulus)
         tower = ResidueTower(base.fields + [G], base.embeddings + [emb],
                              base.gens + [root], base.rel_degrees + [modulus.degree])
@@ -216,7 +183,7 @@ def _exact(num: int, den: int, law: str) -> int:
     """num / den, which the law named says is an integer."""
     q, r = divmod(num, den)
     if r:
-        raise AssertionError(f"{law}: {num}/{den} is not an integer")
+        raise InternalInconsistency(f"{law}: {num}/{den} is not an integer")
     return q
 
 
@@ -240,15 +207,15 @@ def graded_H(v: MacLaneVal, level: int, alpha, g: KPoly) -> Laurent:
     """H_{level, alpha}(g): zero if the level value of g exceeds alpha.
 
     alpha must lie in the value group of the depth-``level`` truncation, and
-    a g of value below alpha raises ValueError.
+    a g of value below alpha raises InputError.
     """
     scaled = alpha * v.e_levels[level]
     if Fraction(scaled).denominator != 1:
-        raise AlphaNotInValueGroup(f"{alpha} is not in the value group at level {level}")
+        raise InputError(f"{alpha} is not in the value group at level {level}")
     tower = residue_tower(v)
     val = v._scaled(level, g)
     if val < scaled:
-        raise ValueError("graded reduction of an element below the stated degree")
+        raise InputError("graded reduction of an element below the stated degree")
     if val != scaled:
         return Laurent(tower.fields[level], 0, FFPoly._of(tower.fields[level], ()))
     return _graded_H(v, tower, level, val, g)
@@ -281,7 +248,7 @@ def _images(v: MacLaneVal, tower: ResidueTower, level: int, child: int, terms) -
         if val == child:
             rows += _rho(tower, level, _graded_H(v, tower, level - 1, child, a))
         elif val < child:
-            raise AssertionError(f"graded reduction below the stated degree at level {level - 1}")
+            raise InternalInconsistency(f"graded reduction below the stated degree at level {level - 1}")
         else:
             rows += [0] * d
         child -= h_i
@@ -296,7 +263,7 @@ def _rho(tower: ResidueTower, level: int, lau: Laurent) -> list:
     rows = tower.embeddings[level - 1].image(lau.poly.rows)
     d, p = kf.degree, kf.p
     if lau.shift < 0 and gen.is_zero():
-        raise AssertionError("negative power of a vanishing step generator")
+        raise InternalInconsistency("negative power of a vanishing step generator")
     acc = rows[-d:]
     for lo in range(len(rows) - 2 * d, -1, -d):
         acc = [(a + c) % p for a, c in zip(_fmul(acc, gen.coords, kf), rows[lo:lo + d])]
@@ -338,12 +305,12 @@ class Reduction:
 def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     """The reduction f|_v along the chain of v (Gauss handled coefficientwise)."""
     if f.is_zero():
-        raise ValueError("reduction of the zero polynomial")
+        raise InputError("reduction of the zero polynomial")
     if v.is_gauss:
         alpha = v._scaled(0, f)
         return Reduction(f.residue(alpha), Fraction(alpha), 0, f.degree, 1, 0)
     if v.is_pseudo:
-        raise ValueError("reduction with respect to an infinite pseudo-valuation")
+        raise InputError("reduction with respect to an infinite pseudo-valuation")
     tower = residue_tower(v)
     n = v.depth
     e_n, h_n = v.e_rel[n], v.h_rel[n]
@@ -392,9 +359,9 @@ def is_key(v: MacLaneVal, phi: KPoly) -> bool:
 def augment(v: MacLaneVal, phi: KPoly, lam) -> MacLaneVal:
     """Checked augmentation: phi must be a key polynomial and lam > v(phi)."""
     if not is_key(v, phi):
-        raise NotAKeyPolynomial("augmentation centre is not a key polynomial")
+        raise InputError("augmentation centre is not a key polynomial")
     if lam is not OO and lam <= v.eval(phi):
-        raise RadiusNotAboveCentreValue("radius must exceed the centre's value")
+        raise InputError("radius must exceed the centre's value")
     return v.augment_unchecked(phi, lam)
 
 
@@ -420,7 +387,7 @@ def _decompose_over_step(tower: ResidueTower, level: int, c: FFElem):
             for j in range(tower.rel_degrees[level - 1]) for u in range(d)]
     sol = _gauss_solve_mod_p(list(zip(*cols)), list(c.coords), c.field.p)
     if sol is None:
-        raise AssertionError("step decomposition failed")
+        raise InternalInconsistency("step decomposition failed")
     return [FFElem._of(sub, sol[lo:lo + d]) for lo in range(0, len(sol), d)]
 
 
@@ -431,7 +398,7 @@ def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: in
     rho(H(level, alpha, a)) = c."""
     K = v.field
     if c.is_zero():
-        raise ValueError("preimage of zero requested")
+        raise InputError("preimage of zero requested")
     if level == 0:
         parts = _decompose_over_step(tower, 1, c)
         lift = KPoly(K, [_lift_subfield_elem(K, t) for t in parts])
@@ -462,16 +429,16 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
     tower = residue_tower(v)
     kv = tower.top
     if h.field is not kv:
-        raise ValueError("residual polynomial must live over the top residue field")
+        raise InputError("residual polynomial must live over the top residue field")
     if h.degree < 1 or not h.lead() == kv.one or not is_irreducible(h):
-        raise NotIrreducibleResidual("lift target must be monic irreducible")
+        raise InputError("lift target must be monic irreducible")
     if h.degree >= 1 and h[0].is_zero():
-        raise HEqualsX("cannot lift a residual polynomial divisible by X")
+        raise InputError("cannot lift a residual polynomial divisible by X")
     K = v.field
     if v.is_gauss:
         phi = KPoly(K, [_lift_subfield_elem(K, c) for c in h.coeffs[:-1]] + [K.one])
         if not is_key(v, phi):
-            raise AssertionError("lifted Gauss-level centre is not a key polynomial")
+            raise InternalInconsistency("lifted Gauss-level centre is not a key polynomial")
         return phi
     n = v.depth
     e_n = v.e_rel[n]
@@ -486,10 +453,10 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
         a_j = _inv_graded(v, tower, n - 1, (d - j) * v.h_rel[n], c_j)
         acc = acc + a_j * phi_n ** (j * e_n)
     if acc.gauss_val() < 0:
-        raise AssertionError("lifted key has non-integral coefficients")
+        raise InternalInconsistency("lifted key has non-integral coefficients")
     red = reduce_poly(v, acc)
     if not (red.i0 == 0 and red.poly == h):
-        raise AssertionError("lifted key failed the reduction roundtrip")
+        raise InternalInconsistency("lifted key failed the reduction roundtrip")
     return acc
 
 

@@ -38,20 +38,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from .errors import InputError
 from .field import BaseField, KPoly
 from .rationals import OO
-
-
-class NotAKeyPolynomial(ValueError):
-    pass
-
-
-class RadiusNotAboveCentreValue(ValueError):
-    pass
-
-
-class BadChain(ValueError):
-    pass
 
 
 class AugStep:
@@ -98,23 +87,23 @@ class MacLaneVal:
         for idx, step in enumerate(self.steps):
             phi, lam = step.phi, step.lam
             if not phi.is_monic() or phi.degree < 1:
-                raise BadChain("centres must be monic of positive degree")
+                raise InputError("centres must be monic of positive degree")
             if phi.gauss_val() < 0:
-                raise BadChain("centres must have integral coefficients")
+                raise InputError("centres must have integral coefficients")
             if prev_deg is not None and phi.degree % prev_deg:
-                raise BadChain("centre degrees must divide along the chain")
+                raise InputError("centre degrees must divide along the chain")
             prev_deg = phi.degree
             vphi = self._scaled(idx, phi)
             if lam is not OO and lam.numerator * e_levels[-1] <= vphi * lam.denominator:
-                raise RadiusNotAboveCentreValue(
+                raise InputError(
                     "augmentation radius must exceed the current centre value")
             if lam is OO and idx != len(self.steps) - 1:
-                raise BadChain("only the final radius may be infinite")
+                raise InputError("only the final radius may be infinite")
             if idx > 0:
                 diff = phi - self.steps[idx - 1].phi
                 # MacLane chain condition: phi not v-equivalent to the previous centre
                 if diff.is_zero() or self._scaled(idx, diff) > vphi:
-                    raise BadChain("consecutive centres must not be v-equivalent")
+                    raise InputError("consecutive centres must not be v-equivalent")
             if lam is OO:
                 e_levels.append(e_levels[-1])
                 e_rel.append(None)
@@ -190,16 +179,8 @@ class MacLaneVal:
         return self.e_rel[-1]
 
     @property
-    def h_last(self) -> Optional[int]:
-        return self.h_rel[-1] if self.steps else 0
-
-    @property
     def ell_last(self) -> Optional[int]:
         return self.ell[-1] if self.steps else 0
-
-    @property
-    def ellp_last(self) -> Optional[int]:
-        return self.ellp[-1] if self.steps else 1
 
     def truncation(self, depth: int) -> "MacLaneVal":
         if depth == self.depth:
@@ -294,47 +275,6 @@ class MacLaneVal:
         if lam2 is not OO and lam2 > prefix.eval(step.phi):
             return prefix.augment_unchecked(step.phi, lam2)
         return prefix
-
-    # -- chain numerics -----------------------------------------------------
-
-    def chain_invariants(self) -> dict:
-        """Numeric data of the chain plus the residue tower handle."""
-        from .newton import residue_tower  # deferred: newton builds towers
-        tower = residue_tower(self)
-        return {
-            "deg": self.deg,
-            "radius": self.radius,
-            "e_v": self.group_index,
-            "epsilon": self.epsilon,
-            "b_v": self.b_last,
-            "h_v": self.h_last,
-            "ell_v": self.ell_last,
-            "ellp_v": self.ellp_last,
-            "residue_degrees": tower.rel_degrees,
-            "f_v": tower.top.degree // self.field.m,
-            "tower": tower,
-        }
-
-    def pi_exponents(self, i: int):
-        """Exponent vector of pi_i on (phi_1, ..., phi_i, p), via the recursion
-        pi_i = phi_i^{ell_i} * pi_{i-1}^{ell'_i}."""
-        vec = [0] * (self.depth + 1)
-        vec[-1] = 1  # pi_0 = p
-        for j in range(1, i + 1):
-            new = [e * self.ellp[j] for e in vec]
-            new[j - 1] += self.ell[j]
-            vec = new
-        return tuple(vec)
-
-    def pi_exponents_closed(self, i: int):
-        """Same vector by the closed form m'_j = ell_j ell'_{j+1} ... ell'_i."""
-        vec = [0] * (self.depth + 1)
-        prod = 1
-        for j in range(i, 0, -1):
-            vec[j - 1] = self.ell[j] * prod
-            prod *= self.ellp[j]
-        vec[-1] = prod
-        return tuple(vec)
 
     # -- misc ----------------------------------------------------------------
 

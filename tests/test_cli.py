@@ -1,6 +1,7 @@
 """Parser, commands, exit codes, determinism."""
 
 import ast
+import builtins
 import json
 import os
 import random
@@ -16,7 +17,8 @@ import pytest
 import clusterfibre
 from clusterfibre.field import BaseField
 from clusterfibre import cli, field, newton
-from clusterfibre.cli import parse_poly, PolySyntaxError, run
+from clusterfibre.cli import parse_poly, run
+from clusterfibre.errors import InputError
 
 
 class TestParse:
@@ -47,14 +49,14 @@ class TestParse:
         K = BaseField(3, 2)
         f = parse_poly("x - th", K)
         assert f == K.poly([-K.theta, K.one])
-        with pytest.raises(PolySyntaxError):
+        with pytest.raises(InputError, match="theta needs an unramified degree > 1"):
             parse_poly("th", BaseField(3, 1))
 
     def test_error_position(self):
         K = BaseField(5)
-        with pytest.raises(PolySyntaxError) as err:
+        with pytest.raises(InputError) as err:
             parse_poly("x^2 + ", K)
-        assert err.value.position == 6
+        assert str(err.value).endswith("(at position 6)")
 
     def test_print_parse_fixpoint(self):
         from clusterfibre.fibre import poly_str
@@ -181,6 +183,26 @@ class TestCommands:
         assert err[0] == "error: residue characteristic must be an odd prime"
         assert err[1].startswith("error: residue characteristic must be below")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fibre", "x^2-5", "--prime", "abc"], "argument --prime/-p: invalid int value: 'abc'"),
+        (["fibre", "x^2-5", "--prime", "5", "--format", "xml"], "argument --format: invalid choice"),
+        (["fibre", "x^2-5", "--prime", "5", "--bogus"], "unrecognized arguments: --bogus"),
+        (["draw", "x^2-5", "--prime", "5"], "argument command: invalid choice"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_errors_exit_1(self, argv, message, capsys):
+        # a usage error is bad input like any other, not argparse's exit 2
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: clusterfibre")
+
     def test_assertion_is_an_internal_failure(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise AssertionError("x")
@@ -275,10 +297,37 @@ class TestHostileInput:
         K = BaseField(5)
         assert parse_poly(f"x^{cli.MAX_EXPONENT}", K).degree == cli.MAX_EXPONENT
         assert parse_poly(f"x^{cli.MAX_DEGREE - 1}*x", K).degree == cli.MAX_DEGREE
-        with pytest.raises(PolySyntaxError):
+        with pytest.raises(InputError, match=f"exponent {cli.MAX_EXPONENT + 1} exceeds the limit"):
             parse_poly(f"x^{cli.MAX_EXPONENT + 1}", K)
-        with pytest.raises(PolySyntaxError):
+        with pytest.raises(InputError, match=f"degree {cli.MAX_DEGREE + 1} exceeds the limit"):
             parse_poly(f"x^{cli.MAX_DEGREE}*x", K)
+        n, d = cli.MAX_NESTING, cli.MAX_DIGITS
+        assert parse_poly("(" * n + "x" + ")" * n, K) == K.x()
+        assert parse_poly("9" * d + "*x", K) == K.poly([0, int("9" * d)])
+        assert len(cli._coefficient_list(",".join(["1"] * (cli.MAX_DEGREE + 1)))) == cli.MAX_DEGREE + 1
+        with pytest.raises(InputError, match=f"nest deeper than the limit {n}"):
+            parse_poly("(" * (n + 1) + "x" + ")" * (n + 1), K)
+        with pytest.raises(InputError, match=f"literal of {d + 1} digits exceeds the limit {d}"):
+            parse_poly("9" * (d + 1) + "*x", K)
+
+    @pytest.mark.parametrize("argv", [
+        ["picture", "(" * 300 + "x" + ")" * 300 + "^2-5", "--prime", "5"],
+        ["picture", "x^2-" + "7" * 5000, "--prime", "5"],
+        ["picture", "x^2-1/" + "7" * 5000, "--prime", "5"],
+        ["picture", "--coeffs=" + "7" * 5000 + ",0,1", "--prime", "5"],
+        ["picture", "x^\u00b2-5", "--prime", "5"],
+        ["picture", "--coeffs=" + ",".join(["1"] * (cli.MAX_DEGREE + 2)), "--prime", "5"],
+    ], ids=["nesting", "literal", "denominator", "coeffs", "superscript", "coeffs-degree"])
+    def test_hostile_expression_fails_fast(self, argv, capsys):
+        # deep nesting would exhaust the stack, int() refuses a literal past
+        # its own digit limit and a superscript digit, and a long --coeffs
+        # list would skip MAX_DEGREE; the parser refuses each as bad input
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestModuleEntry:
@@ -349,3 +398,43 @@ class TestOptimizedInterpreter:
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
         assert found == []
+
+
+class TestErrorHierarchy:
+    # the raise sites may name the two package errors, and the operator
+    # errors of the arithmetic dunder methods
+    RAISED = {"InputError", "InternalInconsistency", "ZeroDivisionError", "TypeError",
+              "ArithmeticError"}
+
+    def test_two_error_classes(self):
+        # only errors.py defines exception classes, and every raise names
+        # one of RAISED: exit 1 and exit 2 follow from the class alone
+        exceptions = {n for n, v in vars(builtins).items()
+                      if isinstance(v, type) and issubclass(v, BaseException)}
+        classes, raised = [], []
+        for path in sorted(Path(clusterfibre.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+                    classes.append((path.name, node.name, bases))
+                elif isinstance(node, ast.Raise):
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.append((path.name, node.lineno, getattr(exc, "id", None)))
+        grew = True
+        while grew:  # close the set of exception names over the package's classes
+            new = {name for _, name, bases in classes if bases & exceptions}
+            grew = not new <= exceptions
+            exceptions |= new
+        defined = sorted((f, name) for f, name, _ in classes if name in exceptions)
+        assert defined == [("errors.py", "InputError"), ("errors.py", "InternalInconsistency")]
+        assert [r for r in raised if r[2] not in self.RAISED] == []
+
+    def test_unclassified_error_is_an_internal_failure(self, monkeypatch, capsys):
+        # only InputError means bad input; a plain ValueError is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("x")
+
+        monkeypatch.setattr(cli, "build_cluster_tree", broken)
+        assert run(["fibre", "x^2-5", "--prime", "5"]) == 2
+        assert capsys.readouterr().err == "internal consistency failure: x\n"

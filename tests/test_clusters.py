@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from clusterfibre.field import BaseField, NotSeparable
+from clusterfibre.errors import InputError
+from clusterfibre.field import BaseField
 from clusterfibre.rationals import OO
 from clusterfibre.clusters import (normalize_input, build_cluster_tree,
-                                   cluster_chain, p0_flag, ResidueModeOverflow)
+                                   cluster_chain, p0_flag)
 from clusterfibre.degree1 import rational_cluster_tree, oracle_signature, tree_signature
 
 
@@ -55,7 +56,7 @@ class TestNormalize:
 
     def test_not_separable(self):
         K = BaseField(5)
-        with pytest.raises(NotSeparable):
+        with pytest.raises(InputError, match="polynomial has repeated roots"):
             normalize_input(K.poly([-5, 0, 1]) ** 2)
 
 
@@ -243,5 +244,5 @@ class TestGeometricMode:
     def test_budget(self):
         K = BaseField(3)
         f = K.poly([1, 0, 1]) ** 2 - K.poly([3 ** 5])
-        with pytest.raises(ResidueModeOverflow):
+        with pytest.raises(InputError, match="geometric mode needs residue degree 2 > budget 1"):
             build_cluster_tree(f, K, mode="geometric", extension_budget=1)
