@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError
-from .field import BaseField, KPoly, MAX_UNRAMIFIED_DEGREE, expansion_scope
+from .field import BaseField, KPoly, expansion_scope
 from .rationals import qstr
 from .clusters import build_cluster_tree, cluster_chain, normalize_input
 from .invariants import all_records
@@ -33,10 +33,13 @@ from .fibre import (assemble, cluster_dicts, export, fibre_graph,
 # dense polynomial.  Parentheses nest at most MAX_NESTING deep, well inside
 # the interpreter's recursion limit (see _parse_power), and a literal has at
 # most MAX_DIGITS digits, the most int() converts from text by default.
+# A power or product whose coefficients could reach more than MAX_COEFF_BITS
+# bits is refused before it is computed too, so (10^1024)^1024 fails at once.
 MAX_DEGREE = 1024
 MAX_EXPONENT = 1024
 MAX_NESTING = 256
 MAX_DIGITS = 4300
+MAX_COEFF_BITS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +162,7 @@ def _parse_product(toks, K):
         toks.take()
         rhs = _parse_power(toks, K)
         _check_degree(acc.degree + rhs.degree, toks)
+        _check_size(toks, (acc, 1), (rhs, 1))
         acc = acc * rhs
     return acc
 
@@ -166,6 +170,19 @@ def _parse_product(toks, K):
 def _check_degree(degree, toks):
     if degree > MAX_DEGREE:
         raise InputError(toks.at(f"degree {degree} exceeds the limit {MAX_DEGREE}"))
+
+
+def _check_size(toks, *powers):
+    """Refuse the product of f^n over the pairs (f, n) when a bound on its
+    coefficients' bits passes MAX_COEFF_BITS: n times the bit lengths of f's
+    denominator and of its sum of |numerator|s, summed over the pairs.  The
+    reduction by theta's minimal polynomial can add more; the degree caps
+    bound how much."""
+    num = sum(n * sum(map(abs, f.rows)).bit_length() for f, n in powers)
+    bits = max(num, sum(n * f.den.bit_length() for f, n in powers))
+    if bits > MAX_COEFF_BITS:
+        raise InputError(toks.at(f"coefficients of up to {bits} bits exceed the limit "
+                                 f"{MAX_COEFF_BITS}"))
 
 
 def _parse_power(toks, K):
@@ -192,6 +209,7 @@ def _parse_power(toks, K):
         if n > MAX_EXPONENT:
             raise InputError(toks.at(f"exponent {n} exceeds the limit {MAX_EXPONENT}"))
         _check_degree(base.degree * int(n), toks)
+        _check_size(toks, (base, int(n)))
         return base ** int(n)
     return base
 
@@ -243,7 +261,6 @@ def _build_parser():
     ap.add_argument("--residue-mode", choices=["exact", "geometric"], default="exact")
     ap.add_argument("--format", choices=["json", "ascii", "dot", "tikz"], default="ascii")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--extension-budget", type=int, default=MAX_UNRAMIFIED_DEGREE)
     return ap
 
 
@@ -385,9 +402,7 @@ def _run_pipeline(args) -> int:
     share one expansion memo."""
     K = BaseField(args.prime, args.unramified_degree)
     f = _input_poly(args, K)
-    tree = build_cluster_tree(f, K, mode=args.residue_mode,
-                              extension_budget=args.extension_budget,
-                              seed=args.seed)
+    tree = build_cluster_tree(f, K, mode=args.residue_mode, seed=args.seed)
     if args.command == "picture":
         sys.stdout.write(_render_picture(tree, args.format))
         return 0
@@ -482,9 +497,7 @@ def _check_instance(K, f, args, rng) -> bool:
     ell-choice invariance of the assembled fibre, on one input."""
     try:
         for mode in ("exact", "geometric"):
-            tree = build_cluster_tree(f, K, mode=mode,
-                                      extension_budget=args.extension_budget,
-                                      seed=args.seed)
+            tree = build_cluster_tree(f, K, mode=mode, seed=args.seed)
             if tree.root is None:
                 continue
             records = all_records(tree)  # nu identity + genus cross-check inside

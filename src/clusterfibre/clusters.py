@@ -28,8 +28,8 @@ InternalInconsistency, signalling a bug rather than bad input.
 Residue modes: in exact mode residue fields grow as dictated by the input.
 In geometric mode the base field is enlarged by unramified extensions until
 every residual factor in sight is linear, restarting the build; this
-realizes the algebraically-closed-residue presentation at the price of a
-configurable extension budget.
+realizes the algebraically-closed-residue presentation, up to the residue
+degree cap field.MAX_UNRAMIFIED_DEGREE.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import InputError, InternalInconsistency
-from .field import (BaseField, KPoly, discriminant_val, expansion_scope,
-                    extend_unramified)
+from .field import (BaseField, KPoly, MAX_UNRAMIFIED_DEGREE, discriminant_val,
+                    expansion_scope, extend_unramified)
 from .ff import ff_factor
 from .rationals import OO, qstr
 from .valuation import MacLaneVal
@@ -257,7 +257,7 @@ class _Builder:
 
 @expansion_scope
 def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
-                       extension_budget: int = 64, seed: int = 0) -> ClusterTree:
+                       seed: int = 0) -> ClusterTree:
     """Full pipeline: normalize, discover, choose centres, build cluster chains,
     recompute reductions along them, and assert the counting laws."""
     if mode not in ("exact", "geometric"):
@@ -274,9 +274,9 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
         if mode == "geometric" and builder.nonlinear_residual is not None:
             grow = builder.nonlinear_residual
             new_m = work_K.m * grow
-            if new_m > extension_budget:
-                raise InputError(
-                    f"geometric mode needs residue degree {new_m} > budget {extension_budget}")
+            if new_m > MAX_UNRAMIFIED_DEGREE:
+                raise InputError(f"geometric mode needs residue degree {new_m} "
+                                 f"> budget {MAX_UNRAMIFIED_DEGREE}")
             work_K, embed = extend_unramified(work_K, grow)
             work_f = KPoly(work_K, [embed(c) for c in work_f.coeffs])
             continue
@@ -329,25 +329,18 @@ def _degree_minimal_centre(tree: ClusterTree, node: ClusterNode) -> KPoly:
 
 def cluster_chain(node: ClusterNode) -> MacLaneVal:
     """The unique MacLane chain for the node whose centres are the ancestral
-    assigned centres (consecutive duplicates collapse to a radius bump)."""
-    if node.cluster_chain is not None:
-        return node.cluster_chain
-    K = node.valuation.field
-    if node.parent is None:
-        steps = [(node.centre, node.radius)]
-    else:
-        parent_chain = cluster_chain(node.parent)
-        if node.centre == node.parent.centre:
-            steps = [(s.phi, s.lam) for s in parent_chain.steps[:-1]]
-            steps.append((node.centre, node.radius))
+    assigned centres: the parent's chain augmented by the node's centre and
+    radius, or, when the two share a centre, the parent's prefix augmented
+    (a radius bump)."""
+    if node.cluster_chain is None:
+        if node.parent is None:
+            base = MacLaneVal.gauss(node.valuation.field)
         else:
-            steps = [(s.phi, s.lam) for s in parent_chain.steps]
-            steps.append((node.centre, node.radius))
-    chain = MacLaneVal.gauss(K)
-    for phi, lam in steps:
-        chain = chain.augment_unchecked(phi, lam)
-    node.cluster_chain = chain
-    return chain
+            base = cluster_chain(node.parent)
+            if node.centre == node.parent.centre:
+                base = base.prefix
+        node.cluster_chain = base.augment_unchecked(node.centre, node.radius)
+    return node.cluster_chain
 
 
 def p0_flag(node: ClusterNode) -> int:
@@ -394,5 +387,5 @@ def _verify_tree(tree: ClusterTree):
                 if residual_order(node.reduction.poly, hred) * child.degree != child.size:
                     raise InternalInconsistency("child multiplicity law violated")
         cc = cluster_chain(node)
-        if not is_key(cc.truncation(cc.depth - 1), node.centre):
+        if not is_key(cc.prefix, node.centre):
             raise InternalInconsistency("assigned centre is not a key polynomial")

@@ -690,15 +690,18 @@ def _gauss_solve_mod_p(rows, rhs, p):
 def ff_extend(F: FField, h: FFPoly):
     """Build the extension of F by a monic irreducible h.
 
-    Returns ``(G, emb, root)`` where G is an absolute field of degree
-    [F:F_p] * deg h, emb : F -> G is a ring injection, and h(root) = 0 after
-    mapping h's coefficients through emb.
+    Returns ``(G, emb, root, basis)`` where G is an absolute field of degree
+    [F:F_p] * deg h, emb : F -> G is a ring injection, h(root) = 0 after
+    mapping h's coefficients through emb, and row k of ``basis`` writes the
+    k-th power-basis element of G as sum_j emb(t_j) root^j, t_j in F: the
+    coordinates of t_j sit at j*[F:F_p] onwards.  A degree-1 h gives G = F,
+    the identity, and basis None.
     """
     if h.degree < 1 or not is_irreducible(h):
         raise InputError("modulus of a field extension must be irreducible")
     if h.degree == 1:
         root = -(h[0] * h[1].inverse())
-        return F, Embedding.identity(F), root
+        return F, Embedding.identity(F), root, None
 
     p, a, t = F.p, F.degree, h.degree
     n = a * t
@@ -737,5 +740,5 @@ def ff_extend(F: FField, h: FFPoly):
         mapped = emb.map_poly(hm)
         if not mapped.evaluate(root).is_zero():
             raise InternalInconsistency("extension construction failed root check")
-        return G, emb, root
+        return G, emb, root, rows[:n]
     raise InternalInconsistency("no primitive generator found")  # unreachable for finite fields

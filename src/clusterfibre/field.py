@@ -351,8 +351,8 @@ def _is_prime(n: int) -> bool:
 
 
 # The largest m for which BaseField searches its own defining polynomial
-# (Ben-Or tests on candidates of degree m), and the default extension
-# budget, which bounds the fields built with a given gen_minpoly.
+# (Ben-Or tests on candidates of degree m), and the largest residue degree
+# geometric mode extends the base field to.
 MAX_UNRAMIFIED_DEGREE = 64
 
 

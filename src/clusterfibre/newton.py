@@ -4,7 +4,11 @@ Everything here is relative to a MacLaneVal chain.  The residue tower
 k_0 <= k_1 <= ... <= k_n attaches one finite field per augmentation step:
 k_{i+1} is k_i extended by the reduction of phi_{i+1} with respect to the
 depth-i truncation, and the designated generator of the step is the image
-of the graded variable of level i.
+of the graded variable of level i.  A chain's tower is its prefix's tower
+plus one ``ff_extend`` step, so chains with a common prefix share its fields.
+A step keeps the basis rows ``ff_extend`` returns: with them, writing an
+element of k_{i+1} in powers of the step generator over k_i (for key
+lifting) is one matrix-vector product mod p.
 
 The graded reduction H(level, alpha, g) returns a Laurent polynomial over
 k_level, computed by recursive descent on phi-adic expansions: only the
@@ -40,8 +44,7 @@ from typing import List
 
 from .errors import InputError, InternalInconsistency
 from .field import KPoly, expansion_scope
-from .ff import (FField, FFElem, FFPoly, ff_extend, is_irreducible, _fmul,
-                 _gauss_solve_mod_p)
+from .ff import FField, FFElem, FFPoly, ff_extend, is_irreducible, _fmul
 from .rationals import OO
 from .valuation import MacLaneVal
 
@@ -116,15 +119,15 @@ def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly) -> NewtonPolygon:
 
 
 class ResidueTower:
-    """Fields k_0 .. k_n with step embeddings, generators, and relative degrees."""
+    """Fields k_0 .. k_n with step embeddings, generators, and step bases."""
 
-    __slots__ = ("fields", "embeddings", "gens", "rel_degrees")
+    __slots__ = ("fields", "embeddings", "gens", "bases")
 
-    def __init__(self, fields, embeddings, gens, rel_degrees):
+    def __init__(self, fields, embeddings, gens, bases):
         self.fields = fields
         self.embeddings = embeddings  # embeddings[i]: k_i -> k_{i+1}
         self.gens = gens              # gens[i+1]: image of the level-i variable in k_{i+1}
-        self.rel_degrees = rel_degrees  # rel_degrees[i]: [k_{i+1} : k_i]
+        self.bases = bases            # bases[i]: the basis rows of ff_extend for k_i -> k_{i+1}
 
     @property
     def top(self) -> FField:
@@ -132,28 +135,25 @@ class ResidueTower:
 
 
 def residue_tower(v: MacLaneVal) -> ResidueTower:
-    """Tower of the chain, built incrementally on the cached truncations so
-    every prefix shares its field objects with the full chain."""
+    """Tower of the chain: the tower of its prefix extended by one step, so
+    every chain shares its field objects with all chains of a common prefix."""
     if "tower" in v._cache:
         return v._cache["tower"]
-    depth = v.depth if not v.is_pseudo else v.depth - 1
-    if depth == 0:
+    if v.is_gauss:
         tower = ResidueTower([v.field.residue_field], [], [None], [])
-    elif v.is_pseudo or depth < v.depth:
-        tower = residue_tower(v.truncation(depth))
+    elif v.is_pseudo:
+        tower = residue_tower(v.prefix)
     else:
-        prefix = v.truncation(depth - 1)
-        base = residue_tower(prefix)
-        phi_n = v.steps[depth - 1].phi
+        base = residue_tower(v.prefix)
         # the modulus of the step is the reduction of the new centre, taken
         # over the prefix so its coefficients live in the prefix's top field
-        red = reduce_poly(prefix, phi_n)
+        red = reduce_poly(v.prefix, v.centre)
         modulus = red.poly
-        if modulus.degree != phi_n.degree // (prefix.deg * red.b):
+        if modulus.degree != v.deg // (v.prefix.deg * red.b):
             raise InternalInconsistency("tower modulus has unexpected degree")
-        G, emb, root = ff_extend(base.fields[-1], modulus)
+        G, emb, root, basis = ff_extend(base.fields[-1], modulus)
         tower = ResidueTower(base.fields + [G], base.embeddings + [emb],
-                             base.gens + [root], base.rel_degrees + [modulus.degree])
+                             base.gens + [root], base.bases + [basis])
     v._cache["tower"] = tower
     return tower
 
@@ -376,19 +376,18 @@ def _lift_subfield_elem(K, t) -> "KElem":
 
 
 def _decompose_over_step(tower: ResidueTower, level: int, c: FFElem):
-    """Write c in k_level as sum emb(t_j) * gen^j, j < rel degree of the step."""
-    emb = tower.embeddings[level - 1]
-    gen = tower.gens[level]
-    sub = tower.fields[level - 1]
-    d = sub.degree
-    # column j * d + u: the image of the basis element t^u of k_{level-1},
-    # times gen^j, so the solution holds the coordinates of t_0, t_1, ...
-    cols = [(emb(FFElem(sub, tuple(int(i == u) for i in range(d)))) * gen ** j).coords
-            for j in range(tower.rel_degrees[level - 1]) for u in range(d)]
-    sol = _gauss_solve_mod_p(list(zip(*cols)), list(c.coords), c.field.p)
-    if sol is None:
-        raise InternalInconsistency("step decomposition failed")
-    return [FFElem._of(sub, sol[lo:lo + d]) for lo in range(0, len(sol), d)]
+    """Write c in k_level as sum emb(t_j) * gen^j, j < rel degree of the step:
+    the basis rows of the step map the coordinates of c to those of the t_j."""
+    sub, basis = tower.fields[level - 1], tower.bases[level - 1]
+    if basis is None:
+        return [c]
+    p, d = sub.p, sub.degree
+    flat = [0] * len(basis)
+    for x, row in zip(c.coords, basis):
+        if x:
+            flat = [a + x * r for a, r in zip(flat, row)]
+    return [FFElem._of(sub, [a % p for a in flat[lo:lo + d]])
+            for lo in range(0, len(flat), d)]
 
 
 def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,

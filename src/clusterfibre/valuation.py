@@ -8,11 +8,13 @@ phi-adic expansions:
     v(sum a_s phi_n^s) = min_s ( v_{n-1}(a_s) + s * lambda_n ).
 
 Only the last lambda may be infinite; such a chain is the pseudo-valuation
-supported on the centre's roots.  Chains are validated and their numeric
-data (group indices e_{v_i}, the relative e_i, h_i = e_{v_i} lambda_i, and
-the Bezout pair ell_i h_i + ell'_i e_i = 1 with 0 <= ell_i < e_i) are
-computed eagerly at construction; chains have depth at most log2(deg f), so
-there is nothing to defer.
+supported on the centre's roots.  As in MacLane's construction, the chain
+[v; phi, lambda] keeps v as its ``prefix``: it checks only its own step
+against v and extends v's numeric data (group indices e_{v_i}, the relative
+e_i, h_i = e_{v_i} lambda_i, and the Bezout pair ell_i h_i + ell'_i e_i = 1
+with 0 <= ell_i < e_i) by one level.  So each step is checked once,
+``truncation`` walks the links, and chains augmenting a common prefix share
+it and what is cached on it, such as its residue tower (newton.py).
 
 Values at depth i lie in (1/e_{v_i}) Z, so the evaluation kernel
 ``_scaled`` works on the integers e_{v_i} v_i, in which the recursion reads
@@ -36,103 +38,91 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError
 from .field import BaseField, KPoly
 from .rationals import OO
 
 
-class AugStep:
-    __slots__ = ("phi", "lam")
-
-    def __init__(self, phi: KPoly, lam):
-        self.phi = phi
-        self.lam = lam
-
-    def __eq__(self, other):
-        return isinstance(other, AugStep) and other.phi == self.phi and other.lam == self.lam
-
-    def __hash__(self):
-        return hash((self.phi, self.lam))
-
-    def __repr__(self):
-        from .rationals import qstr
-        return f"(deg{self.phi.degree} -> {qstr(self.lam)})"
+class AugStep(NamedTuple):
+    """One augmentation step: the centre phi is sent to the radius lam."""
+    phi: KPoly
+    lam: object
 
 
 class MacLaneVal:
-    """An augmentation chain over the Gauss valuation, with cached invariants."""
+    """An augmentation chain over the Gauss valuation: its prefix chain plus
+    one last step, with the numeric data of every level."""
 
-    __slots__ = ("field", "steps", "e_levels", "e_rel", "h_rel", "ell", "ellp",
-                 "_cache")
+    __slots__ = ("field", "prefix", "steps", "e_levels", "e_rel", "h_rel", "ell",
+                 "ellp", "_cache")
 
     def __init__(self, field: BaseField, steps=()):
-        self.field = field
-        self.steps = tuple(steps)
-        self._cache = {}
-        self._validate_and_cache()
+        steps = tuple(steps)
+        self._link(field, MacLaneVal(field, steps[:-1]) if steps else None,
+                   steps[-1] if steps else None)
 
     # -- construction -----------------------------------------------------
 
-    def _validate_and_cache(self):
-        # the lists are filled step by step, so the kernel evaluates each
-        # prefix on the data of the steps below it
-        self.e_levels = e_levels = [1]
-        self.e_rel = e_rel = [None]
-        self.h_rel = h_rel = [None]
-        self.ell = ell = [None]
-        self.ellp = ellp = [None]
-        prev_deg = None
-        for idx, step in enumerate(self.steps):
-            phi, lam = step.phi, step.lam
-            if not phi.is_monic() or phi.degree < 1:
-                raise InputError("centres must be monic of positive degree")
-            if phi.gauss_val() < 0:
-                raise InputError("centres must have integral coefficients")
-            if prev_deg is not None and phi.degree % prev_deg:
-                raise InputError("centre degrees must divide along the chain")
-            prev_deg = phi.degree
-            vphi = self._scaled(idx, phi)
-            if lam is not OO and lam.numerator * e_levels[-1] <= vphi * lam.denominator:
-                raise InputError(
-                    "augmentation radius must exceed the current centre value")
-            if lam is OO and idx != len(self.steps) - 1:
-                raise InputError("only the final radius may be infinite")
-            if idx > 0:
-                diff = phi - self.steps[idx - 1].phi
-                # MacLane chain condition: phi not v-equivalent to the previous centre
-                if diff.is_zero() or self._scaled(idx, diff) > vphi:
-                    raise InputError("consecutive centres must not be v-equivalent")
-            if lam is OO:
-                e_levels.append(e_levels[-1])
-                e_rel.append(None)
-                h_rel.append(None)
-                ell.append(None)
-                ellp.append(None)
-            else:
-                ev = lcm(e_levels[-1], lam.denominator)
-                e_levels.append(ev)
-                e_i = ev // e_levels[-2]
-                h_i = ev // lam.denominator * lam.numerator
-                l_i = pow(h_i, -1, e_i) % e_i if e_i > 1 else 0
-                lp_i = (1 - l_i * h_i) // e_i
-                e_rel.append(e_i)
-                h_rel.append(h_i)
-                ell.append(l_i)
-                ellp.append(lp_i)
+    def _link(self, field, prefix, step):
+        """Make self [prefix; step], checking only the step against the
+        prefix; no prefix (and no step) makes self the Gauss valuation."""
+        self.field = field
+        self.prefix = prefix
+        self._cache = {}
+        if prefix is None:
+            self.steps = ()
+            self.e_levels, self.e_rel, self.h_rel = [1], [None], [None]
+            self.ell, self.ellp = [None], [None]
+            return
+        if prefix.is_pseudo:
+            raise InputError("only the final radius may be infinite")
+        phi, lam = step.phi, step.lam
+        if not phi.is_monic() or phi.degree < 1:
+            raise InputError("centres must be monic of positive degree")
+        if phi.gauss_val() < 0:
+            raise InputError("centres must have integral coefficients")
+        if prefix.steps and phi.degree % prefix.deg:
+            raise InputError("centre degrees must divide along the chain")
+        vphi = prefix._scaled(prefix.depth, phi)
+        e_prev = prefix.e_levels[-1]
+        if lam is not OO and lam.numerator * e_prev <= vphi * lam.denominator:
+            raise InputError("augmentation radius must exceed the current centre value")
+        if prefix.steps:
+            diff = phi - prefix.centre
+            # MacLane chain condition: phi not v-equivalent to the previous centre
+            if diff.is_zero() or prefix._scaled(prefix.depth, diff) > vphi:
+                raise InputError("consecutive centres must not be v-equivalent")
+        if lam is OO:
+            ev = e_prev
+            e_i = h_i = l_i = lp_i = None
+        else:
+            ev = lcm(e_prev, lam.denominator)
+            e_i = ev // e_prev
+            h_i = ev // lam.denominator * lam.numerator
+            l_i = pow(h_i, -1, e_i) % e_i if e_i > 1 else 0
+            lp_i = (1 - l_i * h_i) // e_i
+        self.steps = prefix.steps + (step,)
+        self.e_levels = prefix.e_levels + [ev]
+        self.e_rel = prefix.e_rel + [e_i]
+        self.h_rel = prefix.h_rel + [h_i]
+        self.ell = prefix.ell + [l_i]
+        self.ellp = prefix.ellp + [lp_i]
 
     @staticmethod
     def gauss(field: BaseField) -> "MacLaneVal":
         return MacLaneVal(field, ())
 
     def augment_unchecked(self, phi: KPoly, lam) -> "MacLaneVal":
-        """Extend the chain without testing that phi is a key polynomial.
+        """[self; phi -> lam], without testing that phi is a key polynomial.
 
         Chain-shape conditions (monic, integral, radius above centre value,
         non-equivalence with the previous centre) are still enforced.
         """
-        return MacLaneVal(self.field, self.steps + (AugStep(phi, lam),))
+        out = MacLaneVal.__new__(MacLaneVal)
+        out._link(self.field, self, AugStep(phi, lam))
+        return out
 
     # -- basic data --------------------------------------------------------
 
@@ -183,12 +173,11 @@ class MacLaneVal:
         return self.ell[-1] if self.steps else 0
 
     def truncation(self, depth: int) -> "MacLaneVal":
-        if depth == self.depth:
-            return self
-        key = ("trunc", depth)
-        if key not in self._cache:
-            self._cache[key] = MacLaneVal(self.field, self.steps[:depth])
-        return self._cache[key]
+        """The prefix chain of the given depth, found by walking the links."""
+        v = self
+        while v.depth > depth:
+            v = v.prefix
+        return v
 
     # -- evaluation ---------------------------------------------------------
 
@@ -244,36 +233,30 @@ class MacLaneVal:
         return self.leq(other) and other.leq(self)
 
     def minimal_chain(self) -> "MacLaneVal":
-        """Equivalent chain with strictly increasing centre degrees."""
-        if "minimal" in self._cache:
-            return self._cache["minimal"]
-        keep = []
-        for step in self.steps:
-            if keep and keep[-1].phi.degree == step.phi.degree:
-                keep[-1] = step
-            else:
-                keep.append(step)
-        out = self if len(keep) == len(self.steps) else MacLaneVal(self.field, keep)
-        self._cache["minimal"] = out
-        return out
+        """Equivalent chain with strictly increasing centre degrees: the
+        prefix's, less its last step when that has the degree of ours, plus
+        our last step."""
+        if self.depth < 2:
+            return self
+        low = self.prefix.minimal_chain()
+        if low.deg == self.deg:
+            low = low.prefix
+        return self if low is self.prefix else low.augment_unchecked(self.centre, self.radius)
 
     def meet(self, other: "MacLaneVal") -> "MacLaneVal":
         if self.leq(other):
             return self
         if other.leq(self):
             return other
-        mv = self.minimal_chain()
-        best_depth = 0
-        for d in range(1, mv.depth + 1):
-            if mv.truncation(d).leq(other):
-                best_depth = d
-            else:
-                break
-        prefix = mv.truncation(best_depth)
-        step = mv.steps[best_depth]
-        lam2 = other.eval(step.phi)
-        if lam2 is not OO and lam2 > prefix.eval(step.phi):
-            return prefix.augment_unchecked(step.phi, lam2)
+        # the truncations below other are the shallow ones: find the deepest,
+        # and the step above it, the first that overshoots
+        high = self.minimal_chain()
+        while not high.prefix.leq(other):
+            high = high.prefix
+        prefix, phi = high.prefix, high.centre
+        lam2 = other.eval(phi)
+        if lam2 is not OO and lam2 > prefix.eval(phi):
+            return prefix.augment_unchecked(phi, lam2)
         return prefix
 
     # -- misc ----------------------------------------------------------------

@@ -824,23 +824,23 @@ class TestFiniteFields:
     def test_extend_trivial(self):
         k = prime_field(5)
         h = FFPoly.from_ints(k, [-1, 1])
-        G, emb, root = ff_extend(k, h)
+        G, emb, root, _ = ff_extend(k, h)
         assert G is k
         assert root == k.elem(1)
 
     def test_extend_quadratic(self):
         k = prime_field(3)
         h = FFPoly.from_ints(k, [1, 0, 1])
-        G, emb, root = ff_extend(k, h)
+        G, emb, root, _ = ff_extend(k, h)
         assert G.degree == 2
         assert (root * root + G.one).is_zero()
 
     def test_extend_tower(self):
         k = prime_field(3)
         h = FFPoly.from_ints(k, [1, 0, 1])
-        G, emb, root = ff_extend(k, h)
+        G, emb, root, _ = ff_extend(k, h)
         h2 = _find_quadratic_irreducible(G)
-        G2, emb2, root2 = ff_extend(G, h2)
+        G2, emb2, root2, _ = ff_extend(G, h2)
         assert G2.degree == 4
         mapped = emb2.map_poly(h2)
         assert mapped.evaluate(root2).is_zero()
@@ -850,7 +850,7 @@ class TestFiniteFields:
         # GF(5^3) inside GF(25)[Y]/(h) = GF(5^6): Y is not a primitive element
         k = FField(5, find_irreducible_int_poly(5, 2))
         h = FFPoly.from_ints(k, [1, 1, 0, 1])
-        G, emb, root = ff_extend(k, h)
+        G, emb, root, _ = ff_extend(k, h)
         assert G.degree == 6
         assert is_irreducible(FFPoly.from_ints(prime_field(5), G.modulus))
         assert emb.map_poly(h).evaluate(root).is_zero()
@@ -1257,7 +1257,7 @@ class TestFlatResidueRepresentation:
     @pytest.mark.parametrize("p,modulus,h,expected", _EXTEND_PINS)
     def test_ff_extend_pins(self, p, modulus, h, expected):
         F = FField(p, modulus)
-        G, emb, root = ff_extend(F, FFPoly(F, [FFElem(F, c) for c in h]))
+        G, emb, root, _ = ff_extend(F, FFPoly(F, [FFElem(F, c) for c in h]))
         assert (G.modulus, emb.matrix, root.coords) == expected
 
 

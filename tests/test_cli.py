@@ -166,9 +166,11 @@ class TestCommands:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == "error: unramified degree must be at most 64\n"
 
-    def test_unramified_degree_at_the_cap(self):
+    def test_unramified_degree_at_the_cap(self, capsys):
         assert field.MAX_UNRAMIFIED_DEGREE == 64
-        assert cli._build_parser().parse_args(["picture"]).extension_budget == 64
+        # the cap is a constant: no flag moves it
+        assert run(["fibre", "x^2-5", "--prime", "5", "--extension-budget", "64"]) == 1
+        assert "unrecognized arguments: --extension-budget" in capsys.readouterr().err
         assert BaseField(3, 64).m == 64
 
     def test_large_primes_are_fast(self, capsys):
@@ -282,6 +284,24 @@ class TestHostileInput:
         assert run(["picture", expr, "--prime", "5"]) == 1
         assert time.perf_counter() - start < 1
         assert f"exceeds the limit {cli.MAX_DEGREE}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["x^2-(10^1024)^1024", "x^2-((10^1024)^1024)^1024",
+                                      "x-(1/" + "7" * 4300 + ")^5",
+                                      "x-" + "*".join(["9" * 4300] * 5)],
+                             ids=["power", "tower", "denominator", "product"])
+    def test_large_coefficients_fail_fast(self, expr, capsys):
+        # the size bound of a power or product is checked before computing it
+        start = time.perf_counter()
+        assert run(["picture", expr, "--prime", "5"]) == 1
+        assert time.perf_counter() - start < 1
+        assert f"bits exceed the limit {cli.MAX_COEFF_BITS}" in capsys.readouterr().err
+
+    def test_coefficient_cap_admits_the_other_caps(self):
+        # a literal of MAX_DIGITS digits and (x+1)^MAX_EXPONENT stay inside it
+        K = BaseField(5)
+        big = int("9" * cli.MAX_DIGITS)
+        assert parse_poly("9" * cli.MAX_DIGITS + "*x^2*" + "9" * cli.MAX_DIGITS, K)[2].nums == (big * big,)
+        assert parse_poly(f"(x+1)^{cli.MAX_EXPONENT}", K)[1].nums == (cli.MAX_EXPONENT,)
 
     @pytest.mark.parametrize("coeffs", ["1e3000000,0,1", "1.5,0,1", "0x10,1", "1_0,1",
                                         "1,,1", "1,0,1,", "--1,1", "1/-2,1"])

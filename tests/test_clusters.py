@@ -1,6 +1,7 @@
 """Cluster-tree discovery against worked examples and the degree-1 oracle."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,8 @@ from clusterfibre.rationals import OO
 from clusterfibre.clusters import (normalize_input, build_cluster_tree,
                                    cluster_chain, p0_flag)
 from clusterfibre.degree1 import rational_cluster_tree, oracle_signature, tree_signature
+from clusterfibre.newton import residue_tower
+from clusterfibre import cli
 
 
 def _sextic_tree(p, mode="exact"):
@@ -242,7 +245,34 @@ class TestGeometricMode:
         assert len(calls) == 1
 
     def test_budget(self):
+        # x^67+x^2+2 is irreducible mod 3: geometric mode would need a
+        # degree-67 unramified extension, past the cap, and refuses at once
         K = BaseField(3)
-        f = K.poly([1, 0, 1]) ** 2 - K.poly([3 ** 5])
-        with pytest.raises(InputError, match="geometric mode needs residue degree 2 > budget 1"):
-            build_cluster_tree(f, K, mode="geometric", extension_budget=1)
+        f = K.poly([2, 0, 1] + [0] * 64 + [1])
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="geometric mode needs residue degree 67 > budget 64"):
+            build_cluster_tree(f, K, mode="geometric")
+        assert time.perf_counter() - start < 1
+
+
+class TestSharedChains:
+    """Down the cluster tree every chain augments its parent's chain (or that
+    chain's prefix, on a shared centre), and every residue tower extends the
+    tower of its chain's prefix: the same objects, not equal copies."""
+
+    @pytest.mark.parametrize("mode", ["exact", "geometric"])
+    @pytest.mark.parametrize("p, expr", cli._CORPUS + [
+        # in exact mode a degree-4 cluster below a degree-2 one: its tower
+        # F_3, F_3, F_9, F_9 has a proper extension below the top
+        (3, "((x^2+9)^2-3^7)*((x^2+9)^2-3^7-3^9)")])
+    def test_corpus_trees_share(self, p, expr, mode):
+        K = BaseField(p)
+        tree = build_cluster_tree(cli.parse_poly(expr, K), K, mode=mode)
+        for node in tree.nodes:
+            chain = cluster_chain(node)
+            if node.parent is not None:
+                above = cluster_chain(node.parent)
+                assert chain.prefix is above or chain.prefix is above.prefix
+            low, top = residue_tower(chain.prefix).fields, residue_tower(chain).fields
+            assert len(top) == len(low) + 1
+            assert all(a is b for a, b in zip(low, top))

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterfibre.errors import InputError
 from clusterfibre.field import BaseField
@@ -87,6 +88,77 @@ def _expected_sextic_figure():
         t = g.add_node(1, 0)
         g.add_edge(g1, t)
     return g
+
+
+@st.composite
+def _multigraph(draw):
+    """(labels, edges) of a labelled multigraph on at most 8 nodes, loops and
+    parallel edges allowed; the small label range makes equal labels common."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 1)),
+                           min_size=n, max_size=n))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=12))
+    return labels, edges
+
+
+def _fibre_graph(labels, edges):
+    g = FibreGraph()
+    for mult, genus in labels:
+        g.add_node(mult, genus)
+    for a, b in edges:
+        g.add_edge(a, b)
+    return g
+
+
+def _nx_graph(labels, edges):
+    import networkx as nx
+    g = nx.MultiGraph()
+    for i, label in enumerate(labels):
+        g.add_node(i, label=label)
+    g.add_edges_from(edges)
+    return g
+
+
+class TestIsomorphismOracle:
+    """graphs_isomorphic against networkx on random labelled multigraphs and
+    three copies: relabelled, one edge moved, two labels exchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_networkx(self, data):
+        import networkx as nx
+        labels, edges = data.draw(_multigraph())
+        n = len(labels)
+        perm = data.draw(st.permutations(range(n)))
+        relabelled = ([labels[perm.index(i)] for i in range(n)],
+                      [(perm[a], perm[b]) for a, b in edges])
+        moved = list(edges)
+        if moved:
+            k = data.draw(st.integers(0, len(moved) - 1))
+            moved[k] = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        # the same edges with two nodes' labels exchanged: the label multiset
+        # and the degrees stay, so only the labels tell the graphs apart
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        swapped = list(labels)
+        swapped[i], swapped[j] = labels[j], labels[i]
+        g = _fibre_graph(labels, edges)
+        for other in (relabelled, (labels, moved), (swapped, edges)):
+            want = nx.is_isomorphic(_nx_graph(labels, edges), _nx_graph(*other),
+                                    node_match=lambda a, b: a["label"] == b["label"])
+            assert graphs_isomorphic(g, _fibre_graph(*other)) == want
+        assert graphs_isomorphic(g, _fibre_graph(*relabelled))
+
+    def test_edge_multiplicities_count(self):
+        # two 6-cycles with the same degree at every node and multiplicities
+        # (2, 2, 3, 1, 2, 2) and (1, 3, 2, 2, 1, 3) along their edges: only
+        # the identity keeps the degrees, and it moves multiplicities
+        import networkx as nx
+        labels = [(1, 0)] * 6
+        graphs = [[(i, (i + 1) % 6) for i in range(6) for _ in range(mult[i])]
+                  for mult in ((2, 2, 3, 1, 2, 2), (1, 3, 2, 2, 1, 3))]
+        assert not nx.is_isomorphic(_nx_graph(labels, graphs[0]), _nx_graph(labels, graphs[1]))
+        assert not graphs_isomorphic(_fibre_graph(labels, graphs[0]), _fibre_graph(labels, graphs[1]))
 
 
 class TestSexticFigure:

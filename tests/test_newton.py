@@ -1,6 +1,7 @@
 """Polygons, graded reductions, residual polynomials, key lifting."""
 
 import functools
+import inspect
 import random
 from fractions import Fraction as F
 
@@ -11,12 +12,14 @@ from clusterfibre import newton
 from clusterfibre.cli import parse_poly
 from clusterfibre.clusters import build_cluster_tree, cluster_chain
 from clusterfibre.field import BaseField
-from clusterfibre.ff import Embedding, FFElem, FFPoly, is_irreducible
+from clusterfibre.ff import (Embedding, FFElem, FFPoly, FField, ff_extend,
+                             find_irreducible_int_poly, is_irreducible, prime_field)
 from clusterfibre.rationals import OO
 from clusterfibre.errors import InputError
 from clusterfibre.valuation import MacLaneVal
 from clusterfibre.newton import (newton_polygon, graded_H, reduce_poly, residue_tower,
-                                 is_key, augment, lift_key, residual_order, Laurent)
+                                 is_key, augment, lift_key, residual_order, Laurent,
+                                 ResidueTower)
 
 
 def _chains(p):
@@ -281,6 +284,68 @@ class TestLiftKey:
         assert long.same_valuation(short)
         t1, t2 = residue_tower(long), residue_tower(short)
         assert t1.top.degree == t2.top.degree
+
+
+def _tower(base, step_degrees):
+    """The tower over ``base`` whose step i adjoins a root of the
+    ``_pick_irreducible`` polynomial of degree step_degrees[i] over the field
+    below."""
+    fields, embeddings, gens, bases = [base], [], [None], []
+    for t in step_degrees:
+        k = fields[-1]
+        h = _pick_irreducible(k, t, avoid_x=True)
+        G, emb, root, basis = ff_extend(k, h)
+        fields.append(G)
+        embeddings.append(emb)
+        gens.append(root)
+        bases.append(basis)
+    return ResidueTower(fields, embeddings, gens, bases)
+
+
+_TOWERS = {
+    "F3-F9-F81": lambda: _tower(prime_field(3), [2, 2]),
+    "F25-F625": lambda: _tower(FField(5, find_irreducible_int_poly(5, 2)), [2]),
+    "F7-F7-F343": lambda: _tower(prime_field(7), [1, 3]),
+}
+
+
+class TestStepDecomposition:
+    """_decompose_over_step against the equation it solves."""
+
+    @pytest.mark.parametrize("name", sorted(_TOWERS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_recomposes(self, name, data):
+        tower = _TOWERS[name]()
+        level = data.draw(st.integers(1, len(tower.fields) - 1))
+        kf, sub = tower.fields[level], tower.fields[level - 1]
+        c = FFElem(kf, tuple(data.draw(st.lists(st.integers(0, kf.p - 1),
+                                                 min_size=kf.degree, max_size=kf.degree))))
+        parts = newton._decompose_over_step(tower, level, c)
+        assert len(parts) == kf.degree // sub.degree
+        assert all(t.field is sub for t in parts)
+        emb, gen = tower.embeddings[level - 1], tower.gens[level]
+        total = kf.zero
+        for j, t in enumerate(parts):
+            total = total + emb(t) * gen ** j
+        assert total == c
+
+    def test_degree_one_step_returns_c(self):
+        tower = _TOWERS["F7-F7-F343"]()
+        assert tower.bases[0] is None and tower.fields[1] is tower.fields[0]
+        c = tower.fields[1].elem(3)
+        assert newton._decompose_over_step(tower, 1, c) == [c]
+
+    def test_no_linear_solve(self, monkeypatch):
+        # the stored basis rows replace the Gauss solve of each call
+        import clusterfibre.ff as ff
+        tower = _TOWERS["F3-F9-F81"]()
+        monkeypatch.setattr(ff, "_gauss_solve_mod_p", None)
+        c = tower.top.gen
+        t0, t1 = newton._decompose_over_step(tower, 2, c)
+        emb = tower.embeddings[1]
+        assert emb(t0) + emb(t1) * tower.gens[2] == c
+        assert "solve" not in inspect.getsource(newton._decompose_over_step)
 
 
 class TestResidualOrder:

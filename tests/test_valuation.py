@@ -106,6 +106,61 @@ class TestChainValidation:
             v0.augment_unchecked(K.poly([F(1, 5), 1]), F(1, 2))
 
 
+class TestPrefixLinks:
+    """A chain is its prefix plus one step."""
+
+    def test_steps_build_linked_prefixes(self, monkeypatch):
+        K, v0, v1, v2 = _v13(5)
+        links = []
+        real = MacLaneVal._link
+        monkeypatch.setattr(MacLaneVal, "_link",
+                            lambda self, *a: links.append(a[2]) or real(self, *a))
+        w = MacLaneVal(K, v2.steps)
+        # each step checked once, the Gauss level made once
+        assert links == [None] + list(v2.steps)
+        assert w == v2 and w.prefix == v1 and w.prefix.prefix.is_gauss
+        assert w.prefix.prefix.prefix is None
+        assert all(w.truncation(d) is u for d, u in enumerate((w.prefix.prefix, w.prefix, w)))
+        assert (w.e_levels, w.e_rel, w.h_rel) == (v2.e_levels, v2.e_rel, v2.h_rel)
+
+    def test_augmentation_extends_the_prefix(self):
+        K, v0, v1, v2 = _v13(5)
+        assert v2.prefix is v1 and v1.prefix is v0
+        assert v2.e_levels[:-1] == v1.e_levels and v2.ell[:-1] == v1.ell
+
+    def test_infinite_radius_only_last(self):
+        K, v0, v1, _ = _v13(5)
+        pseudo = v1.augment_unchecked(K.poly([-5, 0, 1]), OO)
+        with pytest.raises(InputError, match="only the final radius may be infinite"):
+            pseudo.augment_unchecked(K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5]), F(20, 1))
+        steps = pseudo.steps + (AugStep(K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5]), F(20, 1)),)
+        with pytest.raises(InputError, match="only the final radius may be infinite"):
+            MacLaneVal(K, steps)
+
+    def test_no_depth_keyed_cache(self):
+        import inspect
+        K, v0, v1, v2 = _v13(5)
+        for d in range(3):
+            v2.truncation(d)
+        assert not any(isinstance(k, tuple) for k in v2._cache)
+        assert "_cache" not in inspect.getsource(MacLaneVal.truncation)
+
+    def test_chains_are_made_in_valuation_only(self):
+        # outside valuation.py a chain comes from gauss() and augmentation
+        import ast
+        from pathlib import Path
+        src = Path(valuation.__file__).parent
+        calls = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "valuation.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "MacLaneVal"):
+                    calls.append(f"{path.name}:{node.lineno}")
+        assert calls == []
+
+
 class TestOrder:
     def test_gauss_least(self):
         K, v0, v1, v2 = _v13(5)
