@@ -33,8 +33,9 @@ from .fibre import (assemble, cluster_dicts, export, fibre_graph,
 # dense polynomial.  Parentheses nest at most MAX_NESTING deep, well inside
 # the interpreter's recursion limit (see _parse_power), and a literal has at
 # most MAX_DIGITS digits, the most int() converts from text by default.
-# A power or product whose coefficients could reach more than MAX_COEFF_BITS
-# bits is refused before it is computed too, so (10^1024)^1024 fails at once.
+# A power, product or sum whose coefficients could reach more than
+# MAX_COEFF_BITS bits is refused before it is computed too, so (10^1024)^1024
+# fails at once, and so does a sum of reciprocals whose denominators multiply.
 MAX_DEGREE = 1024
 MAX_EXPONENT = 1024
 MAX_NESTING = 256
@@ -146,14 +147,12 @@ def _parse_sum(toks, K):
         acc = -acc
     while True:
         c = toks.peek()
-        if c == "+":
-            toks.take()
-            acc = acc + _parse_product(toks, K)
-        elif c == "-":
-            toks.take()
-            acc = acc - _parse_product(toks, K)
-        else:
+        if c not in ("+", "-"):
             return acc
+        toks.take()
+        rhs = _parse_product(toks, K)
+        _check_sum_size(toks, acc, rhs)
+        acc = acc + rhs if c == "+" else acc - rhs
 
 
 def _parse_product(toks, K):
@@ -179,7 +178,19 @@ def _check_size(toks, *powers):
     reduction by theta's minimal polynomial can add more; the degree caps
     bound how much."""
     num = sum(n * sum(map(abs, f.rows)).bit_length() for f, n in powers)
-    bits = max(num, sum(n * f.den.bit_length() for f, n in powers))
+    _check_bits(toks, max(num, sum(n * f.den.bit_length() for f, n in powers)))
+
+
+def _check_sum_size(toks, f, g):
+    """Refuse f + g or f - g when a bound on its coefficients' bits passes
+    MAX_COEFF_BITS: over the denominator f.den * g.den, each numerator is at
+    most the sum of f's |numerator|s times g.den plus the converse."""
+    nf, ng = (sum(map(abs, h.rows)).bit_length() for h in (f, g))
+    df, dg = f.den.bit_length(), g.den.bit_length()
+    _check_bits(toks, max(max(nf + dg, ng + df) + 1, df + dg))
+
+
+def _check_bits(toks, bits):
     if bits > MAX_COEFF_BITS:
         raise InputError(toks.at(f"coefficients of up to {bits} bits exceed the limit "
                                  f"{MAX_COEFF_BITS}"))

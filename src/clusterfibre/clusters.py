@@ -27,9 +27,11 @@ InternalInconsistency, signalling a bug rather than bad input.
 
 Residue modes: in exact mode residue fields grow as dictated by the input.
 In geometric mode the base field is enlarged by unramified extensions until
-every residual factor in sight is linear, restarting the build; this
-realizes the algebraically-closed-residue presentation, up to the residue
-degree cap field.MAX_UNRAMIFIED_DEGREE.
+every residual factor in sight is linear: a build stops at its first
+nonlinear residual factor, and the next build runs over the extension of
+the base by that factor's degree.  This realizes the
+algebraically-closed-residue presentation, up to the residue degree cap
+field.MAX_UNRAMIFIED_DEGREE.
 """
 
 from __future__ import annotations
@@ -166,14 +168,18 @@ def normalize_input(f: KPoly):
 
 
 class _Builder:
-    def __init__(self, f: KPoly, K: BaseField, seed: int, depth_bound: int):
+    def __init__(self, f: KPoly, K: BaseField, seed: int, depth_bound: int,
+                 geometric: bool):
         self.f = f
         self.K = K
         self.rng = random.Random(seed)
         self.root: Optional[ClusterNode] = None
         self.orphan_leaf: Optional[LeafOrbit] = None
-        self.nonlinear_residual: Optional[int] = None  # degree of first nonlinear factor
         self.depth_bound = depth_bound
+        self.geometric = geometric
+        # geometric mode: the degree of the first nonlinear residual factor,
+        # where the build stops, since the base must grow by that degree
+        self.nonlinear_residual: Optional[int] = None
 
     def build(self):
         v0 = MacLaneVal.gauss(self.K)
@@ -198,14 +204,15 @@ class _Builder:
         else:
             parent.leaves.append(leaf)
 
-    def _context(self, prefix: MacLaneVal, phi: KPoly, bound, parent, depth):
+    def _context(self, prefix: MacLaneVal, phi: KPoly, bound, parent, depth) -> bool:
+        """Discover the clusters below (prefix, phi); True when the build
+        stops early, so every caller returns at once."""
         if depth > self.depth_bound:
             raise InternalInconsistency("refinement exceeded the discriminant depth bound")
         N = newton_polygon(prefix, phi, self.f)
         edges = [e for e in N.edges() if e.lam > bound]
         edges.sort(key=lambda e: e.lam)
         current = parent
-        stopped_deep = False
         for e in edges:
             cand = prefix.augment_unchecked(phi, e.lam)
             red = reduce_poly(cand, self.f)
@@ -217,17 +224,15 @@ class _Builder:
                                             lift_from=cand,
                                             lift_h=red.poly.monic()),
                                   current)
-                stopped_deep = True
-                break
+                return False
             factors = ff_factor(red.poly, self.rng)
-            self._note_factors(factors)
+            if self._stops_at(factors):
+                return True
             if (e.i0 == 0 and red.b == 1 and len(factors) == 1
                     and factors[0][0].degree == 1 and factors[0][1] == e.i1):
                 # not a cluster: a same-degree valuation deeper has the same roots
                 phi2 = lift_key(cand, factors[0][0])
-                self._context(prefix, phi2, e.lam, current, depth + 1)
-                stopped_deep = True
-                break
+                return self._context(prefix, phi2, e.lam, current, depth + 1)
             node = ClusterNode(cand, e.i1 * phi.degree)
             self._attach_node(node, current)
             for h, mult in factors:
@@ -237,29 +242,36 @@ class _Builder:
                                                  node, lift_from=cand, lift_h=h))
                 else:
                     phi2 = lift_key(cand, h)
-                    self._context(cand, phi2, cand.eval(phi2), node, depth + 1)
+                    if self._context(cand, phi2, cand.eval(phi2), node, depth + 1):
+                        return True
             current = node
-        if not stopped_deep:
-            expansion = self.f.phi_expand(phi)
-            if expansion[0].is_zero():
-                # f = phi * q and q mod phi is the next expansion coefficient
-                if not expansion[1].is_zero():
-                    leaf = LeafOrbit(phi.degree, 1, "divides", current, phi)
-                    self._attach_leaf(leaf, current)
-                else:
-                    raise InputError("centre divides the input twice")
+        expansion = self.f.phi_expand(phi)
+        if expansion[0].is_zero():
+            # f = phi * q and q mod phi is the next expansion coefficient
+            if expansion[1].is_zero():
+                raise InputError("centre divides the input twice")
+            self._attach_leaf(LeafOrbit(phi.degree, 1, "divides", current, phi), current)
+        return False
 
-    def _note_factors(self, factors):
-        for h, _ in factors:
-            if h.degree > 1 and self.nonlinear_residual is None:
-                self.nonlinear_residual = h.degree
+    def _stops_at(self, factors) -> bool:
+        """In geometric mode, True at the first nonlinear factor, whose
+        degree is recorded."""
+        if self.geometric:
+            self.nonlinear_residual = next((h.degree for h, _ in factors if h.degree > 1),
+                                           None)
+        return self.nonlinear_residual is not None
 
 
 @expansion_scope
 def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
                        seed: int = 0) -> ClusterTree:
     """Full pipeline: normalize, discover, choose centres, build cluster chains,
-    recompute reductions along them, and assert the counting laws."""
+    recompute reductions along them, and assert the counting laws.
+
+    In geometric mode a build stops at its first nonlinear residual factor,
+    the only thing read from a build that will restart: the base is extended
+    by that factor's degree and the build starts over, with a fresh
+    ``random.Random(seed)``, until a build meets no nonlinear factor."""
     if mode not in ("exact", "geometric"):
         raise InputError("mode must be 'exact' or 'geometric'")
     f_norm, shift, v_disc = normalize_input(f)
@@ -269,18 +281,17 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
     depth_bound = 2 * max(0, int(v_disc)) + f_norm.degree + 4
     work_f, work_K = f_norm, K
     while True:
-        builder = _Builder(work_f, work_K, seed, depth_bound)
+        builder = _Builder(work_f, work_K, seed, depth_bound, mode == "geometric")
         root = builder.build()
-        if mode == "geometric" and builder.nonlinear_residual is not None:
-            grow = builder.nonlinear_residual
-            new_m = work_K.m * grow
-            if new_m > MAX_UNRAMIFIED_DEGREE:
-                raise InputError(f"geometric mode needs residue degree {new_m} "
-                                 f"> budget {MAX_UNRAMIFIED_DEGREE}")
-            work_K, embed = extend_unramified(work_K, grow)
-            work_f = KPoly(work_K, [embed(c) for c in work_f.coeffs])
-            continue
-        break
+        grow = builder.nonlinear_residual
+        if grow is None:
+            break
+        new_m = work_K.m * grow
+        if new_m > MAX_UNRAMIFIED_DEGREE:
+            raise InputError(f"geometric mode needs residue degree {new_m} "
+                             f"> budget {MAX_UNRAMIFIED_DEGREE}")
+        work_K, embed = extend_unramified(work_K, grow)
+        work_f = KPoly(work_K, [embed(c) for c in work_f.coeffs])
     tree = ClusterTree(work_K, work_f, root, mode, shift)
     tree.orphan_leaf = builder.orphan_leaf
     if root is not None:

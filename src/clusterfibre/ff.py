@@ -27,7 +27,12 @@ quotient of X^(2n-1) by the modulus computed once per call.
 Irreducibility is Ben-Or's test (Ben-Or, "Probabilistic algorithms in
 finite fields", FOCS 1981): f of degree n is irreducible exactly when
 gcd(X^(q^i) - X, f) = 1 for i = 1 .. n/2, and the test stops at the first
-i that shows a factor.
+i that shows a factor.  ``find_irreducible_over`` returns the first monic
+irreducible of a given degree in a fixed counting order, and tests fewer
+candidates than it passes: it skips a block of candidates that are all p-th
+powers, and, once enough tests in a block have failed, sieves out the
+candidates with a root.  The order, and with it the result, is that of
+testing every candidate.
 
 Factorization is squarefree decomposition, then distinct-degree splitting,
 then Cantor-Zassenhaus equal-degree splitting.  The equal-degree step draws
@@ -643,23 +648,78 @@ def is_irreducible(f: FFPoly) -> bool:
 
 
 def find_irreducible_over(k: FField, t: int) -> FFPoly:
-    """Smallest (in a fixed counting order) monic irreducible of degree t over k."""
-    # Candidates X^t + c_{t-1} X^{t-1} + ... + c_0 are counted by code =
-    # sum_i n(c_i) q^i, so c_0 varies fastest; an element of k with
-    # coordinates (a_0, ..., a_{d-1}) over F_p has number n = sum_u a_u p^u,
-    # so the base-p digits of code are the flat coordinates of c_0 .. c_{t-1}.
-    # The order must not change: the field built from the result defines
-    # theta, and geometric-mode output prints centres in theta coordinates.
-    p = k.p
-    for code in range(k.order ** t):
-        rows, c = [], code
-        for _ in range(t * k.degree):
-            c, digit = divmod(c, p)
-            rows.append(digit)
-        cand = FFPoly._of(k, rows + list(k.one.coords))
-        if is_irreducible(cand):
-            return cand
+    """Smallest (in a fixed counting order) monic irreducible of degree t over k.
+
+    Candidates X^t + c_{t-1} X^{t-1} + ... + c_0 are counted by code =
+    sum_i n(c_i) q^i, q = |k|, so c_0 varies fastest; an element of k with
+    coordinates (a_0, ..., a_{d-1}) over F_p has number n = sum_u a_u p^u.
+    The order must not change: the field built from the result defines
+    theta, and geometric-mode output prints centres in theta coordinates.
+
+    The candidates come in blocks of q, one block per tail
+    g = X^t + c_{t-1} X^{t-1} + ... + c_1 X, and two rules skip candidates
+    that cannot be irreducible, so the result is the first candidate that
+    passes Ben-Or's test, as if every one were tested:
+
+      * when p | t and g' = 0, every g + c_0 is a polynomial in X^p, hence a
+        p-th power, and the whole block is skipped;
+      * for t >= 2, g + c_0 has a root, hence a linear factor, when
+        c_0 = -g(a) for some a in k.  Evaluating g on all of k costs about
+        as much as q / (t log2 q) Ben-Or tests, so it is done once that many
+        tests have failed in the block (a ski-rental rule), and those c_0
+        are skipped for the rest of it.  A block that finds its polynomial
+        after a few tests never pays for the sieve.
+    """
+    p, d, q = k.p, k.degree, k.order
+    price = t * (q - 1).bit_length()  # t * ceil(log2 q) tests buy the sieve
+    for code in range(q ** (t - 1)):
+        tail = _coordinates(code, p, (t - 1) * d) + list(k.one.coords)
+        if t % p == 0 and not any(c for i in range(1, t) if i % p
+                                  for c in tail[(i - 1) * d:i * d]):
+            continue  # g' = 0
+        rejected, rooted = 0, ()
+        for c0 in range(q):
+            if c0 in rooted:
+                continue
+            cand = FFPoly._of(k, _coordinates(c0, p, d) + tail)
+            if is_irreducible(cand):
+                return cand
+            rejected += 1
+            if not rooted and rejected * price >= q:
+                rooted = _rooted_constants(k, tail)
     raise InternalInconsistency("no irreducible polynomial found")  # unreachable
+
+
+def _coordinates(n: int, p: int, count: int):
+    """The first ``count`` base-p digits of n, least significant first."""
+    out = []
+    for _ in range(count):
+        n, digit = divmod(n, p)
+        out.append(digit)
+    return out
+
+
+def _rooted_constants(k: FField, tail):
+    """The numbers of the c_0 in k for which g + c_0 has a root in k and a
+    degree t >= 2, so is reducible; ``tail`` holds the flat coordinates of
+    the coefficients of X .. X^t of g, which has no constant term."""
+    p, d = k.p, k.degree
+    if len(tail) < 2 * d:
+        return set()
+    # Horner's rule on packed elements: acc * a + c has digits below
+    # d (p - 1)^2 + p
+    pk = _Packing(k, d * (p - 1) ** 2 + p - 1, 1)
+    coeffs = [pk.pack(tail[lo:lo + d]) for lo in range(0, len(tail) - d, d)]
+    one = pk.pack(k.one.coords)
+    out = set()
+    for n in range(k.order):
+        a = pk.pack(_coordinates(n, p, d))
+        acc = one
+        for c in reversed(coeffs):
+            acc = pk.reduce(acc * a + c)
+        # -g(a) = -(acc * a), numbered as in find_irreducible_over
+        out.add(sum(-c % p * p ** u for u, c in enumerate(pk.unpack(pk.reduce(acc * a), 1))))
+    return out
 
 
 def find_irreducible_int_poly(p: int, degree: int):

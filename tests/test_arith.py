@@ -14,7 +14,8 @@ from clusterfibre.field import (BaseField, KPoly, expansion_scope,
                                 extend_unramified, discriminant_val)
 from clusterfibre import field
 from clusterfibre.ff import (FField, FFElem, FFPoly, prime_field, ff_factor, ff_extend,
-                             is_irreducible, find_irreducible_int_poly)
+                             is_irreducible, find_irreducible_int_poly, find_irreducible_over)
+from clusterfibre import ff
 
 
 class TestExtendedRationals:
@@ -1032,6 +1033,78 @@ def _find_quadratic_irreducible(G):
             if is_irreducible(cand):
                 return cand
     raise AssertionError
+
+
+def _unsieved_search(k, t):
+    """find_irreducible_over as it tests every candidate in counting order:
+    the base-p digits of code are the flat coordinates of c_0 .. c_{t-1}."""
+    for code in range(k.order ** t):
+        rows, c = [], code
+        for _ in range(t * k.degree):
+            c, digit = divmod(c, k.p)
+            rows.append(digit)
+        cand = FFPoly._of(k, rows + list(k.one.coords))
+        if is_irreducible(cand):
+            return cand
+    raise AssertionError("no irreducible polynomial")
+
+
+def _search_cases():
+    """(p, [k:F_p], t) with p in {3, 5, 7}, q <= 400 and q^t <= 10^6, and
+    the slow case's GF(125) with t = 5."""
+    cases = [(p, d, t) for p in (3, 5, 7) for d in range(1, 6) if p ** d <= 400
+             for t in range(1, 13) if p ** (d * t) <= 10 ** 6]
+    return cases + [(5, 3, 5)]
+
+
+def _small_field(p, d):
+    return prime_field(p) if d == 1 else FField(p, find_irreducible_int_poly(p, d))
+
+
+def _elements(k):
+    return [k.elem(ff._coordinates(n, k.p, k.degree)) for n in range(k.order)]
+
+
+class TestIrreducibleSearch:
+    @pytest.mark.parametrize("p, d, t", _search_cases(), ids=str)
+    def test_same_polynomial_as_testing_every_candidate(self, p, d, t):
+        # the zero-derivative skip and the root sieve only pass over
+        # reducible candidates, so the first irreducible is unchanged
+        k = _small_field(p, d)
+        assert find_irreducible_over(k, t) == _unsieved_search(k, t)
+
+    @pytest.mark.parametrize("p, d, t", [(3, 1, 1), (5, 2, 1), (3, 1, 2), (3, 2, 2),
+                                         (5, 1, 3), (3, 3, 3), (7, 1, 4), (5, 2, 4)])
+    def test_rooted_constants_are_those_of_candidates_with_a_root(self, p, d, t):
+        # exactly the c_0 with tail + c_0 reducible by a root, and none when
+        # t = 1, where X + c_0 always has a root and is irreducible
+        k = _small_field(p, d)
+        elements = _elements(k)
+        rng = random.Random(p * 100 + d * 10 + t)
+        for _ in range(3):
+            tail = [rng.randrange(p) for _ in range((t - 1) * d)] + list(k.one.coords)
+            with_root = set()
+            if t > 1:
+                for n, c0 in enumerate(elements):
+                    cand = FFPoly._of(k, list(c0.coords) + tail)
+                    if any(cand.evaluate(a).is_zero() for a in elements):
+                        with_root.add(n)
+            assert ff._rooted_constants(k, tail) == with_root
+
+    def test_slow_case_search_skips_the_rooted_blocks(self, monkeypatch):
+        # over GF(125) the blocks X^5 + c_1 X + c_0 with c_1 in {1, 2, 3}
+        # all have a root, and X^5 + c_0 is a fifth power: the parent search
+        # tested 504 candidates, the sieve leaves a few per block
+        k = BaseField(5, 3).residue_field
+        tested = []
+
+        def counted(f):
+            tested.append(f)
+            return is_irreducible(f)
+
+        monkeypatch.setattr(ff, "is_irreducible", counted)
+        assert find_irreducible_over(k, 5) == _unsieved_search(k, 5)
+        assert len(tested) <= 20
 
 
 # A model of the residue layer on lists of coordinate tuples, one tuple per

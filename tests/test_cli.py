@@ -296,6 +296,25 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1
         assert f"bits exceed the limit {cli.MAX_COEFF_BITS}" in capsys.readouterr().err
 
+    def test_large_sum_fails_fast(self, capsys):
+        # the denominator of a sum of reciprocals is the product of theirs:
+        # twenty 4,299-digit denominators pass the cap at the fifth term
+        rng = random.Random(0)
+        terms = "+".join(f"1/{rng.randrange(10 ** 4298, 10 ** 4299)}" for _ in range(20))
+        start = time.perf_counter()
+        assert run(["picture", f"x^2-5-({terms})", "--prime", "5"]) == 1
+        assert time.perf_counter() - start < 1
+        assert f"bits exceed the limit {cli.MAX_COEFF_BITS}" in capsys.readouterr().err
+
+    def test_sum_cap_bounds_the_numerator_too(self):
+        # an integer of about 57,000 bits plus 1/d with d of about 14,000
+        # bits: the denominators stay small, the numerator passes the cap
+        K = BaseField(5)
+        big, d = "*".join(["9" * cli.MAX_DIGITS] * 4), "7" * cli.MAX_DIGITS
+        assert parse_poly(f"x+{big}", K).degree == 1
+        with pytest.raises(InputError, match="bits exceed the limit"):
+            parse_poly(f"x+{big}+1/{d}", K)
+
     def test_coefficient_cap_admits_the_other_caps(self):
         # a literal of MAX_DIGITS digits and (x+1)^MAX_EXPONENT stay inside it
         K = BaseField(5)
@@ -418,6 +437,18 @@ class TestOptimizedInterpreter:
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
         assert found == []
+
+
+class TestExtensionSearch:
+    def test_cube_blocks_are_skipped(self, capsys):
+        # x^3 - x + 1 stays irreducible over GF(3^10), so geometric mode
+        # searches a cubic over it; every X^3 + c_0 is a cube, and the
+        # search skips that block instead of testing its 59,049 candidates
+        start = time.perf_counter()
+        assert run(["fibre", "(x^3-x+1)^2-3^5", "-p", "3", "-m", "10",
+                    "--residue-mode", "geometric", "--format", "json"]) == 0
+        assert time.perf_counter() - start < 5
+        assert json.loads(capsys.readouterr().out)["base_field"]["m"] == 30
 
 
 class TestErrorHierarchy:

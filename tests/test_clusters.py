@@ -244,6 +244,41 @@ class TestGeometricMode:
         assert tree.field.m == 15
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("p, expr, extensions", [
+        (5, "2*x^8+33*x^7-10*x^6+27*x^5+7*x^4-80*x^3-100*x^2-68*x-3", [(1, 3), (3, 5)]),
+        (3, "((x^2+1)^2-3^5)*(x^3-x+1)", [(1, 2), (2, 3)]),
+    ], ids=["slow-case", "squared-quadratic"])
+    def test_a_restarting_build_stops_at_its_first_nonlinear_factor(
+            self, monkeypatch, p, expr, extensions):
+        # the slow case extends the residue degree 1 -> 3 -> 15, the second
+        # input 1 -> 2 -> 6; a build that restarts makes no ff_factor call
+        # after the one that met a nonlinear factor, whose degree is all the
+        # restart reads (built in full, the second input's first two builds
+        # would factor the residual polynomials of the square's children)
+        from clusterfibre import clusters
+        builds, seen = [[]], []
+        real_factor, real_extend = clusters.ff_factor, clusters.extend_unramified
+
+        def factor(g, rng):
+            out = real_factor(g, rng)
+            builds[-1].append(next((h.degree for h, _ in out if h.degree > 1), 1))
+            return out
+
+        def extend(K, t):
+            seen.append((K.m, t))
+            builds.append([])
+            return real_extend(K, t)
+
+        monkeypatch.setattr(clusters, "ff_factor", factor)
+        monkeypatch.setattr(clusters, "extend_unramified", extend)
+        K = BaseField(p)
+        tree = build_cluster_tree(cli.parse_poly(expr, K), K, mode="geometric")
+        assert seen == extensions
+        assert tree.field.m == extensions[-1][0] * extensions[-1][1]
+        for degrees, (_, t) in zip(builds, extensions):
+            assert degrees[-1] == t and set(degrees[:-1]) <= {1}
+        assert set(builds[-1]) == {1}
+
     def test_budget(self):
         # x^67+x^2+2 is irreducible mod 3: geometric mode would need a
         # degree-67 unramified extension, past the cap, and refuses at once
