@@ -12,10 +12,10 @@ against on random all-rational inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List
 
 from .errors import InputError, InternalInconsistency
-from .field import vp_int
 
 
 class RationalCluster:
@@ -54,7 +54,7 @@ def rational_cluster_tree(roots, p):
 
     def vdiff(a, b):
         d = Fraction(a) - Fraction(b)
-        return Fraction(vp_int(d.numerator, p) - vp_int(d.denominator, p))
+        return Fraction(_vp(d.numerator, p) - _vp(d.denominator, p))
 
     # candidate clusters: for each root and each threshold, the ball around it
     clusters = {}
@@ -141,24 +141,20 @@ def oracle_fibre_graph(roots, p, lead_val=0):
                 radii.append(Fraction(cur.radius))
             prev, cur = cur, cur.parent
         radii = radii[::-1]
-        e = 1
-        for r_ in radii:
-            e = _lcm(e, r_.denominator)
-        eps = 1
-        for r_ in radii[:-1]:
-            eps = _lcm(eps, r_.denominator)
+        e = lcm(*(r_.denominator for r_ in radii))
+        eps = lcm(*(r_.denominator for r_ in radii[:-1]))
         b = e // eps
         h = e * lam
         ell = pow(int(h), -1, b) % b if b > 1 else 0
         nu_v = Fraction(lead_val)
         for r_ in roots:
             m = c
-            while m is not None and not _in_cluster(r_, m):
+            while m is not None and r_ not in m.roots:
                 m = m.parent
             if m is None:
                 raise InternalInconsistency("a root lies outside the oracle tree")
             inner = m
-            if _in_cluster(r_, c):
+            if r_ in c.roots:
                 inner = c
             nu_v += Fraction(inner.radius)
         i_v = c.size
@@ -238,14 +234,20 @@ def oracle_fibre_graph(roots, p, lead_val=0):
     return g
 
 
+def _vp(n: int, p: int) -> int:
+    """The exponent of p in n != 0, by plain division: the oracle shares no
+    code with the valuations of the pipeline it checks."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def _postorder(root):
     for c in root.children:
         yield from _postorder(c)
     yield root
-
-
-def _in_cluster(r, c):
-    return r in c.roots
 
 
 def _odd_int(x) -> bool:
@@ -256,8 +258,3 @@ def _odd_int(x) -> bool:
 def _not2z(x) -> bool:
     x = Fraction(x)
     return x.denominator != 1 or x.numerator % 2 != 0
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a // gcd(a, b) * b

@@ -26,12 +26,14 @@ quotient of X^(2n-1) by the modulus computed once per call.
 
 Irreducibility is Ben-Or's test (Ben-Or, "Probabilistic algorithms in
 finite fields", FOCS 1981): f of degree n is irreducible exactly when
-gcd(X^(q^i) - X, f) = 1 for i = 1 .. n/2, and the test stops at the first
-i that shows a factor.  ``find_irreducible_over`` returns the first monic
-irreducible of a given degree in a fixed counting order, and tests fewer
-candidates than it passes: it skips a block of candidates that are all p-th
-powers, and, once enough tests in a block have failed, sieves out the
-candidates with a root.  The order, and with it the result, is that of
+gcd(X^(q^i) - X, f) = 1 for i = 1 .. n/2.  It is the distinct-degree loop
+of the factorization stopped at its first factor.  ``find_irreducible_over``
+returns the first monic irreducible of a given degree in a fixed counting
+order, and tests fewer candidates than it passes: it skips blocks of
+candidates that hold no irreducible (p-th powers; binomials X^t + c_0 when
+no such binomial is irreducible; for t = p, the X^p + c_1 X + c_0 for which
+x -> x^p + c_1 x is a bijection), and, once enough tests in a block have
+failed, sieves out the candidates with a root.  The result is that of
 testing every candidate.
 
 Factorization is squarefree decomposition, then distinct-degree splitting,
@@ -231,11 +233,6 @@ class Embedding:
                     acc = [a + c * m for a, m in zip(acc, col)]
             out += [a % p for a in acc]
         return out
-
-    def __call__(self, x: FFElem) -> FFElem:
-        if x.field is not self.src:
-            raise TypeError("element not in the embedding's source field")
-        return x if self.matrix is None else FFElem._of(self.dst, self.image(x.coords))
 
     def map_poly(self, f: "FFPoly") -> "FFPoly":
         if f.field is not self.src:
@@ -572,9 +569,10 @@ def squarefree_decomposition(f: FFPoly):
 
 
 def _distinct_degree(f: FFPoly):
-    """f squarefree monic -> list of (product of degree-d factors, d)."""
+    """f squarefree monic -> (product of the degree-d factors, d) for each d
+    that has one, d increasing.  For any monic f, the first d is deg f
+    exactly when f is irreducible."""
     F = f.field
-    out = []
     x = FFPoly.x(F)
     h = x % f
     d = 0
@@ -582,14 +580,13 @@ def _distinct_degree(f: FFPoly):
     while rest.degree > 0:
         d += 1
         if 2 * d > rest.degree:
-            out.append((rest, rest.degree))
-            break
+            yield rest, rest.degree
+            return
         h = h.pow_mod(F.order, f)
         g = rest.gcd(h - x)
         if g.degree > 0:
-            out.append((g, d))
+            yield g, d
             rest = rest // g
-    return out
 
 
 def _equal_degree_split(f: FFPoly, d: int, rng: random.Random):
@@ -633,18 +630,11 @@ def ff_factor(f: FFPoly, rng: Optional[random.Random] = None):
 
 
 def is_irreducible(f: FFPoly) -> bool:
-    """Ben-Or test: gcd(X^{q^i} - X, f) = 1 for i = 1 .. deg f // 2."""
+    """Ben-Or test: the distinct-degree loop stopped at its first factor."""
     if f.degree < 1:
         return False
-    F = f.field
     f = f.monic()
-    x = FFPoly.x(F)
-    h = x % f
-    for _ in range(f.degree // 2):
-        h = h.pow_mod(F.order, f)
-        if f.gcd(h - x).degree != 0:
-            return False
-    return True
+    return next(_distinct_degree(f))[1] == f.degree
 
 
 def find_irreducible_over(k: FField, t: int) -> FFPoly:
@@ -657,12 +647,21 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
     theta, and geometric-mode output prints centres in theta coordinates.
 
     The candidates come in blocks of q, one block per tail
-    g = X^t + c_{t-1} X^{t-1} + ... + c_1 X, and two rules skip candidates
+    g = X^t + c_{t-1} X^{t-1} + ... + c_1 X, and these rules skip candidates
     that cannot be irreducible, so the result is the first candidate that
-    passes Ben-Or's test, as if every one were tested:
+    passes Ben-Or's test, as if every one were tested.  Three skip a block:
 
-      * when p | t and g' = 0, every g + c_0 is a polynomial in X^p, hence a
-        p-th power, and the whole block is skipped;
+      * p | t and g' = 0: every g + c_0 is a polynomial in X^p, a p-th power;
+      * g = X^t: some X^t - a is irreducible exactly when every prime r | t
+        divides q - 1, and q = 1 mod 4 when 4 | t (Lidl-Niederreiter,
+        *Finite Fields*, Thm 3.75; a a generator of k^*);
+      * t = p and g = X^p + c_1 X with (-c_1)^((q-1)/(p-1)) != 1, that is,
+        -c_1 is not a (p-1)-th power in k^*: the F_p-linear map
+        x -> x^p + c_1 x has no kernel, so it is onto and every g + c_0 has
+        a root.
+
+    And within a block:
+
       * for t >= 2, g + c_0 has a root, hence a linear factor, when
         c_0 = -g(a) for some a in k.  Evaluating g on all of k costs about
         as much as q / (t log2 q) Ben-Or tests, so it is done once that many
@@ -674,9 +673,8 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
     price = t * (q - 1).bit_length()  # t * ceil(log2 q) tests buy the sieve
     for code in range(q ** (t - 1)):
         tail = _coordinates(code, p, (t - 1) * d) + list(k.one.coords)
-        if t % p == 0 and not any(c for i in range(1, t) if i % p
-                                  for c in tail[(i - 1) * d:i * d]):
-            continue  # g' = 0
+        if _barren(k, t, code, tail):
+            continue
         rejected, rooted = 0, ()
         for c0 in range(q):
             if c0 in rooted:
@@ -688,6 +686,25 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
             if not rooted and rejected * price >= q:
                 rooted = _rooted_constants(k, tail)
     raise InternalInconsistency("no irreducible polynomial found")  # unreachable
+
+
+def _barren(k: FField, t: int, code: int, tail) -> bool:
+    """Whether a block rule of ``find_irreducible_over`` skips block ``code``,
+    whose ``tail`` holds the flat coordinates of the coefficients of X .. X^t."""
+    p, d, q = k.p, k.degree, k.order
+    if t % p == 0 and not any(c for i in range(1, t) if i % p
+                              for c in tail[(i - 1) * d:i * d]):
+        return True  # g' = 0
+    if code == 0:
+        return not _has_irreducible_binomial(q, t)
+    # x -> x^p + c_1 x is a bijection of k
+    return t == p and code < q and (-k.elem(tail[:d])) ** ((q - 1) // (p - 1)) != k.one
+
+
+def _has_irreducible_binomial(q: int, t: int) -> bool:
+    """Whether some X^t + c_0 over GF(q) is irreducible: every prime factor
+    of t divides q - 1, so t | (q - 1)^t, and q = 1 mod 4 when 4 | t."""
+    return pow(q - 1, t, t) == 0 and (t % 4 != 0 or q % 4 == 1)
 
 
 def _coordinates(n: int, p: int, count: int):

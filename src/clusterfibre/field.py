@@ -90,12 +90,6 @@ def vp_int(n: int, p: int) -> int:
     return v
 
 
-def vp_fraction(x: Fraction, p: int):
-    if x == 0:
-        return OO
-    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
-
-
 # Integer coordinates: m power-basis coordinates per coefficient of
 # Q(theta), over one denominator.
 

@@ -293,10 +293,6 @@ class Reduction:
         self.b = b
         self.h_exponent = h_exponent
 
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
-
     def __repr__(self):
         return f"Reduction(i0={self.i0}, i1={self.i1}, poly={self.poly!r})"
 
@@ -354,15 +350,6 @@ def is_key(v: MacLaneVal, phi: KPoly) -> bool:
     if phi.degree != red.i1 * v.deg:
         return False
     return is_irreducible(red.poly)
-
-
-def augment(v: MacLaneVal, phi: KPoly, lam) -> MacLaneVal:
-    """Checked augmentation: phi must be a key polynomial and lam > v(phi)."""
-    if not is_key(v, phi):
-        raise InputError("augmentation centre is not a key polynomial")
-    if lam is not OO and lam <= v.eval(phi):
-        raise InputError("radius must exceed the centre's value")
-    return v.augment_unchecked(phi, lam)
 
 
 def _balanced(x: int, p: int) -> int:

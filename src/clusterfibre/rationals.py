@@ -49,14 +49,6 @@ class _Infinity:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if other is self:
-            raise ArithmeticError("OO - OO is undefined")
-        return self
-
-    def __neg__(self):
-        raise ArithmeticError("-OO is not an extended rational here")
-
     def __mul__(self, other):
         # n * OO for positive multiplicity n; 0 * OO = 0 by the expansion
         # convention used in augmented valuations.
@@ -72,17 +64,6 @@ class _Infinity:
 OO = _Infinity()
 
 
-def ext_min(values):
-    """Minimum of an iterable of extended rationals; OO for an empty one."""
-    best = OO
-    for x in values:
-        if x is OO:
-            continue
-        if best is OO or x < best:
-            best = x
-    return best
-
-
 def qstr(x) -> str:
     """Compact display form: '5/3', '2', or 'inf'."""
     if x is OO:
@@ -92,10 +73,3 @@ def qstr(x) -> str:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
-
-def qparse(text: str):
-    """Inverse of qstr."""
-    text = text.strip()
-    if text in ("inf", "oo", "OO"):
-        return OO
-    return Fraction(text)

@@ -12,9 +12,9 @@ supported on the centre's roots.  As in MacLane's construction, the chain
 [v; phi, lambda] keeps v as its ``prefix``: it checks only its own step
 against v and extends v's numeric data (group indices e_{v_i}, the relative
 e_i, h_i = e_{v_i} lambda_i, and the Bezout pair ell_i h_i + ell'_i e_i = 1
-with 0 <= ell_i < e_i) by one level.  So each step is checked once,
-``truncation`` walks the links, and chains augmenting a common prefix share
-it and what is cached on it, such as its residue tower (newton.py).
+with 0 <= ell_i < e_i) by one level.  So each step is checked once, and
+chains augmenting a common prefix share it and what is cached on it, such
+as its residue tower (newton.py).
 
 Values at depth i lie in (1/e_{v_i}) Z, so the evaluation kernel
 ``_scaled`` works on the integers e_{v_i} v_i, in which the recursion reads
@@ -25,13 +25,7 @@ with only s = 0 kept on an infinite last step.  A centre of degree above
 deg g expands g to itself, so v_i(g) = v_{i-1}(g) there, and the kernel
 starts at the deepest level whose centre has degree at most deg g.  The
 radii lambda_i are kept as given (Fraction or int); ``eval`` converts the
-scaled value to a Fraction once, and the order and meet compare those.
-
-Comparison uses the discoid order: v <= w exactly when w sends the centre of
-a minimal chain of v to at least v's radius.  The meet walks the minimal
-chain of one argument and caps the first step that overshoots, which is
-verified against the pointwise-minimum characterization by the property
-tests rather than trusted.
+scaled value to a Fraction once.
 """
 
 from __future__ import annotations
@@ -172,13 +166,6 @@ class MacLaneVal:
     def ell_last(self) -> Optional[int]:
         return self.ell[-1] if self.steps else 0
 
-    def truncation(self, depth: int) -> "MacLaneVal":
-        """The prefix chain of the given depth, found by walking the links."""
-        v = self
-        while v.depth > depth:
-            v = v.prefix
-        return v
-
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, g: KPoly):
@@ -217,47 +204,6 @@ class MacLaneVal:
         if diff.is_zero():
             return True
         return self._scaled(self.depth, diff) > self._scaled(self.depth, g)
-
-    # -- order structure ----------------------------------------------------
-
-    def leq(self, other: "MacLaneVal") -> bool:
-        """Discoid order: self <= other iff other(centre) >= radius on a minimal chain."""
-        if self.is_gauss:
-            return True
-        mv = self.minimal_chain()
-        lam = mv.radius
-        val = other.eval(mv.centre)
-        return val is OO or (lam is not OO and val >= lam)
-
-    def same_valuation(self, other: "MacLaneVal") -> bool:
-        return self.leq(other) and other.leq(self)
-
-    def minimal_chain(self) -> "MacLaneVal":
-        """Equivalent chain with strictly increasing centre degrees: the
-        prefix's, less its last step when that has the degree of ours, plus
-        our last step."""
-        if self.depth < 2:
-            return self
-        low = self.prefix.minimal_chain()
-        if low.deg == self.deg:
-            low = low.prefix
-        return self if low is self.prefix else low.augment_unchecked(self.centre, self.radius)
-
-    def meet(self, other: "MacLaneVal") -> "MacLaneVal":
-        if self.leq(other):
-            return self
-        if other.leq(self):
-            return other
-        # the truncations below other are the shallow ones: find the deepest,
-        # and the step above it, the first that overshoots
-        high = self.minimal_chain()
-        while not high.prefix.leq(other):
-            high = high.prefix
-        prefix, phi = high.prefix, high.centre
-        lam2 = other.eval(phi)
-        if lam2 is not OO and lam2 > prefix.eval(phi):
-            return prefix.augment_unchecked(phi, lam2)
-        return prefix
 
     # -- misc ----------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterfibre.rationals import OO, ext_min, qstr, qparse
+from clusterfibre.rationals import OO, qstr
 from clusterfibre.errors import InputError
 from clusterfibre.field import (BaseField, KPoly, expansion_scope,
                                 extend_unramified, discriminant_val)
@@ -16,6 +16,22 @@ from clusterfibre import field
 from clusterfibre.ff import (FField, FFElem, FFPoly, prime_field, ff_factor, ff_extend,
                              is_irreducible, find_irreducible_int_poly, find_irreducible_over)
 from clusterfibre import ff
+
+
+def _qparse(text):
+    """The extended rational that qstr prints as ``text``."""
+    return OO if text == "inf" else Fraction(text)
+
+
+def _vp(x, p):
+    """The p-adic valuation of a Fraction, one division at a time; OO at 0."""
+    return OO if x == 0 else _vp_naive(x.numerator, p) - _vp_naive(x.denominator, p)
+
+
+def _ext_min(values):
+    """The least of some extended rationals; OO when there are none."""
+    finite = [x for x in values if x is not OO]
+    return min(finite) if finite else OO
 
 
 class TestExtendedRationals:
@@ -30,14 +46,9 @@ class TestExtendedRationals:
         assert OO <= OO
         assert OO > Fraction(-1)
 
-    def test_ext_min(self):
-        assert ext_min([OO, Fraction(2), Fraction(5, 3)]) == Fraction(5, 3)
-        assert ext_min([]) is OO
-        assert ext_min([OO, OO]) is OO
-
     def test_qstr_roundtrip(self):
         for x in [Fraction(5, 3), Fraction(-7), Fraction(0), OO]:
-            assert qparse(qstr(x)) == x
+            assert _qparse(qstr(x)) == x
 
 
 class TestBaseField:
@@ -449,7 +460,7 @@ def _q_resultant(f, g, mod):
 
 
 def _q_val(a, p):
-    return ext_min(field.vp_fraction(c, p) for c in a)
+    return _ext_min(_vp(c, p) for c in a)
 
 
 def _q_residue(a, k, p):
@@ -515,7 +526,7 @@ class TestIntegerRepresentation:
         assert all(_canonical(x) for x in (f, g, f * g, f + g, f - g, f.derivative()))
         one = (Fraction(1),) + (Fraction(0),) * (m - 1)
         assert f.is_monic() == (bool(_q(f)) and _q(f)[-1] == one)
-        assert f.gauss_val() == ext_min([_q_val(a, K.p) for a in _q(f)])
+        assert f.gauss_val() == _ext_min([_q_val(a, K.p) for a in _q(f)])
         if not g.is_zero():
             q, r = f.divmod(g)
             assert (_q(q), _q(r)) == _q_divmod(_q(f), _q(g), mod)
@@ -1091,6 +1102,59 @@ class TestIrreducibleSearch:
                         with_root.add(n)
             assert ff._rooted_constants(k, tail) == with_root
 
+    @pytest.mark.parametrize("p, d, t", [(5, 1, 3), (3, 1, 4), (7, 1, 4), (3, 3, 4),
+                                         (3, 1, 3), (3, 2, 3), (5, 1, 5), (5, 3, 5)])
+    def test_barren_blocks_are_not_tested(self, monkeypatch, p, d, t):
+        # no candidate of a block the rules rule out reaches Ben-Or's test:
+        # X^t + c_0 when no binomial of degree t is irreducible, and, for
+        # t = p, X^p + c_1 X + c_0 when x -> x^p + c_1 x is a bijection of k;
+        # the blocks are numbered by c_1, brute force decides both rules
+        k = _small_field(p, d)
+        elements = _elements(k)
+        number = {c.coords: n for n, c in enumerate(elements)}
+        ruled_out = set()
+        if not any(is_irreducible(FFPoly._of(k, list(c.coords) + [0] * ((t - 1) * d)
+                                             + list(k.one.coords))) for c in elements):
+            ruled_out.add(0)
+        if t == p:
+            ruled_out |= {n for n, c in enumerate(elements)
+                          if len({a ** p + c * a for a in elements}) == k.order}
+        assert ruled_out  # each case reaches a rule
+        tested = []
+
+        def counted(f):
+            tested.append(f)
+            return is_irreducible(f)
+
+        monkeypatch.setattr(ff, "is_irreducible", counted)
+        assert find_irreducible_over(k, t) == _unsieved_search(k, t)
+        assert tested
+        assert [f for f in tested if not any(f.rows[2 * d:t * d])
+                and number[tuple(f.rows[d:2 * d])] in ruled_out] == []
+
+    @pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2),
+                                      (5, 2), (3, 3)])
+    def test_binomial_rule_matches_brute_force(self, p, d):
+        # some X^t + c_0 is irreducible exactly when every prime factor of t
+        # divides q - 1, and q = 1 mod 4 when 4 | t
+        k = _small_field(p, d)
+        elements = _elements(k)
+        for t in range(1, 13):
+            found = any(is_irreducible(FFPoly._of(
+                k, list(c.coords) + [0] * ((t - 1) * d) + list(k.one.coords))) for c in elements)
+            assert ff._has_irreducible_binomial(k.order, t) == found, (k.order, t)
+
+    @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
+    def test_frobenius_block_rule_matches_brute_force(self, p, d):
+        # for t = p the block X^p + c_1 X is skipped exactly when
+        # x -> x^p + c_1 x is a bijection of k
+        k = _small_field(p, d)
+        elements = _elements(k)
+        for code, c1 in enumerate(elements):
+            tail = list(c1.coords) + [0] * ((p - 2) * d) + list(k.one.coords)
+            bijective = len({a ** p + c1 * a for a in elements}) == k.order
+            assert ff._barren(k, p, code, tail) == bijective, (k.order, c1)
+
     def test_slow_case_search_skips_the_rooted_blocks(self, monkeypatch):
         # over GF(125) the blocks X^5 + c_1 X + c_0 with c_1 in {1, 2, 3}
         # all have a root, and X^5 + c_0 is a fifth power: the parent search
@@ -1368,7 +1432,6 @@ class TestDiscriminantOracle:
 
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
-        from clusterfibre.field import vp_fraction
         x = sympy.Symbol("x")
         rng = random.Random(4242)
 
@@ -1397,15 +1460,14 @@ class TestDiscriminantOracle:
                         discriminant_val(fk)
                 else:
                     seen["separable"] += 1
-                    assert discriminant_val(fk) == vp_fraction(Fraction(disc), p), (p, f)
+                    assert discriminant_val(fk) == _vp(Fraction(disc), p), (p, f)
         assert seen["repeated"] >= 45 and seen["separable"] >= 60
 
     def test_product_of_48_rational_roots(self):
         sympy = pytest.importorskip("sympy")
-        from clusterfibre.field import vp_fraction
         coeffs = _rational_root_product(48, 3)
         disc = int(sympy.discriminant(sympy.Poly(coeffs[::-1], sympy.Symbol("x"), domain="ZZ")))
-        assert discriminant_val(BaseField(3).poly(coeffs)) == vp_fraction(Fraction(disc), 3)
+        assert discriminant_val(BaseField(3).poly(coeffs)) == _vp(Fraction(disc), 3)
 
     def test_product_of_48_rational_roots_is_fast(self):
         # 0.74 s with the Euclid sequence over Q; about 0.09 s with the

@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import hashlib
 import json
 import os
 import random
@@ -449,6 +450,32 @@ class TestExtensionSearch:
                     "--residue-mode", "geometric", "--format", "json"]) == 0
         assert time.perf_counter() - start < 5
         assert json.loads(capsys.readouterr().out)["base_field"]["m"] == 30
+
+    @pytest.mark.parametrize("argv", [
+        # no X^3 + c_0 over GF(p) is irreducible, since 3 does not divide p - 1
+        ["picture", "x^3-5", "-p", "1000000007", "-m", "3"],
+        ["fibre", "x^3+x+5", "-p", "1000000007", "--residue-mode", "geometric"],
+        # no X^4 + c_0 is, since p = 3 mod 4
+        ["picture", "x^3-5", "-p", "1000000007", "-m", "4"],
+        # over GF(3^m), m odd, -1 is not a square, so x -> x^3 + x is a
+        # bijection and every X^3 + X + c_0 has a root
+        ["fibre", "(x^3-x+1)^2-3^5", "-p", "3", "-m", "11", "--residue-mode", "geometric"],
+        ["fibre", "(x^3-x+1)^2-3^5", "-p", "3", "-m", "13", "--residue-mode", "geometric"],
+    ], ids=" ".join)
+    def test_blocks_without_an_irreducible_are_skipped(self, argv, capsys):
+        start = time.perf_counter()
+        assert run(argv) == 0
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err == ""
+
+    def test_skipped_blocks_keep_the_output(self, capsys):
+        # the search returns the polynomial that testing every candidate
+        # finds, so the base field, and with it the output, is unchanged
+        assert run(["fibre", "(x^3-x+1)^2-3^5", "-p", "3", "-m", "11",
+                    "--residue-mode", "geometric", "--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == \
+            "82717fb72756b0fe4fd3ce84173f8bcec2a01e98cc17747057807ee2455fe916"
 
 
 class TestErrorHierarchy:

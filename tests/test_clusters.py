@@ -97,11 +97,14 @@ class TestSexticTree:
         assert len(tree.nodes) == 2
 
     def test_tree_order_matches_valuation_order(self):
+        # v <= w in the discoid order when w sends v's centre to at least
+        # v's radius
         K, tree = _sextic_tree(5)
         for node in tree.nodes:
             for child in node.children:
-                assert cluster_chain(node).leq(cluster_chain(child))
-                assert not cluster_chain(child).leq(cluster_chain(node))
+                v, w = cluster_chain(node), cluster_chain(child)
+                assert w.eval(v.centre) >= v.radius
+                assert not v.eval(w.centre) >= w.radius
 
 
 class TestSmallShapes:
