@@ -9,11 +9,13 @@ between elements of different field objects raises.
 Elements and polynomials share one integer representation: an FFElem holds
 its d power-basis coordinates, an FFPoly those of all its coefficients in
 one flat tuple, each in [0, p), with no trailing zero coefficient.  An
-element product is one convolution reduced by the modulus, mod p, and an
-inverse solves the system whose columns are t^k * a; these helpers
-(``_conv``, ``_theta_reduce``, ``_theta_multiples``) serve field.py too.
-All polynomial division, and with it gcd, factorization and ``ff_extend``,
-goes through one remainder kernel by a monic divisor, ``_divide``.
+element product is one convolution reduced by the modulus, mod p (its
+helpers ``_conv``, ``_theta_reduce`` and ``_theta_multiples`` serve field.py
+too), and an inverse is the extended Euclidean algorithm on coordinates
+mod p, O(d^2).  All polynomial division, and with it gcd, factorization and
+``ff_extend``, goes through one remainder kernel by a monic divisor,
+``_divide``; over a prime field its step takes one residue and subtracts
+one multiple of the divisor.
 
 Polynomial products run on packed integers (Kronecker substitution, von zur
 Gathen-Gerhard, *Modern Computer Algebra* 8.4): every coordinate of every
@@ -32,9 +34,10 @@ returns the first monic irreducible of a given degree in a fixed counting
 order, and tests fewer candidates than it passes: it skips blocks of
 candidates that hold no irreducible (p-th powers; binomials X^t + c_0 when
 no such binomial is irreducible; for t = p, the X^p + c_1 X + c_0 for which
-x -> x^p + c_1 x is a bijection), and, once enough tests in a block have
-failed, sieves out the candidates with a root.  The result is that of
-testing every candidate.
+x -> x^p + c_1 x is a bijection; the X^t + c_1 X + c_0 whose discriminants
+are non-squares, which Stickelberger's parity theorem rules out), and, once
+enough tests in a block have failed, sieves out the candidates with a root.
+The result is that of testing every candidate.
 
 Factorization is squarefree decomposition, then distinct-degree splitting,
 then Cantor-Zassenhaus equal-degree splitting.  The equal-degree step draws
@@ -184,13 +187,28 @@ class FFElem:
     def inverse(self) -> "FFElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        F = self.field
+        F, p = self.field, self.field.p
         if F.degree == 1:
-            return FFElem._of(F, (pow(self.coords[0], -1, F.p),))
-        # y with a * y = 1: column k of the system is t^k * a
-        cols = _theta_multiples(self.coords, F.modulus)
-        y = _gauss_solve_mod_p(list(zip(*cols)), [1] + [0] * (F.degree - 1), F.p)
-        return FFElem._of(F, y)
+            return FFElem._of(F, (pow(self.coords[0], -1, p),))
+        # the extended Euclidean algorithm in F_p[t] on coordinate lists,
+        # with s * a = r mod the modulus kept for each remainder r; the
+        # modulus is irreducible, so the remainders end at a constant
+        r0, s0 = list(F.modulus), [0]
+        r1, s1 = list(self.coords), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            inv, n = pow(r1[-1], -1, p), len(r1)
+            while len(r0) >= n:
+                c, k = r0[-1] * inv % p, len(r0) - n
+                r0[k:] = [(x - c * y) % p for x, y in zip(r0[k:], r1)]
+                s0 += [0] * (k + len(s1) - len(s0))
+                s0[k:k + len(s1)] = [(x - c * y) % p for x, y in zip(s0[k:], s1)]
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        c = pow(r1[0], -1, p)
+        return FFElem._of(F, [x * c % p for x in s1] + [0] * (F.degree - len(s1)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -320,10 +338,21 @@ def _divide(rows, g, p, mod):
     coordinates, deg mod per coefficient: (q, r) with rows = q * g + r,
     deg r < deg g and digits in [0, p).  Consumes ``rows``.  Each quotient
     coefficient c removes c * g = sum_k c_k * t^k * g, with the t^k * g
-    formed once; digits are reduced mod p only where they are read."""
+    formed once; digits are reduced mod p only where they are read.  Over
+    F_p (d = 1) a quotient coefficient is one residue and a step subtracts
+    one multiple of g."""
     d = len(mod) - 1
     nd = len(g) - d
     nq = (len(rows) - nd) // d
+    if d == 1:
+        # a step at lo reduces rows[lo + nd] and writes only below it, so
+        # rows[nd:] ends as the quotient
+        g = g[:nd]
+        for lo in range(nq - 1, -1, -1):
+            c = rows[lo + nd] = rows[lo + nd] % p
+            if c:
+                rows[lo:lo + nd] = [a - c * b for a, b in zip(rows[lo:lo + nd], g)]
+        return rows[nd:], [c % p for c in rows[:nd]]
     cols = [[c % p for c in col] for col in _theta_multiples(g[:nd], mod)]
     q = [0] * (nq * d)
     for lo in range((nq - 1) * d, -1, -d):
@@ -649,7 +678,7 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
     The candidates come in blocks of q, one block per tail
     g = X^t + c_{t-1} X^{t-1} + ... + c_1 X, and these rules skip candidates
     that cannot be irreducible, so the result is the first candidate that
-    passes Ben-Or's test, as if every one were tested.  Three skip a block:
+    passes Ben-Or's test, as if every one were tested.  Four skip a block:
 
       * p | t and g' = 0: every g + c_0 is a polynomial in X^p, a p-th power;
       * g = X^t: some X^t - a is irreducible exactly when every prime r | t
@@ -658,7 +687,14 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
       * t = p and g = X^p + c_1 X with (-c_1)^((q-1)/(p-1)) != 1, that is,
         -c_1 is not a (p-1)-th power in k^*: the F_p-linear map
         x -> x^p + c_1 x has no kernel, so it is onto and every g + c_0 has
-        a root.
+        a root;
+      * g = X^t + c_1 X with p | t - 1, t = 3 mod 4 and q = 3 mod 4: the
+        discriminant of g + c_0 is (-1)^(t(t-1)/2) t^t c_0^(t-1) = -c_0^(t-1),
+        as the term in (t-1)^(t-1) vanishes mod p and t^t = 1, a non-square
+        for c_0 != 0 since -1 is one in k.  An irreducible polynomial of odd
+        degree has a square discriminant (Stickelberger's parity theorem;
+        Swan, Pacific J. Math. 12, 1962), and g itself has the root 0, so no
+        g + c_0 is irreducible.
 
     And within a block:
 
@@ -697,8 +733,13 @@ def _barren(k: FField, t: int, code: int, tail) -> bool:
         return True  # g' = 0
     if code == 0:
         return not _has_irreducible_binomial(q, t)
-    # x -> x^p + c_1 x is a bijection of k
-    return t == p and code < q and (-k.elem(tail[:d])) ** ((q - 1) // (p - 1)) != k.one
+    if code >= q:
+        return False
+    if t == p:
+        # x -> x^p + c_1 x is a bijection of k
+        return (-k.elem(tail[:d])) ** ((q - 1) // (p - 1)) != k.one
+    # every discriminant -c_0^(t-1) is a non-square, against Stickelberger
+    return (t - 1) % p == 0 and t % 4 == 3 and q % 4 == 3
 
 
 def _has_irreducible_binomial(q: int, t: int) -> bool:

@@ -17,9 +17,11 @@ basis of the residue field that FField uses, so a valuation is that of the
 content (gcd of the coordinates over the denominator), and a reduction
 takes each coordinate mod p.
 
-Division and phi-adic expansion share one kernel, ``_zdivmod``.  Inside an
-``expansion_scope`` call each (polynomial, phi) pair is expanded once; the
-memo is dropped when the outermost scoped call returns.
+Division and phi-adic expansion share one kernel, ``_zdivmod``.  Over Q_p
+(m = 1) its step is scalar: one integer per quotient coefficient, and by a
+linear centre synthetic division.  Inside an ``expansion_scope`` call each
+(polynomial, phi) pair is expanded once; the memo is dropped when the
+outermost scoped call returns.
 
 The resultant, and with it the discriminant, is one subresultant kernel,
 ``_zresultant``, on the integer numerators: pseudo-remainders followed by
@@ -192,6 +194,10 @@ def _zdivmod(rows, den, divisor):
     When g = G / lead with lead > 1 this is pseudo-division: rows are first
     multiplied by lead to the number of quotient terms, after which every
     top coefficient is divisible by lead and all arithmetic is integral.
+
+    Over Q_p (m = 1) a quotient coefficient is one integer, and a step
+    subtracts one multiple of G; by a linear G = g0 + lead X it is synthetic
+    division, one integer update per step.
     """
     cols, d, lead = divisor
     m = len(cols)
@@ -203,6 +209,26 @@ def _zdivmod(rows, den, divisor):
         scale = lead ** nq
         rows = [a * scale for a in rows]
         den *= scale
+    if m == 1:
+        # a step at lo reads rows[lo + d] and writes only below it, so
+        # rows[d:] ends as the quotient
+        g = cols[0]
+        if d == 1:
+            g0 = g[0]
+            for lo in range(nq - 1, -1, -1):
+                c = rows[lo + 1]
+                if c:
+                    if lead != 1:
+                        c //= lead
+                    rows[lo] -= c * g0
+        else:
+            for lo in range(nq - 1, -1, -1):
+                c = rows[lo + d]
+                if c:
+                    if lead != 1:
+                        c //= lead
+                    rows[lo:lo + d] = [a - c * b for a, b in zip(rows[lo:lo + d], g)]
+        return rows[d:], rows[:d], den
     q = [0] * (nq * m)
     for lo in range((nq - 1) * m, -1, -m):
         top = rows[lo + dm:lo + dm + m]

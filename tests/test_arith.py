@@ -1,5 +1,6 @@
 """Exact arithmetic layer: extended rationals, base field, finite fields."""
 
+import functools
 import math
 import random
 import time
@@ -355,6 +356,58 @@ class TestIntegerKernel:
         assert tuple(K2.poly([embed(c) for c in a.coeffs]) for a in f.phi_expand(phi)) \
             == f2.phi_expand(phi2)
         assert f2.divmod(f2.derivative()) == _reference_divmod(f2, f2.derivative())
+
+
+def _fraction_divmod(f, g):
+    """Schoolbook long division of Fraction lists, constant term first, by g
+    with a nonzero last entry: (quotient, remainder of len(g) - 1 entries)."""
+    rem = list(f)
+    quo = [Fraction(0)] * max(0, len(f) - len(g) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + len(g) - 1] / g[-1]
+        for j, b in enumerate(g):
+            rem[i + j] -= c * b
+    return quo, rem[:len(g) - 1]
+
+
+class TestScalarKernel:
+    """Over Q_p (m = 1) the remainder kernel takes one integer per quotient
+    coefficient, and by a linear centre it is synthetic division; divmod and
+    phi_expand must agree with Fraction long division."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_centres_match_fraction_division(self, degree, data):
+        K = BaseField(5)
+        f = data.draw(st.lists(_coordinate(5), max_size=12))
+        # integral centres, and centres over a denominator prime to p, which
+        # the kernel divides by pseudo-division with lead != 1
+        den = data.draw(st.sampled_from([1, 1, 2, 3, 12, 49]))
+        phi = [Fraction(data.draw(st.integers(-60, 60)), den) for _ in range(degree)]
+        phi.append(Fraction(1))
+        F, Phi = K.poly(f), K.poly(phi)
+        assert F.divmod(Phi) == tuple(K.poly(h) for h in _fraction_divmod(f, phi))
+        expansion, rest = [], f
+        while any(rest):
+            rest, r = _fraction_divmod(rest, phi)
+            expansion.append(K.poly(r))
+        coeffs = F.phi_expand(Phi)
+        assert coeffs == (tuple(expansion) or (F,))
+        assert _expand_back(coeffs, Phi) == F
+        assert all(a.degree < degree for a in coeffs)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_monic_divisor_matches_fraction_division(self, data):
+        K = BaseField(3)
+        f = data.draw(st.lists(_coordinate(3), max_size=12))
+        g = data.draw(st.lists(_coordinate(3), min_size=1, max_size=4)
+                      .filter(lambda g: g[-1] not in (0, 1)))
+        F, G = K.poly(f), K.poly(g)
+        q, r = F.divmod(G)
+        assert (q, r) == tuple(K.poly(h) for h in _fraction_divmod(f, g))
+        assert q * G + r == F
 
 
 # A test-local model of Q(theta): an element is a tuple of m Fraction
@@ -1026,6 +1079,52 @@ class TestResidueKernels:
             x = FFElem(k, (c,))
             assert (x * x.inverse()) == k.one
 
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), d=st.integers(1, 15), data=st.data())
+    def test_inverse_over_every_degree(self, p, d, data):
+        k = _small_field(p, d)
+        coords = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d).filter(any))
+        a = FFElem(k, coords)
+        assert a * a.inverse() == k.one
+        assert a.inverse().inverse() == a
+
+    @pytest.mark.parametrize("p, d", [(3, 1), (5, 2), (3, 6), (5, 15), (7, 15)])
+    def test_inverse_of_zero_raises(self, p, d):
+        with pytest.raises(ZeroDivisionError):
+            _small_field(p, d).zero.inverse()
+
+    def test_inverse_solves_no_linear_system(self, monkeypatch):
+        # the extended Euclidean algorithm on coordinates, not a d x d solve
+        fields = [_small_field(p, d) for p, d in ((5, 2), (3, 6), (5, 15))]
+        calls = []
+        monkeypatch.setattr(ff, "_gauss_solve_mod_p", lambda *args: calls.append(args))
+        rng = random.Random(15)
+        for k in fields:
+            for _ in range(20):
+                a = FFElem(k, [rng.randrange(k.p) for _ in range(k.degree)])
+                if not a.is_zero():
+                    assert a * a.inverse() == k.one
+        assert calls == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_prime_field_division_matches_sympy(self, data):
+        from sympy import Poly, div, symbols
+        p = data.draw(st.sampled_from([3, 5, 7, 10007, 2 ** 61 - 1]))
+        k = prime_field(p)
+        a = data.draw(st.lists(st.integers(0, p - 1), max_size=14))
+        b = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6)
+                      .filter(lambda b: b[-1]))
+        f, g = FFPoly._of(k, a), FFPoly._of(k, b)
+        x = symbols("x")
+        want = div(Poly(a[::-1] or [0], x, modulus=p), Poly(b[::-1], x, modulus=p))
+        q, r = f.divmod(g)
+        assert (q, r) == tuple(FFPoly._of(k, [c % p for c in h.all_coeffs()[::-1]])
+                               for h in want)
+        assert all(0 <= c < p for c in q.rows + r.rows)
+        assert q * g + r == f
+        assert r.degree < g.degree
+
     def test_compositum_of_the_slow_case(self):
         # the tower 1 -> 3 -> 15 at p = 5; both minimal polynomials depend on
         # the order in which ff.find_irreducible_over tries candidates and on
@@ -1068,12 +1167,25 @@ def _search_cases():
     return cases + [(5, 3, 5)]
 
 
+@functools.lru_cache(maxsize=None)
 def _small_field(p, d):
     return prime_field(p) if d == 1 else FField(p, find_irreducible_int_poly(p, d))
 
 
 def _elements(k):
     return [k.elem(ff._coordinates(n, k.p, k.degree)) for n in range(k.order)]
+
+
+def _trinomial_tail(k, t, c1):
+    """The flat coordinates of the coefficients of X .. X^t of X^t + c_1 X."""
+    return list(c1.coords) + [0] * ((t - 2) * k.degree) + list(k.one.coords)
+
+
+def _trinomials(k, t):
+    """Every X^t + c_1 X + c_0 over k."""
+    elements = _elements(k)
+    return [FFPoly._of(k, list(c0.coords) + _trinomial_tail(k, t, c1))
+            for c1 in elements for c0 in elements]
 
 
 class TestIrreducibleSearch:
@@ -1154,6 +1266,42 @@ class TestIrreducibleSearch:
             tail = list(c1.coords) + [0] * ((p - 2) * d) + list(k.one.coords)
             bijective = len({a ** p + c1 * a for a in elements}) == k.order
             assert ff._barren(k, p, code, tail) == bijective, (k.order, c1)
+
+    @pytest.mark.parametrize("p, d, t", [(3, 1, 7), (3, 3, 7), (7, 1, 15), (3, 1, 19),
+                                         (11, 1, 23), (3, 1, 31)])
+    def test_parity_blocks_are_not_tested(self, monkeypatch, p, d, t):
+        # p | t - 1, t = 3 mod 4 and q = 3 mod 4: every X^t + c_1 X + c_0 has
+        # the non-square discriminant -c_0^(t-1), so by Stickelberger's
+        # parity theorem none is irreducible; brute force agrees, every block
+        # of the family is skipped, and none of its candidates is tested
+        k = _small_field(p, d)
+        family = _trinomials(k, t)
+        assert not any(is_irreducible(f) for f in family)
+        assert all(ff._barren(k, t, code, _trinomial_tail(k, t, c1))
+                   for code, c1 in enumerate(_elements(k)))
+        tested = []
+
+        def counted(f):
+            tested.append(f)
+            return is_irreducible(f)
+
+        monkeypatch.setattr(ff, "is_irreducible", counted)
+        assert find_irreducible_over(k, t) == _unsieved_search(k, t)
+        assert tested
+        assert set(tested).isdisjoint(family)
+
+    @pytest.mark.parametrize("p, d, t, count", [(3, 2, 7, 16), (5, 1, 11, 4), (3, 1, 13, 2),
+                                                (7, 1, 11, 12)])
+    def test_parity_rule_needs_each_condition(self, p, d, t, count):
+        # each case misses one condition: q = 1 mod 4 makes -1 a square,
+        # t = 1 mod 4 makes the sign +1, and p not dividing t - 1 keeps the
+        # term in c_1^t; the family holds irreducibles, and no block
+        # X^t + c_1 X, c_1 != 0, is skipped
+        k = _small_field(p, d)
+        assert sum(map(is_irreducible, _trinomials(k, t))) == count
+        assert not any(ff._barren(k, t, code, _trinomial_tail(k, t, c1))
+                       for code, c1 in enumerate(_elements(k)) if code)
+        assert find_irreducible_over(k, t) == _unsieved_search(k, t)
 
     def test_slow_case_search_skips_the_rooted_blocks(self, monkeypatch):
         # over GF(125) the blocks X^5 + c_1 X + c_0 with c_1 in {1, 2, 3}

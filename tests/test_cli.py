@@ -477,6 +477,19 @@ class TestExtensionSearch:
         assert hashlib.sha256(out).hexdigest() == \
             "82717fb72756b0fe4fd3ce84173f8bcec2a01e98cc17747057807ee2455fe916"
 
+    def test_parity_blocks_are_skipped(self, capsys):
+        # x^7 + x^2 + 2 stays irreducible over GF(3^5), so geometric mode
+        # searches a degree-7 polynomial over it; no X^7 + c_1 X + c_0 there
+        # is irreducible, as its discriminant -c_0^6 is a non-square, and
+        # searching those 59,049 candidates took over 50 s.  Skipping them
+        # keeps the output: its md5 is the one of testing every candidate
+        start = time.perf_counter()
+        assert run(["fibre", "(x^7+x^2+2)^2-3^5", "-p", "3", "-m", "5",
+                    "--residue-mode", "geometric", "--format", "json"]) == 0
+        assert time.perf_counter() - start < 10
+        out = capsys.readouterr().out.encode()
+        assert hashlib.md5(out).hexdigest() == "32b5bc5d7209c3a6f2a40981852bf2e1"
+
 
 class TestErrorHierarchy:
     # the raise sites may name the two package errors, and the operator
