@@ -24,7 +24,7 @@ from .rationals import qstr
 from .clusters import build_cluster_tree, cluster_chain, normalize_input
 from .invariants import all_records
 from .fibre import (assemble, cluster_dicts, export, fibre_graph,
-                    graphs_isomorphic, farey_chain, poly_str)
+                    graphs_isomorphic, farey_chain, json_text, poly_str)
 
 
 # Largest degree an expression may reach, and largest exponent it may use:
@@ -291,8 +291,7 @@ def _render_picture(tree, fmt):
             "mode": "geometric" if tree.mode == "geometric" else "arithmetic",
             "clusters": cluster_dicts(tree),
         }
-        import json as _json
-        return _json.dumps(fib_like, sort_keys=True, indent=1) + "\n"
+        return json_text(fib_like) + "\n"
     if fmt == "tikz":
         return _render_tikz(tree)
     lines = [f"cluster picture over Q_{tree.field.p}"
@@ -351,7 +350,6 @@ def _height(node):
 
 def _render_invariants(tree, records, fmt):
     if fmt == "json":
-        import json as _json
         payload = {
             "base_field": {"p": tree.field.p, "m": tree.field.m},
             "normalization_shift": tree.shift,
@@ -362,7 +360,7 @@ def _render_invariants(tree, records, fmt):
                 "id": node.id, "degree": node.degree, "radius": qstr(node.radius),
                 "size": node.size, "invariants": records[node.id].as_dict(),
             })
-        return _json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        return json_text(payload) + "\n"
     cols = ["id", "b", "e", "nu", "n", "m", "i", "p", "s", "gamma", "delta",
             "p0", "s0", "gamma0", "genus"]
     rows = [cols]

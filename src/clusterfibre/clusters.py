@@ -131,23 +131,20 @@ class ClusterTree:
         for idx, n in enumerate(self.nodes):
             n.id = idx
 
-    def leaves(self):
-        out = []
-        for n in self.nodes:
-            out.extend(n.leaves)
-        return out
-
 
 def normalize_input(f: KPoly):
     """Rescale x by a power of p so every root gains strictly positive valuation.
 
     Returns (f(x / p^c), c, v_disc) with c >= 0 minimal, so each root r of f
     turns into p^c r, and v_disc the valuation of the discriminant of the
-    rescaled polynomial; computing v_disc is the separability test, so this
-    raises InputError on input with repeated roots.
+    rescaled polynomial.  v_disc is computed on f itself, whose coefficients
+    are smaller, and shifted by disc(f(lam x)) = lam^(n(n-1)) disc(f), n the
+    degree; computing it is the separability test, so this raises
+    InputError on input with repeated roots.
     """
     if f.degree < 1:
         raise InputError("need a non-constant polynomial")
+    v_disc = discriminant_val(f)
     K = f.field
     v0 = MacLaneVal.gauss(K)
     N = newton_polygon(v0, K.x(), f)
@@ -164,7 +161,7 @@ def normalize_input(f: KPoly):
         frac = Fraction(-min_rootval)
         c = frac.numerator // frac.denominator + 1
         f = f.subst_scaled_x(-c)
-    return f, c, discriminant_val(f)
+    return f, c, v_disc - c * f.degree * (f.degree - 1)
 
 
 class _Builder:
@@ -275,9 +272,10 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
     if mode not in ("exact", "geometric"):
         raise InputError("mode must be 'exact' or 'geometric'")
     f_norm, shift, v_disc = normalize_input(f)
-    # v(disc) bounds the refinement depth.  It is computed once: the
-    # valuation on Q(theta) extends uniquely to each unramified extension
-    # built below, so embedding f there leaves v(disc) unchanged.
+    # v(disc) of the rescaled f bounds the refinement depth.  It is computed
+    # once, on the input before rescaling (normalize_input): the valuation on
+    # Q(theta) extends uniquely to each unramified extension built below, so
+    # embedding f there leaves v(disc) unchanged.
     depth_bound = 2 * max(0, int(v_disc)) + f_norm.degree + 4
     work_f, work_K = f_norm, K
     while True:

@@ -815,11 +815,11 @@ def ff_extend(F: FField, h: FFPoly):
     coordinates of t_j sit at j*[F:F_p] onwards.  A degree-1 h gives G = F,
     the identity, and basis None.
     """
-    if h.degree < 1 or not is_irreducible(h):
-        raise InputError("modulus of a field extension must be irreducible")
-    if h.degree == 1:
+    if h.degree == 1:  # a linear modulus is irreducible
         root = -(h[0] * h[1].inverse())
         return F, Embedding.identity(F), root, None
+    if h.degree < 1 or not is_irreducible(h):
+        raise InputError("modulus of a field extension must be irreducible")
 
     p, a, t = F.p, F.degree, h.degree
     n = a * t

@@ -22,8 +22,8 @@ intersections; empty open tails vanish.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
 from .clusters import ClusterTree
@@ -507,6 +507,31 @@ def cluster_dicts(tree: ClusterTree,
     return clusters
 
 
+def json_text(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, on dicts
+    with str keys, lists, str, int, bool and None; any other type raises
+    TypeError.  (With ``indent`` set, json falls back to its pure-Python
+    encoder.)  ``nl`` is the line break and indent of the enclosing level."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + " "
+    if isinstance(obj, list):
+        ends, items = "[]", [json_text(x, inner) for x in obj]
+    elif isinstance(obj, dict):
+        # a key that is not a str makes the sort or the key encoder raise
+        ends, items = "{}", [encode_basestring_ascii(k) + ": " + json_text(v, inner)
+                             for k, v in sorted(obj.items())]
+    else:
+        raise TypeError(f"no JSON form for {type(obj).__name__}")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + nl + ends[1]
+
+
 def export_json(fib: SpecialFibre) -> bytes:
     tree = fib.tree
     payload = {
@@ -540,7 +565,7 @@ def export_json(fib: SpecialFibre) -> bytes:
             } for fam in fib.open_p1],
         },
     }
-    return json.dumps(payload, sort_keys=True, indent=1).encode()
+    return json_text(payload).encode()
 
 
 def export_dot(fib: SpecialFibre) -> bytes:

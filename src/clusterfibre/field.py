@@ -509,7 +509,7 @@ class KPoly:
     polynomial has no rows.
     """
 
-    __slots__ = ("field", "rows", "den")
+    __slots__ = ("field", "rows", "den", "_gauss")
 
     def __init__(self, field: BaseField, coeffs):
         coeffs = list(coeffs)
@@ -530,6 +530,7 @@ class KPoly:
             end -= m
         self.field = field
         self.rows, self.den = _normal(rows[:end], den)
+        self._gauss = None
 
     @property
     def coeffs(self) -> tuple:
@@ -629,8 +630,13 @@ class KPoly:
         return KPoly._of(self.field, rows, self.den * p ** top)
 
     def gauss_val(self):
-        """The Gauss valuation: the least valuation of a coefficient."""
-        return _content_val(self.rows, self.den, self.field.p)
+        """The Gauss valuation: the least valuation of a coefficient.
+
+        Computed on the first call and kept: a KPoly never changes, so the
+        fill is idempotent and the object stays safe to share."""
+        if self._gauss is None:
+            self._gauss = _content_val(self.rows, self.den, self.field.p)
+        return self._gauss
 
     def residue(self, alpha: int = 0) -> FFPoly:
         """The reduction of p^(-alpha) * self to the residue field,

@@ -14,7 +14,8 @@ by x and the marked child factors so that y^n = f-tilde presents the
 component's function field.
 
 Two independent routes are asserted against each other on every run: nu by
-evaluation against the meet-sum over leaf orbits, and the genus from u
+evaluation against the meet sum over leaf orbits, which one walk up the
+parents of the node adds up from the cluster sizes, and the genus from u
 against the genus of the double cover y^2 = f-tilde computed from its
 odd-multiplicity roots.  The intro-flavoured normalization (nu scaled by
 the cluster degree) is reported alongside for display only; it never enters
@@ -68,48 +69,21 @@ class InvariantRecord:
 
 
 def nu(tree: ClusterTree, node: ClusterNode):
-    """nu_v = v(f), with the leaf-meet sum of the valuation identity asserted."""
-    cc = cluster_chain(node)
-    direct = cc.eval(tree.f)
-    total = tree.f.lead().val()
-    ancestors = _ancestor_sets(tree)
-    for leaf in tree.leaves():
-        meet = _meet_node(node, leaf.parent, ancestors)
-        total += Fraction(leaf.degree) * Fraction(meet.radius) / meet.degree
+    """nu_v = v(f), with the leaf-meet sum of the valuation identity asserted.
+
+    A leaf below v meets v; a leaf below an ancestor a but not below a's
+    child c towards v meets a.  The leaf degrees below a node sum to its
+    size (the additivity law), so the meet sum is one walk up the parents."""
+    direct = cluster_chain(node).eval(tree.f)
+    total = tree.f.lead().val() + Fraction(node.size * node.radius) / node.degree
+    c, a = node, node.parent
+    while a is not None:
+        total += Fraction((a.size - c.size) * a.radius) / a.degree
+        c, a = a, a.parent
     if direct != total:
         raise InternalInconsistency(
             f"nu mismatch: eval gives {direct}, leaf meets give {total}")
     return direct
-
-
-def _ancestor_sets(tree: ClusterTree):
-    if getattr(tree, "_ancestors", None) is None:
-        anc = {}
-        for n in tree.nodes:
-            path = []
-            cur = n
-            while cur is not None:
-                path.append(cur)
-                cur = cur.parent
-            anc[id(n)] = path[::-1]  # root first
-        tree._ancestors = anc
-    return tree._ancestors
-
-
-def _meet_node(v: ClusterNode, u: ClusterNode, ancestors) -> ClusterNode:
-    """Deepest common ancestor; v itself when the leaf hangs below v."""
-    pv, pu = ancestors[id(v)], ancestors[id(u)]
-    if len(pu) >= len(pv) and pu[len(pv) - 1] is v:
-        return v
-    last = None
-    for a, b in zip(pv, pu):
-        if a is b:
-            last = a
-        else:
-            break
-    if last is None:
-        raise InternalInconsistency("disconnected cluster tree")
-    return last
 
 
 def compute_record(tree: ClusterTree, node: ClusterNode,

@@ -596,6 +596,20 @@ class TestIntegerRepresentation:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
+    def test_gauss_val_cache(self, m, data):
+        # filled on the first call, from the stored lowest-terms coordinates
+        K = _kernel_base(m)
+        f, g = data.draw(_kpoly(K, 5)), data.draw(_kpoly(K, 3))
+        for h in (f, g, f * g, f - g, f.derivative(), f.subst_scaled_x(-1)):
+            assert h._gauss is None
+            want = field._content_val(h.rows, h.den, K.p)
+            assert want == _ext_min([_q_val(a, K.p) for a in _q(h)])
+            assert h.gauss_val() == want and h._gauss == want
+            assert h.gauss_val() == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
     def test_polynomial_residue(self, m, data):
         K = _kernel_base(m)
         f = data.draw(_kpoly(K, 5).filter(lambda f: not f.is_zero()))
@@ -924,6 +938,27 @@ class TestFiniteFields:
         k = prime_field(3)
         with pytest.raises(InputError, match="modulus of a field extension must be irreducible"):
             ff_extend(k, FFPoly.from_ints(k, [-1, 0, 1]))
+
+    def test_linear_modulus_needs_no_irreducibility_test(self, monkeypatch):
+        calls = []
+
+        def spy(h):
+            calls.append(h.degree)
+            return is_irreducible(h)
+
+        k = prime_field(5)
+        F9 = FField(3, find_irreducible_int_poly(3, 2))
+        monkeypatch.setattr(ff, "is_irreducible", spy)
+        for F_, h in ((k, FFPoly.from_ints(k, [-1, 1])), (k, FFPoly.from_ints(k, [3, 2])),
+                      (F9, FFPoly.x(F9).scale(F9.gen) + FFPoly.const(F9, F9.one))):
+            G, emb, root, basis = ff_extend(F_, h)
+            assert G is F_ and basis is None and h.evaluate(root).is_zero()
+        assert calls == []
+        with pytest.raises(InputError, match="modulus of a field extension must be irreducible"):
+            ff_extend(prime_field(3), FFPoly.from_ints(prime_field(3), [-1, 0, 1]))
+        with pytest.raises(InputError, match="modulus of a field extension must be irreducible"):
+            ff_extend(k, FFPoly.from_ints(k, [2]))
+        assert calls == [2]
 
     def test_find_irreducible_int_poly(self):
         mod = find_irreducible_int_poly(3, 2)

@@ -186,6 +186,17 @@ class TestCommands:
         assert err[0] == "error: residue characteristic must be an odd prime"
         assert err[1].startswith("error: residue characteristic must be below")
 
+    def test_large_degree_with_unit_roots_is_fast(self, capsys):
+        # roots of valuation 0 make normalize_input rescale x by p: the
+        # discriminant is taken before that, on the small coefficients
+        rng = random.Random(128)
+        coeffs = [rng.randint(-9, 9) for _ in range(128)] + [1]
+        start = time.perf_counter()
+        assert run(["fibre", "--coeffs=" + ",".join(map(str, coeffs)), "--prime", "3",
+                    "--format", "json"]) == 0
+        assert time.perf_counter() - start < 5
+        assert json.loads(capsys.readouterr().out)["normalization_shift"] == 1
+
     @pytest.mark.parametrize("argv, message", [
         (["fibre", "x^2-5", "--prime", "abc"], "argument --prime/-p: invalid int value: 'abc'"),
         (["fibre", "x^2-5", "--prime", "5", "--format", "xml"], "argument --format: invalid choice"),

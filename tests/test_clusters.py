@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from clusterfibre.errors import InputError
-from clusterfibre.field import BaseField
+from clusterfibre.field import BaseField, discriminant_val
 from clusterfibre.rationals import OO
 from clusterfibre.clusters import (normalize_input, build_cluster_tree,
                                    cluster_chain, p0_flag)
@@ -61,6 +61,23 @@ class TestNormalize:
         K = BaseField(5)
         with pytest.raises(InputError, match="polynomial has repeated roots"):
             normalize_input(K.poly([-5, 0, 1]) ** 2)
+
+    @pytest.mark.parametrize("p, coeffs", [
+        (3, "seeded 16"), (3, "seeded 48"), (5, "seeded 24"),
+        (3, [1, 0, -1, 9]), (5, [F(1, 5), 2, 0, 25]), (3, [-1, F(1, 7), 0, 0, 6]),
+    ])
+    def test_discriminant_taken_before_rescaling(self, p, coeffs):
+        # v(disc) comes from the input and is shifted by disc(f(lam x)) =
+        # lam^(n(n-1)) disc(f): it must be the valuation of the rescaled
+        # discriminant, here on monic inputs and on inputs with p | lc
+        if isinstance(coeffs, str):
+            n = int(coeffs.split()[1])
+            rng = random.Random(n)
+            coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
+        K = BaseField(p)
+        g, c, v_disc = normalize_input(K.poly(coeffs))
+        assert c >= 1
+        assert v_disc == discriminant_val(g)
 
 
 class TestSexticTree:

@@ -1,19 +1,24 @@
 """Chains, assembly, exports, and the figure of the running example."""
 
+import ast
+import enum
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from clusterfibre.errors import InputError
+import clusterfibre
+from clusterfibre.errors import InputError, InternalInconsistency
 from clusterfibre.field import BaseField
 from clusterfibre.clusters import build_cluster_tree
 from clusterfibre.invariants import all_records
 from clusterfibre.fibre import (farey_chain, open_chain_bound, open_chain,
                                 simplest_between, assemble, fibre_graph,
-                                graphs_isomorphic, FibreGraph, export)
+                                graphs_isomorphic, FibreGraph, export, json_text,
+                                check_genus_identity)
 from clusterfibre.degree1 import oracle_fibre_graph
 
 
@@ -335,6 +340,16 @@ class TestAdjunctionCount:
         edge_part = sum(g.labels[a][0] + g.labels[b][0] for a, b in g.edges)
         assert comp_part == -52 and edge_part == 54
 
+    def test_perturbed_genus_breaks_the_adjunction_count(self):
+        K = BaseField(5)
+        tree = build_cluster_tree(K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5]), K,
+                                  mode="geometric")
+        fib = assemble(tree)
+        check_genus_identity(fib)
+        next(iter(fib.components.values())).genus += 1
+        with pytest.raises(InternalInconsistency, match="adjunction count"):
+            check_genus_identity(fib)
+
     def test_randomized(self):
         # assemble() itself raises if the adjunction count fails in geometric
         # mode; run a spread of shapes through it
@@ -371,3 +386,53 @@ class TestEllChoiceInvariance:
         base = assemble(tree, all_records(tree))
         shifted = assemble(tree, all_records(tree, ell_offset=1))
         assert graphs_isomorphic(fibre_graph(base), fibre_graph(shifted))
+
+
+# str with quotes, backslashes, control characters and non-ASCII (BMP and
+# astral); ints far past 64 bits either way
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                               st.characters()))
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _JSON_TEXT,
+                         st.integers(-2 ** 200, 2 ** 200))
+_JSON_PAYLOAD = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    """The one JSON writer of the exports against json.dumps."""
+
+    @given(_JSON_PAYLOAD)
+    @example({"b": [1, [], {}], "a": {"y": None, "x": [True, False, None]}, "": "\u00e9"})
+    @settings(max_examples=100, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+    def test_int_subclass_prints_as_int(self):
+        payload = {"e": [enum.IntEnum("E", "A B")(2), True]}
+        assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("bad", [1.5, (1, 2), {1: 2}, {"a": [F(1, 2)]}, b"x", {1, 2}])
+    def test_other_types_raise(self, bad):
+        with pytest.raises(TypeError):
+            json_text(bad)
+
+    def test_exports_use_it(self):
+        K = BaseField(5)
+        tree = build_cluster_tree(K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5]), K)
+        out = export(assemble(tree), "json")
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=1).encode()
+
+    def test_no_indented_json_dumps_in_the_package(self):
+        # json.dumps with an indent runs CPython's pure-Python encoder: the
+        # package writes indented JSON through json_text only
+        found = []
+        for path in sorted(Path(clusterfibre.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+                      and any(k.arg == "indent" for k in node.keywords)]
+        assert found == []

@@ -1,11 +1,14 @@
 """Definition-style invariant records against the worked sextic and friends."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from clusterfibre import cli, invariants
 from clusterfibre.field import BaseField
-from clusterfibre.clusters import build_cluster_tree
+from clusterfibre.clusters import _verify_tree, build_cluster_tree
+from clusterfibre.errors import InternalInconsistency
 from clusterfibre.invariants import (all_records, nu, genus_double_cover,
                                      compute_record)
 from clusterfibre.ff import FFPoly, prime_field
@@ -81,7 +84,85 @@ class TestSexticTable:
         assert r2.ftilde.degree == 1
 
 
+def _leaf_meet_sum(tree, node):
+    """v(lc f) plus, over every leaf orbit of the tree, its degree times
+    radius / degree of the deepest cluster holding both the leaf and node."""
+    def path(n):  # root first
+        out = []
+        while n is not None:
+            out.append(n)
+            n = n.parent
+        return out[::-1]
+
+    pv = path(node)
+    total = tree.f.lead().val()
+    for leaf in [l for n in tree.nodes for l in n.leaves]:
+        meet = [a for a, b in zip(pv, path(leaf.parent)) if a is b][-1]
+        total += F(leaf.degree) * F(meet.radius) / meet.degree
+    return total
+
+
+def _nu_inputs():
+    """(label, K, f, mode): the selfcheck corpus in both residue modes, and
+    seeded products of rational roots at p = 3 and 5, some not monic."""
+    out = [(f"{expr} {mode}", p, expr, mode)
+           for p, expr in cli._CORPUS for mode in ("exact", "geometric")]
+    for p in (3, 5):
+        rng = random.Random(70 + p)
+        for k in range(4):
+            roots = sorted({p * rng.randrange(1, p ** 3) for _ in range(rng.randrange(3, 9))})
+            lead = [1, p, F(2, p), F(p ** 2, 7)][k]
+            out.append((f"p={p} roots={roots} lead={lead}", p, (roots, lead), "exact"))
+    return out
+
+
+def _depth(node):
+    return 0 if node.parent is None else 1 + _depth(node.parent)
+
+
+def _nu_tree(p, spec, mode):
+    K = BaseField(p)
+    if isinstance(spec, str):
+        f = cli.parse_poly(spec, K)
+    else:
+        roots, lead = spec
+        f = K.poly([lead])
+        for a in roots:
+            f = f * K.poly([-a, 1])
+    return build_cluster_tree(f, K, mode=mode)
+
+
 class TestNu:
+    @pytest.mark.parametrize("label, p, spec, mode", _nu_inputs(),
+                             ids=[x[0] for x in _nu_inputs()])
+    def test_nu_matches_leaf_meet_oracle(self, label, p, spec, mode):
+        tree = _nu_tree(p, spec, mode)
+        for node in tree.nodes:
+            assert nu(tree, node) == _leaf_meet_sum(tree, node)
+
+    @pytest.mark.parametrize("expr, depth", [("(x-5)*(x-30)*(x-130)*(x-10)", 2),
+                                             ("((x^2-5)^3-5^5)*(x^2+5)", 1)])
+    def test_perturbed_radius_breaks_the_nu_law(self, expr, depth):
+        # the cluster chain is built: a radius changed afterwards reaches the
+        # meet sum but not the evaluation
+        tree = _nu_tree(5, expr, "exact")
+        assert max(_depth(n) for n in tree.nodes) == depth
+        for node in tree.nodes:
+            node.radius += F(1, 7)
+            with pytest.raises(InternalInconsistency, match="nu mismatch"):
+                nu(tree, node)
+            node.radius -= F(1, 7)
+            nu(tree, node)
+
+    def test_perturbed_leaf_degree_breaks_additivity(self):
+        # nu reads sizes, not leaf degrees: the additivity law guards them
+        tree = _nu_tree(5, "(x-5)*(x-30)*(x-10)*(x-35)*(x-15)*(x-40)", "exact")
+        _verify_tree(tree)
+        leaf = next(l for n in tree.nodes for l in n.leaves)
+        leaf.degree += 1
+        with pytest.raises(InternalInconsistency, match="sizes are not additive"):
+            _verify_tree(tree)
+
     def test_nu_simple(self):
         K = BaseField(5)
         f = K.poly([-5, 0, 1])
@@ -94,6 +175,22 @@ class TestNu:
         tree = build_cluster_tree(f, K)
         recs = all_records(tree)
         assert recs[tree.root.id].nu == 4  # v_K(c_f) = 1 shifts nu by 1
+
+
+class TestOtherLawsFire:
+    def test_perturbed_size_breaks_the_size_law(self):
+        tree = _nu_tree(5, "(x-5)*(x-30)*(x-130)*(x-10)", "exact")
+        tree.root.size += 1
+        with pytest.raises(InternalInconsistency, match="size does not match"):
+            _verify_tree(tree)
+
+    def test_perturbed_genus_breaks_the_cross_check(self, monkeypatch):
+        tree = _nu_tree(5, "(x^2-5)^3 - 5^5", "exact")
+        real = invariants.genus_double_cover
+        monkeypatch.setattr(invariants, "genus_double_cover",
+                            lambda ft, n: real(ft, n) + 1)
+        with pytest.raises(InternalInconsistency, match="genus cross-check failed"):
+            all_records(tree)
 
 
 class TestGenus:
