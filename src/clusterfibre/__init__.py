@@ -6,8 +6,7 @@ from .errors import InputError, InternalInconsistency
 from .field import BaseField, KElem, KPoly
 from .rationals import OO
 from .valuation import MacLaneVal, AugStep
-from .newton import (newton_polygon, graded_H, reduce_poly, residue_tower,
-                     is_key, lift_key)
+from .newton import newton_polygon, reduce_poly, residue_tower, is_key, lift_key
 from .clusters import (build_cluster_tree, normalize_input, assign_centres,
                        cluster_chain, p0_flag, ClusterTree, ClusterNode)
 from .invariants import all_records, compute_record, nu, genus_double_cover
@@ -21,7 +20,7 @@ __all__ = [
     "InputError", "InternalInconsistency",
     "BaseField", "KElem", "KPoly", "OO",
     "MacLaneVal", "AugStep",
-    "newton_polygon", "graded_H", "reduce_poly", "residue_tower",
+    "newton_polygon", "reduce_poly", "residue_tower",
     "is_key", "lift_key",
     "build_cluster_tree", "normalize_input", "assign_centres",
     "cluster_chain", "p0_flag", "ClusterTree", "ClusterNode",

@@ -46,8 +46,7 @@ from .field import (BaseField, KPoly, MAX_UNRAMIFIED_DEGREE, discriminant_val,
 from .ff import ff_factor
 from .rationals import OO, qstr
 from .valuation import MacLaneVal
-from .newton import (newton_polygon, reduce_poly, lift_key,
-                     residual_order, is_key)
+from .newton import newton_polygon, reduce_poly, lift_key, is_key
 
 
 class LeafOrbit:
@@ -94,9 +93,8 @@ class ClusterNode:
         self.centre: Optional[KPoly] = None
         self.cluster_chain: Optional[MacLaneVal] = None
         self.reduction = None               # Reduction of f along the cluster chain
-        self.i_v: Optional[int] = None
-        self.i0_v: Optional[int] = None
         self.child_residuals = {}           # child id -> FFPoly (centre reduction), distinct-centre only
+        self.fbar = None                    # f|_v with the child_residuals divided out
 
     @property
     def is_degree_minimal(self) -> bool:
@@ -146,13 +144,10 @@ def normalize_input(f: KPoly):
         raise InputError("need a non-constant polynomial")
     v_disc = discriminant_val(f)
     K = f.field
-    v0 = MacLaneVal.gauss(K)
-    N = newton_polygon(v0, K.x(), f)
-    slopes = N.slopes()
-    if not slopes:  # f = c * x^d would not be separable unless d <= 1
-        min_rootval = OO
-    else:
-        min_rootval = -max(slopes)
+    # the root valuations are the edge radii; with no edge f = c * x^d,
+    # which is not separable unless d <= 1
+    edges = newton_polygon(MacLaneVal.gauss(K), K.x(), f)
+    min_rootval = min((e.lam for e in edges), default=OO)
     if min_rootval is OO or min_rootval > 0:
         c = 0
     else:
@@ -206,9 +201,8 @@ class _Builder:
         stops early, so every caller returns at once."""
         if depth > self.depth_bound:
             raise InternalInconsistency("refinement exceeded the discriminant depth bound")
-        N = newton_polygon(prefix, phi, self.f)
-        edges = [e for e in N.edges() if e.lam > bound]
-        edges.sort(key=lambda e: e.lam)
+        # lam falls from edge to edge, so shallowest first is right to left
+        edges = [e for e in reversed(newton_polygon(prefix, phi, self.f)) if e.lam > bound]
         current = parent
         for e in edges:
             cand = prefix.augment_unchecked(phi, e.lam)
@@ -272,11 +266,15 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
     if mode not in ("exact", "geometric"):
         raise InputError("mode must be 'exact' or 'geometric'")
     f_norm, shift, v_disc = normalize_input(f)
-    # v(disc) of the rescaled f bounds the refinement depth.  It is computed
-    # once, on the input before rescaling (normalize_input): the valuation on
-    # Q(theta) extends uniquely to each unramified extension built below, so
-    # embedding f there leaves v(disc) unchanged.
-    depth_bound = 2 * max(0, int(v_disc)) + f_norm.degree + 4
+    # The refinement depth is bounded through D = v(disc) - (2n - 2) v(lc)
+    # of the rescaled f of degree n: D is the sum of v(r - r') over ordered
+    # pairs of distinct roots, each positive after rescaling, so D >= 0
+    # even when v(disc) is negative.  v(disc) is computed once, on the input
+    # before rescaling (normalize_input): the valuation on Q(theta) extends
+    # uniquely to each unramified extension built below, so embedding f
+    # there leaves D unchanged.
+    n = f_norm.degree
+    depth_bound = 2 * int(v_disc - (2 * n - 2) * f_norm.lead().val()) + n + 4
     work_f, work_K = f_norm, K
     while True:
         builder = _Builder(work_f, work_K, seed, depth_bound, mode == "geometric")
@@ -364,37 +362,46 @@ def _build_cluster_chains(tree: ClusterTree):
     for node in tree.nodes:
         cc = cluster_chain(node)
         node.reduction = reduce_poly(cc, tree.f)
-        node.i0_v = node.reduction.i0
-        node.i_v = node.reduction.i1
         for child in node.children:
             if child.centre != node.centre:
                 node.child_residuals[id(child)] = reduce_poly(cc, child.centre).poly
 
 
 def _verify_tree(tree: ClusterTree):
+    """Assert the counting laws; the child multiplicity law leaves f-bar in
+    ``node.fbar``: f|_v divided exactly by each distinct-centre child's
+    residual factor to its multiplicity size / degree, a quotient that factor
+    no longer divides."""
     for node in tree.nodes:
-        if node.i_v * node.degree != node.size:
+        i0, i1 = node.reduction.i0, node.reduction.i1
+        if i1 * node.degree != node.size:
             raise InternalInconsistency("size does not match the selected edge width")
         total = sum(c.size for c in node.children) + sum(l.degree for l in node.leaves)
         if total != node.size:
             raise InternalInconsistency("sizes are not additive over children")
         p0 = p0_flag(node)
         if node.is_degree_minimal:
-            if node.i0_v != 2 - p0:
+            if i0 != 2 - p0:
                 raise InternalInconsistency("left endpoint disagrees with the centre rule")
         else:
             same = [c for c in node.children if c.centre == node.centre]
             if len(same) != 1:
                 raise InternalInconsistency("exactly one child must share the centre")
-            if node.i0_v != same[0].size // same[0].degree or node.i0_v < 2:
+            if i0 != same[0].size // same[0].degree or i0 < 2:
                 raise InternalInconsistency("left endpoint disagrees with the same-centre child")
+        fbar = node.reduction.poly
         for child in node.children:
             if child.radius <= node.radius or child.degree % node.degree:
                 raise InternalInconsistency("child radius/degree monotonicity violated")
             if child.centre != node.centre:
-                hred = node.child_residuals[id(child)]
-                if residual_order(node.reduction.poly, hred) * child.degree != child.size:
+                factor = node.child_residuals[id(child)]
+                for _ in range(child.size // child.degree):
+                    fbar, rem = fbar.divmod(factor)
+                    if not rem.is_zero():
+                        raise InternalInconsistency("child multiplicity law violated")
+                if (fbar % factor).is_zero():
                     raise InternalInconsistency("child multiplicity law violated")
+        node.fbar = fbar
         cc = cluster_chain(node)
         if not is_key(cc.prefix, node.centre):
             raise InternalInconsistency("assigned centre is not a key polynomial")

@@ -787,10 +787,10 @@ def find_irreducible_int_poly(p: int, degree: int):
 
 
 def _gauss_solve_mod_p(rows, rhs, p):
-    """Solve the square system M x = rhs over F_p, M given by its rows.
-    Returns the solution as a list, or None when M is singular."""
-    n = len(rhs)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    """Solve M X = B over F_p for the square M given by its rows and the
+    rows ``rhs`` of B.  Returns the rows of X, or None when M is singular."""
+    n = len(rows)
+    aug = [list(r) + list(b) for r, b in zip(rows, rhs)]
     for c in range(n):
         piv = next((i for i in range(c, n) if aug[i][c] % p), None)
         if piv is None:
@@ -802,7 +802,7 @@ def _gauss_solve_mod_p(rows, rhs, p):
             if i != c and aug[i][c] % p:
                 f = aug[i][c]
                 aug[i] = [(a - f * b) % p for a, b in zip(aug[i], top)]
-    return [row[n] for row in aug]
+    return [row[n:] for row in aug]
 
 
 def ff_extend(F: FField, h: FFPoly):
@@ -834,26 +834,20 @@ def ff_extend(F: FField, h: FFPoly):
         for _ in range(n):
             powers.append(powers[-1] * gamma % hm)
         rows = [v.rows + (0,) * (n - len(v.rows)) for v in powers]
-        # minimal polynomial: the dependence of gamma^n on 1, ..., gamma^(n-1),
-        # which is unique exactly when gamma generates E over F_p; a gamma in
-        # a proper subfield leaves the n x n power matrix singular
-        power_cols = [tuple(col) for col in zip(*rows[:n])]
-        sol = _gauss_solve_mod_p(power_cols, [(-x) % p for x in rows[n]], p)
+        # one elimination on the power matrix P, whose column k is gamma^k,
+        # solves for -gamma^n and the flat unit vectors e_0 .. e_a.  The
+        # first solution is the minimal polynomial of gamma, unique exactly
+        # when gamma generates E over F_p (a gamma in a proper subfield leaves
+        # P singular); the others are the gamma-power coordinates of
+        # theta_F^j, j < a, which are the columns of emb, and of Y, the root
+        rhs = [[-x % p] + [int(i == j) for j in range(a + 1)] for i, x in enumerate(rows[n])]
+        sol = _gauss_solve_mod_p(list(zip(*rows[:n])), rhs, p)
         if sol is None:
             continue
-        modulus = tuple(sol) + (1,)
-        G = FField(p, modulus)
-
-        def to_G(u):
-            # coordinates w.r.t. the gamma-powers
-            x = _gauss_solve_mod_p(power_cols, list(u.rows) + [0] * (n - len(u.rows)), p)
-            if x is None:
-                raise InternalInconsistency("powers of the extension generator are not a basis")
-            return FFElem._of(G, x)
-
-        emb_cols = [to_G(FFPoly.const(F, F.gen ** j)).coords for j in range(a)]
-        emb = Embedding(F, G, emb_cols)
-        root = to_G(y)
+        cols = list(zip(*sol))
+        G = FField(p, cols[0] + (1,))
+        emb = Embedding(F, G, cols[1:a + 1])
+        root = FFElem._of(G, cols[a + 1])
         # sanity: root satisfies the mapped modulus
         mapped = emb.map_poly(hm)
         if not mapped.evaluate(root).is_zero():

@@ -149,13 +149,13 @@ def _power(x, n: int, one):
     return result
 
 
-def _zsolve(cols, rhs):
-    """(y, d) with sum_k y[k] * cols[k] = d * rhs, d != 0, for the square
-    integer system with columns ``cols``; None if it is singular.
-    Fraction-free (Bareiss) Gauss-Jordan elimination, after which every
-    diagonal entry is d."""
-    n = len(rhs)
-    a = [[col[i] for col in cols] + [rhs[i]] for i in range(n)]
+def _zsolve(cols, *rhs):
+    """(ys, d) with sum_k y[k] * cols[k] = d * b, d != 0, for each right-hand
+    side b and its y in ys, of the square integer system with columns
+    ``cols``; None if it is singular.  Fraction-free (Bareiss) Gauss-Jordan
+    elimination, after which every diagonal entry is d = +-det."""
+    n = len(cols)
+    a = [[col[i] for col in cols] + [b[i] for b in rhs] for i in range(n)]
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
@@ -169,7 +169,7 @@ def _zsolve(cols, rhs):
                 c = a[i][k]
                 a[i] = [(pk * x - c * y) // prev for x, y in zip(a[i], top)]
         prev = pk
-    return [row[n] for row in a], prev
+    return [[row[n + j] for row in a] for j in range(len(rhs))], prev
 
 
 # Division.  A monic divisor g = G / lead (G integral, lead its
@@ -245,7 +245,8 @@ def _zinverse(nums, mod):
     """(y, d) with nums * y = d, d a nonzero integer, for the nonzero
     element of Z[theta] with coordinates ``nums``: the Bareiss solution of
     the system whose column k is theta^k * nums."""
-    return _zsolve(_theta_multiples(nums, mod), [1] + [0] * (len(mod) - 2))
+    (y,), d = _zsolve(_theta_multiples(nums, mod), [1] + [0] * (len(mod) - 2))
+    return y, d
 
 
 # The resultant.  Polynomials over Z[theta] are flat coordinate lists, m per
@@ -729,15 +730,17 @@ def extend_unramified(K: BaseField, t: int):
         for _ in range(M):
             powers.append(powers[-1] * gen % h)
         cols = [flat(v) for v in powers[:M]]  # column j: the vector of gen^j
-        sol = _zsolve(cols, [-x for x in flat(powers[M])])
-        if sol is None or any(c % sol[1] for c in sol[0]):
-            continue  # gen is not primitive, or its minimal polynomial not integral
-        minpoly = tuple(c // sol[1] for c in sol[0]) + (1,)
-        red = FFPoly.from_ints(prime_field(p), minpoly)
-        if not is_irreducible(red):
+        # with d = +-det of the power matrix, p does not divide d exactly
+        # when gen generates the residue field of E, so when its integral
+        # minimal polynomial stays irreducible mod p (BaseField checks it)
+        sol = _zsolve(cols, [-x for x in flat(powers[M])], flat(K.poly([K.theta])))
+        if sol is None or sol[1] % p == 0:
             continue
-        K2 = BaseField(p, M, minpoly)
-        theta_img = KElem(K2, *_zsolve(cols, flat(K.poly([K.theta]))))
+        (lower, theta_coords), d = sol
+        if any(c % d for c in lower):
+            raise InternalInconsistency("integral generator with a non-integral minimal polynomial")
+        K2 = BaseField(p, M, tuple(c // d for c in lower) + (1,))
+        theta_img = KElem(K2, theta_coords, d)
 
         def embed(a: KElem, _img=theta_img, _K2=K2):
             acc = _K2.zero

@@ -8,9 +8,9 @@ set and correction term entering u, and the genus.
 
 The residual side: the leading and constant coefficients of f|_v are the
 two constants of the attached degree-(p/gamma) covers, f-bar is f|_v with
-every distinct-centre child factor divided out exactly (the division must
-be exact, anything else means the tree is wrong), and f-tilde twists f-bar
-by x and the marked child factors so that y^n = f-tilde presents the
+every distinct-centre child factor divided out exactly (``node.fbar``, left
+by the child multiplicity law of the tree), and f-tilde twists f-bar by x
+and the marked child factors so that y^n = f-tilde presents the
 component's function field.
 
 Two independent routes are asserted against each other on every run: nu by
@@ -46,7 +46,7 @@ def _not_in_2Z(x) -> bool:
 
 class InvariantRecord:
     __slots__ = ("degree", "size", "lam", "epsilon", "b", "ell", "e",
-                 "f_v", "k_v", "nu", "n", "m", "i_v", "i0_v", "p", "s", "gamma",
+                 "f_v", "k_v", "nu", "n", "m", "i_v", "p", "s", "gamma",
                  "delta", "p0", "s0", "gamma0", "vtilde", "c0", "u", "genus",
                  "ubereven", "gbar_exp", "gbar_const", "gbar0_exp", "gbar0_const",
                  "fbar", "ftilde", "nu_intro", "s_intro", "s0_intro",
@@ -105,8 +105,7 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     r.k_v = tower.top
     r.f_v = tower.top.degree // K.m
     r.nu = nu(tree, node)
-    r.i_v = node.i_v
-    r.i0_v = node.i0_v
+    r.i_v = node.reduction.i1
     e_nu = r.e * r.nu
     if Fraction(e_nu).denominator != 1:
         raise InternalInconsistency(f"e * nu must be an integer, got {e_nu}")
@@ -151,7 +150,7 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     r.gbar0_exp = r.p0 // r.gamma0 if r.delta else None
     r.gbar0_const = red.poly[0] if r.delta else None
     r.x_exponent_parity = (red.h_exponent - ell_offset * int(e_nu)) % 2
-    r.fbar = fbar(tree, node)
+    r.fbar = node.fbar
     r.ftilde = ftilde_poly(node, r)
     # open-ended count law ties the residual degree to the cluster counts
     open_count = Fraction(node.size - child_sum + r.degree * (r.p0 - 2), r.e)
@@ -167,24 +166,6 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     r.s_intro = Fraction(r.i_v * r.lam + r.p * r.lam - r.nu_intro, 2)
     r.s0_intro = -r.nu_intro / 2 + r.lam
     return r
-
-
-def fbar(tree: ClusterTree, node: ClusterNode) -> FFPoly:
-    """f|_v divided exactly by every distinct-centre child's residual factor
-    to its multiplicity; the quotient is the leading constant times the
-    reduction of the leaf-orbit part."""
-    poly = node.reduction.poly
-    for child in node.children:
-        if child.centre == node.centre:
-            continue
-        factor = node.child_residuals[id(child)]
-        mult = child.size // child.degree
-        for _ in range(mult):
-            q, rem = poly.divmod(factor)
-            if not rem.is_zero():
-                raise InternalInconsistency("child residual factor does not divide f|_v")
-            poly = q
-    return poly
 
 
 def ftilde_poly(node: ClusterNode, rec: InvariantRecord) -> FFPoly:

@@ -10,21 +10,19 @@ A step keeps the basis rows ``ff_extend`` returns: with them, writing an
 element of k_{i+1} in powers of the step generator over k_i (for key
 lifting) is one matrix-vector product mod p.
 
-The graded reduction H(level, alpha, g) returns a Laurent polynomial over
-k_level, computed by recursive descent on phi-adic expansions: only the
-expansion terms sitting on the line u + lambda*i = alpha contribute, their
-indices form an arithmetic progression with gap e_level, and each
-contributes its own lower-level H image.  Each term's value is computed
-once: ``reduce_poly`` keeps the values it finds the line with, and the
-internal ``_graded_H`` takes a g already known to have value alpha and
-evaluates only its progression one level down.  The Laurent monomial twist
-X^{c(alpha)} is carried as an explicit integer shift so both normalizations
-of a residual polynomial are recoverable.
+The graded reduction H(level, alpha, g) is a Laurent polynomial
+X^shift * poly(X) over k_level, computed by recursive descent on phi-adic
+expansions: only the expansion terms sitting on the line u + lambda*i =
+alpha contribute, their indices form an arithmetic progression with gap
+e_level, and each contributes its own lower-level H image.  Each term's
+value is computed once: ``reduce_poly`` keeps the values it finds the line
+with, and ``_graded_H`` takes a g already known to have value alpha and
+evaluates only its progression one level down.
 
-No graded ring is ever materialized: a Laurent value is a pair
-(shift, polynomial), and mapping one level up takes the flat coordinates of
-its coefficients through the step embedding, then evaluates
-X^shift * poly(X) at the step generator by Horner's rule.
+No graded ring is ever materialized: ``_graded_H`` returns the pair
+(shift, rows), rows the flat coordinates of poly, and ``_rho`` maps it one
+level up by taking those coordinates through the step embedding and
+evaluating X^shift * poly(X) at the step generator by Horner's rule.
 
 Values travel as integers scaled by the group index of their level (see
 valuation.py): the Newton polygon's hull, the line value alpha of a
@@ -32,9 +30,8 @@ reduction and its on-line indices, and the alpha handed down the graded
 maps.  The value of a term a_s one level down is (A - s h_i) / e_i for the
 scaled alpha A; that division, and the one giving ``h_exponent``, is exact
 by the theory and checked, and a remainder raises InternalInconsistency
-naming the law.  Fractions appear only at the public boundary: polygon
-vertices and slopes, ``Reduction.alpha``, and the alpha given to
-``graded_H``.
+naming the law.  Fractions appear only at the public boundary: the edge
+radii of a Newton polygon and ``Reduction.alpha``.
 """
 
 from __future__ import annotations
@@ -54,42 +51,17 @@ from .valuation import MacLaneVal
 
 
 class EdgeData:
-    """Selected-edge endpoints (i0, u0), (i1, u1); lam is minus the slope."""
+    """One edge of a Newton polygon, from index i0 to i1; lam is minus its
+    slope."""
 
-    __slots__ = ("lam", "i0", "u0", "i1", "u1")
+    __slots__ = ("lam", "i0", "i1")
 
-    def __init__(self, lam, i0, u0, i1, u1):
-        self.lam, self.i0, self.u0, self.i1, self.u1 = lam, i0, u0, i1, u1
+    def __init__(self, lam, i0, i1):
+        self.lam, self.i0, self.i1 = lam, i0, i1
 
     def __repr__(self):
         from .rationals import qstr
-        return f"Edge(lam={qstr(self.lam)}, ({self.i0},{qstr(self.u0)})..({self.i1},{qstr(self.u1)}))"
-
-
-class NewtonPolygon:
-    """Lower convex hull of the expansion points (i, v_prev(a_i)).
-
-    ``scaled`` holds the vertices (i, e * v_prev(a_i)) over the group index
-    e of v_prev; ``vertices`` the same points with their values.
-    """
-
-    def __init__(self, scaled, e: int):
-        self.scaled = scaled
-        self.e = e
-        self.vertices = [(i, Fraction(u, e)) for i, u in scaled]
-
-    def edges(self) -> List[EdgeData]:
-        out = []
-        for k, ((i0, s0), (i1, s1)) in enumerate(zip(self.scaled, self.scaled[1:])):
-            lam = Fraction(s0 - s1, self.e * (i1 - i0))
-            out.append(EdgeData(lam, i0, self.vertices[k][1], i1, self.vertices[k + 1][1]))
-        return out
-
-    def slopes(self):
-        return [-e.lam for e in self.edges()]
-
-    def __repr__(self):
-        return f"NewtonPolygon({self.vertices})"
+        return f"Edge(lam={qstr(self.lam)}, {self.i0}..{self.i1})"
 
 
 def _lower_hull(points):
@@ -106,12 +78,18 @@ def _lower_hull(points):
     return verts
 
 
-def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly) -> NewtonPolygon:
+def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly) -> List[EdgeData]:
+    """The edges, left to right, of the lower convex hull of the expansion
+    points (i, v_prev(a_i)), taken on the scaled points (i, e v_prev(a_i))
+    for the group index e of v_prev.  No three vertices are collinear, so
+    lam falls strictly from edge to edge."""
     if f.is_zero():
         raise InputError("Newton polygon of the zero polynomial")
-    n = v_prev.depth
-    pts = [(i, v_prev._scaled(n, a)) for i, a in enumerate(f.phi_expand(phi)) if a.rows]
-    return NewtonPolygon(_lower_hull(pts), v_prev.e_levels[-1])
+    n, e = v_prev.depth, v_prev.e_levels[-1]
+    hull = _lower_hull([(i, v_prev._scaled(n, a))
+                        for i, a in enumerate(f.phi_expand(phi)) if a.rows])
+    return [EdgeData(Fraction(s0 - s1, e * (i1 - i0)), i0, i1)
+            for (i0, s0), (i1, s1) in zip(hull, hull[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +115,8 @@ class ResidueTower:
 def residue_tower(v: MacLaneVal) -> ResidueTower:
     """Tower of the chain: the tower of its prefix extended by one step, so
     every chain shares its field objects with all chains of a common prefix."""
-    if "tower" in v._cache:
-        return v._cache["tower"]
+    if v._tower is not None:
+        return v._tower
     if v.is_gauss:
         tower = ResidueTower([v.field.residue_field], [], [None], [])
     elif v.is_pseudo:
@@ -154,29 +132,12 @@ def residue_tower(v: MacLaneVal) -> ResidueTower:
         G, emb, root, basis = ff_extend(base.fields[-1], modulus)
         tower = ResidueTower(base.fields + [G], base.embeddings + [emb],
                              base.gens + [root], base.bases + [basis])
-    v._cache["tower"] = tower
+    v._tower = tower
     return tower
 
 
 # ---------------------------------------------------------------------------
 # Graded reduction maps
-
-
-class Laurent:
-    """A Laurent polynomial over one tower level: X^shift * poly(X)."""
-
-    __slots__ = ("field", "shift", "poly")
-
-    def __init__(self, field: FField, shift: int, poly: FFPoly):
-        self.field = field
-        self.shift = shift
-        self.poly = poly
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __repr__(self):
-        return f"X^{self.shift} * {self.poly!r}"
 
 
 def _exact(num: int, den: int, law: str) -> int:
@@ -203,30 +164,13 @@ def _ui_pair(e_i: int, h_i: int, scaled_alpha: int):
     return _exact(scaled_alpha - i * h_i, e_i, "graded value in the value group"), i
 
 
-def graded_H(v: MacLaneVal, level: int, alpha, g: KPoly) -> Laurent:
-    """H_{level, alpha}(g): zero if the level value of g exceeds alpha.
-
-    alpha must lie in the value group of the depth-``level`` truncation, and
-    a g of value below alpha raises InputError.
-    """
-    scaled = alpha * v.e_levels[level]
-    if Fraction(scaled).denominator != 1:
-        raise InputError(f"{alpha} is not in the value group at level {level}")
-    tower = residue_tower(v)
-    val = v._scaled(level, g)
-    if val < scaled:
-        raise InputError("graded reduction of an element below the stated degree")
-    if val != scaled:
-        return Laurent(tower.fields[level], 0, FFPoly._of(tower.fields[level], ()))
-    return _graded_H(v, tower, level, val, g)
-
-
 def _graded_H(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
-              g: KPoly) -> Laurent:
-    """graded_H with alpha given as e_level * alpha, for a g of that value."""
-    kf = tower.fields[level]
+              g: KPoly):
+    """H_{level, alpha}(g) = X^shift * poly(X) over k_level, as (shift, rows)
+    with rows the flat coordinates of poly, for alpha = scaled_alpha /
+    e_level and a g of value alpha."""
     if level == 0:
-        return Laurent(kf, 0, g.residue(scaled_alpha))
+        return 0, g.residue(scaled_alpha).rows
     e_i = v.e_rel[level]
     u_a, i_a = _ui_pair(e_i, v.h_rel[level], scaled_alpha)
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
@@ -234,40 +178,43 @@ def _graded_H(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
     child = _child_value(v, level, scaled_alpha, i_a)
     terms = [(a, v._scaled(level - 1, a))
              for a in g.phi_expand(v.steps[level - 1].phi)[i_a::e_i]]
-    return Laurent(kf, c_a, FFPoly._of(kf, _images(v, tower, level, child, terms)))
+    return c_a, _images(v, tower, level, child, terms)
 
 
 def _images(v: MacLaneVal, tower: ResidueTower, level: int, child: int, terms) -> list:
     """The flat coordinates over k_level of rho(H(level - 1, a)) for the
     terms (a, e_{v_{level-1}} v_{level-1}(a)) of one progression, whose first
     term is on the line when its value is ``child``; a term above the line
-    maps to zero."""
+    maps to zero.  Trailing zero coefficients are dropped."""
     d, h_i = tower.fields[level].degree, v.h_rel[level]
     rows = []
     for a, val in terms:
         if val == child:
-            rows += _rho(tower, level, _graded_H(v, tower, level - 1, child, a))
+            rows += _rho(tower, level, *_graded_H(v, tower, level - 1, child, a))
         elif val < child:
             raise InternalInconsistency(f"graded reduction below the stated degree at level {level - 1}")
         else:
             rows += [0] * d
         child -= h_i
+    while rows and not any(rows[-d:]):
+        del rows[-d:]
     return rows
 
 
-def _rho(tower: ResidueTower, level: int, lau: Laurent) -> list:
-    """The coordinates in k_level of a nonzero Laurent value over k_{level-1}: its
-    coefficients mapped up by the step embedding, then X^shift * poly(X)
-    evaluated at the step generator by Horner's rule."""
+def _rho(tower: ResidueTower, level: int, shift: int, rows) -> list:
+    """The coordinates in k_level of a nonzero X^shift * poly(X) over
+    k_{level-1}, rows the flat coordinates of poly with a nonzero last
+    coefficient: they are mapped up by the step embedding, then the Laurent
+    polynomial is evaluated at the step generator by Horner's rule."""
     kf, gen = tower.fields[level], tower.gens[level]
-    rows = tower.embeddings[level - 1].image(lau.poly.rows)
+    rows = tower.embeddings[level - 1].image(rows)
     d, p = kf.degree, kf.p
-    if lau.shift < 0 and gen.is_zero():
+    if shift < 0 and gen.is_zero():
         raise InternalInconsistency("negative power of a vanishing step generator")
     acc = rows[-d:]
     for lo in range(len(rows) - 2 * d, -1, -d):
         acc = [(a + c) % p for a, c in zip(_fmul(acc, gen.coords, kf), rows[lo:lo + d])]
-    return _fmul(acc, (gen ** lau.shift).coords, kf) if lau.shift else acc
+    return _fmul(acc, (gen ** shift).coords, kf) if shift else acc
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +391,3 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
     if not (red.i0 == 0 and red.poly == h):
         raise InternalInconsistency("lifted key failed the reduction roundtrip")
     return acc
-
-
-def residual_order(red_poly: FFPoly, factor: FFPoly) -> int:
-    """Multiplicity of a monic factor inside a residual polynomial."""
-    count = 0
-    g = red_poly
-    while True:
-        q, r = g.divmod(factor)
-        if not r.is_zero():
-            return count
-        count += 1
-        g = q

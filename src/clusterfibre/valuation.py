@@ -50,7 +50,7 @@ class MacLaneVal:
     one last step, with the numeric data of every level."""
 
     __slots__ = ("field", "prefix", "steps", "e_levels", "e_rel", "h_rel", "ell",
-                 "ellp", "_cache")
+                 "ellp", "_tower")
 
     def __init__(self, field: BaseField, steps=()):
         steps = tuple(steps)
@@ -64,7 +64,7 @@ class MacLaneVal:
         prefix; no prefix (and no step) makes self the Gauss valuation."""
         self.field = field
         self.prefix = prefix
-        self._cache = {}
+        self._tower = None  # the residue tower, built on first use (newton.py)
         if prefix is None:
             self.steps = ()
             self.e_levels, self.e_rel, self.h_rel = [1], [None], [None]

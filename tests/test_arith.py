@@ -1,10 +1,12 @@
 """Exact arithmetic layer: extended rationals, base field, finite fields."""
 
 import functools
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1581,7 +1583,49 @@ class TestFlatResidueRepresentation:
         assert (G.modulus, emb.matrix, root.coords) == expected
 
 
+# Outputs of extend_unramified and of ff_extend with a nonlinear modulus,
+# recorded from the constructions that solved one system per unknown: the
+# minimal polynomial and theta image on a (p, m, t) grid, and the modulus,
+# embedding matrix, root and basis rows over GF(p^a).  "tries" counts the
+# generators tested; an "h" forces the residue polynomial of the extension
+# to one whose first generator y + theta lies in a proper subfield.
+_PINS = json.loads((Path(__file__).parent / "extension_pins.json").read_text())
+
+
+def _pin_id(case):
+    return ",".join(f"{k}={case[k]}" for k in ("p", "m", "a", "t") if k in case)
+
+
 class TestUnramifiedExtension:
+    @pytest.mark.parametrize("case", _PINS["extend_unramified"], ids=_pin_id)
+    def test_pinned_extensions(self, case, monkeypatch):
+        if case["h"] is not None:
+            monkeypatch.setattr(field, "find_irreducible_over",
+                                lambda k, t: FFPoly._of(k, case["h"] + list(k.one.coords)))
+        calls = []
+        solve = field._zsolve
+        monkeypatch.setattr(field, "_zsolve", lambda *args: calls.append(args) or solve(*args))
+        K = BaseField(case["p"], case["m"])
+        calls.clear()
+        K2, embed = extend_unramified(K, case["t"])
+        assert list(K2.gen_minpoly) == case["minpoly"]
+        assert [str(c) for c in embed(K.theta).coords] == case["theta"]
+        assert len(calls) == case["tries"]  # one solve per generator tested
+        assert case["tries"] == (1 if case["h"] is None else 2)
+
+    @pytest.mark.parametrize("case", _PINS["ff_extend"], ids=_pin_id)
+    def test_pinned_field_extensions(self, case, monkeypatch):
+        F = FField(case["p"], case["F"])
+        calls = []
+        solve = ff._gauss_solve_mod_p
+        monkeypatch.setattr(ff, "_gauss_solve_mod_p", lambda *args: calls.append(args) or solve(*args))
+        G, emb, root, basis = ff_extend(F, FFPoly._of(F, case["h"]))
+        assert list(G.modulus) == case["modulus"]
+        assert [list(col) for col in emb.matrix] == case["emb"]
+        assert list(root.coords) == case["root"]
+        assert [list(row) for row in basis] == case["basis"]
+        assert len(calls) == case["tries"]  # one elimination per generator tested
+
     def test_extend_from_qp(self):
         K = BaseField(3)
         K2, embed = extend_unramified(K, 2)

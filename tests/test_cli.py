@@ -197,6 +197,20 @@ class TestCommands:
         assert time.perf_counter() - start < 5
         assert json.loads(capsys.readouterr().out)["normalization_shift"] == 1
 
+    def test_unit_roots_with_a_deep_pair(self, capsys):
+        # (x - 1/2)(x - 1/2 - 11^40)(x - 2)...(x - 10) without x - 6: x is
+        # rescaled by 11, which makes v(disc) negative, and the depth bound
+        # must still cover the pair's 41 relifts
+        c = [F(1)]
+        for r in [F(1, 2), F(1, 2) + 11 ** 40] + [F(j) for j in (2, 3, 4, 5, 7, 8, 9, 10)]:
+            c = [a - r * b for a, b in zip([F(0)] + c, c + [F(0)])]
+        assert run(["picture", "--coeffs=" + ",".join(map(str, c)), "--prime", "11",
+                    "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["normalization_shift"] == 1
+        assert sorted((c["size"], c["radius"]) for c in out["clusters"] if c["proper"]) == \
+            [(2, "41"), (10, "1")]
+
     @pytest.mark.parametrize("argv, message", [
         (["fibre", "x^2-5", "--prime", "abc"], "argument --prime/-p: invalid int value: 'abc'"),
         (["fibre", "x^2-5", "--prime", "5", "--format", "xml"], "argument --format: invalid choice"),

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from clusterfibre.errors import InputError
+from clusterfibre.errors import InputError, InternalInconsistency
 from clusterfibre.field import BaseField, discriminant_val
 from clusterfibre.rationals import OO
 from clusterfibre.clusters import (normalize_input, build_cluster_tree,
@@ -32,8 +32,7 @@ def _linear_product(K, roots):
 def _assert_all_roots_positive(g):
     from clusterfibre.valuation import MacLaneVal
     from clusterfibre.newton import newton_polygon
-    N = newton_polygon(MacLaneVal.gauss(g.field), g.field.x(), g)
-    assert all(s < 0 for s in N.slopes())
+    assert all(e.lam > 0 for e in newton_polygon(MacLaneVal.gauss(g.field), g.field.x(), g))
 
 
 class TestNormalize:
@@ -146,7 +145,7 @@ class TestSmallShapes:
         assert p0_flag(node) == 1
         # centre is the minimal polynomial of one of the two roots
         assert node.centre in (K.poly([-5, 1]), K.poly([-30, 1]))
-        assert node.i0_v == 1
+        assert node.reduction.i0 == 1
 
     def test_collapse_rule(self):
         # both roots congruent mod p^3: the radius-1 candidate is not a cluster
@@ -239,6 +238,53 @@ class TestDegreeOneOracle:
         oracle = rational_cluster_tree([5, 30, 55], 5)
         # all pairwise valuations: v(25)=2, v(50)=2, v(25)=2 -> one cluster
         assert oracle.size == 3 and oracle.radius == 2
+
+
+def _vp(x, p):
+    x, v = F(x), 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v
+
+
+class TestDepthGuard:
+    """The refinement depth is bounded through D = v(disc) - (2n - 2) v(lc)
+    of the rescaled f, the sum of v(r - r') over ordered pairs of distinct
+    roots."""
+
+    @staticmethod
+    def _deep_pair(e):
+        # roots of valuation 0, so x is rescaled by 11 and the lead becomes
+        # 11^-10, which makes v(disc) of the rescaled f negative; the pair at
+        # distance 11^e needs about e relifts
+        roots = [F(1, 2), F(1, 2) + 11 ** e] + [F(j) for j in (2, 3, 4, 5, 7, 8, 9, 10)]
+        K = BaseField(11)
+        return K, roots, _linear_product(K, roots)
+
+    @pytest.mark.parametrize("e", [20, 40])
+    def test_deep_pair_among_unit_roots(self, e):
+        K, roots, f = self._deep_pair(e)
+        g, shift, v_disc = normalize_input(f)
+        scaled = [r * 11 ** shift for r in roots]
+        assert shift == 1 and v_disc < 0
+        assert v_disc - 18 * g.lead().val() == sum(_vp(r - s, 11) for r in scaled
+                                                   for s in scaled if r != s)
+        tree = build_cluster_tree(f, K)
+        assert tree_signature(tree.root) == oracle_signature(rational_cluster_tree(scaled, 11))
+        assert sorted((n.size, n.radius) for n in tree.nodes) == [(2, e + 1), (10, 1)]
+
+    def test_guard_fires_below_the_depth_needed(self, monkeypatch):
+        # v(disc) lowered until D = 0 leaves the bound deg + 4 = 14, short of
+        # the 41 relifts of the pair
+        from clusterfibre import clusters
+        K, roots, f = self._deep_pair(40)
+        g, shift, v_disc = normalize_input(f)
+        lowered = (g, shift, 18 * g.lead().val())
+        monkeypatch.setattr(clusters, "normalize_input", lambda f: lowered)
+        with pytest.raises(InternalInconsistency, match="refinement exceeded the discriminant depth bound"):
+            build_cluster_tree(f, K)
 
 
 class TestGeometricMode:

@@ -193,6 +193,55 @@ class TestOtherLawsFire:
             all_records(tree)
 
 
+class TestFbar:
+    """f-bar is f|_v divided once by each distinct-centre child's residual
+    factor, by the child multiplicity law of the tree."""
+
+    @pytest.mark.parametrize("label, p, spec, mode", _nu_inputs(),
+                             ids=[x[0] for x in _nu_inputs()])
+    def test_fbar_times_the_child_factors_is_the_reduction(self, label, p, spec, mode):
+        tree = _nu_tree(p, spec, mode)
+        records = all_records(tree)
+        distinct = 0
+        for node in tree.nodes:
+            product = node.fbar
+            for child in node.children:
+                if child.centre != node.centre:
+                    for _ in range(child.size // child.degree):
+                        product = product * node.child_residuals[id(child)]
+                    distinct += 1
+            assert product == node.reduction.poly
+            assert records[node.id].fbar is node.fbar
+        if label.startswith("(x-5)*(x-30)*(x-10)"):
+            assert distinct
+
+    @staticmethod
+    def _tree():
+        # two pairs at radius 2 and a leaf below the radius-1 root; the root
+        # takes one pair's centre, so the other pair is a distinct-centre
+        # child whose factor divides f|_v twice
+        tree = _nu_tree(5, "(x-5)*(x-30)*(x-10)*(x-35)*(x-15)", "exact")
+        node = tree.root
+        child = next(c for c in node.children if c.centre != node.centre)
+        assert child.size == 2 and node.leaves
+        _verify_tree(tree)
+        return tree, node, child
+
+    def test_perturbed_child_size_breaks_the_multiplicity_law(self):
+        tree, node, child = self._tree()
+        child.size += child.degree
+        node.leaves[0].degree -= child.degree  # the sizes stay additive
+        with pytest.raises(InternalInconsistency, match="child multiplicity law violated"):
+            _verify_tree(tree)
+
+    def test_factor_dividing_once_more_breaks_the_multiplicity_law(self):
+        tree, node, child = self._tree()
+        child.size -= child.degree
+        node.leaves[0].degree += child.degree
+        with pytest.raises(InternalInconsistency, match="child multiplicity law violated"):
+            _verify_tree(tree)
+
+
 class TestGenus:
     def test_squarefree_quintic(self):
         k = prime_field(5)
