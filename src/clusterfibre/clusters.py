@@ -36,6 +36,7 @@ field.MAX_UNRAMIFIED_DEGREE.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import List, Optional
@@ -133,16 +134,15 @@ class ClusterTree:
 def normalize_input(f: KPoly):
     """Rescale x by a power of p so every root gains strictly positive valuation.
 
-    Returns (f(x / p^c), c, v_disc) with c >= 0 minimal, so each root r of f
-    turns into p^c r, and v_disc the valuation of the discriminant of the
-    rescaled polynomial.  v_disc is computed on f itself, whose coefficients
-    are smaller, and shifted by disc(f(lam x)) = lam^(n(n-1)) disc(f), n the
-    degree; computing it is the separability test, so this raises
-    InputError on input with repeated roots.
+    Returns (f(x / p^c), c) with c >= 0 minimal, so each root r of f turns
+    into p^c r.  Raises InputError on a constant and on input with repeated
+    roots: ``KPoly.is_separable`` certifies almost every separable f, and
+    only an f it does not certify pays for the exact ``discriminant_val``.
     """
     if f.degree < 1:
         raise InputError("need a non-constant polynomial")
-    v_disc = discriminant_val(f)
+    if not f.is_separable():
+        discriminant_val(f)  # raises on a repeated root
     K = f.field
     # the root valuations are the edge radii; with no edge f = c * x^d,
     # which is not separable unless d <= 1
@@ -156,18 +156,31 @@ def normalize_input(f: KPoly):
         frac = Fraction(-min_rootval)
         c = frac.numerator // frac.denominator + 1
         f = f.subst_scaled_x(-c)
-    return f, c, v_disc - c * f.degree * (f.degree - 1)
+    return f, c
+
+
+def _depth_bound(f: KPoly, f_norm: KPoly, shift: int) -> int:
+    """The exact refinement depth bound 2 D + n + 4 of f, where
+    (f_norm, shift) = normalize_input(f) and n = deg f.
+
+    D = v(disc f_norm) - (2n - 2) v(lc f_norm) is the sum of v(r - r') over
+    ordered pairs of distinct roots of f_norm, each positive, so D >= 0.
+    v(disc) is taken on f, whose coefficients are smaller, and shifted by
+    disc(f(lam x)) = lam^(n(n-1)) disc(f)."""
+    n = f_norm.degree
+    v_disc = discriminant_val(f) - shift * n * (n - 1)
+    return 2 * int(v_disc - (2 * n - 2) * f_norm.lead().val()) + n + 4
 
 
 class _Builder:
-    def __init__(self, f: KPoly, K: BaseField, seed: int, depth_bound: int,
+    def __init__(self, f: KPoly, K: BaseField, seed: int, exact_bound,
                  geometric: bool):
         self.f = f
         self.K = K
         self.rng = random.Random(seed)
         self.root: Optional[ClusterNode] = None
         self.orphan_leaf: Optional[LeafOrbit] = None
-        self.depth_bound = depth_bound
+        self.exact_bound = exact_bound  # () -> the depth bound, computed once
         self.geometric = geometric
         # geometric mode: the degree of the first nonlinear residual factor,
         # where the build stops, since the base must grow by that degree
@@ -199,7 +212,7 @@ class _Builder:
     def _context(self, prefix: MacLaneVal, phi: KPoly, bound, parent, depth) -> bool:
         """Discover the clusters below (prefix, phi); True when the build
         stops early, so every caller returns at once."""
-        if depth > self.depth_bound:
+        if depth > self.f.degree + 4 and depth > self.exact_bound():
             raise InternalInconsistency("refinement exceeded the discriminant depth bound")
         # lam falls from edge to edge, so shallowest first is right to left
         edges = [e for e in reversed(newton_polygon(prefix, phi, self.f)) if e.lam > bound]
@@ -265,19 +278,18 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
     ``random.Random(seed)``, until a build meets no nonlinear factor."""
     if mode not in ("exact", "geometric"):
         raise InputError("mode must be 'exact' or 'geometric'")
-    f_norm, shift, v_disc = normalize_input(f)
-    # The refinement depth is bounded through D = v(disc) - (2n - 2) v(lc)
-    # of the rescaled f of degree n: D is the sum of v(r - r') over ordered
-    # pairs of distinct roots, each positive after rescaling, so D >= 0
-    # even when v(disc) is negative.  v(disc) is computed once, on the input
-    # before rescaling (normalize_input): the valuation on Q(theta) extends
-    # uniquely to each unramified extension built below, so embedding f
-    # there leaves D unchanged.
-    n = f_norm.degree
-    depth_bound = 2 * int(v_disc - (2 * n - 2) * f_norm.lead().val()) + n + 4
+    f_norm, shift = normalize_input(f)
+    # Refinement deeper than deg f + 4 is checked against _depth_bound, which
+    # needs the exact v(disc): it is computed the first time a build goes
+    # that deep and kept for the restarts, since the valuation on Q(theta)
+    # extends uniquely to each unramified extension built below, so
+    # embedding f there leaves the bound unchanged.  The bound is at least
+    # deg f + 4, so the guard raises at the same depths as one computed
+    # before discovery.
+    exact_bound = functools.cache(lambda: _depth_bound(f, f_norm, shift))
     work_f, work_K = f_norm, K
     while True:
-        builder = _Builder(work_f, work_K, seed, depth_bound, mode == "geometric")
+        builder = _Builder(work_f, work_K, seed, exact_bound, mode == "geometric")
         root = builder.build()
         grow = builder.nonlinear_residual
         if grow is None:

@@ -11,8 +11,8 @@ its d power-basis coordinates, an FFPoly those of all its coefficients in
 one flat tuple, each in [0, p), with no trailing zero coefficient.  An
 element product is one convolution reduced by the modulus, mod p (its
 helpers ``_conv``, ``_theta_reduce`` and ``_theta_multiples`` serve field.py
-too), and an inverse is the extended Euclidean algorithm on coordinates
-mod p, O(d^2).  All polynomial division, and with it gcd, factorization and
+too), over F_p one product and one residue, and an inverse is the extended
+Euclidean algorithm on coordinates mod p, O(d^2).  All polynomial division, and with it gcd, factorization and
 ``ff_extend``, goes through one remainder kernel by a monic divisor,
 ``_divide``; over a prime field its step takes one residue and subtracts
 one multiple of the divisor.
@@ -91,8 +91,10 @@ def _theta_multiples(rows, mod):
 
 def _fmul(a, b, F):
     """The coordinates of the product of the elements of F with
-    coordinates a and b."""
+    coordinates a and b; over F_p (d = 1) one product and one residue."""
     p = F.p
+    if F.degree == 1:
+        return [a[0] * b[0] % p]
     return [c % p for c in _theta_reduce(_conv(a, b), F.modulus)]
 
 
@@ -467,6 +469,9 @@ class FFPoly:
     def scale(self, c: FFElem) -> "FFPoly":
         F, d = self.field, self.field.degree
         rows, cs = self.rows, c.coords
+        if d == 1:
+            c, p = cs[0], F.p
+            return FFPoly._of(F, [x * c % p for x in rows])
         return FFPoly._of(F, [x for lo in range(0, len(rows), d)
                               for x in _fmul(rows[lo:lo + d], cs, F)])
 

@@ -20,41 +20,47 @@ takes each coordinate mod p.
 Division and phi-adic expansion share one kernel, ``_zdivmod``.  Over Q_p
 (m = 1) its step is scalar: one integer per quotient coefficient, and by a
 linear centre synthetic division.  Inside an ``expansion_scope`` call each
-(polynomial, phi) pair is expanded once; the memo is dropped when the
-outermost scoped call returns.
+(polynomial, phi) pair is expanded once, and each polynomial's
+discriminant valuation taken once; the memo is dropped when the outermost
+scoped call returns.
 
-The resultant, and with it the discriminant, is one subresultant kernel,
-``_zresultant``, on the integer numerators: pseudo-remainders followed by
-exact divisions in Z[theta], which keep the coefficients from growing
-(Collins 1967, Brown-Traub 1971).  The denominators come out once at the
-end.
+Separability is certified modulo word-size primes: ``KPoly.is_separable``
+maps f to F_q[X] (theta to a root of gen_minpoly mod q) and asks whether
+gcd(f, f') = 1 there, through the residue layer's remainder kernel.  Only
+an f that no prime certifies, every inseparable f among them, pays for the
+exact discriminant.  The resultant, and with it the discriminant, is one
+subresultant kernel, ``_zresultant``, on the integer numerators:
+pseudo-remainders followed by exact divisions in Z[theta], which keep the
+coefficients from growing (Collins 1967, Brown-Traub 1971).  The
+denominators come out once at the end.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from .errors import InputError, InternalInconsistency
 from .ff import (FField, FFElem, FFPoly, prime_field, is_irreducible,
                  find_irreducible_int_poly, find_irreducible_over,
-                 _conv, _theta_reduce, _theta_multiples)
+                 _conv, _equal_degree_split, _theta_reduce, _theta_multiples)
 from .rationals import OO
 
 
 # Memo of the innermost open expansion scope: (id(poly), id(phi)) ->
-# (poly, phi, expansion).  Holding both objects keeps their ids from being
-# reused while the scope is open.  A ContextVar keeps each thread's and each
-# task's scope its own.
+# (poly, phi, expansion), and (id(f), None) -> (f, None, v(disc f)).
+# Holding the objects keeps their ids from being reused while the scope is
+# open.  A ContextVar keeps each thread's and each task's scope its own.
 _EXPANSIONS = contextvars.ContextVar("clusterfibre_expansions", default=None)
 
 
 def expansion_scope(fn):
-    """Decorator: phi-adic expansions made during a call of ``fn`` are
-    memoized and dropped when it returns or raises.  A call made inside an
-    open scope shares the outer memo."""
+    """Decorator: phi-adic expansions and discriminant valuations made
+    during a call of ``fn`` are memoized and dropped when it returns or
+    raises.  A call made inside an open scope shares the outer memo."""
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
         if _EXPANSIONS.get() is not None:
@@ -673,6 +679,36 @@ class KPoly:
             memo[(id(self), id(phi))] = (self, phi, out)
         return out
 
+    def is_separable(self) -> bool:
+        """True when a word-size prime q certifies that self has no repeated
+        root: gcd(F, F') = 1 in F_q[X] for the numerator F mapped to F_q, so
+        res(F, F') is not 0 mod q (von zur Gathen-Gerhard, *Modern Computer
+        Algebra*, 6.7).  False says only that no prime certified it.
+
+        A prime q is skipped when it is p, divides the denominator or the
+        image of the lead, or (m > 1) when gen_minpoly has no root mod q;
+        otherwise theta maps to such a root, a ring map Z[theta] -> F_q."""
+        K = self.field
+        m, rows = K.m, self.rows
+        for q in _CERTIFICATE_PRIMES:
+            if q == K.p or self.den % q == 0:
+                continue
+            Fq = prime_field(q)
+            if m == 1:
+                image = [c % q for c in rows]
+            else:
+                a = _root_mod(K.gen_minpoly, Fq)
+                if a is None:
+                    continue
+                powers = [pow(a, k, q) for k in range(m)]
+                image = [sum(c * w for c, w in zip(rows[lo:lo + m], powers)) % q
+                         for lo in range(0, len(rows), m)]
+            if image and image[-1]:
+                fbar = FFPoly._of(Fq, image)
+                if fbar.gcd(fbar.derivative()).degree == 0:
+                    return True
+        return False
+
     def resultant(self, other) -> KElem:
         """res(self, other), exactly.  With self = F / D and other = G / E,
         res(self, other) = res(F, G) / (D^deg other * E^deg self)."""
@@ -688,17 +724,42 @@ class KPoly:
         return "KPoly[" + ", ".join(repr(c) for c in self.coeffs) + "]"
 
 
-def discriminant_val(f: KPoly):
-    """Valuation of disc(f) = res(f, f') / lc(f).
+# The primes of KPoly.is_separable: below 2^30, where a CPython int is one
+# digit.  An input that none of them certifies pays for discriminant_val.
+_CERTIFICATE_PRIMES = (1_000_000_007, 1_000_000_009, 998_244_353)
 
-    This is the pipeline's only separability test: it raises InputError
-    when the resultant is zero, i.e. when f has a repeated root.  The value
-    bounds the refinement depth of the cluster discovery.
+
+def _root_mod(g, F):
+    """A root in the prime field F of the monic integer polynomial g, or
+    None: one linear factor of gcd(X^q - X, g) mod q."""
+    g = FFPoly.from_ints(F, g)
+    x = FFPoly.x(F)
+    linear = g.gcd(x.pow_mod(F.p, g) - x)
+    if linear.degree < 1:
+        return None
+    return -_equal_degree_split(linear, 1, random.Random(0))[0].rows[0] % F.p
+
+
+def discriminant_val(f: KPoly):
+    """Valuation of disc(f) = res(f, f') / lc(f), exactly.
+
+    It raises InputError when the resultant is zero, i.e. when f has a
+    repeated root.  The pipeline runs it only where the cheap certificate
+    ``KPoly.is_separable`` fails, and where refinement goes deeper than
+    deg f + 4, to bound the depth exactly; inside an ``expansion_scope``
+    both read one value.
     """
+    memo = _EXPANSIONS.get()
+    hit = memo.get((id(f), None)) if memo is not None else None
+    if hit is not None:
+        return hit[2]
     r = f.resultant(f.derivative())
     if r.is_zero():
         raise InputError("polynomial has repeated roots")
-    return r.val() - f.lead().val()
+    v = r.val() - f.lead().val()
+    if memo is not None:
+        memo[(id(f), None)] = (f, None, v)
+    return v
 
 
 def extend_unramified(K: BaseField, t: int):

@@ -1091,6 +1091,19 @@ class TestResidueKernels:
             square = mul_mod(square, square)
         assert a.pow_mod(n, f) == FFPoly(k, ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scalar_steps_match_the_general_product(self, data):
+        # over F_p an element product is one product and one residue, and a
+        # scaled polynomial matches the packed product by a constant
+        k = data.draw(st.sampled_from([prime_field(3), prime_field(10007),
+                                       prime_field(1_000_000_007), prime_field(2 ** 61 - 1)]))
+        a = data.draw(_kernel_polys(k))
+        x, y = (data.draw(st.integers(0, k.p - 1)) for _ in range(2))
+        assert ff._fmul([x], [y], k) == [c % k.p for c in ff._theta_reduce(ff._conv([x], [y]), k.modulus)]
+        assert (k.elem(x) * k.elem(y)).coords == ((x * y) % k.p,)
+        assert a.scale(k.elem(y)) == a * FFPoly.const(k, k.elem(y))
+
     @pytest.mark.parametrize("k", _KERNEL_FIELDS, ids=repr)
     def test_kernels_at_largest_digits(self, k):
         # every coordinate p - 1: the largest digits a packed product holds
@@ -1652,42 +1665,48 @@ class TestUnramifiedExtension:
         assert discriminant_val(f) == 1
 
 
+def _oracle_draws(sympy, x):
+    """(p, f, fk): seeded sympy polynomials f over Z at p in {3, 5, 7}, free
+    draws, g^2 * h with a repeated root, and g * (g + p^k) with close roots,
+    and fk the same polynomial over BaseField(p)."""
+    rng = random.Random(4242)
+
+    def rand(deg, size):
+        cs = [rng.randrange(-size, size + 1) for _ in range(deg)]
+        return sympy.Poly(cs + [rng.choice([1, -1, 2, 3])], x, domain="ZZ") \
+            if deg else sympy.Poly(rng.choice([1, -2, 6]), x, domain="ZZ")
+
+    for p in (3, 5, 7):
+        K = BaseField(p)
+        for trial in range(45):
+            kind = trial % 3
+            if kind == 0:    # free draw
+                f = rand(rng.randrange(1, 8), p ** 3)
+            elif kind == 1:  # g^2 * h: a repeated root
+                f = rand(rng.randrange(1, 3), p ** 2) ** 2 * rand(rng.randrange(0, 4), p ** 2)
+            else:            # g * (g + p^k): close roots, deep discriminant
+                g = rand(rng.randrange(1, 3), p ** 2)
+                f = g * (g + p ** rng.randrange(1, 5))
+            yield p, f, K.poly([Fraction(int(c)) for c in reversed(f.all_coeffs())])
+
+
 class TestDiscriminantOracle:
-    """discriminant_val is the pipeline's only separability test: it must give
-    the p-adic valuation of sympy's discriminant, and raise InputError
-    exactly when that discriminant is zero."""
+    """discriminant_val, the exact fallback of the separability certificate,
+    must give the p-adic valuation of sympy's discriminant, and raise
+    InputError exactly when that discriminant is zero."""
 
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
-        rng = random.Random(4242)
-
-        def rand(deg, size):
-            cs = [rng.randrange(-size, size + 1) for _ in range(deg)]
-            return sympy.Poly(cs + [rng.choice([1, -1, 2, 3])], x, domain="ZZ") \
-                if deg else sympy.Poly(rng.choice([1, -2, 6]), x, domain="ZZ")
-
         seen = {"separable": 0, "repeated": 0}
-        for p in (3, 5, 7):
-            K = BaseField(p)
-            for trial in range(45):
-                kind = trial % 3
-                if kind == 0:    # free draw
-                    f = rand(rng.randrange(1, 8), p ** 3)
-                elif kind == 1:  # g^2 * h: a repeated root
-                    f = rand(rng.randrange(1, 3), p ** 2) ** 2 * rand(rng.randrange(0, 4), p ** 2)
-                else:            # g * (g + p^k): close roots, deep discriminant
-                    g = rand(rng.randrange(1, 3), p ** 2)
-                    f = g * (g + p ** rng.randrange(1, 5))
-                fk = K.poly([Fraction(int(c)) for c in reversed(f.all_coeffs())])
-                disc = int(sympy.discriminant(f))
-                if disc == 0:
-                    seen["repeated"] += 1
-                    with pytest.raises(InputError, match="polynomial has repeated roots"):
-                        discriminant_val(fk)
-                else:
-                    seen["separable"] += 1
-                    assert discriminant_val(fk) == _vp(Fraction(disc), p), (p, f)
+        for p, f, fk in _oracle_draws(sympy, sympy.Symbol("x")):
+            disc = int(sympy.discriminant(f))
+            if disc == 0:
+                seen["repeated"] += 1
+                with pytest.raises(InputError, match="polynomial has repeated roots"):
+                    discriminant_val(fk)
+            else:
+                seen["separable"] += 1
+                assert discriminant_val(fk) == _vp(Fraction(disc), p), (p, f)
         assert seen["repeated"] >= 45 and seen["separable"] >= 60
 
     def test_product_of_48_rational_roots(self):
@@ -1731,6 +1750,143 @@ class TestDiscriminantOracle:
         mod = [Fraction(c) for c in K.gen_minpoly]
         res = _q_resultant(_q(f), _q(f.derivative()), mod)
         assert discriminant_val(f) == _q_val(res, 5) - f.lead().val()
+
+
+def _theta_draws(sympy, x, t):
+    """(K, f, fk) over K = BaseField(p, 2), p in {3, 5, 7}: seeded sympy
+    polynomials f in x with coefficients a + b t, t standing for theta, of
+    the three kinds of _oracle_draws, and fk the same polynomial over K."""
+    rng = random.Random(2424)
+
+    def rand(deg, size):
+        cs = [rng.randrange(-size, size + 1) + rng.randrange(-size, size + 1) * t
+              for _ in range(deg)] + [rng.choice([1, -1, 2, 3])]
+        return sum(c * x ** i for i, c in enumerate(cs))
+
+    for p in (3, 5, 7):
+        K = BaseField(p, 2)
+        mod = sum(c * t ** i for i, c in enumerate(K.gen_minpoly))
+        for trial in range(15):
+            kind = trial % 3
+            if kind == 0:
+                f = rand(rng.randrange(1, 6), p ** 2)
+            elif kind == 1:
+                f = rand(rng.randrange(1, 3), p) ** 2 * rand(rng.randrange(0, 3), p)
+            else:
+                g = rand(rng.randrange(1, 3), p)
+                f = g * (g + p ** rng.randrange(1, 4))
+            f = sympy.expand(f)
+            coeffs = []
+            for c in reversed(sympy.Poly(f, x).all_coeffs()):
+                r = sympy.Poly(sympy.rem(c, mod, t), t).all_coeffs()[::-1] + [0]
+                coeffs.append(K.elem(int(r[0]), int(r[1])))
+            yield K, mod, f, K.poly(coeffs)
+
+
+class TestSeparabilityCertificate:
+    """KPoly.is_separable: gcd(f, f') = 1 modulo a word-size prime q
+    certifies that f has no repeated root; anything else leaves the
+    decision to discriminant_val."""
+
+    @staticmethod
+    def _certify(f, monkeypatch):
+        """(is_separable(f), the primes whose gcd it took)."""
+        seen = []
+        gcd = FFPoly.gcd
+        with monkeypatch.context() as patch:
+            patch.setattr(FFPoly, "gcd", lambda a, b: seen.append(a.field.p) or gcd(a, b))
+            out = f.is_separable()
+        return out, [q for q in seen if q in field._CERTIFICATE_PRIMES]
+
+    def test_primes_are_one_digit(self):
+        assert all(field._is_prime(q) and q < 2 ** 30 for q in field._CERTIFICATE_PRIMES)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_constants(self, m):
+        # a nonzero constant has no root; the zero polynomial is not certified
+        K = BaseField(5, m)
+        assert K.poly([3]).is_separable()
+        assert not K.poly([0]).is_separable()
+
+    def test_against_sympy(self):
+        from clusterfibre.clusters import normalize_input
+        sympy = pytest.importorskip("sympy")
+        seen = {"certified": 0, "repeated": 0}
+        for p, f, fk in _oracle_draws(sympy, sympy.Symbol("x")):
+            disc = int(sympy.discriminant(f))
+            if fk.is_separable():
+                seen["certified"] += 1
+                assert disc != 0, (p, f)
+            else:
+                # every separable draw is certified
+                assert disc == 0, (p, f)
+                seen["repeated"] += 1
+                if fk.degree >= 1:
+                    with pytest.raises(InputError, match="polynomial has repeated roots"):
+                        normalize_input(fk)
+        assert seen["repeated"] >= 45 and seen["certified"] >= 60
+
+    def test_against_sympy_over_theta(self):
+        # disc(f) of f over Q(theta) is the discriminant in x of the
+        # bivariate f, reduced mod gen_minpoly(t)
+        from clusterfibre.clusters import normalize_input
+        sympy = pytest.importorskip("sympy")
+        x, t = sympy.symbols("x t")
+        seen = {"certified": 0, "repeated": 0}
+        for K, mod, f, fk in _theta_draws(sympy, x, t):
+            zero = sympy.rem(sympy.discriminant(f, x), mod, t) == 0
+            if fk.is_separable():
+                seen["certified"] += 1
+                assert not zero, (K, f)
+            else:
+                assert zero, (K, f)
+                seen["repeated"] += 1
+                if fk.degree >= 1:
+                    with pytest.raises(InputError, match="polynomial has repeated roots"):
+                        normalize_input(fk)
+        assert seen["repeated"] >= 15 and seen["certified"] >= 20
+
+    def test_theta_maps_to_a_root(self):
+        for p, m in [(3, 2), (5, 2), (7, 3), (3, 8), (5, 32)]:
+            g = BaseField(p, m).gen_minpoly
+            for q in field._CERTIFICATE_PRIMES:
+                a = field._root_mod(g, prime_field(q))
+                if a is not None:
+                    assert sum(c * pow(a, k, q) for k, c in enumerate(g)) % q == 0
+        # x^2 + 1 has a root mod q exactly when q = 1 mod 4
+        for q in field._CERTIFICATE_PRIMES:
+            assert (field._root_mod((1, 0, 1), prime_field(q)) is None) == (q % 4 == 3)
+
+    def test_residue_characteristic_is_skipped(self, monkeypatch):
+        p = 1_000_000_007
+        assert p in field._CERTIFICATE_PRIMES
+        f = BaseField(p).poly([-5, 0, 1])
+        ok, primes = self._certify(f, monkeypatch)
+        assert ok and p not in primes
+        ok, primes = self._certify(BaseField(5).poly([-5, 0, 1]), monkeypatch)
+        assert ok and primes == [p]
+
+    @pytest.mark.parametrize("where", ["lead", "denominator", "both"])
+    def test_lead_or_denominator_divisible_by_q_is_skipped(self, monkeypatch, where):
+        # f = lead/den x^2 - 5: the numerator's lead stays a unit mod q1
+        q0, q1, q2 = field._CERTIFICATE_PRIMES
+        lead = q0 if where in ("lead", "both") else 1
+        den = q1 if where in ("denominator", "both") else 1
+        f = BaseField(5).poly([-5, 0, Fraction(lead, den)])
+        assert f.den == den
+        ok, primes = self._certify(f, monkeypatch)
+        skipped = {"lead": [q0], "denominator": [q1], "both": [q0, q1]}[where]
+        assert ok and primes == [q for q in (q0, q1, q2) if q not in skipped][:1]
+
+    def test_a_zero_lead_image_everywhere_leaves_f_uncertified(self, monkeypatch):
+        # every prime divides the lead: no prime can certify, and
+        # normalize_input takes the exact discriminant, which is nonzero
+        from clusterfibre.clusters import normalize_input
+        lead = math.prod(field._CERTIFICATE_PRIMES)
+        f = BaseField(5).poly([-5, 0, lead])
+        ok, primes = self._certify(f, monkeypatch)
+        assert not ok and primes == []
+        assert normalize_input(f) == (f, 0)
 
 
 def _rational_root_product(n, p, seed=48):

@@ -4,6 +4,7 @@ import ast
 import builtins
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -197,6 +198,23 @@ class TestCommands:
         assert time.perf_counter() - start < 5
         assert json.loads(capsys.readouterr().out)["normalization_shift"] == 1
 
+    def test_many_rational_roots_are_fast(self, capsys):
+        # 128 rational roots at p = 5: the exact discriminant took 88 s of
+        # the build; the separability certificate takes milliseconds
+        rng = random.Random(48)
+        roots = set()
+        while len(roots) < 128:
+            roots.add(5 * rng.randrange(1, 5 ** 4))
+        expr = "*".join(f"(x-{a})" for a in sorted(roots))
+        start = time.perf_counter()
+        assert run(["fibre", expr, "--prime", "5", "--format", "json"]) == 0
+        assert time.perf_counter() - start < 10
+        assert json.loads(capsys.readouterr().out)["normalization_shift"] == 0
+
+    def test_residue_characteristic_among_the_certificate_primes(self, capsys):
+        assert 1000000007 in field._CERTIFICATE_PRIMES
+        assert run(["picture", "x^2-5", "--prime", "1000000007"]) == 0
+
     def test_unit_roots_with_a_deep_pair(self, capsys):
         # (x - 1/2)(x - 1/2 - 11^40)(x - 2)...(x - 10) without x - 6: x is
         # rescaled by 11, which makes v(disc) negative, and the depth bound
@@ -241,7 +259,8 @@ class TestCommands:
 
     def test_inexact_subresultant_division_is_an_internal_failure(self, monkeypatch, capsys):
         # a Bareiss inverse whose denominator is off by a large prime makes
-        # the resultant's exact divisions leave a remainder
+        # the resultant's exact divisions leave a remainder; every
+        # certificate prime divides the lead, so the resultant runs
         inverse = field._zinverse
 
         def off(nums, mod):
@@ -249,7 +268,8 @@ class TestCommands:
             return y, d * (2 ** 61 - 1)
 
         monkeypatch.setattr(field, "_zinverse", off)
-        assert run(["fibre", "x^4+x+1", "--prime", "3"]) == 2
+        lead = math.prod(field._CERTIFICATE_PRIMES)
+        assert run(["fibre", f"{lead}*x^4+x+1", "--prime", "3"]) == 2
         err = capsys.readouterr().err
         assert "internal consistency failure: subresultant division is not exact" in err
 

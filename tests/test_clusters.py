@@ -1,5 +1,7 @@
 """Cluster-tree discovery against worked examples and the degree-1 oracle."""
 
+import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -7,13 +9,13 @@ from fractions import Fraction as F
 import pytest
 
 from clusterfibre.errors import InputError, InternalInconsistency
-from clusterfibre.field import BaseField, discriminant_val
+from clusterfibre.field import BaseField, KPoly, discriminant_val
 from clusterfibre.rationals import OO
 from clusterfibre.clusters import (normalize_input, build_cluster_tree,
-                                   cluster_chain, p0_flag)
+                                   cluster_chain, p0_flag, _depth_bound)
 from clusterfibre.degree1 import rational_cluster_tree, oracle_signature, tree_signature
 from clusterfibre.newton import residue_tower
-from clusterfibre import cli
+from clusterfibre import cli, field
 
 
 def _sextic_tree(p, mode="exact"):
@@ -39,20 +41,20 @@ class TestNormalize:
     def test_untouched(self):
         K = BaseField(5)
         f = K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5])
-        g, c, _ = normalize_input(f)
+        g, c = normalize_input(f)
         assert c == 0 and g == f
 
     def test_negative_valuation_roots(self):
         K = BaseField(5)
         f = K.poly([F(-1, 5), 0, 1])  # roots of valuation -1/2
-        g, c, _ = normalize_input(f)
+        g, c = normalize_input(f)
         assert c == 1
         _assert_all_roots_positive(g)
 
     def test_zero_valuation_roots(self):
         K = BaseField(5)
         f = K.poly([0, -1, 1])  # x(x-1)
-        g, c, _ = normalize_input(f)
+        g, c = normalize_input(f)
         assert c == 1
         _assert_all_roots_positive(g)
 
@@ -66,17 +68,21 @@ class TestNormalize:
         (3, [1, 0, -1, 9]), (5, [F(1, 5), 2, 0, 25]), (3, [-1, F(1, 7), 0, 0, 6]),
     ])
     def test_discriminant_taken_before_rescaling(self, p, coeffs):
-        # v(disc) comes from the input and is shifted by disc(f(lam x)) =
-        # lam^(n(n-1)) disc(f): it must be the valuation of the rescaled
-        # discriminant, here on monic inputs and on inputs with p | lc
+        # the exact depth bound takes v(disc) on the input and shifts it by
+        # disc(f(lam x)) = lam^(n(n-1)) disc(f): it must be the bound read
+        # from the rescaled discriminant, here on monic inputs and on inputs
+        # with p | lc
         if isinstance(coeffs, str):
             n = int(coeffs.split()[1])
             rng = random.Random(n)
             coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
         K = BaseField(p)
-        g, c, v_disc = normalize_input(K.poly(coeffs))
+        f = K.poly(coeffs)
+        g, c = normalize_input(f)
+        n = g.degree
         assert c >= 1
-        assert v_disc == discriminant_val(g)
+        D = discriminant_val(g) - (2 * n - 2) * g.lead().val()
+        assert _depth_bound(f, g, c) == 2 * D + n + 4
 
 
 class TestSexticTree:
@@ -250,9 +256,10 @@ def _vp(x, p):
 
 
 class TestDepthGuard:
-    """The refinement depth is bounded through D = v(disc) - (2n - 2) v(lc)
-    of the rescaled f, the sum of v(r - r') over ordered pairs of distinct
-    roots."""
+    """Refinement deeper than n + 4 is checked against the exact bound
+    2 D + n + 4, with D = v(disc) - (2n - 2) v(lc) of the rescaled f, the
+    sum of v(r - r') over ordered pairs of distinct roots; D is computed
+    the first time a build goes that deep."""
 
     @staticmethod
     def _deep_pair(e):
@@ -264,27 +271,105 @@ class TestDepthGuard:
         return K, roots, _linear_product(K, roots)
 
     @pytest.mark.parametrize("e", [20, 40])
-    def test_deep_pair_among_unit_roots(self, e):
+    def test_deep_pair_among_unit_roots(self, e, monkeypatch):
+        from clusterfibre import clusters
         K, roots, f = self._deep_pair(e)
-        g, shift, v_disc = normalize_input(f)
+        g, shift = normalize_input(f)
         scaled = [r * 11 ** shift for r in roots]
-        assert shift == 1 and v_disc < 0
-        assert v_disc - 18 * g.lead().val() == sum(_vp(r - s, 11) for r in scaled
-                                                   for s in scaled if r != s)
+        assert shift == 1 and discriminant_val(g) < 0
+        D = sum(_vp(r - s, 11) for r in scaled for s in scaled if r != s)
+        assert discriminant_val(f) - shift * 90 - 18 * g.lead().val() == D
+        assert _depth_bound(f, g, shift) == 2 * D + 14
+        calls = []
+        monkeypatch.setattr(clusters, "discriminant_val",
+                            lambda h: calls.append(h) or discriminant_val(h))
         tree = build_cluster_tree(f, K)
+        # the pair refines past n + 4 = 14, so the exact bound is computed once
+        assert calls == [f]
         assert tree_signature(tree.root) == oracle_signature(rational_cluster_tree(scaled, 11))
         assert sorted((n.size, n.radius) for n in tree.nodes) == [(2, e + 1), (10, 1)]
 
     def test_guard_fires_below_the_depth_needed(self, monkeypatch):
-        # v(disc) lowered until D = 0 leaves the bound deg + 4 = 14, short of
-        # the 41 relifts of the pair
+        # with v(disc) replaced by the value of a chosen D, the guard raises
+        # exactly when the deepest context lies past 2 D + n + 4: at D = 0,
+        # where the bound is n + 4 = 14, and one short of the D it needs
         from clusterfibre import clusters
         K, roots, f = self._deep_pair(40)
-        g, shift, v_disc = normalize_input(f)
-        lowered = (g, shift, 18 * g.lead().val())
-        monkeypatch.setattr(clusters, "normalize_input", lambda f: lowered)
-        with pytest.raises(InternalInconsistency, match="refinement exceeded the discriminant depth bound"):
-            build_cluster_tree(f, K)
+        depths = []
+        context = clusters._Builder._context
+
+        def spy(builder, prefix, phi, bound, parent, depth):
+            depths.append(depth)
+            return context(builder, prefix, phi, bound, parent, depth)
+
+        monkeypatch.setattr(clusters._Builder, "_context", spy)
+        build_cluster_tree(f, K)
+        g, shift = normalize_input(f)
+        n, deepest = g.degree, max(depths)
+        assert deepest > n + 4
+        need = (deepest - n - 4 + 1) // 2  # least D with 2 D + n + 4 >= deepest
+        for D in (0, need - 1, need):
+            value = D + shift * n * (n - 1) + (2 * n - 2) * g.lead().val()
+            monkeypatch.setattr(clusters, "discriminant_val", lambda h, v=value: v)
+            if 2 * D + n + 4 < deepest:
+                with pytest.raises(InternalInconsistency,
+                                   match="refinement exceeded the discriminant depth bound"):
+                    build_cluster_tree(f, K)
+            else:
+                build_cluster_tree(f, K)
+
+
+class TestExactModeAtLargeM:
+    def test_degree_32_base_is_fast(self):
+        # at m = 32 the exact discriminant took 13.45 s of a 14.3 s build
+        K = BaseField(3, 32)
+        f = cli.parse_poly("((x^3+x+th)^2-3^7)*((x^2+th)^3-3^5)", K)
+        start = time.perf_counter()
+        tree = build_cluster_tree(f, K)
+        assert time.perf_counter() - start < 2
+        assert tree.root.size == 12
+
+
+class TestSeparabilityFallback:
+    """An f that no certificate prime certifies is decided by the exact
+    discriminant, which then also serves the depth bound."""
+
+    @staticmethod
+    def _uncertified():
+        # the pair 5/2, 5/2 + Q 5^12 with Q the product of the certificate
+        # primes: every prime divides disc f, and the pair refines to depth
+        # 11, past n + 4 = 9
+        Q = math.prod(field._CERTIFICATE_PRIMES)
+        roots = [F(5, 2), F(5, 2) + Q * 5 ** 12, F(10), F(15), F(20)]
+        K = BaseField(5)
+        return K, roots, _linear_product(K, roots)
+
+    def test_uncertified_input_matches_the_oracle(self, monkeypatch):
+        K, roots, f = self._uncertified()
+        assert not f.is_separable()
+        calls = []
+        resultant = KPoly.resultant
+        monkeypatch.setattr(KPoly, "resultant", lambda a, b: calls.append(a) or resultant(a, b))
+        tree = build_cluster_tree(f, K)
+        # one resultant serves the fallback and the depth bound
+        assert calls == [f]
+        assert tree_signature(tree.root) == oracle_signature(rational_cluster_tree(roots, 5))
+        assert sorted((n.size, n.radius) for n in tree.nodes) == [(2, 12), (3, 2), (5, 1)]
+
+    def test_uncertified_input_exits_0(self, capsys):
+        Q = math.prod(field._CERTIFICATE_PRIMES)
+        expr = f"(2*x-5)*(2*x-5-2*{Q}*5^12)*(x-10)*(x-15)*(x-20)"
+        assert cli.run(["picture", expr, "--prime", "5", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert sorted((c["size"], c["radius"]) for c in out["clusters"] if c["proper"]) == \
+            [(2, "12"), (3, "2"), (5, "1")]
+
+    def test_repeated_root_is_never_certified(self):
+        K, roots, f = self._uncertified()
+        g = f * K.poly([F(-5, 2), 1])
+        assert not g.is_separable()
+        with pytest.raises(InputError, match="polynomial has repeated roots"):
+            normalize_input(g)
 
 
 class TestGeometricMode:
@@ -299,7 +384,7 @@ class TestGeometricMode:
 
     def test_one_discriminant_per_build(self, monkeypatch):
         # the build restarts twice (m = 1 -> 3 -> 15); v(disc) is the same
-        # over every unramified extension, so it is computed once
+        # over every unramified extension, so it is computed at most once
         from clusterfibre import clusters
         calls = []
         real = clusters.discriminant_val
@@ -308,7 +393,32 @@ class TestGeometricMode:
         f = K.poly([-3, -68, -100, -80, 7, 27, -10, 33, 2])
         tree = build_cluster_tree(f, K, mode="geometric")
         assert tree.field.m == 15
-        assert len(calls) == 1
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("mode", ["exact", "geometric"])
+    def test_one_exact_bound_across_restarts(self, monkeypatch, mode):
+        # y^3 + a^2 y + a^3 with y = 2x - 5 and a = 2 * 5^20: the roots are
+        # 5/2 + a * z/2 for the roots z of X^3 + X + 1, irreducible mod 5.
+        # Every build refines past n + 4 = 7 towards 5/2; geometric mode then
+        # restarts over GF(5^3), and the exact bound is computed once
+        from clusterfibre import clusters
+        calls, depths = [], {}
+        real = clusters.discriminant_val
+        monkeypatch.setattr(clusters, "discriminant_val", lambda f: calls.append(f) or real(f))
+        context = clusters._Builder._context
+
+        def spy(builder, prefix, phi, bound, parent, depth):
+            depths[builder.K.m] = max(depths.get(builder.K.m, 0), depth)
+            return context(builder, prefix, phi, bound, parent, depth)
+
+        monkeypatch.setattr(clusters._Builder, "_context", spy)
+        K = BaseField(5)
+        f = cli.parse_poly("(2*x-5)^3+(2*x-5)*(2*5^20)^2+(2*5^20)^3", K)
+        tree = build_cluster_tree(f, K, mode=mode)
+        assert sorted(depths) == ([1] if mode == "exact" else [1, 3])
+        assert all(d > 7 for d in depths.values())
+        assert calls == [f]
+        assert [(n.size, n.radius) for n in tree.nodes] == [(3, 20)]
 
     @pytest.mark.parametrize("p, expr, extensions", [
         (5, "2*x^8+33*x^7-10*x^6+27*x^5+7*x^4-80*x^3-100*x^2-68*x-3", [(1, 3), (3, 5)]),
