@@ -23,7 +23,7 @@ from .field import BaseField, KPoly, expansion_scope
 from .rationals import qstr
 from .clusters import build_cluster_tree, cluster_chain, normalize_input
 from .invariants import all_records
-from .fibre import (assemble, cluster_dicts, export, fibre_graph, farey_chain,
+from .fibre import (ChainSpec, assemble, cluster_dicts, export, fibre_graph,
                     json_text, poly_str)
 
 
@@ -243,7 +243,7 @@ def _parse_atom(toks, K):
             raise InputError(toks.at(f"unknown symbol {word!r}", start))
         if K.m == 1:
             raise InputError(toks.at("theta needs an unramified degree > 1", start))
-        return K.poly([K.theta])
+        return K.theta
     if c.isdecimal():
         return K.poly([toks.number()])
     raise InputError(toks.at(f"unexpected character {c!r}"))
@@ -483,7 +483,7 @@ def _check_farey(rng) -> bool:
             alpha = rng.randrange(1, 7)
             a = Fraction(rng.randrange(-60, 60), rng.randrange(1, 12))
             b = a - Fraction(rng.randrange(1, 40), rng.randrange(1, 12))
-            ch = farey_chain(alpha, a, b)
+            ch = ChainSpec(alpha, a, b)
             fr = ch.fractions
             for xx, yy in zip(fr, fr[1:]):
                 if xx.numerator * yy.denominator - yy.numerator * xx.denominator != 1:
@@ -493,7 +493,7 @@ def _check_farey(rng) -> bool:
                 if xx.numerator * yy.denominator - yy.numerator * xx.denominator == 1:
                     return False
             t = rng.randrange(-4, 5)
-            if farey_chain(alpha, a + t, b + t).dens != ch.dens:
+            if ChainSpec(alpha, a + t, b + t).dens != ch.dens:
                 return False
     except Exception as ex:  # any failure, including internal asserts, fails the suite
         print(f"      exception: {type(ex).__name__}: {ex}", file=sys.stderr)

@@ -169,7 +169,7 @@ def _depth_bound(f: KPoly, f_norm: KPoly, shift: int) -> int:
     disc(f(lam x)) = lam^(n(n-1)) disc(f)."""
     n = f_norm.degree
     v_disc = discriminant_val(f) - shift * n * (n - 1)
-    return 2 * int(v_disc - (2 * n - 2) * f_norm.lead().val()) + n + 4
+    return 2 * int(v_disc - (2 * n - 2) * f_norm.lead().gauss_val()) + n + 4
 
 
 class _Builder:

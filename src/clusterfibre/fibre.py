@@ -98,10 +98,6 @@ class ChainSpec:
         return f"ChainSpec(alpha={self.alpha}, {qstr(self.a)}->{qstr(self.b)}, mults={self.mults})"
 
 
-def farey_chain(alpha: int, a, b) -> ChainSpec:
-    return ChainSpec(alpha, a, b)
-
-
 def open_chain_bound(alpha: int, a) -> Fraction:
     """Lower endpoint floor((alpha*a - 1))/alpha of an open-ended chain."""
     aa = Fraction(alpha) * Fraction(a)
@@ -257,7 +253,7 @@ def _check_attachments(fib: SpecialFibre):
 
 
 class FibreGraph:
-    """Multigraph with (multiplicity, genus) node labels, for isomorphism tests."""
+    """Multigraph with (multiplicity, genus) node labels: the dual graph of a fibre."""
 
     def __init__(self):
         self.labels: List[Tuple[int, int]] = []
@@ -269,13 +265,6 @@ class FibreGraph:
 
     def add_edge(self, a: int, b: int):
         self.edges.append((min(a, b), max(a, b)))
-
-    def degree_multiset(self):
-        deg = [0] * len(self.labels)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
 
 
 def check_genus_identity(fib: SpecialFibre):
@@ -350,48 +339,6 @@ def fibre_graph(fib: SpecialFibre) -> FibreGraph:
     return g
 
 
-def graphs_isomorphic(g1: FibreGraph, g2: FibreGraph) -> bool:
-    if len(g1.labels) != len(g2.labels) or len(g1.edges) != len(g2.edges):
-        return False
-    if sorted(g1.labels) != sorted(g2.labels):
-        return False
-    d1, d2 = g1.degree_multiset(), g2.degree_multiset()
-    if sorted(zip(g1.labels, d1)) != sorted(zip(g2.labels, d2)):
-        return False
-    adj1 = _adj(g1)
-    adj2 = _adj(g2)
-    n = len(g1.labels)
-    order = sorted(range(n), key=lambda i: -d1[i])
-    mapping = [-1] * n
-    used = [False] * n
-
-    def compatible(i, j):
-        if g1.labels[i] != g2.labels[j] or d1[i] != d2[j]:
-            return False
-        for k, cnt in adj1[i].items():
-            if mapping[k] != -1 and adj2[j].get(mapping[k], 0) != cnt:
-                return False
-        return True
-
-    def rec(pos):
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in range(n):
-            if used[j]:
-                continue
-            if compatible(i, j):
-                mapping[i] = j
-                used[j] = True
-                if rec(pos + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    return rec(0)
-
-
 def _adj(g: FibreGraph):
     adj = [dict() for _ in g.labels]
     for a, b in g.edges:
@@ -413,7 +360,7 @@ def poly_str(f) -> str:
         c = f[i]
         if c.is_zero():
             continue
-        cs = _kelem_str(c)
+        cs = _coeff_str(c)
         if i == 0:
             terms.append(cs)
         else:
@@ -423,11 +370,13 @@ def poly_str(f) -> str:
     return out.replace("+ -", "- ")
 
 
-def _kelem_str(c) -> str:
+def _coeff_str(c) -> str:
+    """A constant of the base field, by its power-basis coordinates."""
     parts = []
-    for i, q in enumerate(c.coords):
-        if q == 0:
+    for i, n in enumerate(c.rows):
+        if n == 0:
             continue
+        q = Fraction(n, c.den)
         if i == 0:
             parts.append(str(q))
         else:

@@ -5,13 +5,12 @@ theta a root of a monic integer polynomial whose reduction mod p is
 irreducible.  Elements are restricted to the number field Q(theta) sitting
 inside K, so all arithmetic is exact; completions are never approximated.
 
-Elements and polynomials share one integer representation: a KElem holds
-its m power-basis coordinates (1, theta, ..., theta^(m-1)) over one
-positive denominator, a KPoly the coordinates of all its coefficients in
-one flat tuple over one positive denominator, both in lowest terms.
-Products are reduced by the monic integer defining polynomial, so the
-arithmetic forms no Fraction; Fractions appear only where values enter
-(``BaseField.elem``, ``rat``, ``poly``), in ``KElem.coords`` and in
+A polynomial holds the integer power-basis coordinates (1, theta, ...,
+theta^(m-1)) of all its coefficients in one flat tuple over one positive
+denominator, in lowest terms.  An element of K is a constant polynomial:
+m coordinates, or none for zero.  Products are reduced by the monic integer
+defining polynomial, so the arithmetic forms no Fraction; Fractions appear
+only where values enter (``BaseField.elem``, ``rat``, ``poly``) and in
 valuations.  The valuation has val(p) = 1.  The power basis reduces to the
 basis of the residue field that FField uses, so a valuation is that of the
 content (gcd of the coordinates over the denominator), and a reduction
@@ -44,7 +43,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from .errors import InputError, InternalInconsistency
-from .ff import (FField, FFElem, FFPoly, prime_field, is_irreducible,
+from .ff import (FField, FFPoly, prime_field, is_irreducible,
                  find_irreducible_int_poly, find_irreducible_over,
                  _conv, _equal_degree_split, _theta_reduce, _theta_multiples)
 from .rationals import OO
@@ -142,17 +141,6 @@ def _residues(nums, den, p, shift=0):
     if any(n % q for n in nums):
         raise InputError("cannot reduce an element of negative valuation")
     return tuple(n // q * inv % p for n in nums)
-
-
-def _power(x, n: int, one):
-    """x ** n for n >= 0, by repeated squaring."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * x
-        x = x * x
-        n >>= 1
-    return result
 
 
 def _zsolve(cols, *rhs):
@@ -410,10 +398,11 @@ class BaseField:
             if not is_irreducible(red):
                 raise InputError("gen_minpoly reduction mod p must stay irreducible")
             self.residue_field = FField(p, gen_minpoly)
-        self.zero = KElem(self, (0,) * m)
-        self.one = KElem(self, (1,) + (0,) * (m - 1))
+        self.zero = KPoly._of(self, (), 1)
+        self.one = KPoly._of(self, (1,) + (0,) * (m - 1), 1)
 
-    def elem(self, *coords) -> "KElem":
+    def elem(self, *coords) -> "KPoly":
+        """The constant with the power-basis coordinates ``coords``."""
         if len(coords) == 1 and isinstance(coords[0], (list, tuple)):
             coords = tuple(coords[0])
         cs = [Fraction(c) for c in coords]
@@ -421,17 +410,17 @@ class BaseField:
             raise InputError("too many coordinates")
         den = lcm(*[c.denominator for c in cs])
         nums = [c.numerator * (den // c.denominator) for c in cs]
-        return KElem(self, nums + [0] * (self.m - len(cs)), den)
+        return KPoly._of(self, nums + [0] * (self.m - len(cs)), den)
 
-    def rat(self, x) -> "KElem":
+    def rat(self, x) -> "KPoly":
         return self.elem(Fraction(x))
 
     @property
-    def theta(self) -> "KElem":
+    def theta(self) -> "KPoly":
         return self.elem(0, 1) if self.m > 1 else self.zero
 
     def poly(self, coeffs) -> "KPoly":
-        return KPoly(self, [c if isinstance(c, KElem) else self.rat(c) for c in coeffs])
+        return KPoly(self, [c if isinstance(c, KPoly) else self.rat(c) for c in coeffs])
 
     def x(self) -> "KPoly":
         return self.poly([0, 1])
@@ -440,88 +429,26 @@ class BaseField:
         return f"Q_{self.p}" if self.m == 1 else f"Q_{self.p}(theta_deg{self.m})"
 
 
-class KElem:
-    """An element of Q(theta): the integer power-basis coordinates ``nums``
-    over the positive denominator ``den``, in lowest terms."""
-
-    __slots__ = ("field", "nums", "den")
-
-    def __init__(self, field: BaseField, nums, den: int = 1):
-        self.field = field
-        self.nums, self.den = _normal(nums, den)
-
-    @property
-    def coords(self) -> tuple:
-        """The power-basis coordinates as Fractions."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def __eq__(self, other):
-        return (isinstance(other, KElem) and other.field is self.field
-                and other.nums == self.nums and other.den == self.den)
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
-    def __add__(self, other):
-        return KElem(self.field, *_plus(self.nums, self.den, other.nums, other.den, 1))
-
-    def __sub__(self, other):
-        return KElem(self.field, *_plus(self.nums, self.den, other.nums, other.den, -1))
-
-    def __neg__(self):
-        return KElem(self.field, [-n for n in self.nums], self.den)
-
-    def __mul__(self, other):
-        K = self.field
-        nums = _theta_reduce(_conv(self.nums, other.nums), K.gen_minpoly)
-        return KElem(K, nums, self.den * other.den)
-
-    def inverse(self) -> "KElem":
-        K = self.field
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        y, d = _zinverse(self.nums, K.gen_minpoly)
-        return KElem(K, [self.den * c for c in y], d)
-
-    def __pow__(self, n: int) -> "KElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return _power(self, n, self.field.one)
-
-    def val(self):
-        """Normalized valuation: min of coordinate p-adic valuations; val(p)=1."""
-        return _content_val(self.nums, self.den, self.field.p)
-
-    def residue(self) -> FFElem:
-        """Reduction to the residue field; requires val >= 0."""
-        K = self.field
-        return FFElem._of(K.residue_field, _residues(self.nums, self.den, K.p))
-
-    def __repr__(self):
-        if self.field.m == 1:
-            return str(self.coords[0])
-        terms = [f"{c}*th^{i}" if i else str(c) for i, c in enumerate(self.coords) if c]
-        return "(" + " + ".join(terms) + ")" if terms else "0"
-
-
 class KPoly:
     """Dense univariate polynomial over the base field.
 
     ``rows`` holds the integer coordinates of the coefficients, m per
     coefficient from the constant term up, over the positive denominator
     ``den``; in lowest terms, with no trailing zero coefficient, so the zero
-    polynomial has no rows.
+    polynomial has no rows.  An element of the field is a constant KPoly.
     """
 
     __slots__ = ("field", "rows", "den", "_gauss")
 
     def __init__(self, field: BaseField, coeffs):
+        """The polynomial with the constants ``coeffs`` of ``field`` as its
+        coefficients, constant term first."""
         coeffs = list(coeffs)
+        if not all(isinstance(c, KPoly) and c.field is field and c.degree < 1 for c in coeffs):
+            raise InputError("a coefficient must be a constant of the field")
         den = lcm(*[c.den for c in coeffs])
-        self._set(field, [n * (den // c.den) for c in coeffs for n in c.nums], den)
+        zero = (0,) * field.m
+        self._set(field, [n * (den // c.den) for c in coeffs for n in c.rows or zero], den)
 
     @classmethod
     def _of(cls, field: BaseField, rows, den: int) -> "KPoly":
@@ -550,13 +477,14 @@ class KPoly:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def __getitem__(self, i) -> KElem:
+    def __getitem__(self, i) -> "KPoly":
+        """Coefficient i, a constant."""
         m = self.field.m
         if 0 <= i < len(self.rows) // m:
-            return KElem(self.field, self.rows[i * m:i * m + m], self.den)
+            return KPoly._of(self.field, self.rows[i * m:i * m + m], self.den)
         return self.field.zero
 
-    def lead(self) -> KElem:
+    def lead(self) -> "KPoly":
         if self.is_zero():
             raise InputError("zero polynomial")
         return self[self.degree]
@@ -602,23 +530,28 @@ class KPoly:
                     for c in _theta_reduce(prod[lo:lo + w], K.gen_minpoly)]
         return KPoly._of(K, rows, self.den * other.den)
 
-    def scale(self, c: KElem) -> "KPoly":
-        return self * KPoly._of(self.field, c.nums, c.den)
-
     def __pow__(self, n: int) -> "KPoly":
-        return _power(self, n, self.field.poly([1]))
+        """self ** n for n >= 0, by repeated squaring."""
+        if n < 0:
+            raise InputError("negative power")
+        result, x = self.field.one, self
+        while n:
+            if n & 1:
+                result = result * x
+            x = x * x
+            n >>= 1
+        return result
 
     def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
+        """(q, r) with self = q * other + r, deg r < deg other, for a monic
+        ``other``."""
+        if not other.is_monic():
+            raise InputError("divisor must be monic")
         K = self.field
         if len(self.rows) < len(other.rows):
-            return KPoly._of(K, (), 1), self
-        inv = None if other.is_monic() else other.lead().inverse()
-        monic = other if inv is None else other.scale(inv)
-        q, r, den = _zdivmod(list(self.rows), self.den, _zdivisor(monic))
-        q = KPoly._of(K, q, den)
-        return (q if inv is None else q.scale(inv)), KPoly._of(K, r, den)
+            return K.zero, self
+        q, r, den = _zdivmod(list(self.rows), self.den, _zdivisor(other))
+        return KPoly._of(K, q, den), KPoly._of(K, r, den)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -709,19 +642,25 @@ class KPoly:
                     return True
         return False
 
-    def resultant(self, other) -> KElem:
+    def resultant(self, other) -> "KPoly":
         """res(self, other), exactly.  With self = F / D and other = G / E,
         res(self, other) = res(F, G) / (D^deg other * E^deg self)."""
         K = self.field
         if self.is_zero() or other.is_zero():
             return K.zero
         nums = _zresultant(self.rows, other.rows, K.gen_minpoly)
-        return KElem(K, nums, self.den ** other.degree * other.den ** self.degree)
+        return KPoly._of(K, nums, self.den ** other.degree * other.den ** self.degree)
 
     def __repr__(self):
-        if self.is_zero():
-            return "KPoly(0)"
-        return "KPoly[" + ", ".join(repr(c) for c in self.coeffs) + "]"
+        m, den = self.field.m, self.den
+
+        def coeff(lo):
+            cs = [Fraction(n, den) for n in self.rows[lo:lo + m]]
+            if m == 1:
+                return str(cs[0])
+            terms = [f"{c}*th^{i}" if i else str(c) for i, c in enumerate(cs) if c]
+            return "(" + " + ".join(terms) + ")" if terms else "0"
+        return "KPoly[" + ", ".join(coeff(lo) for lo in range(0, len(self.rows), m)) + "]"
 
 
 # The primes of KPoly.is_separable: below 2^30, where a CPython int is one
@@ -756,7 +695,7 @@ def discriminant_val(f: KPoly):
     r = f.resultant(f.derivative())
     if r.is_zero():
         raise InputError("polynomial has repeated roots")
-    v = r.val() - f.lead().val()
+    v = r.gauss_val() - f.lead().gauss_val()
     if memo is not None:
         memo[(id(f), None)] = (f, None, v)
     return v
@@ -766,10 +705,10 @@ def extend_unramified(K: BaseField, t: int):
     """Extend the base field so its residue degree is multiplied by t.
 
     Returns ``(K2, embed)`` where K2 is a BaseField of unramified degree
-    m * t and embed maps KElem of K to KElem of K2 exactly (over Q).  The
-    construction finds a global compositum Q(theta, eta) with eta a root of
-    a lift of an irreducible residue polynomial, then a primitive element
-    whose minimal polynomial stays irreducible mod p.
+    m * t and embed maps the constants of K to those of K2 exactly (over
+    Q).  The construction finds a global compositum Q(theta, eta) with eta
+    a root of a lift of an irreducible residue polynomial, then a primitive
+    element whose minimal polynomial stays irreducible mod p.
     """
     if t <= 1:
         return K, lambda a: a
@@ -787,33 +726,36 @@ def extend_unramified(K: BaseField, t: int):
 
     for mult in range(1, p * M + 2):
         gen = K.poly([K.rat(mult) * K.theta, 1]) if m > 1 else K.x()
-        powers = [K.poly([1])]
+        powers = [K.one]
         for _ in range(M):
             powers.append(powers[-1] * gen % h)
         cols = [flat(v) for v in powers[:M]]  # column j: the vector of gen^j
         # with d = +-det of the power matrix, p does not divide d exactly
         # when gen generates the residue field of E, so when its integral
         # minimal polynomial stays irreducible mod p (BaseField checks it)
-        sol = _zsolve(cols, [-x for x in flat(powers[M])], flat(K.poly([K.theta])))
+        sol = _zsolve(cols, [-x for x in flat(powers[M])], flat(K.theta))
         if sol is None or sol[1] % p == 0:
             continue
         (lower, theta_coords), d = sol
         if any(c % d for c in lower):
             raise InternalInconsistency("integral generator with a non-integral minimal polynomial")
         K2 = BaseField(p, M, tuple(c // d for c in lower) + (1,))
-        theta_img = KElem(K2, theta_coords, d)
+        # the images of 1, theta, ..., theta^m as integer columns over one
+        # denominator e, so an image is one integer combination of them
+        theta_img, images = KPoly._of(K2, theta_coords, d), [K2.one]
+        for _ in range(m):
+            images.append(images[-1] * theta_img)
+        e = lcm(*[v.den for v in images])
+        img_cols = [[x * (e // v.den) for x in flat(v)] for v in images]
 
-        def embed(a: KElem, _img=theta_img, _K2=K2):
-            acc = _K2.zero
-            for c in reversed(a.coords):
-                acc = acc * _img + _K2.rat(c)
-            return acc
+        def embed(a: KPoly, _cols=img_cols, _e=e, _K2=K2):
+            out = [0] * M
+            for n, col in zip(a.rows, _cols):
+                out = [x + n * y for x, y in zip(out, col)]
+            return KPoly._of(_K2, out, a.den * _e)
 
         # the image of theta must still satisfy the old defining polynomial
-        check = K2.zero
-        for c in reversed(K.gen_minpoly):
-            check = check * theta_img + K2.rat(c)
-        if not check.is_zero():
+        if any(sum(c * col[j] for c, col in zip(K.gen_minpoly, img_cols)) for j in range(M)):
             raise InternalInconsistency("embedding failed minimal polynomial check")
         return K2, embed
     raise InternalInconsistency("no primitive element found for the compositum")

@@ -75,7 +75,7 @@ def nu(tree: ClusterTree, node: ClusterNode):
     child c towards v meets a.  The leaf degrees below a node sum to its
     size (the additivity law), so the meet sum is one walk up the parents."""
     direct = cluster_chain(node).eval(tree.f)
-    total = tree.f.lead().val() + Fraction(node.size * node.radius) / node.degree
+    total = tree.f.lead().gauss_val() + Fraction(node.size * node.radius) / node.degree
     c, a = node, node.parent
     while a is not None:
         total += Fraction((a.size - c.size) * a.radius) / a.degree

@@ -304,7 +304,7 @@ def _balanced(x: int, p: int) -> int:
     return x if x <= p // 2 else x - p
 
 
-def _lift_subfield_elem(K, t) -> "KElem":
+def _lift_subfield_elem(K, t) -> KPoly:
     """Integer lift of a residue element with balanced coordinates."""
     return K.elem(*[_balanced(x, K.p) for x in t.coords])
 
@@ -335,7 +335,7 @@ def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: in
     if level == 0:
         parts = _decompose_over_step(tower, 1, c)
         lift = KPoly(K, [_lift_subfield_elem(K, t) for t in parts])
-        return lift.scale(K.rat(Fraction(K.p) ** scaled_alpha))
+        return lift * K.rat(Fraction(K.p) ** scaled_alpha)
     e_i, h_i = v.e_rel[level], v.h_rel[level]
     u_a, i_a = _ui_pair(e_i, h_i, scaled_alpha)
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
@@ -344,7 +344,7 @@ def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: in
     parts = _decompose_over_step(tower, level + 1, target)
     phi = v.steps[level - 1].phi
     child = _child_value(v, level, scaled_alpha, i_a)
-    acc = KPoly(K, [])
+    acc = K.zero
     for j, t_j in enumerate(parts):
         if not t_j.is_zero():
             a_j = _inv_graded(v, tower, level - 1, child - j * h_i, t_j)

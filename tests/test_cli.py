@@ -365,8 +365,8 @@ class TestHostileInput:
         # a literal of MAX_DIGITS digits and (x+1)^MAX_EXPONENT stay inside it
         K = BaseField(5)
         big = int("9" * cli.MAX_DIGITS)
-        assert parse_poly("9" * cli.MAX_DIGITS + "*x^2*" + "9" * cli.MAX_DIGITS, K)[2].nums == (big * big,)
-        assert parse_poly(f"(x+1)^{cli.MAX_EXPONENT}", K)[1].nums == (cli.MAX_EXPONENT,)
+        assert parse_poly("9" * cli.MAX_DIGITS + "*x^2*" + "9" * cli.MAX_DIGITS, K)[2].rows == (big * big,)
+        assert parse_poly(f"(x+1)^{cli.MAX_EXPONENT}", K)[1].rows == (cli.MAX_EXPONENT,)
 
     @pytest.mark.parametrize("coeffs", ["1e3000000,0,1", "1.5,0,1", "0x10,1", "1_0,1",
                                         "1,,1", "1,0,1,", "--1,1", "1/-2,1"])
@@ -468,7 +468,7 @@ class TestSelfcheck:
         def broken(alpha, a, b):
             raise ZeroDivisionError("injected")
 
-        monkeypatch.setattr(cli, "farey_chain", broken)
+        monkeypatch.setattr(cli, "ChainSpec", broken)
         assert cli._check_farey(random.Random(0)) is False
         assert "exception: ZeroDivisionError: injected" in capsys.readouterr().err
 

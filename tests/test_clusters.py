@@ -81,7 +81,7 @@ class TestNormalize:
         g, c = normalize_input(f)
         n = g.degree
         assert c >= 1
-        D = discriminant_val(g) - (2 * n - 2) * g.lead().val()
+        D = discriminant_val(g) - (2 * n - 2) * g.lead().gauss_val()
         assert _depth_bound(f, g, c) == 2 * D + n + 4
 
 
@@ -278,7 +278,7 @@ class TestDepthGuard:
         scaled = [r * 11 ** shift for r in roots]
         assert shift == 1 and discriminant_val(g) < 0
         D = sum(_vp(r - s, 11) for r in scaled for s in scaled if r != s)
-        assert discriminant_val(f) - shift * 90 - 18 * g.lead().val() == D
+        assert discriminant_val(f) - shift * 90 - 18 * g.lead().gauss_val() == D
         assert _depth_bound(f, g, shift) == 2 * D + 14
         calls = []
         monkeypatch.setattr(clusters, "discriminant_val",
@@ -309,7 +309,7 @@ class TestDepthGuard:
         assert deepest > n + 4
         need = (deepest - n - 4 + 1) // 2  # least D with 2 D + n + 4 >= deepest
         for D in (0, need - 1, need):
-            value = D + shift * n * (n - 1) + (2 * n - 2) * g.lead().val()
+            value = D + shift * n * (n - 1) + (2 * n - 2) * g.lead().gauss_val()
             monkeypatch.setattr(clusters, "discriminant_val", lambda h, v=value: v)
             if 2 * D + n + 4 < deepest:
                 with pytest.raises(InternalInconsistency,

@@ -15,31 +15,33 @@ from clusterfibre.errors import InputError, InternalInconsistency
 from clusterfibre.field import BaseField
 from clusterfibre.clusters import build_cluster_tree
 from clusterfibre.invariants import all_records
-from clusterfibre.fibre import (farey_chain, open_chain_bound, open_chain,
+from clusterfibre.fibre import (ChainSpec, open_chain_bound, open_chain,
                                 simplest_between, assemble, fibre_graph,
-                                graphs_isomorphic, FibreGraph, export, json_text,
+                                FibreGraph, export, json_text,
                                 check_genus_identity)
 from clusterfibre.degree1 import oracle_fibre_graph
+
+from graphs import isomorphic
 
 
 class TestFarey:
     def test_connector_example(self):
-        ch = farey_chain(2, F(-5, 3), F(-2))
+        ch = ChainSpec(2, F(-5, 3), F(-2))
         assert ch.mults == [4]
         assert ch.fractions == [F(-10, 3), F(-7, 2), F(-4)]
 
     def test_tail_example(self):
-        ch = farey_chain(2, F(5, 6), F(0))
+        ch = ChainSpec(2, F(5, 6), F(0))
         assert ch.mults == [4, 2]
         assert ch.fractions == [F(5, 3), F(3, 2), F(1), F(0)]
 
     def test_consecutive_integers(self):
-        ch = farey_chain(1, F(7), F(6))
+        ch = ChainSpec(1, F(7), F(6))
         assert ch.mults == []
 
     def test_degenerate(self):
         with pytest.raises(InputError, match="chain needs a > b"):
-            farey_chain(2, F(1), F(1))
+            ChainSpec(2, F(1), F(1))
 
     def test_open_chain_bounds(self):
         assert open_chain_bound(2, F(5, 6)) == 0
@@ -57,7 +59,7 @@ class TestFarey:
             alpha = rng.randrange(1, 7)
             a = F(rng.randrange(-40, 40), rng.randrange(1, 9))
             b = a - F(rng.randrange(1, 30), rng.randrange(1, 9))
-            ch = farey_chain(alpha, a, b)
+            ch = ChainSpec(alpha, a, b)
             fr = ch.fractions
             for x, y in zip(fr, fr[1:]):
                 assert x > y
@@ -68,7 +70,7 @@ class TestFarey:
                 assert x.numerator * y.denominator - y.numerator * x.denominator != 1
             # integer translation of both endpoints preserves denominators
             t = rng.randrange(-3, 4)
-            ch2 = farey_chain(alpha, a + t, b + t)
+            ch2 = ChainSpec(alpha, a + t, b + t)
             assert ch2.dens == ch.dens
 
     def test_simplest_between(self):
@@ -95,18 +97,6 @@ def _expected_sextic_figure():
     return g
 
 
-@st.composite
-def _multigraph(draw):
-    """(labels, edges) of a labelled multigraph on at most 8 nodes, loops and
-    parallel edges allowed; the small label range makes equal labels common."""
-    n = draw(st.integers(1, 8))
-    labels = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 1)),
-                           min_size=n, max_size=n))
-    node = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(node, node), max_size=12))
-    return labels, edges
-
-
 def _fibre_graph(labels, edges):
     g = FibreGraph()
     for mult, genus in labels:
@@ -116,54 +106,18 @@ def _fibre_graph(labels, edges):
     return g
 
 
-def _nx_graph(labels, edges):
-    import networkx as nx
-    g = nx.MultiGraph()
-    for i, label in enumerate(labels):
-        g.add_node(i, label=label)
-    g.add_edges_from(edges)
-    return g
-
-
 class TestIsomorphismOracle:
-    """graphs_isomorphic against networkx on random labelled multigraphs and
-    three copies: relabelled, one edge moved, two labels exchanged."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_agrees_with_networkx(self, data):
-        import networkx as nx
-        labels, edges = data.draw(_multigraph())
-        n = len(labels)
-        perm = data.draw(st.permutations(range(n)))
-        relabelled = ([labels[perm.index(i)] for i in range(n)],
-                      [(perm[a], perm[b]) for a, b in edges])
-        moved = list(edges)
-        if moved:
-            k = data.draw(st.integers(0, len(moved) - 1))
-            moved[k] = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
-        # the same edges with two nodes' labels exchanged: the label multiset
-        # and the degrees stay, so only the labels tell the graphs apart
-        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        swapped = list(labels)
-        swapped[i], swapped[j] = labels[j], labels[i]
-        g = _fibre_graph(labels, edges)
-        for other in (relabelled, (labels, moved), (swapped, edges)):
-            want = nx.is_isomorphic(_nx_graph(labels, edges), _nx_graph(*other),
-                                    node_match=lambda a, b: a["label"] == b["label"])
-            assert graphs_isomorphic(g, _fibre_graph(*other)) == want
-        assert graphs_isomorphic(g, _fibre_graph(*relabelled))
+    """graphs.isomorphic, the check the fibre tests compare graphs with."""
 
     def test_edge_multiplicities_count(self):
         # two 6-cycles with the same degree at every node and multiplicities
         # (2, 2, 3, 1, 2, 2) and (1, 3, 2, 2, 1, 3) along their edges: only
         # the identity keeps the degrees, and it moves multiplicities
-        import networkx as nx
         labels = [(1, 0)] * 6
         graphs = [[(i, (i + 1) % 6) for i in range(6) for _ in range(mult[i])]
                   for mult in ((2, 2, 3, 1, 2, 2), (1, 3, 2, 2, 1, 3))]
-        assert not nx.is_isomorphic(_nx_graph(labels, graphs[0]), _nx_graph(labels, graphs[1]))
-        assert not graphs_isomorphic(_fibre_graph(labels, graphs[0]), _fibre_graph(labels, graphs[1]))
+        assert not isomorphic(_fibre_graph(labels, graphs[0]), _fibre_graph(labels, graphs[1]))
+        assert isomorphic(_fibre_graph(labels, graphs[0]), _fibre_graph(labels, graphs[0][::-1]))
 
 
 class TestSexticFigure:
@@ -174,7 +128,7 @@ class TestSexticFigure:
         tree = build_cluster_tree(f, K, mode="geometric")
         fib = assemble(tree)
         g = fibre_graph(fib)
-        assert graphs_isomorphic(g, _expected_sextic_figure())
+        assert isomorphic(g, _expected_sextic_figure())
 
     def test_chain_inventory(self):
         K = BaseField(5)
@@ -270,7 +224,7 @@ class TestDegree1FibreOracle:
         fib = assemble(tree)
         g = fibre_graph(fib)
         og = oracle_fibre_graph(roots, 5)
-        assert graphs_isomorphic(g, og)
+        assert isomorphic(g, og)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_randomized(self, p):
@@ -288,7 +242,7 @@ class TestDegree1FibreOracle:
                 f = f * K.poly([-a, 1])
             tree = build_cluster_tree(f, K, mode="geometric")
             fib = assemble(tree)
-            assert graphs_isomorphic(fibre_graph(fib), oracle_fibre_graph(roots, p))
+            assert isomorphic(fibre_graph(fib), oracle_fibre_graph(roots, p))
             done += 1
 
 
