@@ -1,21 +1,23 @@
 """Finite fields of odd characteristic, represented absolutely over F_p.
 
 A field of p^d elements is F_p[t]/(modulus) with a monic irreducible modulus
-of degree d; elements are coordinate vectors of length d.  Every field object
+of degree d; an element has d coordinates over F_p.  Every field object
 has its own identity, and moving between fields always goes through an
 explicit Embedding.  There is no implicit coercion anywhere: arithmetic
 between elements of different field objects raises.
 
-Elements and polynomials share one integer representation: an FFElem holds
-its d power-basis coordinates, an FFPoly those of all its coefficients in
-one flat tuple, each in [0, p), with no trailing zero coefficient.  An
-element product is one convolution reduced by the modulus, mod p (its
-helpers ``_conv``, ``_theta_reduce`` and ``_theta_multiples`` serve field.py
-too), over F_p one product and one residue, and an inverse is the extended
-Euclidean algorithm on coordinates mod p, O(d^2).  All polynomial division, and with it gcd, factorization and
-``ff_extend``, goes through one remainder kernel by a monic divisor,
-``_divide``; over a prime field its step takes one residue and subtracts
-one multiple of the divisor.
+Elements and polynomials share one type: an element of a field is a
+constant FFPoly.  An FFPoly holds the power-basis coordinates of all its
+coefficients in one flat tuple, d per coefficient, each in [0, p), with no
+trailing zero coefficient, so a nonzero constant has d coordinates and zero
+has none.  A product with a constant factor is one element product per
+coefficient: a convolution reduced by the modulus, mod p (its helpers
+``_conv``, ``_theta_reduce`` and ``_theta_multiples`` serve field.py too),
+over F_p one product and one residue.  The inverse of a constant is the
+extended Euclidean algorithm on coordinates mod p, O(d^2).  All polynomial
+division, and with it gcd, factorization and ``ff_extend``, goes through one
+remainder kernel by a monic divisor, ``_divide``; over a prime field its
+step takes one residue and subtracts one multiple of the divisor.
 
 Polynomial products run on packed integers (Kronecker substitution, von zur
 Gathen-Gerhard, *Modern Computer Algebra* 8.4): every coordinate of every
@@ -112,18 +114,22 @@ class FField:
         self.modulus = modulus
         FField._counter += 1
         self.uid = FField._counter
-        self.zero = FFElem._of(self, (0,) * self.degree)
-        self.one = FFElem._of(self, (1,) + (0,) * (self.degree - 1))
-        self.gen = FFElem._of(self, tuple(1 if i == 1 else 0 for i in range(self.degree))) \
-            if self.degree > 1 else FFElem._of(self, (-modulus[0] % p,))
+        self.zero = FFPoly._of(self, ())
+        self.one = self.elem(1)
+        self.gen = self.elem((0, 1) if self.degree > 1 else -modulus[0])
 
     @property
     def order(self) -> int:
         return self.p ** self.degree
 
-    def elem(self, coords) -> "FFElem":
+    def elem(self, coords) -> "FFPoly":
+        """The constant with the power-basis coordinates ``coords`` (an int
+        for the first alone), each taken mod p."""
         coords = (coords,) if isinstance(coords, int) else tuple(coords)
-        return FFElem(self, coords + (0,) * (self.degree - len(coords)))
+        if len(coords) > self.degree:
+            raise InputError("more coordinates than the degree of the field")
+        p = self.p
+        return FFPoly._of(self, [c % p for c in coords] + [0] * (self.degree - len(coords)))
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})#{self.uid}"
@@ -131,98 +137,6 @@ class FField:
 
 def prime_field(p: int) -> FField:
     return FField(p, (0, 1))
-
-
-class FFElem:
-    """An element of an FField: its power-basis coordinates, each in [0, p)."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        p = field.p
-        self.field = field
-        self.coords = tuple(c % p for c in coords)
-
-    @classmethod
-    def _of(cls, field, coords) -> "FFElem":
-        """The element with coordinates ``coords``, each already in [0, p)."""
-        a = cls.__new__(cls)
-        a.field = field
-        a.coords = tuple(coords)
-        return a
-
-    def _check(self, other):
-        if not isinstance(other, FFElem) or other.field is not self.field:
-            raise TypeError("mixed-field arithmetic; use an explicit Embedding")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElem._of(self.field, [(a + b) % p for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElem._of(self.field, [(a - b) % p for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        p = self.field.p
-        return FFElem._of(self.field, [(-a) % p for a in self.coords])
-
-    def __mul__(self, other):
-        self._check(other)
-        return FFElem._of(self.field, _fmul(self.coords, other.coords, self.field))
-
-    def __pow__(self, n):
-        F = self.field
-        if n < 0:
-            return self.inverse() ** (-n)
-        result, base = F.one.coords, self.coords
-        while n:
-            if n & 1:
-                result = _fmul(result, base, F)
-            n >>= 1
-            if n:
-                base = _fmul(base, base, F)
-        return FFElem._of(F, result)
-
-    def inverse(self) -> "FFElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        F, p = self.field, self.field.p
-        if F.degree == 1:
-            return FFElem._of(F, (pow(self.coords[0], -1, p),))
-        # the extended Euclidean algorithm in F_p[t] on coordinate lists,
-        # with s * a = r mod the modulus kept for each remainder r; the
-        # modulus is irreducible, so the remainders end at a constant
-        r0, s0 = list(F.modulus), [0]
-        r1, s1 = list(self.coords), [1]
-        while not r1[-1]:
-            r1.pop()
-        while len(r1) > 1:
-            inv, n = pow(r1[-1], -1, p), len(r1)
-            while len(r0) >= n:
-                c, k = r0[-1] * inv % p, len(r0) - n
-                r0[k:] = [(x - c * y) % p for x, y in zip(r0[k:], r1)]
-                s0 += [0] * (k + len(s1) - len(s0))
-                s0[k:k + len(s1)] = [(x - c * y) % p for x, y in zip(s0[k:], s1)]
-                while r0 and not r0[-1]:
-                    r0.pop()
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        c = pow(r1[0], -1, p)
-        return FFElem._of(F, [x * c % p for x in s1] + [0] * (F.degree - len(s1)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, FFElem) and other.field is self.field and other.coords == self.coords
-
-    def __hash__(self):
-        return hash((self.field.uid, self.coords))
-
-    def __repr__(self):
-        return f"ff({list(self.coords)})"
 
 
 class Embedding:
@@ -366,17 +280,23 @@ def _divide(rows, g, p, mod):
 
 
 class FFPoly:
-    """Polynomial over one FField.
+    """Polynomial over one FField; an element of the field is a constant.
 
     ``rows`` holds the coordinates of the coefficients, d per coefficient
     from the constant term up, each in [0, p), with no trailing zero
-    coefficient, so the zero polynomial has no rows.
+    coefficient, so a nonzero constant has d rows and zero has none.
     """
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: FField, coeffs):
-        self._set(field, [c for a in coeffs for c in a.coords])
+        """The polynomial with the constants ``coeffs`` of ``field`` as its
+        coefficients, constant term first."""
+        coeffs = list(coeffs)
+        if not all(isinstance(c, FFPoly) and c.field is field and c.degree < 1 for c in coeffs):
+            raise InputError("a coefficient must be a constant of the field")
+        zero = (0,) * field.degree
+        self._set(field, [x for c in coeffs for x in c.rows or zero])
 
     @classmethod
     def _of(cls, field: FField, rows) -> "FFPoly":
@@ -401,10 +321,6 @@ class FFPoly:
     def x(field) -> "FFPoly":
         return FFPoly(field, [field.zero, field.one])
 
-    @staticmethod
-    def const(field, c: FFElem) -> "FFPoly":
-        return FFPoly(field, [c])
-
     @property
     def coeffs(self) -> tuple:
         return tuple(self[i] for i in range(len(self.rows) // self.field.degree))
@@ -416,13 +332,14 @@ class FFPoly:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def __getitem__(self, i) -> FFElem:
+    def __getitem__(self, i) -> "FFPoly":
+        """Coefficient i, a constant."""
         d = self.field.degree
         if 0 <= i < len(self.rows) // d:
-            return FFElem._of(self.field, self.rows[i * d:i * d + d])
+            return FFPoly._of(self.field, self.rows[i * d:i * d + d])
         return self.field.zero
 
-    def lead(self) -> FFElem:
+    def lead(self) -> "FFPoly":
         if self.is_zero():
             raise InputError("zero polynomial has no leading coefficient")
         return self[self.degree]
@@ -439,7 +356,7 @@ class FFPoly:
         return hash((self.field.uid, self.rows))
 
     def _check(self, other) -> FField:
-        if other.field is not self.field:
+        if not isinstance(other, FFPoly) or other.field is not self.field:
             raise TypeError("mixed-field arithmetic; use an explicit Embedding")
         return self.field
 
@@ -458,25 +375,68 @@ class FFPoly:
 
     def __mul__(self, other):
         F = self._check(other)
-        if not self.rows or not other.rows:
+        a, b = self.rows, other.rows
+        if not a or not b:
             return FFPoly._of(F, ())
         d = F.degree
-        la, lb = len(self.rows) // d, len(other.rows) // d
+        if len(a) == d:
+            a, b = b, a
+        if len(b) == d:
+            # a constant factor: one element product per coefficient
+            if d == 1:
+                c, p = b[0], F.p
+                return FFPoly._of(F, [x * c % p for x in a])
+            return FFPoly._of(F, [x for lo in range(0, len(a), d) for x in _fmul(a[lo:lo + d], b, F)])
+        la, lb = len(a) // d, len(b) // d
         pk = _Packing(F, min(la, lb) * d * (F.p - 1) ** 2, la + lb - 1)
-        prod = pk.pack(self.rows) * pk.pack(other.rows)
-        return FFPoly._of(F, pk.unpack(pk.reduce(prod), la + lb - 1))
+        return FFPoly._of(F, pk.unpack(pk.reduce(pk.pack(a) * pk.pack(b)), la + lb - 1))
 
-    def scale(self, c: FFElem) -> "FFPoly":
-        F, d = self.field, self.field.degree
-        rows, cs = self.rows, c.coords
-        if d == 1:
-            c, p = cs[0], F.p
-            return FFPoly._of(F, [x * c % p for x in rows])
-        return FFPoly._of(F, [x for lo in range(0, len(rows), d)
-                              for x in _fmul(rows[lo:lo + d], cs, F)])
+    def __pow__(self, n: int) -> "FFPoly":
+        """self ** n by repeated squaring; n < 0 for a nonzero constant only."""
+        if n < 0:
+            return self.inverse() ** -n
+        result, x = self.field.one, self
+        while n:
+            if n & 1:
+                result = result * x
+            n >>= 1
+            if n:
+                x = x * x
+        return result
+
+    def inverse(self) -> "FFPoly":
+        """The inverse of a nonzero constant."""
+        F, p, rows = self.field, self.field.p, self.rows
+        if not rows:
+            raise ZeroDivisionError("inverse of zero")
+        if len(rows) > F.degree:
+            raise InputError("only a constant has an inverse")
+        if F.degree == 1:
+            return FFPoly._of(F, (pow(rows[0], -1, p),))
+        # the extended Euclidean algorithm in F_p[t] on coordinate lists,
+        # with s * a = r mod the modulus kept for each remainder r; the
+        # modulus is irreducible, so the remainders end at a constant
+        r0, s0 = list(F.modulus), [0]
+        r1, s1 = list(rows), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            inv, n = pow(r1[-1], -1, p), len(r1)
+            while len(r0) >= n:
+                c, k = r0[-1] * inv % p, len(r0) - n
+                r0[k:] = [(x - c * y) % p for x, y in zip(r0[k:], r1)]
+                s0 += [0] * (k + len(s1) - len(s0))
+                s0[k:k + len(s1)] = [(x - c * y) % p for x, y in zip(s0[k:], s1)]
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        c = pow(r1[0], -1, p)
+        return FFPoly._of(F, [x * c % p for x in s1] + [0] * (F.degree - len(s1)))
 
     def shift(self, k: int) -> "FFPoly":
         """Multiply by X^k, k >= 0."""
+        if k < 0:
+            raise InputError("negative shift")
         if self.is_zero():
             return self
         return FFPoly._of(self.field, (0,) * (k * self.field.degree) + self.rows)
@@ -488,10 +448,10 @@ class FFPoly:
         if len(self.rows) < len(other.rows):
             return FFPoly._of(F, ()), self
         inv = None if other.is_monic() else other.lead().inverse()
-        g = other if inv is None else other.scale(inv)
+        g = other if inv is None else other * inv
         q, r = _divide(list(self.rows), g.rows, F.p, F.modulus)
         q = FFPoly._of(F, q)
-        return (q if inv is None else q.scale(inv)), FFPoly._of(F, r)
+        return (q if inv is None else q * inv), FFPoly._of(F, r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -502,7 +462,9 @@ class FFPoly:
     def monic(self) -> "FFPoly":
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(self.lead().inverse())
+        if self.degree == 0:  # a unit, where the gcd of coprime inputs ends
+            return self.field.one
+        return self * self.lead().inverse()
 
     def gcd(self, other) -> "FFPoly":
         # every divisor is monic, so no division inverts a lead
@@ -516,7 +478,8 @@ class FFPoly:
         d, p = F.degree, F.p
         return FFPoly._of(F, [(j // d) * c % p for j, c in enumerate(self.rows)][d:])
 
-    def evaluate(self, x: FFElem) -> FFElem:
+    def evaluate(self, x: "FFPoly") -> "FFPoly":
+        """The value at the constant x, by Horner's rule."""
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -528,7 +491,7 @@ class FFPoly:
         if n < 0:
             raise InputError("negative exponent")
         if n == 0:
-            return FFPoly.const(F, F.one)
+            return F.one
         f = modulus.monic()
         base = self % f
         if base.is_zero():
@@ -541,7 +504,7 @@ class FFPoly:
         bits = pk.block_bits
         neg_f = pk.pack([-c % p for c in f.rows[:m * d]])
         low = (1 << (m * bits)) - 1
-        mu = pk.pack(_divide([0] * ((2 * m - 1) * d) + list(F.one.coords), f.rows, p, F.modulus)[0])
+        mu = pk.pack(_divide([0] * ((2 * m - 1) * d) + list(F.one.rows), f.rows, p, F.modulus)[0])
 
         def mul_mod(a, b):
             prod = pk.reduce(a * b)
@@ -566,7 +529,7 @@ class FFPoly:
         return (self.degree + 1,) + self.rows
 
     def __repr__(self):
-        return f"FFPoly({[list(c.coords) for c in self.coeffs]})"
+        return f"FFPoly({[list(c.rows) for c in self.coeffs]})"
 
 
 def squarefree_decomposition(f: FFPoly):
@@ -637,7 +600,7 @@ def _equal_degree_split(f: FFPoly, d: int, rng: random.Random):
         if 0 < g.degree < f.degree:
             pass
         else:
-            b = a.pow_mod(exponent, f) - FFPoly.const(F, F.one)
+            b = a.pow_mod(exponent, f) - F.one
             g = f.gcd(b)
             if not (0 < g.degree < f.degree):
                 continue
@@ -713,7 +676,7 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
     p, d, q = k.p, k.degree, k.order
     price = t * (q - 1).bit_length()  # t * ceil(log2 q) tests buy the sieve
     for code in range(q ** (t - 1)):
-        tail = _coordinates(code, p, (t - 1) * d) + list(k.one.coords)
+        tail = _coordinates(code, p, (t - 1) * d) + list(k.one.rows)
         if _barren(k, t, code, tail):
             continue
         rejected, rooted = 0, ()
@@ -773,7 +736,7 @@ def _rooted_constants(k: FField, tail):
     # d (p - 1)^2 + p
     pk = _Packing(k, d * (p - 1) ** 2 + p - 1, 1)
     coeffs = [pk.pack(tail[lo:lo + d]) for lo in range(0, len(tail) - d, d)]
-    one = pk.pack(k.one.coords)
+    one = pk.pack(k.one.rows)
     out = set()
     for n in range(k.order):
         a = pk.pack(_coordinates(n, p, d))
@@ -834,8 +797,8 @@ def ff_extend(F: FField, h: FFPoly):
     for c in range(p * a + 1):
         # candidate generator gamma = Y + c*theta_F in E = F[Y]/(h); the n
         # coordinates over F_p of a remainder mod h are its padded rows
-        gamma = y + FFPoly.const(F, F.elem(c) * F.gen)
-        powers = [FFPoly.const(F, F.one)]
+        gamma = y + F.elem(c) * F.gen
+        powers = [F.one]
         for _ in range(n):
             powers.append(powers[-1] * gamma % hm)
         rows = [v.rows + (0,) * (n - len(v.rows)) for v in powers]
@@ -852,7 +815,7 @@ def ff_extend(F: FField, h: FFPoly):
         cols = list(zip(*sol))
         G = FField(p, cols[0] + (1,))
         emb = Embedding(F, G, cols[1:a + 1])
-        root = FFElem._of(G, cols[a + 1])
+        root = FFPoly._of(G, cols[a + 1])
         # sanity: root satisfies the mapped modulus
         mapped = emb.map_poly(hm)
         if not mapped.evaluate(root).is_zero():

@@ -397,12 +397,12 @@ def ffpoly_str(f: FFPoly, var="X") -> str:
         c = f[i]
         if c.is_zero():
             continue
-        cs = "+".join(str(x) for x in c.coords) if f.field.degree > 1 else str(c.coords[0])
-        if f.field.degree > 1 and sum(1 for x in c.coords if x) > 1:
-            cs = f"({'+'.join(f'{x}*g^{j}' if j else str(x) for j, x in enumerate(c.coords) if x)})"
-        elif f.field.degree > 1 and any(x and j for j, x in enumerate(c.coords)):
+        cs = "+".join(str(x) for x in c.rows) if f.field.degree > 1 else str(c.rows[0])
+        if f.field.degree > 1 and sum(1 for x in c.rows if x) > 1:
+            cs = f"({'+'.join(f'{x}*g^{j}' if j else str(x) for j, x in enumerate(c.rows) if x)})"
+        elif f.field.degree > 1 and any(x and j for j, x in enumerate(c.rows)):
             cs = "+".join(f"{x}*g^{j}" if j > 1 else (f"{x}*g" if j == 1 else str(x))
-                          for j, x in enumerate(c.coords) if x)
+                          for j, x in enumerate(c.rows) if x)
         if i == 0:
             terms.append(cs)
         else:
@@ -431,9 +431,9 @@ def cluster_dicts(tree: ClusterTree,
         if records is not None:
             r = records[node.id]
             inv = r.as_dict()
-            inv["gbar"] = f"y^{r.gbar_exp} - {ffpoly_str(FFPoly.const(r.k_v, r.gbar_const))}"
+            inv["gbar"] = f"y^{r.gbar_exp} - {ffpoly_str(r.gbar_const)}"
             if r.delta:
-                inv["gbar0"] = f"y^{r.gbar0_exp} - {ffpoly_str(FFPoly.const(r.k_v, r.gbar0_const))}"
+                inv["gbar0"] = f"y^{r.gbar0_exp} - {ffpoly_str(r.gbar0_const)}"
             inv["fbar"] = ffpoly_str(r.fbar)
             inv["ftilde"] = ffpoly_str(r.ftilde)
             entry["invariants"] = inv

@@ -41,7 +41,7 @@ from typing import List
 
 from .errors import InputError, InternalInconsistency
 from .field import KPoly, expansion_scope
-from .ff import FField, FFElem, FFPoly, ff_extend, is_irreducible, _fmul
+from .ff import FField, FFPoly, ff_extend, is_irreducible, _fmul
 from .rationals import OO
 from .valuation import MacLaneVal
 
@@ -205,16 +205,19 @@ def _rho(tower: ResidueTower, level: int, shift: int, rows) -> list:
     """The coordinates in k_level of a nonzero X^shift * poly(X) over
     k_{level-1}, rows the flat coordinates of poly with a nonzero last
     coefficient: they are mapped up by the step embedding, then the Laurent
-    polynomial is evaluated at the step generator by Horner's rule."""
+    polynomial is evaluated at the step generator by Horner's rule.  The
+    generator is zero on a chain whose first centre is x, and a zero
+    constant has no rows, so its coordinates are padded."""
     kf, gen = tower.fields[level], tower.gens[level]
     rows = tower.embeddings[level - 1].image(rows)
     d, p = kf.degree, kf.p
     if shift < 0 and gen.is_zero():
         raise InternalInconsistency("negative power of a vanishing step generator")
-    acc = rows[-d:]
+    zero = (0,) * d
+    g, acc = gen.rows or zero, rows[-d:]
     for lo in range(len(rows) - 2 * d, -1, -d):
-        acc = [(a + c) % p for a, c in zip(_fmul(acc, gen.coords, kf), rows[lo:lo + d])]
-    return _fmul(acc, (gen ** shift).coords, kf) if shift else acc
+        acc = [(a + c) % p for a, c in zip(_fmul(acc, g, kf), rows[lo:lo + d])]
+    return _fmul(acc, (gen ** shift).rows or zero, kf) if shift else acc
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +285,6 @@ def is_key(v: MacLaneVal, phi: KPoly) -> bool:
         return False
     if phi.gauss_val() < 0:
         return False
-    if v.is_gauss:
-        red = reduce_poly(v, phi)
-        if v.eval(phi) != 0:
-            return False
-        return is_irreducible(red.poly)
     if phi.degree == v.deg and v.equiv(phi, v.centre):
         return True
     if phi.degree % v.deg:
@@ -306,10 +304,10 @@ def _balanced(x: int, p: int) -> int:
 
 def _lift_subfield_elem(K, t) -> KPoly:
     """Integer lift of a residue element with balanced coordinates."""
-    return K.elem(*[_balanced(x, K.p) for x in t.coords])
+    return K.elem(*[_balanced(x, K.p) for x in t.rows])
 
 
-def _decompose_over_step(tower: ResidueTower, level: int, c: FFElem):
+def _decompose_over_step(tower: ResidueTower, level: int, c: FFPoly):
     """Write c in k_level as sum emb(t_j) * gen^j, j < rel degree of the step:
     the basis rows of the step map the coordinates of c to those of the t_j."""
     sub, basis = tower.fields[level - 1], tower.bases[level - 1]
@@ -317,15 +315,15 @@ def _decompose_over_step(tower: ResidueTower, level: int, c: FFElem):
         return [c]
     p, d = sub.p, sub.degree
     flat = [0] * len(basis)
-    for x, row in zip(c.coords, basis):
+    for x, row in zip(c.rows, basis):
         if x:
             flat = [a + x * r for a, r in zip(flat, row)]
-    return [FFElem._of(sub, [a % p for a in flat[lo:lo + d]])
+    return [FFPoly._of(sub, [a % p for a in flat[lo:lo + d]])
             for lo in range(0, len(flat), d)]
 
 
 def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
-                c: FFElem) -> KPoly:
+                c: FFPoly) -> KPoly:
     """Preimage construction: a in K[x] with deg a < deg phi_{level+1},
     value alpha = scaled_alpha / e_level at depth ``level``, and
     rho(H(level, alpha, a)) = c."""

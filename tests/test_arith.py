@@ -16,9 +16,11 @@ from clusterfibre.errors import InputError, InternalInconsistency
 from clusterfibre.field import (BaseField, KPoly, expansion_scope,
                                 extend_unramified, discriminant_val)
 from clusterfibre import field
-from clusterfibre.ff import (FField, FFElem, FFPoly, prime_field, ff_factor, ff_extend,
+from clusterfibre.ff import (FField, FFPoly, prime_field, ff_factor, ff_extend,
                              is_irreducible, find_irreducible_int_poly, find_irreducible_over)
 from clusterfibre import ff
+
+from guards import refuse_constant_arithmetic
 
 
 def _qparse(text):
@@ -890,7 +892,7 @@ class TestFiniteFields:
             for _ in range(40):
                 coeffs = [rng.randrange(p) for _ in range(rng.randrange(2, 9))] + [1]
                 f = FFPoly.from_ints(k, coeffs)
-                prod = FFPoly.const(k, f.lead())
+                prod = f.lead()
                 for g, mult in ff_factor(f, random.Random(99)):
                     assert is_irreducible(g)
                     assert g.is_zero() or g.lead() == k.one
@@ -902,7 +904,7 @@ class TestFiniteFields:
         # x^9 - x over F_3 = prod of all monic linear and quadratic-free parts
         k = prime_field(3)
         f = FFPoly.from_ints(k, [0, -1] + [0] * 7 + [1])
-        prod = FFPoly.const(k, k.one)
+        prod = k.one
         for g, mult in ff_factor(f):
             for _ in range(mult):
                 prod = prod * g
@@ -958,7 +960,7 @@ class TestFiniteFields:
         F9 = FField(3, find_irreducible_int_poly(3, 2))
         monkeypatch.setattr(ff, "is_irreducible", spy)
         for F_, h in ((k, FFPoly.from_ints(k, [-1, 1])), (k, FFPoly.from_ints(k, [3, 2])),
-                      (F9, FFPoly.x(F9).scale(F9.gen) + FFPoly.const(F9, F9.one))):
+                      (F9, FFPoly.x(F9) * F9.gen + F9.one)):
             G, emb, root, basis = ff_extend(F_, h)
             assert G is F_ and basis is None and h.evaluate(root).is_zero()
         assert calls == []
@@ -991,7 +993,7 @@ def _gauss_count(q, n):
 
 
 def _school_divmod(a, b):
-    """Schoolbook long division on FFElem lists (b nonzero, trimmed)."""
+    """Schoolbook long division on lists of constants (b nonzero, trimmed)."""
     k = b[0].field
     rem = list(a)
     quo = [k.zero] * max(0, len(rem) - len(b) + 1)
@@ -1016,7 +1018,7 @@ def _school_mul(a, b):
 
 
 def _monic_polys(k, n):
-    """All monic degree-n polynomials over k, as FFElem lists."""
+    """All monic degree-n polynomials over k, as lists of constants."""
     elems = [k.elem(tuple((v // k.p ** u) % k.p for u in range(k.degree)))
              for v in range(k.order)]
     for code in range(k.order ** n):
@@ -1052,7 +1054,7 @@ def _kernel_polys(draw, k, max_len=8):
                 coords[0] = 1
         else:
             coords = [c + k.p * draw(st.integers(-2, 2)) for c in coords]
-        coeffs.append(FFElem(k, tuple(coords)))
+        coeffs.append(k.elem(coords))
     return FFPoly(k, coeffs)
 
 
@@ -1072,7 +1074,7 @@ class TestResidueKernels:
         k = BaseField(5, 2).residue_field
         f = FFPoly.from_ints(k, [2, 1, 0, 1])
         for c in (k.elem(3), k.gen, k.gen + k.one):
-            assert is_irreducible(f.scale(c)) == is_irreducible(f)
+            assert is_irreducible(f * c) == is_irreducible(f)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -1084,7 +1086,7 @@ class TestResidueKernels:
         assert a * b == FFPoly(k, _school_mul(a.coeffs, b.coeffs))
         # division may pass an input coefficient through unchanged, so it is
         # compared up to the representatives of the coordinates
-        canon = lambda cs: FFPoly(k, [k.elem(c.coords) for c in cs])
+        canon = lambda cs: FFPoly(k, [k.elem(c.rows) for c in cs])
         quo, rem = a.divmod(f)
         ref_quo, ref_rem = _school_divmod(a.coeffs, f.coeffs)
         assert (canon(quo.coeffs), canon(rem.coeffs)) == (canon(ref_quo), canon(ref_rem))
@@ -1101,14 +1103,16 @@ class TestResidueKernels:
     @given(data=st.data())
     def test_scalar_steps_match_the_general_product(self, data):
         # over F_p an element product is one product and one residue, and a
-        # scaled polynomial matches the packed product by a constant
+        # product with a constant factor matches the packed product, taken
+        # here as a * (X + c) - a * X
         k = data.draw(st.sampled_from([prime_field(3), prime_field(10007),
                                        prime_field(1_000_000_007), prime_field(2 ** 61 - 1)]))
         a = data.draw(_kernel_polys(k))
         x, y = (data.draw(st.integers(0, k.p - 1)) for _ in range(2))
         assert ff._fmul([x], [y], k) == [c % k.p for c in ff._theta_reduce(ff._conv([x], [y]), k.modulus)]
-        assert (k.elem(x) * k.elem(y)).coords == ((x * y) % k.p,)
-        assert a.scale(k.elem(y)) == a * FFPoly.const(k, k.elem(y))
+        assert k.elem(x) * k.elem(y) == k.elem(x * y)
+        c = k.elem(y)
+        assert a * c == c * a == a * (FFPoly.x(k) + c) - a.shift(1)
 
     @pytest.mark.parametrize("k", _KERNEL_FIELDS, ids=repr)
     def test_kernels_at_largest_digits(self, k):
@@ -1132,7 +1136,7 @@ class TestResidueKernels:
     def test_prime_field_inverse(self):
         k = prime_field(10007)
         for c in (1, 2, 5003, 10006, 10007 + 3):
-            x = FFElem(k, (c,))
+            x = k.elem(c)
             assert (x * x.inverse()) == k.one
 
     @settings(max_examples=100, deadline=None)
@@ -1140,7 +1144,7 @@ class TestResidueKernels:
     def test_inverse_over_every_degree(self, p, d, data):
         k = _small_field(p, d)
         coords = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d).filter(any))
-        a = FFElem(k, coords)
+        a = k.elem(coords)
         assert a * a.inverse() == k.one
         assert a.inverse().inverse() == a
 
@@ -1157,7 +1161,7 @@ class TestResidueKernels:
         rng = random.Random(15)
         for k in fields:
             for _ in range(20):
-                a = FFElem(k, [rng.randrange(k.p) for _ in range(k.degree)])
+                a = k.elem([rng.randrange(k.p) for _ in range(k.degree)])
                 if not a.is_zero():
                     assert a * a.inverse() == k.one
         assert calls == []
@@ -1209,7 +1213,7 @@ def _unsieved_search(k, t):
         for _ in range(t * k.degree):
             c, digit = divmod(c, k.p)
             rows.append(digit)
-        cand = FFPoly._of(k, rows + list(k.one.coords))
+        cand = FFPoly._of(k, rows + list(k.one.rows))
         if is_irreducible(cand):
             return cand
     raise AssertionError("no irreducible polynomial")
@@ -1232,15 +1236,20 @@ def _elements(k):
     return [k.elem(ff._coordinates(n, k.p, k.degree)) for n in range(k.order)]
 
 
+def _flat(c):
+    """The d coordinates of the constant c; a zero constant has no rows."""
+    return list(c.rows or (0,) * c.field.degree)
+
+
 def _trinomial_tail(k, t, c1):
     """The flat coordinates of the coefficients of X .. X^t of X^t + c_1 X."""
-    return list(c1.coords) + [0] * ((t - 2) * k.degree) + list(k.one.coords)
+    return _flat(c1) + [0] * ((t - 2) * k.degree) + list(k.one.rows)
 
 
 def _trinomials(k, t):
     """Every X^t + c_1 X + c_0 over k."""
     elements = _elements(k)
-    return [FFPoly._of(k, list(c0.coords) + _trinomial_tail(k, t, c1))
+    return [FFPoly._of(k, _flat(c0) + _trinomial_tail(k, t, c1))
             for c1 in elements for c0 in elements]
 
 
@@ -1261,11 +1270,11 @@ class TestIrreducibleSearch:
         elements = _elements(k)
         rng = random.Random(p * 100 + d * 10 + t)
         for _ in range(3):
-            tail = [rng.randrange(p) for _ in range((t - 1) * d)] + list(k.one.coords)
+            tail = [rng.randrange(p) for _ in range((t - 1) * d)] + list(k.one.rows)
             with_root = set()
             if t > 1:
                 for n, c0 in enumerate(elements):
-                    cand = FFPoly._of(k, list(c0.coords) + tail)
+                    cand = FFPoly._of(k, _flat(c0) + tail)
                     if any(cand.evaluate(a).is_zero() for a in elements):
                         with_root.add(n)
             assert ff._rooted_constants(k, tail) == with_root
@@ -1279,10 +1288,10 @@ class TestIrreducibleSearch:
         # the blocks are numbered by c_1, brute force decides both rules
         k = _small_field(p, d)
         elements = _elements(k)
-        number = {c.coords: n for n, c in enumerate(elements)}
+        number = {tuple(_flat(c)): n for n, c in enumerate(elements)}
         ruled_out = set()
-        if not any(is_irreducible(FFPoly._of(k, list(c.coords) + [0] * ((t - 1) * d)
-                                             + list(k.one.coords))) for c in elements):
+        if not any(is_irreducible(FFPoly._of(k, _flat(c) + [0] * ((t - 1) * d)
+                                             + list(k.one.rows))) for c in elements):
             ruled_out.add(0)
         if t == p:
             ruled_out |= {n for n, c in enumerate(elements)
@@ -1309,7 +1318,7 @@ class TestIrreducibleSearch:
         elements = _elements(k)
         for t in range(1, 13):
             found = any(is_irreducible(FFPoly._of(
-                k, list(c.coords) + [0] * ((t - 1) * d) + list(k.one.coords))) for c in elements)
+                k, _flat(c) + [0] * ((t - 1) * d) + list(k.one.rows))) for c in elements)
             assert ff._has_irreducible_binomial(k.order, t) == found, (k.order, t)
 
     @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
@@ -1319,7 +1328,7 @@ class TestIrreducibleSearch:
         k = _small_field(p, d)
         elements = _elements(k)
         for code, c1 in enumerate(elements):
-            tail = list(c1.coords) + [0] * ((p - 2) * d) + list(k.one.coords)
+            tail = _flat(c1) + [0] * ((p - 2) * d) + list(k.one.rows)
             bijective = len({a ** p + c1 * a for a in elements}) == k.order
             assert ff._barren(k, p, code, tail) == bijective, (k.order, c1)
 
@@ -1376,7 +1385,7 @@ class TestIrreducibleSearch:
 
 
 # A model of the residue layer on lists of coordinate tuples, one tuple per
-# coefficient: the FFElem-object loops the flat representation replaced,
+# coefficient: the element-object loops the flat representation replaced,
 # with their own element product (schoolbook, then reduction by the
 # modulus) and inverse by x^(q - 2).
 
@@ -1394,7 +1403,7 @@ def _m_elem_mul(k, a, b):
 
 
 def _m_elem_inv(k, a):
-    n, result, base = k.order - 2, k.one.coords, a
+    n, result, base = k.order - 2, k.one.rows, a
     while n:
         if n & 1:
             result = _m_elem_mul(k, result, base)
@@ -1411,7 +1420,7 @@ def _m_trim(k, cs):
 
 
 def _m_add(k, a, b, sign=1):
-    zero = k.zero.coords
+    zero = (0,) * k.degree
     n = max(len(a), len(b))
     a, b = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
     return _m_trim(k, [[x + sign * y for x, y in zip(u, v)] for u, v in zip(a, b)])
@@ -1420,7 +1429,7 @@ def _m_add(k, a, b, sign=1):
 def _m_mul(k, a, b):
     if not a or not b:
         return []
-    out = [k.zero.coords] * (len(a) + len(b) - 1)
+    out = [(0,) * k.degree] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = tuple(s + t for s, t in zip(out[i + j], _m_elem_mul(k, x, y)))
@@ -1429,7 +1438,7 @@ def _m_mul(k, a, b):
 
 def _m_divmod(k, a, b):
     rem = list(a)
-    quo = [k.zero.coords] * max(0, len(a) - len(b) + 1)
+    quo = [(0,) * k.degree] * max(0, len(a) - len(b) + 1)
     inv = _m_elem_inv(k, b[-1])
     for i in range(len(a) - len(b), -1, -1):
         c = quo[i] = _m_elem_mul(k, rem[i + len(b) - 1], inv)
@@ -1453,7 +1462,7 @@ def _m_derivative(k, a):
 
 
 def _m_pow_mod(k, a, n, f):
-    result, square = [k.one.coords], _m_divmod(k, a, f)[1]
+    result, square = [k.one.rows], _m_divmod(k, a, f)[1]
     while n:
         if n & 1:
             result = _m_divmod(k, _m_mul(k, result, square), f)[1]
@@ -1470,7 +1479,7 @@ def _coords(f):
     assert isinstance(rows, tuple) and len(rows) % d == 0
     assert all(0 <= c < k.p for c in rows)
     assert not rows or any(rows[-d:])
-    return [c.coords for c in f.coeffs]
+    return [rows[lo:lo + d] for lo in range(0, len(rows), d)]
 
 
 class TestFlatResidueRepresentation:
@@ -1496,16 +1505,17 @@ class TestFlatResidueRepresentation:
         assert _coords(a.monic()) == _m_monic(k, ma)
         assert _coords(a.derivative()) == _m_derivative(k, ma)
         n = data.draw(st.integers(0, 10 ** 4))
-        expected = _m_pow_mod(k, ma, n, mf) if n else [k.one.coords]
+        expected = _m_pow_mod(k, ma, n, mf) if n else [k.one.rows]
         assert _coords(a.pow_mod(n, f)) == expected
         c = k.elem(tuple(data.draw(st.integers(0, k.p - 1)) for _ in range(k.degree)))
-        assert _coords(a.scale(c)) == _m_trim(k, [_m_elem_mul(k, x, c.coords) for x in ma])
-        assert _coords(a.shift(2)) == (_m_trim(k, [k.zero.coords] * 2 + ma) if ma else [])
+        mc = _coords(c) or [(0,) * k.degree]
+        assert _coords(a * c) == _coords(c * a) == _m_trim(k, [_m_elem_mul(k, x, mc[0]) for x in ma])
+        assert _coords(a.shift(2)) == (_m_trim(k, [(0,) * k.degree] * 2 + ma) if ma else [])
 
     @pytest.mark.parametrize("k", _KERNEL_FIELDS, ids=repr)
     def test_zero_and_constant_operands(self, k):
-        zero, one = FFPoly(k, []), FFPoly.const(k, k.one)
-        c = FFPoly.const(k, k.elem((k.p - 1,) * k.degree))
+        zero, one = FFPoly(k, []), k.one
+        c = k.elem((k.p - 1,) * k.degree)
         f = FFPoly(k, [k.gen, k.one, k.elem(2)])
         for a in (zero, one, c, f):
             ma = _coords(a)
@@ -1531,21 +1541,36 @@ class TestFlatResidueRepresentation:
                 continue
             inv = x.inverse()
             assert inv == x ** (k.order - 2)
-            assert inv.coords == _m_elem_inv(k, x.coords)
+            assert inv.rows == _m_elem_inv(k, x.rows)
             assert x * inv == k.one
 
     def test_constructor_reduces_coordinates(self):
         # the public constructor takes any representative of a class mod p
         for k in (prime_field(5), FField(5, (2, 1, 1))):
             d = k.degree
-            zero = FFElem(k, (5, -10)[:d])
+            zero = k.elem((5, -10)[:d])
             assert zero.is_zero() and zero == k.zero and hash(zero) == hash(k.zero)
             with pytest.raises(ZeroDivisionError):
                 zero.inverse()
-            x = FFElem(k, (7, -4)[:d])
-            assert x.coords == (2, 1)[:d] and x == k.elem((2, 1)[:d])
+            x = k.elem((7, -4)[:d])
+            assert x.rows == (2, 1)[:d] and x == k.elem((2, 1)[:d])
             assert x.inverse() == k.elem((2, 1)[:d]).inverse()
             assert x * x.inverse() == k.one
+
+    def test_elem_takes_at_most_degree_coordinates(self):
+        with pytest.raises(InputError, match="coordinates"):
+            prime_field(5).elem((1, 2))
+        with pytest.raises(InputError, match="coordinates"):
+            FField(5, (2, 1, 1)).elem((1, 2, 3))
+        k = FField(5, (2, 1, 1))
+        assert k.elem((6,)) == k.elem((1, 0)) == k.one and k.elem(()) == k.zero
+
+    def test_negative_shift_raises(self):
+        k = prime_field(5)
+        for f in (FFPoly.x(k), k.one, k.zero):
+            with pytest.raises(InputError, match="negative"):
+                f.shift(-1)
+        assert FFPoly.x(k).shift(0) == FFPoly.x(k)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1553,7 +1578,7 @@ class TestFlatResidueRepresentation:
         # the flat key sorts as (number of coefficients, coordinate tuples)
         k = data.draw(st.sampled_from(_KERNEL_FIELDS[:4]))
         polys = data.draw(st.lists(_kernel_polys(k, max_len=4), min_size=2, max_size=6))
-        reference = lambda f: (len(f.coeffs), [c.coords for c in f.coeffs])
+        reference = lambda f: (len(f.coeffs), _coords(f))
         assert sorted(polys, key=FFPoly.key) == sorted(polys, key=reference)
         # a linear factor sorts before a quadratic one with a smaller constant
         f = FFPoly.from_ints(prime_field(3), [2, 1, 2, 1])  # (X + 2)(X^2 + 1) over GF(3)
@@ -1561,27 +1586,26 @@ class TestFlatResidueRepresentation:
 
     def test_kernels_run_on_ints(self, monkeypatch):
         # divmod, gcd, pow_mod, is_irreducible and ff_factor never multiply
-        # FFElem objects, and the first four never raise one to a power
+        # two constants, and the first four never raise one to a power;
+        # ff_factor takes the p-th roots of coefficients as powers of
+        # constants, and only the products inside those powers are allowed
         k = BaseField(5, 2).residue_field
         g = FFPoly(k, [k.gen, k.elem(3), k.one])
         h = FFPoly(k, [k.elem(2), k.gen + k.one])
         f = g * g * g * g * g * h * FFPoly.x(k).shift(3)  # a 5th power: Frobenius roots
         expected = (f.divmod(h), f.gcd(g * h), g.pow_mod(k.order ** 2, f),
                     is_irreducible(g), is_irreducible(f), ff_factor(f, random.Random(1)))
-
-        def forbidden(*args):
-            raise AssertionError("FFElem arithmetic in a kernel")
-
-        monkeypatch.setattr(FFElem, "__mul__", forbidden)
-        monkeypatch.setattr(FFElem, "__pow__", forbidden)
+        refuse_constant_arithmetic(monkeypatch, powers=False)
         assert (f.divmod(h), f.gcd(g * h), g.pow_mod(k.order ** 2, f),
                 is_irreducible(g), is_irreducible(f)) == expected[:5]
         monkeypatch.undo()
-        monkeypatch.setattr(FFElem, "__mul__", forbidden)
+        refuse_constant_arithmetic(monkeypatch)
         assert ff_factor(f, random.Random(1)) == expected[5]
+        with pytest.raises(AssertionError, match="constant __mul__"):
+            k.gen * k.gen  # the guard is live
 
     # (p, field modulus, h as coordinate tuples) -> (modulus of G, embedding
-    # matrix, root), as the FFElem-object construction produced them
+    # matrix, root), as the element-object construction produced them
     _EXTEND_PINS = [
         (3, (0, 1), [(1,), (0,), (1,)], ((1, 0, 1), [(1, 0)], (0, 1))),
         (5, (2, 0, 1), [(1, 0), (1, 0), (0, 0), (1, 0)],
@@ -1598,8 +1622,8 @@ class TestFlatResidueRepresentation:
     @pytest.mark.parametrize("p,modulus,h,expected", _EXTEND_PINS)
     def test_ff_extend_pins(self, p, modulus, h, expected):
         F = FField(p, modulus)
-        G, emb, root, _ = ff_extend(F, FFPoly(F, [FFElem(F, c) for c in h]))
-        assert (G.modulus, emb.matrix, root.coords) == expected
+        G, emb, root, _ = ff_extend(F, FFPoly(F, [F.elem(c) for c in h]))
+        assert (G.modulus, emb.matrix, root.rows) == expected
 
 
 # Outputs of extend_unramified and of ff_extend with a nonlinear modulus,
@@ -1620,7 +1644,7 @@ class TestUnramifiedExtension:
     def test_pinned_extensions(self, case, monkeypatch):
         if case["h"] is not None:
             monkeypatch.setattr(field, "find_irreducible_over",
-                                lambda k, t: FFPoly._of(k, case["h"] + list(k.one.coords)))
+                                lambda k, t: FFPoly._of(k, case["h"] + list(k.one.rows)))
         calls = []
         solve = field._zsolve
         monkeypatch.setattr(field, "_zsolve", lambda *args: calls.append(args) or solve(*args))
@@ -1641,7 +1665,7 @@ class TestUnramifiedExtension:
         G, emb, root, basis = ff_extend(F, FFPoly._of(F, case["h"]))
         assert list(G.modulus) == case["modulus"]
         assert [list(col) for col in emb.matrix] == case["emb"]
-        assert list(root.coords) == case["root"]
+        assert list(root.rows) == case["root"]
         assert [list(row) for row in basis] == case["basis"]
         assert len(calls) == case["tries"]  # one elimination per generator tested
 

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from clusterfibre import newton
 from clusterfibre.cli import parse_poly
 from clusterfibre.clusters import build_cluster_tree, cluster_chain
-from clusterfibre.field import BaseField
-from clusterfibre.ff import (FFElem, FFPoly, FField, ff_extend,
+from clusterfibre.field import BaseField, KPoly
+from clusterfibre.ff import (FFPoly, FField, ff_extend,
                              find_irreducible_int_poly, is_irreducible, prime_field)
 from clusterfibre.rationals import OO
 from clusterfibre.errors import InputError
@@ -21,6 +21,7 @@ from clusterfibre.newton import (newton_polygon, reduce_poly, residue_tower,
                                  is_key, lift_key, ResidueTower)
 
 from graded import graded_H
+from guards import refuse_constant_arithmetic
 
 
 def _chains(p):
@@ -188,6 +189,30 @@ class TestIsKeyAugment:
         assert not is_key(v0, K.poly([-5, 0, 1]))  # X^2 reducible mod 5
         assert is_key(v0, K.poly([2, 0, 1]))  # x^2+2 irreducible mod 5
 
+    @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2)])
+    def test_gauss_needs_no_branch_of_its_own(self, p, m):
+        # the general test at Gauss against the branch it once had there:
+        # reduce, return False when v(phi) != 0, else test the reduction for
+        # irreducibility; every monic phi of degree 1 - 3 with coefficients
+        # in {-p^2, -p, -2, ..., p + 1} (and theta, p theta, 1 - theta for
+        # m = 2), so both x + (multiple of p) and x + unit occur
+        K = BaseField(p, m)
+        v0 = MacLaneVal.gauss(K)
+        values = [K.rat(c) for c in [-p * p, -p] + list(range(-2, p + 2))]
+        if m == 2:
+            values += [K.theta, K.rat(p) * K.theta, K.one - K.theta]
+        verdicts = []
+        for n in range(1, 4):
+            for code in range(len(values) ** n):
+                coeffs = [values[code // len(values) ** i % len(values)] for i in range(n)]
+                phi = KPoly(K, coeffs + [K.one])
+                red = reduce_poly(v0, phi)
+                old = v0.eval(phi) == 0 and is_irreducible(red.poly)
+                assert is_key(v0, phi) == old, phi
+                verdicts.append(old)
+        assert len(verdicts) == sum(len(values) ** n for n in (1, 2, 3))
+        assert True in verdicts and False in verdicts
+
 
 class TestLiftKey:
     def test_lift_over_v1_matches_example(self):
@@ -310,15 +335,15 @@ class TestStepDecomposition:
         tower = _TOWERS[name]()
         level = data.draw(st.integers(1, len(tower.fields) - 1))
         kf, sub = tower.fields[level], tower.fields[level - 1]
-        c = FFElem(kf, tuple(data.draw(st.lists(st.integers(0, kf.p - 1),
-                                                 min_size=kf.degree, max_size=kf.degree))))
+        c = kf.elem(data.draw(st.lists(st.integers(0, kf.p - 1),
+                                       min_size=kf.degree, max_size=kf.degree)))
         parts = newton._decompose_over_step(tower, level, c)
         assert len(parts) == kf.degree // sub.degree
         assert all(t.field is sub for t in parts)
         emb, gen = tower.embeddings[level - 1], tower.gens[level]
         total = kf.zero
         for j, t in enumerate(parts):
-            total = total + FFElem(kf, emb.image(t.coords)) * gen ** j
+            total = total + emb.map_poly(t) * gen ** j
         assert total == c
 
     def test_degree_one_step_returns_c(self):
@@ -335,8 +360,52 @@ class TestStepDecomposition:
         c = tower.top.gen
         t0, t1 = newton._decompose_over_step(tower, 2, c)
         emb, kf = tower.embeddings[1], tower.top
-        assert FFElem(kf, emb.image(t0.coords)) + FFElem(kf, emb.image(t1.coords)) * tower.gens[2] == c
+        assert emb.map_poly(t0) + emb.map_poly(t1) * tower.gens[2] == c
         assert "solve" not in inspect.getsource(newton._decompose_over_step)
+
+
+class TestElementsAreConstants:
+    """An element of a residue field is a constant FFPoly: d rows, or none
+    for zero."""
+
+    def test_every_element_is_a_constant(self):
+        tower = _TOWERS["F3-F9-F81"]()
+        k, sub = tower.top, tower.fields[1]
+        f = FFPoly(k, [k.gen, k.zero, k.one])
+        _, _, linear_root, _ = ff_extend(k, FFPoly(k, [k.one, k.gen]))
+        elements = {
+            k: [k.zero, k.one, k.gen, k.elem((1, 2)), k.elem(4), f[0], f[1], f[2], f[7],
+                f.lead(), *f.coeffs, tower.gens[2], linear_root],
+            sub: [tower.gens[1], *newton._decompose_over_step(tower, 2, k.gen + k.one)],
+        }
+        for field_, values in elements.items():
+            for c in values:
+                assert isinstance(c, FFPoly) and c.field is field_ and c.degree < 1
+                assert len(c.rows) == (0 if c.is_zero() else field_.degree)
+        assert f[1] == k.zero and f[1].rows == ()
+
+    def test_constructor_takes_constants_only(self):
+        k, other = FField(5, (2, 1, 1)), FField(5, (2, 1, 1))
+        for bad in (FFPoly.x(k), other.one, 3, (1, 0)):
+            with pytest.raises(InputError, match="constant"):
+                FFPoly(k, [k.one, bad])
+        assert FFPoly(k, [k.zero, k.one]) == FFPoly.x(k)
+
+    def test_inverse_and_negative_powers(self):
+        k = FField(5, (2, 1, 1))
+        x = FFPoly.x(k)
+        with pytest.raises(ZeroDivisionError):
+            k.zero.inverse()
+        with pytest.raises(InputError, match="constant"):
+            x.inverse()
+        with pytest.raises(InputError, match="constant"):
+            x ** -1
+        for c in (k.one, k.gen, k.elem((3, 4)), k.elem(2)):
+            for n in range(1, 6):
+                assert c ** -n == c.inverse() ** n
+                assert c ** n * c ** -n == k.one
+        assert k.gen ** 0 == x ** 0 == k.one and k.zero ** 3 == k.zero
+        assert x ** 3 == x * x * x and (x + k.gen) ** 2 == (x + k.gen) * (x + k.gen)
 
 
 def _pick_irreducible(k, d, avoid_x=False):
@@ -373,7 +442,7 @@ def _model_embed(emb, c):
     """emb(c) from the embedding matrix, column by column."""
     if emb.matrix is None:
         return c
-    return emb.dst.elem([sum(x * col[i] for x, col in zip(c.coords, emb.matrix))
+    return emb.dst.elem([sum(x * col[i] for x, col in zip(c.rows, emb.matrix))
                          for i in range(emb.dst.degree)])
 
 
@@ -537,7 +606,7 @@ class TestGradedDescent:
                 newton._rho(tower, level, shift, poly.rows)
             return
         got = newton._rho(tower, level, shift, poly.rows)
-        assert FFElem._of(tower.fields[level], got) == _model_rho(tower, level, shift, poly)
+        assert FFPoly._of(tower.fields[level], got) == _model_rho(tower, level, shift, poly)
 
     def test_zero_generator_with_shift_zero(self):
         # gen = 0 keeps only the constant coefficient, and only at shift 0
@@ -590,12 +659,13 @@ class TestGradedDescent:
         assert deep  # the descent went below the top level
 
     def test_no_element_objects_in_the_descent(self, monkeypatch):
+        # the descent adds and multiplies coordinates, never two constants;
+        # the products inside the power of a step generator in _rho are the
+        # only ones allowed
         sample = _sample(12)
         want = [_model_reduce(v, g) for v, g in sample]
-
-        def refuse(*args):
-            raise AssertionError("element-object arithmetic inside reduce_poly")
-
-        for name in ("__add__", "__mul__"):
-            monkeypatch.setattr(FFElem, name, refuse)
+        refuse_constant_arithmetic(monkeypatch, ("__add__", "__mul__"))
         assert [_fields(reduce_poly(v, g)) for v, g in sample] == want
+        k = residue_tower(sample[0][0]).top
+        with pytest.raises(AssertionError, match="constant __add__"):
+            k.one + k.one  # the guard is live

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterfibre import newton, valuation
-from clusterfibre.ff import FFElem, FFPoly
+from clusterfibre.ff import FFPoly
 from clusterfibre.field import BaseField, KPoly
 from clusterfibre.errors import InputError
 from clusterfibre.newton import is_key, newton_polygon, reduce_poly, residue_tower
@@ -255,13 +255,13 @@ def _brute_force_edges(points):
 
 
 def _model_rho(tower, level, shift, poly):
-    """X^shift * poly(X) at the step generator of ``level``, one FFElem
+    """X^shift * poly(X) at the step generator of ``level``, one constant
     term emb(c_j) * gen^(shift + j) per coefficient."""
     emb, gen, kf = tower.embeddings[level - 1], tower.gens[level], tower.fields[level]
     acc = kf.zero
     for j, c in enumerate(poly.coeffs):
         if not c.is_zero():
-            acc = acc + FFElem(kf, emb.image(c.coords)) * gen ** (shift + j)
+            acc = acc + emb.map_poly(c) * gen ** (shift + j)
     return acc
 
 
