@@ -276,6 +276,8 @@ def _build_parser():
 
 
 def _input_poly(args, K):
+    if args.coeffs and args.expression:
+        raise InputError("give the polynomial once: an expression or --coeffs")
     if args.coeffs:
         return K.poly(_coefficient_list(args.coeffs))
     if not args.expression:

@@ -125,7 +125,6 @@ class ClusterTree:
         self.root = root
         self.mode = mode
         self.shift = shift
-        self.orphan_leaf: Optional[LeafOrbit] = None
         self.nodes: List[ClusterNode] = list(root.descendants()) if root else []
         for idx, n in enumerate(self.nodes):
             n.id = idx
@@ -179,7 +178,6 @@ class _Builder:
         self.K = K
         self.rng = random.Random(seed)
         self.root: Optional[ClusterNode] = None
-        self.orphan_leaf: Optional[LeafOrbit] = None
         self.exact_bound = exact_bound  # () -> the depth bound, computed once
         self.geometric = geometric
         # geometric mode: the degree of the first nonlinear residual factor,
@@ -201,13 +199,11 @@ class _Builder:
             parent.children.append(node)
 
     def _attach_leaf(self, leaf: LeafOrbit, parent: Optional[ClusterNode]):
-        if parent is None:
-            # no proper cluster contains this orbit: the whole tree is one leaf
-            if self.root is not None:
-                raise InternalInconsistency("stray orbit outside the tree")
-            self.orphan_leaf = leaf
-        else:
+        if parent is not None:
             parent.leaves.append(leaf)
+        elif self.root is not None:
+            # an orbit in no proper cluster must be the whole of f
+            raise InternalInconsistency("stray orbit outside the tree")
 
     def _context(self, prefix: MacLaneVal, phi: KPoly, bound, parent, depth) -> bool:
         """Discover the clusters below (prefix, phi); True when the build
@@ -301,7 +297,6 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
         work_K, embed = extend_unramified(work_K, grow)
         work_f = KPoly(work_K, [embed(c) for c in work_f.coeffs])
     tree = ClusterTree(work_K, work_f, root, mode, shift)
-    tree.orphan_leaf = builder.orphan_leaf
     if root is not None:
         assign_centres(tree)
         _build_cluster_chains(tree)

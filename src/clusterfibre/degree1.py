@@ -106,7 +106,7 @@ def tree_signature(node):
 # The degree-1 specialization of the fibre description, root-data only.
 
 
-def oracle_fibre_graph(roots, p, lead_val=0):
+def oracle_fibre_graph(roots, p):
     """Dual graph of the special fibre for a product of linear factors,
     computed from the explicit roots alone (geometric presentation).
 
@@ -146,7 +146,7 @@ def oracle_fibre_graph(roots, p, lead_val=0):
         b = e // eps
         h = e * lam
         ell = pow(int(h), -1, b) % b if b > 1 else 0
-        nu_v = Fraction(lead_val)
+        nu_v = Fraction(0)
         for r_ in roots:
             m = c
             while m is not None and r_ not in m.roots:

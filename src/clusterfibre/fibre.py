@@ -37,12 +37,9 @@ from .rationals import qstr
 # Farey / unimodular chains
 
 
-def simplest_between(lo: Fraction, hi) -> Fraction:
-    """Smallest-denominator fraction strictly inside (lo, hi); hi may be None
-    for an unbounded interval."""
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """Smallest-denominator fraction strictly inside (lo, hi)."""
     n = lo.numerator // lo.denominator  # floor
-    if hi is None:
-        return Fraction(n + 1)
     if lo < n + 1 < hi:
         return Fraction(n + 1)
     frac = lo - n

@@ -119,8 +119,6 @@ def residue_tower(v: MacLaneVal) -> ResidueTower:
         return v._tower
     if v.is_gauss:
         tower = ResidueTower([v.field.residue_field], [], [None], [])
-    elif v.is_pseudo:
-        tower = residue_tower(v.prefix)
     else:
         base = residue_tower(v.prefix)
         # the modulus of the step is the reduction of the new centre, taken
@@ -255,8 +253,6 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     if v.is_gauss:
         alpha = v._scaled(0, f)
         return Reduction(f.residue(alpha), Fraction(alpha), 0, f.degree, 1, 0)
-    if v.is_pseudo:
-        raise InputError("reduction with respect to an infinite pseudo-valuation")
     tower = residue_tower(v)
     n = v.depth
     e_n, h_n = v.e_rel[n], v.h_rel[n]

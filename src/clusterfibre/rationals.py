@@ -1,9 +1,9 @@
 """Exact rational arithmetic extended by a single point at infinity.
 
 Finite values are ``fractions.Fraction``; the element at infinity is the
-singleton ``OO``.  ``OO`` absorbs addition and dominates every finite value
-in comparisons, which is exactly the arithmetic needed for pseudo-valuations:
-``v(0) = OO``, ``OO + q = OO``, ``q < OO``.
+singleton ``OO``, the value of 0: ``v(0) = OO``, above every finite value,
+no arithmetic.  A valuation compares OO with finite values and never adds
+or scales it.
 
 Throughout the package an "extended rational" means either a Fraction or OO.
 """
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 
 class _Infinity:
-    """The element OO with OO + q = OO and q < OO for every finite q."""
+    """The element OO = v(0): q < OO for every finite q, no arithmetic."""
 
     _instance = None
 
@@ -43,22 +43,6 @@ class _Infinity:
 
     def __ge__(self, other):
         return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        # n * OO for positive multiplicity n; 0 * OO = 0 by the expansion
-        # convention used in augmented valuations.
-        if other == 0:
-            return Fraction(0)
-        if other > 0:
-            return self
-        raise ArithmeticError("negative multiple of OO")
-
-    __rmul__ = __mul__
 
 
 OO = _Infinity()

@@ -144,6 +144,14 @@ class TestCommands:
         assert cli._coefficient_list(" +5, -3/4 ,1") == [5, F(-3, 4), 1]
         assert K.poly(cli._coefficient_list("-5,0,1")) == parse_poly("x^2-5", K)
 
+    @pytest.mark.parametrize("command", ["picture", "selfcheck"])
+    def test_expression_and_coeffs_together_are_bad_input(self, command, capsys):
+        # neither input may silently win over the other
+        assert run([command, "x^2-3", "--prime", "3", "--coeffs=-5,0,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: give the polynomial once: an expression or --coeffs\n"
+
     def test_malformed_input(self, capsys):
         assert run(["picture", "x^2 +", "--prime", "5"]) == 1
         assert run(["picture", "x^2-25", "--prime", "0"]) == 1
@@ -539,8 +547,7 @@ class TestExtensionSearch:
 class TestErrorHierarchy:
     # the raise sites may name the two package errors, and the operator
     # errors of the arithmetic dunder methods
-    RAISED = {"InputError", "InternalInconsistency", "ZeroDivisionError", "TypeError",
-              "ArithmeticError"}
+    RAISED = {"InputError", "InternalInconsistency", "ZeroDivisionError", "TypeError"}
 
     def test_two_error_classes(self):
         # only errors.py defines exception classes, and every raise names
@@ -565,6 +572,26 @@ class TestErrorHierarchy:
         defined = sorted((f, name) for f, name, _ in classes if name in exceptions)
         assert defined == [("errors.py", "InputError"), ("errors.py", "InternalInconsistency")]
         assert [r for r in raised if r[2] not in self.RAISED] == []
+
+    def test_no_unused_imports(self):
+        # a module uses every name it imports; __init__ uses its re-exports
+        # through __all__
+        unused = []
+        for path in sorted(Path(clusterfibre.__file__).parent.glob("*.py")):
+            imported, used = {}, set()
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    if getattr(node, "module", None) != "__future__":
+                        for alias in node.names:
+                            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__" for t in node.targets):
+                    used.update(ast.literal_eval(node.value))
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                       if name not in used]
+        assert unused == []
 
     def test_unclassified_error_is_an_internal_failure(self, monkeypatch, capsys):
         # only InputError means bad input; a plain ValueError is a bug

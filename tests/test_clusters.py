@@ -10,7 +10,6 @@ import pytest
 
 from clusterfibre.errors import InputError, InternalInconsistency
 from clusterfibre.field import BaseField, KPoly, discriminant_val
-from clusterfibre.rationals import OO
 from clusterfibre.clusters import (normalize_input, build_cluster_tree,
                                    cluster_chain, p0_flag, _depth_bound)
 from clusterfibre.degree1 import rational_cluster_tree, oracle_signature, tree_signature
@@ -197,8 +196,7 @@ class TestSmallShapes:
         K = BaseField(5)
         f = K.poly([-5, 1])
         tree = build_cluster_tree(f, K)
-        assert tree.root is None
-        assert tree.orphan_leaf is not None and tree.orphan_leaf.degree == 1
+        assert tree.root is None and tree.nodes == []
 
     def test_deep_path_tree(self):
         # strictly nested degree-1 clusters of sizes 4 > 3 > 2

@@ -9,8 +9,7 @@ from clusterfibre import cli, invariants
 from clusterfibre.field import BaseField
 from clusterfibre.clusters import _verify_tree, build_cluster_tree
 from clusterfibre.errors import InternalInconsistency
-from clusterfibre.invariants import (all_records, nu, genus_double_cover,
-                                     compute_record)
+from clusterfibre.invariants import all_records, nu, genus_double_cover
 from clusterfibre.ff import FFPoly, prime_field
 
 

@@ -13,7 +13,7 @@ from clusterfibre.field import BaseField, KPoly
 from clusterfibre.errors import InputError
 from clusterfibre.newton import is_key, newton_polygon, reduce_poly, residue_tower
 from clusterfibre.rationals import OO
-from clusterfibre.valuation import MacLaneVal, AugStep
+from clusterfibre.valuation import MacLaneVal
 
 from graded import graded_H
 
@@ -47,6 +47,14 @@ class TestGaussAndEval:
         assert v0.eval(K.poly([5, 5, 1])) == 0
         assert v0.eval(K.poly([-5, 0, 0, 5 ** 3])) == 1
         assert v0.eval(K.poly([])) is OO
+
+    def test_zero_has_value_oo_at_every_depth(self):
+        # OO is the value of 0, at every level of a chain, and of 0 only
+        K, v0, v1, v2 = _v13(5)
+        for v in (v0, v1, v2):
+            assert v.eval(K.poly([])) is OO
+            assert all(v._scaled(level, K.poly([])) is OO for level in range(v.depth + 1))
+            assert type(v.eval(K.poly([5 ** 9]))) is F
 
     def test_eval_sextic(self):
         K, v0, v1, v2 = _v13(5)
@@ -82,16 +90,15 @@ class TestGaussAndEval:
                     continue
                 assert v.eval(g * h) == v.eval(g) + v.eval(h)
 
-    def test_pseudo_valuation_eval(self):
-        K, v0, v1, _ = _v13(5)
-        phi = K.poly([-5, 0, 1])
-        vinf = v1.augment_unchecked(phi, OO)
-        assert vinf.is_pseudo
-        assert vinf.eval(phi * K.poly([1, 1])) is OO
-        assert vinf.eval(K.poly([1, 1])) == 0
-
 
 class TestChainValidation:
+    @pytest.mark.parametrize("lam", [OO, 0.5], ids=["OO", "float"])
+    def test_radius_is_an_int_or_a_fraction(self, lam):
+        # every chain is finite: OO is only the value of 0
+        K, _, v1, _ = _v13(5)
+        with pytest.raises(InputError, match="augmentation radius must be an int or a Fraction"):
+            v1.augment_unchecked(K.poly([-5, 0, 1]), lam)
+
     def test_radius_must_increase(self):
         K, _, v1, _ = _v13(5)
         with pytest.raises(InputError, match="augmentation radius must exceed the current centre value"):
@@ -124,28 +131,24 @@ class TestPrefixLinks:
         K, v0, v1, v2 = _v13(5)
         links = []
         real = MacLaneVal._link
-        monkeypatch.setattr(MacLaneVal, "_link",
-                            lambda self, *a: links.append(a[2]) or real(self, *a))
-        w = MacLaneVal(K, v2.steps)
-        # each step checked once, the Gauss level made once
-        assert links == [None] + list(v2.steps)
+        monkeypatch.setattr(MacLaneVal, "_link", lambda self, prefix, step:
+                            links.append((prefix, step)) or real(self, prefix, step))
+        w = MacLaneVal.gauss(K)
+        for step in v2.steps:
+            w = w.augment_unchecked(step.phi, step.lam)
+        # each step checked once, against the chain it extends
+        assert [(prefix.depth, step) for prefix, step in links] == [(0, v2.steps[0]),
+                                                                    (1, v2.steps[1])]
+        assert links[0][0] is w.prefix.prefix and links[1][0] is w.prefix
         assert w == v2 and w.prefix == v1 and w.prefix.prefix.is_gauss
         assert w.prefix.prefix.prefix is None
         assert (w.e_levels, w.e_rel, w.h_rel) == (v2.e_levels, v2.e_rel, v2.h_rel)
+        assert (w.ell, w.ellp) == (v2.ell, v2.ellp)
 
     def test_augmentation_extends_the_prefix(self):
         K, v0, v1, v2 = _v13(5)
-        assert v2.prefix is v1 and v1.prefix is v0
+        assert v2.prefix is v1 and v1.prefix is v0 and v0.prefix is None
         assert v2.e_levels[:-1] == v1.e_levels and v2.ell[:-1] == v1.ell
-
-    def test_infinite_radius_only_last(self):
-        K, v0, v1, _ = _v13(5)
-        pseudo = v1.augment_unchecked(K.poly([-5, 0, 1]), OO)
-        with pytest.raises(InputError, match="only the final radius may be infinite"):
-            pseudo.augment_unchecked(K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5]), F(20, 1))
-        steps = pseudo.steps + (AugStep(K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5]), F(20, 1)),)
-        with pytest.raises(InputError, match="only the final radius may be infinite"):
-            MacLaneVal(K, steps)
 
     def test_chains_are_made_in_valuation_only(self):
         # outside valuation.py a chain comes from gauss() and augmentation
@@ -227,14 +230,8 @@ def _model_eval(v, level, g):
     if level == 0:
         return F(g.gauss_val())
     step = v.steps[level - 1]
-    best = OO
-    for s, a in enumerate(g.phi_expand(step.phi)):
-        if a.is_zero():
-            continue
-        term = _model_eval(v, level - 1, a) + step.lam * s
-        if term is not OO and (best is OO or term < best):
-            best = term
-    return best
+    return min(_model_eval(v, level - 1, a) + step.lam * s
+               for s, a in enumerate(g.phi_expand(step.phi)) if not a.is_zero())
 
 
 def _brute_force_edges(points):
@@ -311,8 +308,7 @@ def _model_reduce(v, f):
 def _chains(p, m):
     """Checked chains over Q_p(theta) (theta = 0 for m = 1), by name:
     'linear' repeats degree 1 (the shape of products of rational roots) and
-    ends with e = 2; 'ramified' has e = 2 and e = 3 at its two levels;
-    'pseudo' is 'ramified' closed by an infinite radius."""
+    ends with e = 2; 'ramified' has e = 2 and e = 3 at its two levels."""
     K = BaseField(p, m)
     t = K.theta if m > 1 else K.zero
     x = K.x()
@@ -323,8 +319,7 @@ def _chains(p, m):
     lin = _key_step(lin, y - K.poly([p]) + K.poly([p * p]) * K.poly([K.one + t]), F(7, 2))
     quad = y * y - K.poly([p])
     ram = _key_step(_key_step(v0, y, F(1, 2)), quad, F(5, 3))
-    pseudo = _key_step(ram, quad ** 3 - K.poly([p ** 5]), OO)
-    return K, {"linear": lin, "ramified": ram, "pseudo": pseudo}
+    return K, {"linear": lin, "ramified": ram}
 
 
 def _key_step(v, phi, lam):
@@ -365,7 +360,7 @@ class TestScaledKernel:
     """eval, newton_polygon, reduce_poly and graded_H on the scaled kernel,
     against the Fraction model of the full descent."""
 
-    @pytest.mark.parametrize("name", ["linear", "ramified", "pseudo"])
+    @pytest.mark.parametrize("name", ["linear", "ramified"])
     @pytest.mark.parametrize("pm", _FIELDS)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -377,15 +372,13 @@ class TestScaledKernel:
             w = _truncation(v, d)
             val = w.eval(g)
             assert val == _model_eval(v, d, g)
-            assert val is OO or type(val) is F
+            assert type(val) is F
             if d < v.depth:
                 phi = v.steps[d].phi
                 points = [(i, _model_eval(v, d, a)) for i, a in enumerate(g.phi_expand(phi))
                           if not a.is_zero()]
                 edges = newton_polygon(w, phi, g)
                 assert [(e.lam, e.i0, e.i1) for e in edges] == _brute_force_edges(points)
-            if w.is_pseudo:
-                continue
             red = reduce_poly(w, g)
             got = (red.poly, red.alpha, red.i0, red.i1, red.b, red.h_exponent)
             assert got == _model_reduce(w, g)
@@ -436,7 +429,6 @@ class TestScaledKernel:
                 del built[:]
                 v.eval(g)
                 assert len(built) <= 1
-                if not v.is_pseudo:
-                    del built[:]
-                    reduce_poly(v, g)
-                    assert len(built) <= 1
+                del built[:]
+                reduce_poly(v, g)
+                assert len(built) <= 1
