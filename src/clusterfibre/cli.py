@@ -23,8 +23,8 @@ from .field import BaseField, KPoly, expansion_scope
 from .rationals import qstr
 from .clusters import build_cluster_tree, cluster_chain, normalize_input
 from .invariants import all_records
-from .fibre import (ChainSpec, assemble, cluster_dicts, export, fibre_graph,
-                    json_text, poly_str)
+from .fibre import (MODE_NAMES, ChainSpec, assemble, cluster_dicts, export,
+                    fibre_graph, json_text, poly_str)
 
 
 # Largest degree an expression may reach, and largest exponent it may use:
@@ -290,7 +290,7 @@ def _render_picture(tree, fmt):
         fib_like = {
             "base_field": {"p": tree.field.p, "m": tree.field.m},
             "normalization_shift": tree.shift,
-            "mode": "geometric" if tree.mode == "geometric" else "arithmetic",
+            "mode": MODE_NAMES[tree.mode],
             "clusters": cluster_dicts(tree),
         }
         return json_text(fib_like) + "\n"

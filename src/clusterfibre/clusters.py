@@ -61,15 +61,14 @@ class LeafOrbit:
     can be lifted on demand.
     """
 
-    __slots__ = ("degree", "residual_degree", "certificate", "parent", "poly",
+    __slots__ = ("degree", "residual_degree", "certificate", "poly",
                  "lift_from", "lift_h")
 
-    def __init__(self, degree, residual_degree, certificate, parent, poly=None,
+    def __init__(self, degree, residual_degree, certificate, poly=None,
                  lift_from=None, lift_h=None):
         self.degree = degree
         self.residual_degree = residual_degree
         self.certificate = certificate  # "divides" | "residual"
-        self.parent = parent
         self.poly = poly  # exact minimal polynomial when certificate == "divides"
         self.lift_from = lift_from
         self.lift_h = lift_h
@@ -220,10 +219,8 @@ class _Builder:
                 raise InternalInconsistency("edge endpoints disagree with reduction")
             if e.i1 == 1:
                 # single orbit of degree = deg phi: a non-proper cluster
-                self._attach_leaf(LeafOrbit(phi.degree, 1, "residual", current,
-                                            lift_from=cand,
-                                            lift_h=red.poly.monic()),
-                                  current)
+                self._attach_leaf(LeafOrbit(phi.degree, 1, "residual", lift_from=cand,
+                                            lift_h=red.poly.monic()), current)
                 return False
             factors = ff_factor(red.poly, self.rng)
             if self._stops_at(factors):
@@ -239,7 +236,7 @@ class _Builder:
                 orbit_degree = red.b * h.degree * phi.degree
                 if mult == 1:
                     node.leaves.append(LeafOrbit(orbit_degree, h.degree, "residual",
-                                                 node, lift_from=cand, lift_h=h))
+                                                 lift_from=cand, lift_h=h))
                 else:
                     phi2 = lift_key(cand, h)
                     if self._context(cand, phi2, cand.eval(phi2), node, depth + 1):
@@ -250,7 +247,7 @@ class _Builder:
             # f = phi * q and q mod phi is the next expansion coefficient
             if expansion[1].is_zero():
                 raise InputError("centre divides the input twice")
-            self._attach_leaf(LeafOrbit(phi.degree, 1, "divides", current, phi), current)
+            self._attach_leaf(LeafOrbit(phi.degree, 1, "divides", phi), current)
         return False
 
     def _stops_at(self, factors) -> bool:

@@ -3,7 +3,8 @@
 A field of p^d elements is F_p[t]/(modulus) with a monic irreducible modulus
 of degree d; an element has d coordinates over F_p.  Every field object
 has its own identity, and moving between fields always goes through an
-explicit Embedding.  There is no implicit coercion anywhere: arithmetic
+explicit ``Extension``, the step k -> k[Y]/(h) that ``ff_extend`` builds
+and that maps both ways.  There is no implicit coercion anywhere: arithmetic
 between elements of different field objects raises.
 
 Elements and polynomials share one type: an element of a field is a
@@ -36,10 +37,11 @@ returns the first monic irreducible of a given degree in a fixed counting
 order, and tests fewer candidates than it passes: it skips blocks of
 candidates that hold no irreducible (p-th powers; binomials X^t + c_0 when
 no such binomial is irreducible; for t = p, the X^p + c_1 X + c_0 for which
-x -> x^p + c_1 x is a bijection; the X^t + c_1 X + c_0 whose discriminants
-are non-squares, which Stickelberger's parity theorem rules out), and, once
-enough tests in a block have failed, sieves out the candidates with a root.
-The result is that of testing every candidate.
+x -> x^p + c_1 x is a bijection, past which one echelon pass gives the
+answer; the X^t + c_1 X + c_0 whose discriminants are non-squares, which
+Stickelberger's parity theorem rules out), and, once enough tests in a block
+have failed, sieves out the candidates with a root.  The result is that of
+testing every candidate.
 
 Factorization is squarefree decomposition, then distinct-degree splitting,
 then Cantor-Zassenhaus equal-degree splitting.  The equal-degree step draws
@@ -139,20 +141,20 @@ def prime_field(p: int) -> FField:
     return FField(p, (0, 1))
 
 
-class Embedding:
-    """Ring injection between explicit finite fields.
+class Extension:
+    """One step src = k -> dst = G = k[Y]/(h) of a tower of finite fields.
 
-    ``matrix`` maps source coordinates to target coordinates (columns are the
-    images of the source basis 1, t, t^2, ...).  Identity embeddings carry no
-    matrix.
+    ``root`` is the image of Y in G, a root of h.  Entry j of ``matrix`` is
+    the coordinate tuple in G of the power-basis element t^j of k, and row i
+    of ``basis`` writes the i-th power-basis element of G as sum_j emb(c_j)
+    root^j, the coordinates of c_j in k at j*[k:F_p] onwards.  A linear h
+    gives dst is src, and no matrix and no basis.
     """
 
-    def __init__(self, src: FField, dst: FField, matrix=None):
-        if matrix is None and dst is not src:
-            raise TypeError("identity embedding with distinct fields")
-        self.src = src
-        self.dst = dst
-        self.matrix = matrix  # list of dst-coordinate tuples, one per src basis vector
+    __slots__ = ("src", "dst", "matrix", "root", "basis")
+
+    def __init__(self, src: FField, dst: FField, matrix, root: "FFPoly", basis):
+        self.src, self.dst, self.matrix, self.root, self.basis = src, dst, matrix, root, basis
 
     def image(self, rows):
         """The flat target coordinates of the flat source coordinates
@@ -168,14 +170,35 @@ class Embedding:
             out += [a % p for a in acc]
         return out
 
-    def map_poly(self, f: "FFPoly") -> "FFPoly":
-        if f.field is not self.src:
-            raise TypeError("polynomial not over the embedding's source field")
-        return FFPoly._of(self.dst, self.image(f.rows))
+    def evaluate(self, rows, shift: int = 0) -> list:
+        """The coordinates in G of root^shift * g(root) for the nonzero g over
+        k with flat coordinates ``rows`` and a nonzero last coefficient, by
+        Horner's rule on the mapped coordinates.  The root is zero when h = Y,
+        and a zero constant has no rows, so its coordinates are padded."""
+        G, root = self.dst, self.root
+        rows = self.image(rows)
+        d, p = G.degree, G.p
+        if shift < 0 and root.is_zero():
+            raise InternalInconsistency("negative power of a vanishing step generator")
+        zero = (0,) * d
+        r, acc = root.rows or zero, rows[-d:]
+        for lo in range(len(rows) - 2 * d, -1, -d):
+            acc = [(a + c) % p for a, c in zip(_fmul(acc, r, G), rows[lo:lo + d])]
+        return _fmul(acc, (root ** shift).rows or zero, G) if shift else acc
 
-    @staticmethod
-    def identity(F: FField) -> "Embedding":
-        return Embedding(F, F, None)
+    def over_src(self, c: "FFPoly") -> list:
+        """The constants c_j of k with c = sum_j emb(c_j) root^j, j < [G:k],
+        for c in G: the basis rows map the coordinates of c to theirs."""
+        if self.basis is None:
+            return [c]
+        k = self.src
+        p, d = k.p, k.degree
+        flat = [0] * len(self.basis)
+        for x, row in zip(c.rows, self.basis):
+            if x:
+                flat = [a + x * r for a, r in zip(flat, row)]
+        return [FFPoly._of(k, [a % p for a in flat[lo:lo + d]])
+                for lo in range(0, len(flat), d)]
 
 
 def _repunit(count: int, width: int) -> int:
@@ -357,7 +380,7 @@ class FFPoly:
 
     def _check(self, other) -> FField:
         if not isinstance(other, FFPoly) or other.field is not self.field:
-            raise TypeError("mixed-field arithmetic; use an explicit Embedding")
+            raise TypeError("mixed-field arithmetic; map through an Extension step")
         return self.field
 
     def __add__(self, other):
@@ -477,13 +500,6 @@ class FFPoly:
         F = self.field
         d, p = F.degree, F.p
         return FFPoly._of(F, [(j // d) * c % p for j, c in enumerate(self.rows)][d:])
-
-    def evaluate(self, x: "FFPoly") -> "FFPoly":
-        """The value at the constant x, by Horner's rule."""
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def pow_mod(self, n: int, modulus: "FFPoly") -> "FFPoly":
         """self^n mod modulus, for n >= 0."""
@@ -664,7 +680,8 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
         Swan, Pacific J. Math. 12, 1962), and g itself has the root 0, so no
         g + c_0 is irreducible.
 
-    And within a block:
+    A block that no rule skips for t = p and c_2 = ... = c_{p-1} = 0 holds
+    the answer, which ``_artin_schreier`` constructs.  Within other blocks:
 
       * for t >= 2, g + c_0 has a root, hence a linear factor, when
         c_0 = -g(a) for some a in k.  Evaluating g on all of k costs about
@@ -679,6 +696,8 @@ def find_irreducible_over(k: FField, t: int) -> FFPoly:
         tail = _coordinates(code, p, (t - 1) * d) + list(k.one.rows)
         if _barren(k, t, code, tail):
             continue
+        if t == p and code < q:
+            return _artin_schreier(k, tail)
         rejected, rooted = 0, ()
         for c0 in range(q):
             if c0 in rooted:
@@ -708,6 +727,36 @@ def _barren(k: FField, t: int, code: int, tail) -> bool:
         return (-k.elem(tail[:d])) ** ((q - 1) // (p - 1)) != k.one
     # every discriminant -c_0^(t-1) is a non-square, against Stickelberger
     return (t - 1) % p == 0 and t % 4 == 3 and q % 4 == 3
+
+
+def _artin_schreier(k: FField, tail) -> FFPoly:
+    """The first irreducible X^p + c_1 X + c_0 in counting order, for the c_1
+    of ``tail`` that ``_barren`` keeps: -c_1 is a (p-1)-th power, so
+    g = X^p + c_1 X is F_p-linear with p roots in k, and g + c_0 is
+    irreducible exactly when it has no root, when c_0 lies outside the
+    hyperplane g(k).  The c_0 numbered below p^j span t^0 .. t^(j-1), so the
+    answer is c_0 = t^j for the least j with t^j outside g(k), found by
+    reducing each t^j by an echelon basis of g(k)."""
+    p, d = k.p, k.degree
+    c1, units = k.elem(tail[:d]), [k.elem([0] * u + [1]) for u in range(d)]
+    image = []  # (pivot, row): 1 at the pivot, 0 at the pivots before it
+
+    def reduced(v):
+        for c, row in image:
+            v = [(a - v[c] * b) % p for a, b in zip(v, row)]
+        return v
+
+    for e in units:
+        v = reduced(list((e ** p + c1 * e).rows or (0,) * d))
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            image.append((c, [x * inv % p for x in v]))
+    j = next((j for j, e in enumerate(units) if any(reduced(list(e.rows)))), 0)
+    cand = FFPoly._of(k, list(units[j].rows) + list(tail))
+    if not is_irreducible(cand):
+        raise InternalInconsistency("Artin-Schreier candidate is reducible")
+    return cand
 
 
 def _has_irreducible_binomial(q: int, t: int) -> bool:
@@ -774,18 +823,16 @@ def _gauss_solve_mod_p(rows, rhs, p):
 
 
 def ff_extend(F: FField, h: FFPoly):
-    """Build the extension of F by a monic irreducible h.
+    """The step F -> G = F[Y]/(h) for an irreducible h, as an ``Extension``.
 
-    Returns ``(G, emb, root, basis)`` where G is an absolute field of degree
-    [F:F_p] * deg h, emb : F -> G is a ring injection, h(root) = 0 after
-    mapping h's coefficients through emb, and row k of ``basis`` writes the
-    k-th power-basis element of G as sum_j emb(t_j) root^j, t_j in F: the
-    coordinates of t_j sit at j*[F:F_p] onwards.  A degree-1 h gives G = F,
-    the identity, and basis None.
+    G is an absolute field of degree [F:F_p] * deg h, found from the first
+    primitive generator Y + c*theta_F of F[Y]/(h), c = 0 .. p - 1; the
+    step's root is the image of Y, so h(root) = 0 after mapping h's
+    coefficients up, and its basis rows write the power basis of G over F.
+    A degree-1 h gives dst = F and no matrix and no basis.
     """
     if h.degree == 1:  # a linear modulus is irreducible
-        root = -(h[0] * h[1].inverse())
-        return F, Embedding.identity(F), root, None
+        return Extension(F, F, None, -(h[0] * h[1].inverse()), None)
     if h.degree < 1 or not is_irreducible(h):
         raise InputError("modulus of a field extension must be irreducible")
 
@@ -794,9 +841,10 @@ def ff_extend(F: FField, h: FFPoly):
     hm = h.monic()
     y = FFPoly.x(F)
 
-    for c in range(p * a + 1):
-        # candidate generator gamma = Y + c*theta_F in E = F[Y]/(h); the n
-        # coordinates over F_p of a remainder mod h are its padded rows
+    for c in range(p):
+        # candidate generator gamma = Y + c*theta_F in E = F[Y]/(h), one per
+        # residue of c mod p; the n coordinates over F_p of a remainder mod h
+        # are its padded rows
         gamma = y + F.elem(c) * F.gen
         powers = [F.one]
         for _ in range(n):
@@ -814,11 +862,9 @@ def ff_extend(F: FField, h: FFPoly):
             continue
         cols = list(zip(*sol))
         G = FField(p, cols[0] + (1,))
-        emb = Embedding(F, G, cols[1:a + 1])
-        root = FFPoly._of(G, cols[a + 1])
-        # sanity: root satisfies the mapped modulus
-        mapped = emb.map_poly(hm)
-        if not mapped.evaluate(root).is_zero():
+        step = Extension(F, G, cols[1:a + 1], FFPoly._of(G, cols[a + 1]), rows[:n])
+        # sanity: the root satisfies the modulus mapped up
+        if any(step.evaluate(hm.rows)):
             raise InternalInconsistency("extension construction failed root check")
-        return G, emb, root, rows[:n]
+        return step
     raise InternalInconsistency("no primitive generator found")  # unreachable for finite fields

@@ -112,6 +112,8 @@ def open_chain(alpha: int, a) -> ChainSpec:
 # ---------------------------------------------------------------------------
 # Fibre assembly
 
+MODE_NAMES = {"exact": "arithmetic", "geometric": "geometric"}  # fibre mode by residue mode
+
 
 class Component:
     __slots__ = ("cluster", "multiplicity", "genus", "split", "geometric_count")
@@ -161,7 +163,7 @@ def assemble(tree: ClusterTree,
         raise InternalInconsistency("no proper cluster: the fibre needs deg f >= 2")
     if records is None:
         records = all_records(tree)
-    mode = "geometric" if tree.mode == "geometric" else "arithmetic"
+    mode = MODE_NAMES[tree.mode]
     fib = SpecialFibre(tree, records, mode)
     for node in tree.nodes:
         r = records[node.id]
@@ -181,34 +183,26 @@ def assemble(tree: ClusterTree,
                 raise InternalInconsistency("leaf residual part must be squarefree")
             if count:
                 fib.open_p1.append(OpenP1Family(node.id, r.e, count))
-        # connector to the parent, or the root's open tail
+        # the connector to the parent, or the root's open tail, then the
+        # minimal tail, as (row, alpha, a, b, copies, target); an open tail
+        # has no target and vanishes when empty
+        alpha, copies = r.epsilon * r.gamma, 1 + (r.p // r.gamma == 2)
         if node.parent is not None:
             rp = records[node.parent.id]
             end = r.s - Fraction(r.p, 2) * (r.lam - Fraction(r.degree, node.parent.degree) * rp.lam)
-            copies = [("minus", node.parent.id)]
-            if r.p // r.gamma == 2:
-                copies.append(("plus", node.parent.id))
-            for side, target in copies:
-                ch = ChainSpec(r.epsilon * r.gamma, r.s, end)
-                ch.row, ch.cluster, ch.side, ch.to_cluster = "connector", node.id, side, target
-                ch.geometric_copies = r.f_v
-                fib.chains.append(ch)
+            rows = [("connector", alpha, r.s, end, copies, node.parent.id)]
         else:
-            copies = ["minus"] + (["plus"] if r.p // r.gamma == 2 else [])
-            for side in copies:
-                ch = open_chain(r.epsilon * r.gamma, r.s)
-                if ch.length == 0:
-                    continue
-                ch.row, ch.cluster, ch.side = "root_tail", node.id, side
-                ch.geometric_copies = r.f_v
-                fib.chains.append(ch)
+            rows = [("root_tail", alpha, r.s, open_chain_bound(alpha, r.s), copies, None)]
         if r.delta == 1:
-            copies = ["minus"] + (["plus"] if r.p0 // r.gamma0 == 2 else [])
-            for side in copies:
-                ch = open_chain(r.epsilon * r.gamma0, -r.s0)
-                if ch.length == 0:
+            alpha = r.epsilon * r.gamma0
+            rows.append(("minimal_tail", alpha, -r.s0, open_chain_bound(alpha, -r.s0),
+                         1 + (r.p0 // r.gamma0 == 2), None))
+        for row, alpha, a, b, copies, target in rows:
+            for side in ("minus", "plus")[:copies]:
+                ch = ChainSpec(alpha, a, b)
+                if target is None and ch.length == 0:
                     continue
-                ch.row, ch.cluster, ch.side = "minimal_tail", node.id, side
+                ch.row, ch.cluster, ch.side, ch.to_cluster = row, node.id, side, target
                 ch.geometric_copies = r.f_v
                 fib.chains.append(ch)
     _check_attachments(fib)
@@ -294,7 +288,10 @@ def _connected(g: FibreGraph) -> bool:
     n = len(g.labels)
     if n == 0:
         return True
-    adj = _adj(g)
+    adj = [[] for _ in g.labels]
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
     seen = {0}
     stack = [0]
     while stack:
@@ -334,14 +331,6 @@ def fibre_graph(fib: SpecialFibre) -> FibreGraph:
             if ch.to_cluster is not None:
                 g.add_edge(prev, ends[(ch.to_cluster, ch.side)])
     return g
-
-
-def _adj(g: FibreGraph):
-    adj = [dict() for _ in g.labels]
-    for a, b in g.edges:
-        adj[a][b] = adj[a].get(b, 0) + 1
-        adj[b][a] = adj[b].get(a, 0) + 1
-    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +375,7 @@ def _coeff_str(c) -> str:
     return "(" + " + ".join(parts) + ")"
 
 
-def ffpoly_str(f: FFPoly, var="X") -> str:
+def ffpoly_str(f: FFPoly) -> str:
     if f.is_zero():
         return "0"
     terms = []
@@ -403,7 +392,7 @@ def ffpoly_str(f: FFPoly, var="X") -> str:
         if i == 0:
             terms.append(cs)
         else:
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "X" if i == 1 else f"X^{i}"
             terms.append(xs if cs == "1" else f"{cs}*{xs}")
     return " + ".join(terms)
 

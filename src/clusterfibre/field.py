@@ -724,7 +724,7 @@ def extend_unramified(K: BaseField, t: int):
     def flat(v):
         return list(v.rows) + [0] * (M - len(v.rows))
 
-    for mult in range(1, p * M + 2):
+    for mult in range(1, p + 1):  # acceptance depends on mult mod p only
         gen = K.poly([K.rat(mult) * K.theta, 1]) if m > 1 else K.x()
         powers = [K.one]
         for _ in range(M):

@@ -3,12 +3,11 @@ r"""Newton polygons, graded reductions, residue towers, and key polynomials.
 Everything here is relative to a MacLaneVal chain.  The residue tower
 k_0 <= k_1 <= ... <= k_n attaches one finite field per augmentation step:
 k_{i+1} is k_i extended by the reduction of phi_{i+1} with respect to the
-depth-i truncation, and the designated generator of the step is the image
-of the graded variable of level i.  A chain's tower is its prefix's tower
-plus one ``ff_extend`` step, so chains with a common prefix share its fields.
-A step keeps the basis rows ``ff_extend`` returns: with them, writing an
-element of k_{i+1} in powers of the step generator over k_i (for key
-lifting) is one matrix-vector product mod p.
+depth-i truncation, and the root of the step is the image of the graded
+variable of level i.  A chain's tower is its prefix's tower plus the one
+``ff.Extension`` that ``ff_extend`` returns, so chains with a common prefix
+share its fields and steps.  Graded reduction takes a step forward
+(``evaluate``) and key lifting takes it back (``over_src``).
 
 The graded reduction H(level, alpha, g) is a Laurent polynomial
 X^shift * poly(X) over k_level, computed by recursive descent on phi-adic
@@ -20,9 +19,8 @@ with, and ``_graded_H`` takes a g already known to have value alpha and
 evaluates only its progression one level down.
 
 No graded ring is ever materialized: ``_graded_H`` returns the pair
-(shift, rows), rows the flat coordinates of poly, and ``_rho`` maps it one
-level up by taking those coordinates through the step embedding and
-evaluating X^shift * poly(X) at the step generator by Horner's rule.
+(shift, rows), rows the flat coordinates of poly, and the step below the
+level maps it one level up by evaluating X^shift * poly(X) at its root.
 
 Values travel as integers scaled by the group index of their level (see
 valuation.py): the Newton polygon's hull, the line value alpha of a
@@ -41,7 +39,7 @@ from typing import List
 
 from .errors import InputError, InternalInconsistency
 from .field import KPoly, expansion_scope
-from .ff import FField, FFPoly, ff_extend, is_irreducible, _fmul
+from .ff import FField, FFPoly, ff_extend, is_irreducible
 from .rationals import OO
 from .valuation import MacLaneVal
 
@@ -97,15 +95,13 @@ def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly) -> List[EdgeData]:
 
 
 class ResidueTower:
-    """Fields k_0 .. k_n with step embeddings, generators, and step bases."""
+    """Fields k_0 .. k_n and the steps between them."""
 
-    __slots__ = ("fields", "embeddings", "gens", "bases")
+    __slots__ = ("fields", "steps")
 
-    def __init__(self, fields, embeddings, gens, bases):
+    def __init__(self, fields, steps):
         self.fields = fields
-        self.embeddings = embeddings  # embeddings[i]: k_i -> k_{i+1}
-        self.gens = gens              # gens[i+1]: image of the level-i variable in k_{i+1}
-        self.bases = bases            # bases[i]: the basis rows of ff_extend for k_i -> k_{i+1}
+        self.steps = steps  # steps[i]: the ff.Extension k_i -> k_{i+1}
 
     @property
     def top(self) -> FField:
@@ -118,18 +114,16 @@ def residue_tower(v: MacLaneVal) -> ResidueTower:
     if v._tower is not None:
         return v._tower
     if v.is_gauss:
-        tower = ResidueTower([v.field.residue_field], [], [None], [])
+        tower = ResidueTower([v.field.residue_field], [])
     else:
         base = residue_tower(v.prefix)
         # the modulus of the step is the reduction of the new centre, taken
         # over the prefix so its coefficients live in the prefix's top field
         red = reduce_poly(v.prefix, v.centre)
-        modulus = red.poly
-        if modulus.degree != v.deg // (v.prefix.deg * red.b):
+        if red.poly.degree != v.deg // (v.prefix.deg * red.b):
             raise InternalInconsistency("tower modulus has unexpected degree")
-        G, emb, root, basis = ff_extend(base.fields[-1], modulus)
-        tower = ResidueTower(base.fields + [G], base.embeddings + [emb],
-                             base.gens + [root], base.bases + [basis])
+        step = ff_extend(base.top, red.poly)
+        tower = ResidueTower(base.fields + [step.dst], base.steps + [step])
     v._tower = tower
     return tower
 
@@ -180,15 +174,17 @@ def _graded_H(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
 
 
 def _images(v: MacLaneVal, tower: ResidueTower, level: int, child: int, terms) -> list:
-    """The flat coordinates over k_level of rho(H(level - 1, a)) for the
-    terms (a, e_{v_{level-1}} v_{level-1}(a)) of one progression, whose first
-    term is on the line when its value is ``child``; a term above the line
-    maps to zero.  Trailing zero coefficients are dropped."""
+    """The flat coordinates over k_level of H(level - 1, a), evaluated by the
+    step below, for the terms (a, e_{v_{level-1}} v_{level-1}(a)) of one
+    progression, whose first term is on the line when its value is
+    ``child``; a term above the line maps to zero.  Trailing zeros drop."""
     d, h_i = tower.fields[level].degree, v.h_rel[level]
+    step = tower.steps[level - 1]
     rows = []
     for a, val in terms:
         if val == child:
-            rows += _rho(tower, level, *_graded_H(v, tower, level - 1, child, a))
+            shift, sub = _graded_H(v, tower, level - 1, child, a)
+            rows += step.evaluate(sub, shift)
         elif val < child:
             raise InternalInconsistency(f"graded reduction below the stated degree at level {level - 1}")
         else:
@@ -197,25 +193,6 @@ def _images(v: MacLaneVal, tower: ResidueTower, level: int, child: int, terms) -
     while rows and not any(rows[-d:]):
         del rows[-d:]
     return rows
-
-
-def _rho(tower: ResidueTower, level: int, shift: int, rows) -> list:
-    """The coordinates in k_level of a nonzero X^shift * poly(X) over
-    k_{level-1}, rows the flat coordinates of poly with a nonzero last
-    coefficient: they are mapped up by the step embedding, then the Laurent
-    polynomial is evaluated at the step generator by Horner's rule.  The
-    generator is zero on a chain whose first centre is x, and a zero
-    constant has no rows, so its coordinates are padded."""
-    kf, gen = tower.fields[level], tower.gens[level]
-    rows = tower.embeddings[level - 1].image(rows)
-    d, p = kf.degree, kf.p
-    if shift < 0 and gen.is_zero():
-        raise InternalInconsistency("negative power of a vanishing step generator")
-    zero = (0,) * d
-    g, acc = gen.rows or zero, rows[-d:]
-    for lo in range(len(rows) - 2 * d, -1, -d):
-        acc = [(a + c) % p for a, c in zip(_fmul(acc, g, kf), rows[lo:lo + d])]
-    return _fmul(acc, (gen ** shift).rows or zero, kf) if shift else acc
 
 
 # ---------------------------------------------------------------------------
@@ -303,39 +280,23 @@ def _lift_subfield_elem(K, t) -> KPoly:
     return K.elem(*[_balanced(x, K.p) for x in t.rows])
 
 
-def _decompose_over_step(tower: ResidueTower, level: int, c: FFPoly):
-    """Write c in k_level as sum emb(t_j) * gen^j, j < rel degree of the step:
-    the basis rows of the step map the coordinates of c to those of the t_j."""
-    sub, basis = tower.fields[level - 1], tower.bases[level - 1]
-    if basis is None:
-        return [c]
-    p, d = sub.p, sub.degree
-    flat = [0] * len(basis)
-    for x, row in zip(c.rows, basis):
-        if x:
-            flat = [a + x * r for a, r in zip(flat, row)]
-    return [FFPoly._of(sub, [a % p for a in flat[lo:lo + d]])
-            for lo in range(0, len(flat), d)]
-
-
 def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
                 c: FFPoly) -> KPoly:
     """Preimage construction: a in K[x] with deg a < deg phi_{level+1},
     value alpha = scaled_alpha / e_level at depth ``level``, and
-    rho(H(level, alpha, a)) = c."""
+    H(level, alpha, a) evaluated by the step k_level -> k_{level+1} is c."""
     K = v.field
     if c.is_zero():
         raise InputError("preimage of zero requested")
     if level == 0:
-        parts = _decompose_over_step(tower, 1, c)
+        parts = tower.steps[0].over_src(c)
         lift = KPoly(K, [_lift_subfield_elem(K, t) for t in parts])
         return lift * K.rat(Fraction(K.p) ** scaled_alpha)
     e_i, h_i = v.e_rel[level], v.h_rel[level]
     u_a, i_a = _ui_pair(e_i, h_i, scaled_alpha)
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
-    gen_up = tower.gens[level + 1]
-    target = c * gen_up ** (-c_a) if c_a else c
-    parts = _decompose_over_step(tower, level + 1, target)
+    step = tower.steps[level]
+    parts = step.over_src(c * step.root ** (-c_a) if c_a else c)
     phi = v.steps[level - 1].phi
     child = _child_value(v, level, scaled_alpha, i_a)
     acc = K.zero

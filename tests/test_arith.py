@@ -915,36 +915,59 @@ class TestFiniteFields:
     def test_extend_trivial(self):
         k = prime_field(5)
         h = FFPoly.from_ints(k, [-1, 1])
-        G, emb, root, _ = ff_extend(k, h)
-        assert G is k
-        assert root == k.elem(1)
+        step = ff_extend(k, h)
+        assert step.src is step.dst is k
+        assert step.matrix is None and step.basis is None
+        assert step.root == k.elem(1)
 
     def test_extend_quadratic(self):
         k = prime_field(3)
         h = FFPoly.from_ints(k, [1, 0, 1])
-        G, emb, root, _ = ff_extend(k, h)
-        assert G.degree == 2
+        step = ff_extend(k, h)
+        G, root = step.dst, step.root
+        assert step.src is k and G.degree == 2
         assert (root * root + G.one).is_zero()
 
     def test_extend_tower(self):
         k = prime_field(3)
         h = FFPoly.from_ints(k, [1, 0, 1])
-        G, emb, root, _ = ff_extend(k, h)
+        G = ff_extend(k, h).dst
         h2 = _find_quadratic_irreducible(G)
-        G2, emb2, root2, _ = ff_extend(G, h2)
-        assert G2.degree == 4
-        mapped = emb2.map_poly(h2)
-        assert mapped.evaluate(root2).is_zero()
+        step = ff_extend(G, h2)
+        assert step.src is G and step.dst.degree == 4
+        assert _value(_mapped(step, h2), step.root).is_zero()
+        assert step.evaluate(h2.rows) == [0] * 4
 
     def test_extend_past_generator_in_subfield(self):
         # h has prime-field coefficients, so its root Y generates only
         # GF(5^3) inside GF(25)[Y]/(h) = GF(5^6): Y is not a primitive element
         k = FField(5, find_irreducible_int_poly(5, 2))
         h = FFPoly.from_ints(k, [1, 1, 0, 1])
-        G, emb, root, _ = ff_extend(k, h)
-        assert G.degree == 6
-        assert is_irreducible(FFPoly.from_ints(prime_field(5), G.modulus))
-        assert emb.map_poly(h).evaluate(root).is_zero()
+        step = ff_extend(k, h)
+        assert step.dst.degree == 6
+        assert is_irreducible(FFPoly.from_ints(prime_field(5), step.dst.modulus))
+        assert _value(_mapped(step, h), step.root).is_zero()
+
+    def test_shifted_root_is_caught(self, monkeypatch):
+        # a root off the modulus breaks the root check: the solve returns
+        # the root's coordinates in its last column, and 1 is added to the
+        # first of them
+        solve = ff._gauss_solve_mod_p
+
+        def shifted(rows, rhs, p):
+            sol = solve(rows, rhs, p)
+            if sol is not None:
+                sol[0][-1] = (sol[0][-1] + 1) % p
+            return sol
+
+        k, G = prime_field(3), FField(5, find_irreducible_int_poly(5, 2))
+        cases = [(k, FFPoly.from_ints(k, [1, 0, 1])), (G, _find_quadratic_irreducible(G))]
+        for F_, h in cases:
+            ff_extend(F_, h)
+        monkeypatch.setattr(ff, "_gauss_solve_mod_p", shifted)
+        for F_, h in cases:
+            with pytest.raises(InternalInconsistency, match="failed root check"):
+                ff_extend(F_, h)
 
     def test_extend_rejects_reducible(self):
         k = prime_field(3)
@@ -963,8 +986,8 @@ class TestFiniteFields:
         monkeypatch.setattr(ff, "is_irreducible", spy)
         for F_, h in ((k, FFPoly.from_ints(k, [-1, 1])), (k, FFPoly.from_ints(k, [3, 2])),
                       (F9, FFPoly.x(F9) * F9.gen + F9.one)):
-            G, emb, root, basis = ff_extend(F_, h)
-            assert G is F_ and basis is None and h.evaluate(root).is_zero()
+            step = ff_extend(F_, h)
+            assert step.dst is F_ and step.basis is None and _value(h, step.root).is_zero()
         assert calls == []
         with pytest.raises(InputError, match="modulus of a field extension must be irreducible"):
             ff_extend(prime_field(3), FFPoly.from_ints(prime_field(3), [-1, 0, 1]))
@@ -1207,10 +1230,27 @@ def _find_quadratic_irreducible(G):
     raise AssertionError
 
 
-def _unsieved_search(k, t):
-    """find_irreducible_over as it tests every candidate in counting order:
-    the base-p digits of code are the flat coordinates of c_0 .. c_{t-1}."""
-    for code in range(k.order ** t):
+def _value(f, x):
+    """f(x) for the constant x, by Horner's rule on constants."""
+    acc = f.field.zero
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _mapped(step, f):
+    """f with every coefficient taken up by the step: its coordinates times
+    the columns of the step's matrix."""
+    G = step.dst
+    return FFPoly(G, [sum((G.elem(x) * G.elem(col) for x, col in zip(c.rows, step.matrix)),
+                          G.zero) for c in f.coeffs])
+
+
+def _unsieved_search(k, t, block=0):
+    """find_irreducible_over as it tests every candidate in counting order,
+    from the block numbered ``block``: the base-p digits of code are the
+    flat coordinates of c_0 .. c_{t-1}."""
+    for code in range(block * k.order, k.order ** t):
         rows, c = [], code
         for _ in range(t * k.degree):
             c, digit = divmod(c, k.p)
@@ -1277,7 +1317,7 @@ class TestIrreducibleSearch:
             if t > 1:
                 for n, c0 in enumerate(elements):
                     cand = FFPoly._of(k, _flat(c0) + tail)
-                    if any(cand.evaluate(a).is_zero() for a in elements):
+                    if any(_value(cand, a).is_zero() for a in elements):
                         with_root.add(n)
             assert ff._rooted_constants(k, tail) == with_root
 
@@ -1373,7 +1413,7 @@ class TestIrreducibleSearch:
     def test_slow_case_search_skips_the_rooted_blocks(self, monkeypatch):
         # over GF(125) the blocks X^5 + c_1 X + c_0 with c_1 in {1, 2, 3}
         # all have a root, and X^5 + c_0 is a fifth power: the parent search
-        # tested 504 candidates, the sieve leaves a few per block
+        # tested 504 candidates, the Artin-Schreier rule tests its answer
         k = BaseField(5, 3).residue_field
         tested = []
 
@@ -1384,6 +1424,39 @@ class TestIrreducibleSearch:
         monkeypatch.setattr(ff, "is_irreducible", counted)
         assert find_irreducible_over(k, 5) == _unsieved_search(k, 5)
         assert len(tested) <= 20
+
+    @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 8),
+                                      (3, 9), (5, 1), (5, 2), (5, 4), (5, 5), (7, 1), (7, 2)])
+    def test_artin_schreier_block_matches_brute_force(self, p, d):
+        # for t = p the answer is X^p + c_1 X + t^j from one echelon pass;
+        # testing every candidate agrees.  Past q = 3^6 the brute force starts
+        # at the first block that _barren keeps, whose rules have their own
+        # brute-force tests above: the blocks before it hold 2 q candidates
+        # over GF(3^9), and the answer sits at c_0 = t^7 there
+        k = _small_field(p, d)
+        q = k.order
+        block = 0
+        if q > 3 ** 6:
+            block = next(c for c in range(1, q) if not ff._barren(
+                k, p, c, _trinomial_tail(k, p, k.elem(ff._coordinates(c, p, d)))))
+        assert find_irreducible_over(k, p) == _unsieved_search(k, p, block)
+
+    @pytest.mark.parametrize("p, m", [(3, 15), (3, 21), (7, 7)])
+    def test_artin_schreier_search_tests_one_candidate(self, monkeypatch, p, m):
+        # the searches that ran for minutes over GF(3^15), GF(3^21) and
+        # GF(7^7): X^p + c_1 X + c_0 is irreducible only for c_0 outside a
+        # hyperplane, which a search in counting order can reach late
+        k = _small_field(p, m)
+        tested = []
+
+        def counted(f):
+            tested.append(f)
+            return is_irreducible(f)
+
+        monkeypatch.setattr(ff, "is_irreducible", counted)
+        f = find_irreducible_over(k, p)
+        assert tested == [f] and f.degree == p
+        assert not any(f.rows[2 * m:p * m]) and is_irreducible(f)
 
 
 # A model of the residue layer on lists of coordinate tuples, one tuple per
@@ -1624,8 +1697,8 @@ class TestFlatResidueRepresentation:
     @pytest.mark.parametrize("p,modulus,h,expected", _EXTEND_PINS)
     def test_ff_extend_pins(self, p, modulus, h, expected):
         F = FField(p, modulus)
-        G, emb, root, _ = ff_extend(F, FFPoly(F, [F.elem(c) for c in h]))
-        assert (G.modulus, emb.matrix, root.rows) == expected
+        step = ff_extend(F, FFPoly(F, [F.elem(c) for c in h]))
+        assert (step.dst.modulus, step.matrix, step.root.rows) == expected
 
 
 # Outputs of extend_unramified and of ff_extend with a nonlinear modulus,
@@ -1664,11 +1737,11 @@ class TestUnramifiedExtension:
         calls = []
         solve = ff._gauss_solve_mod_p
         monkeypatch.setattr(ff, "_gauss_solve_mod_p", lambda *args: calls.append(args) or solve(*args))
-        G, emb, root, basis = ff_extend(F, FFPoly._of(F, case["h"]))
-        assert list(G.modulus) == case["modulus"]
-        assert [list(col) for col in emb.matrix] == case["emb"]
-        assert list(root.rows) == case["root"]
-        assert [list(row) for row in basis] == case["basis"]
+        step = ff_extend(F, FFPoly._of(F, case["h"]))
+        assert list(step.dst.modulus) == case["modulus"]
+        assert [list(col) for col in step.matrix] == case["emb"]
+        assert list(step.root.rows) == case["root"]
+        assert [list(row) for row in step.basis] == case["basis"]
         assert len(calls) == case["tries"]  # one elimination per generator tested
 
     def test_extend_from_qp(self):
@@ -1739,6 +1812,49 @@ def _oracle_draws(sympy, x):
                 g = rand(rng.randrange(1, 3), p ** 2)
                 f = g * (g + p ** rng.randrange(1, 5))
             yield p, f, K.poly([Fraction(int(c)) for c in reversed(f.all_coeffs())])
+
+
+def _factor_draws():
+    """(p, coefficients) over GF(p), p in {3, 5, 7}, constant term first:
+    seeded polynomials of degree 8 to 60, and g^p * h products, whose
+    squarefree decomposition strips a Frobenius layer."""
+    rng = random.Random(2026)
+
+    def rand(deg, p):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    for p in (3, 5, 7):
+        k = prime_field(p)
+        for _ in range(12):
+            yield p, rand(rng.randrange(8, 61), p)
+        for _ in range(4):
+            g, h = (FFPoly.from_ints(k, rand(rng.randrange(1, 4), p)) for _ in range(2))
+            yield p, list((g ** p * h).rows)
+
+
+class TestFactorOracle:
+    """ff_factor over GF(p) against sympy's factor list modulo p."""
+
+    def test_against_sympy(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        stripped = []
+        root = FFPoly.compose_frobenius_root
+        monkeypatch.setattr(FFPoly, "compose_frobenius_root",
+                            lambda f: stripped.append(f) or root(f))
+        count = 0
+        for p, coeffs in _factor_draws():
+            k = prime_field(p)
+            got = sorted((tuple(g.rows), m) for g, m in ff_factor(FFPoly.from_ints(k, coeffs)))
+            _, pairs = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()
+            want = []
+            for g, m in pairs:
+                cs = [int(c) % p for c in reversed(g.all_coeffs())]
+                inv = pow(cs[-1], -1, p)
+                want.append((tuple(c * inv % p for c in cs), m))
+            assert got == sorted(want), (p, coeffs)
+            count += 1
+        assert count == 48 and stripped
 
 
 class TestDiscriminantOracle:

@@ -95,9 +95,10 @@ def _leaf_meet_sum(tree, node):
 
     pv = path(node)
     total = tree.f.lead().gauss_val()
-    for leaf in [l for n in tree.nodes for l in n.leaves]:
-        meet = [a for a, b in zip(pv, path(leaf.parent)) if a is b][-1]
-        total += F(leaf.degree) * F(meet.radius) / meet.degree
+    for n in tree.nodes:  # the deepest proper cluster holding each leaf
+        meet = [a for a, b in zip(pv, path(n)) if a is b][-1]
+        for leaf in n.leaves:
+            total += F(leaf.degree) * F(meet.radius) / meet.degree
     return total
 
 

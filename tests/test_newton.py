@@ -12,7 +12,7 @@ from clusterfibre import newton
 from clusterfibre.cli import parse_poly
 from clusterfibre.clusters import build_cluster_tree, cluster_chain
 from clusterfibre.field import BaseField, KPoly
-from clusterfibre.ff import (FFPoly, FField, ff_extend,
+from clusterfibre.ff import (Extension, FFPoly, FField, ff_extend,
                              find_irreducible_int_poly, is_irreducible, prime_field)
 from clusterfibre.rationals import OO
 from clusterfibre.errors import InputError
@@ -306,16 +306,11 @@ def _tower(base, step_degrees):
     """The tower over ``base`` whose step i adjoins a root of the
     ``_pick_irreducible`` polynomial of degree step_degrees[i] over the field
     below."""
-    fields, embeddings, gens, bases = [base], [], [None], []
+    fields, steps = [base], []
     for t in step_degrees:
-        k = fields[-1]
-        h = _pick_irreducible(k, t, avoid_x=True)
-        G, emb, root, basis = ff_extend(k, h)
-        fields.append(G)
-        embeddings.append(emb)
-        gens.append(root)
-        bases.append(basis)
-    return ResidueTower(fields, embeddings, gens, bases)
+        steps.append(ff_extend(fields[-1], _pick_irreducible(fields[-1], t, avoid_x=True)))
+        fields.append(steps[-1].dst)
+    return ResidueTower(fields, steps)
 
 
 _TOWERS = {
@@ -326,7 +321,7 @@ _TOWERS = {
 
 
 class TestStepDecomposition:
-    """_decompose_over_step against the equation it solves."""
+    """Extension.over_src against the equation it solves."""
 
     @pytest.mark.parametrize("name", sorted(_TOWERS))
     @settings(max_examples=30, deadline=None)
@@ -337,31 +332,31 @@ class TestStepDecomposition:
         kf, sub = tower.fields[level], tower.fields[level - 1]
         c = kf.elem(data.draw(st.lists(st.integers(0, kf.p - 1),
                                        min_size=kf.degree, max_size=kf.degree)))
-        parts = newton._decompose_over_step(tower, level, c)
+        step = tower.steps[level - 1]
+        parts = step.over_src(c)
         assert len(parts) == kf.degree // sub.degree
         assert all(t.field is sub for t in parts)
-        emb, gen = tower.embeddings[level - 1], tower.gens[level]
         total = kf.zero
         for j, t in enumerate(parts):
-            total = total + emb.map_poly(t) * gen ** j
+            total = total + _model_embed(step, t) * step.root ** j
         assert total == c
 
     def test_degree_one_step_returns_c(self):
         tower = _TOWERS["F7-F7-F343"]()
-        assert tower.bases[0] is None and tower.fields[1] is tower.fields[0]
+        step = tower.steps[0]
+        assert step.basis is None and step.dst is step.src is tower.fields[0]
         c = tower.fields[1].elem(3)
-        assert newton._decompose_over_step(tower, 1, c) == [c]
+        assert step.over_src(c) == [c]
 
     def test_no_linear_solve(self, monkeypatch):
         # the stored basis rows replace the Gauss solve of each call
         import clusterfibre.ff as ff
         tower = _TOWERS["F3-F9-F81"]()
         monkeypatch.setattr(ff, "_gauss_solve_mod_p", None)
-        c = tower.top.gen
-        t0, t1 = newton._decompose_over_step(tower, 2, c)
-        emb, kf = tower.embeddings[1], tower.top
-        assert emb.map_poly(t0) + emb.map_poly(t1) * tower.gens[2] == c
-        assert "solve" not in inspect.getsource(newton._decompose_over_step)
+        c, step = tower.top.gen, tower.steps[1]
+        t0, t1 = step.over_src(c)
+        assert _model_embed(step, t0) + _model_embed(step, t1) * step.root == c
+        assert "solve" not in inspect.getsource(Extension.over_src)
 
 
 class TestElementsAreConstants:
@@ -372,11 +367,11 @@ class TestElementsAreConstants:
         tower = _TOWERS["F3-F9-F81"]()
         k, sub = tower.top, tower.fields[1]
         f = FFPoly(k, [k.gen, k.zero, k.one])
-        _, _, linear_root, _ = ff_extend(k, FFPoly(k, [k.one, k.gen]))
+        linear_root = ff_extend(k, FFPoly(k, [k.one, k.gen])).root
         elements = {
             k: [k.zero, k.one, k.gen, k.elem((1, 2)), k.elem(4), f[0], f[1], f[2], f[7],
-                f.lead(), *f.coeffs, tower.gens[2], linear_root],
-            sub: [tower.gens[1], *newton._decompose_over_step(tower, 2, k.gen + k.one)],
+                f.lead(), *f.coeffs, tower.steps[1].root, linear_root],
+            sub: [tower.steps[0].root, *tower.steps[1].over_src(k.gen + k.one)],
         }
         for field_, values in elements.items():
             for c in values:
@@ -438,22 +433,24 @@ def _pick_irreducible(k, d, avoid_x=False):
 # embedding, power, product and sum
 
 
-def _model_embed(emb, c):
-    """emb(c) from the embedding matrix, column by column."""
-    if emb.matrix is None:
+def _model_embed(step, c):
+    """c mapped up by the step, from its matrix, column by column."""
+    if step.matrix is None:
         return c
-    return emb.dst.elem([sum(x * col[i] for x, col in zip(c.rows, emb.matrix))
-                         for i in range(emb.dst.degree)])
+    return step.dst.elem([sum(x * col[i] for x, col in zip(c.rows, step.matrix))
+                          for i in range(step.dst.degree)])
 
 
 def _model_rho(tower, level, shift, poly):
-    """The sum of emb(c_j) * gen^(shift + j) in k_level."""
-    gen, acc = tower.gens[level], tower.fields[level].zero
-    if not poly.is_zero() and shift < 0 and gen.is_zero():
+    """The sum of emb(c_j) * root^(shift + j) in k_level, for the step
+    k_{level-1} -> k_level and its root."""
+    step = tower.steps[level - 1]
+    root, acc = step.root, tower.fields[level].zero
+    if not poly.is_zero() and shift < 0 and root.is_zero():
         raise AssertionError("negative power of a vanishing step generator")
     for j, c in enumerate(poly.coeffs):
         if not c.is_zero():
-            acc = acc + _model_embed(tower.embeddings[level - 1], c) * gen ** (shift + j)
+            acc = acc + _model_embed(step, c) * root ** (shift + j)
     return acc
 
 
@@ -563,11 +560,11 @@ def _sample(count, seed=0):
 class TestGradedDescent:
     def test_chains_cover_the_tower_shapes(self):
         towers = [residue_tower(v) for v in _descent_chains().values()]
-        embeddings = [e for t in towers for e in t.embeddings]
-        assert any(e.matrix is not None and e.src.degree > 1 for e in embeddings)
-        assert any(e.matrix is not None and e.src.degree == 1 for e in embeddings)
-        assert any(e.matrix is None for e in embeddings)
-        assert any(g.is_zero() for t in towers for g in t.gens[1:])
+        steps = [s for t in towers for s in t.steps]
+        assert any(s.matrix is not None and s.src.degree > 1 for s in steps)
+        assert any(s.matrix is not None and s.src.degree == 1 for s in steps)
+        assert any(s.matrix is None for s in steps)
+        assert any(s.root.is_zero() for s in steps)
 
     @pytest.mark.parametrize("name", _DESCENT_NAMES)
     @settings(max_examples=30, deadline=None)
@@ -601,34 +598,36 @@ class TestGradedDescent:
         poly = FFPoly(sub, [sub.elem(c) for c in coeffs])
         assume(not poly.is_zero())  # the descent maps up only terms on the line
         shift = data.draw(st.integers(-3, 3))
-        if shift < 0 and tower.gens[level].is_zero():
+        step = tower.steps[level - 1]
+        if shift < 0 and step.root.is_zero():
             with pytest.raises(AssertionError, match="vanishing step generator"):
-                newton._rho(tower, level, shift, poly.rows)
+                step.evaluate(poly.rows, shift)
             return
-        got = newton._rho(tower, level, shift, poly.rows)
+        got = step.evaluate(poly.rows, shift)
         assert FFPoly._of(tower.fields[level], got) == _model_rho(tower, level, shift, poly)
 
     def test_zero_generator_with_shift_zero(self):
-        # gen = 0 keeps only the constant coefficient, and only at shift 0
+        # root = 0 keeps only the constant coefficient, and only at shift 0
         tower = residue_tower(_descent_chains()["sextic"])
-        assert tower.gens[1].is_zero()
+        step = tower.steps[0]
+        assert step.root.is_zero()
         k = tower.fields[0]
         poly = FFPoly.from_ints(k, [3, 1, 4])
-        assert list(newton._rho(tower, 1, 0, poly.rows)) == [3]
-        assert list(newton._rho(tower, 1, 2, poly.rows)) == [0]
+        assert list(step.evaluate(poly.rows)) == [3]
+        assert list(step.evaluate(poly.rows, 2)) == [0]
         assert _model_rho(tower, 1, 0, poly) == tower.fields[1].elem(3)
 
     def test_descent_shifts_take_both_signs(self, monkeypatch):
-        # the sample the guards below use reaches _rho with negative, zero
-        # and positive shifts
+        # the sample the guards below use reaches Extension.evaluate with
+        # negative, zero and positive shifts
         shifts = set()
-        rho = newton._rho
+        evaluate = Extension.evaluate
 
-        def recording(tower, level, shift, rows):
+        def recording(step, rows, shift=0):
             shifts.add((shift > 0) - (shift < 0))
-            return rho(tower, level, shift, rows)
+            return evaluate(step, rows, shift)
 
-        monkeypatch.setattr(newton, "_rho", recording)
+        monkeypatch.setattr(Extension, "evaluate", recording)
         for v, g in _sample(12):
             reduce_poly(v, g)
         assert shifts == {-1, 0, 1}
@@ -660,8 +659,8 @@ class TestGradedDescent:
 
     def test_no_element_objects_in_the_descent(self, monkeypatch):
         # the descent adds and multiplies coordinates, never two constants;
-        # the products inside the power of a step generator in _rho are the
-        # only ones allowed
+        # the products inside the power of a step root in
+        # Extension.evaluate are the only ones allowed
         sample = _sample(12)
         want = [_model_reduce(v, g) for v, g in sample]
         refuse_constant_arithmetic(monkeypatch, ("__add__", "__mul__"))

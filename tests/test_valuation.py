@@ -252,13 +252,13 @@ def _brute_force_edges(points):
 
 
 def _model_rho(tower, level, shift, poly):
-    """X^shift * poly(X) at the step generator of ``level``, one constant
-    term emb(c_j) * gen^(shift + j) per coefficient."""
-    emb, gen, kf = tower.embeddings[level - 1], tower.gens[level], tower.fields[level]
+    """X^shift * poly(X) at the root of the step k_{level-1} -> k_level, one
+    constant term emb(c_j) * root^(shift + j) per coefficient."""
+    step, kf = tower.steps[level - 1], tower.fields[level]
     acc = kf.zero
     for j, c in enumerate(poly.coeffs):
         if not c.is_zero():
-            acc = acc + emb.map_poly(c) * gen ** (shift + j)
+            acc = acc + FFPoly._of(kf, step.image(c.rows)) * step.root ** (shift + j)
     return acc
 
 
