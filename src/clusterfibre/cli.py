@@ -13,7 +13,7 @@ any other failure, which indicates a bug rather than bad input.
 
 from __future__ import annotations
 
-import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -253,13 +253,17 @@ def _parse_atom(toks, K):
 # Commands
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # a usage error is bad input: exit 1, like every other
-        raise InputError(message)
-
-
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process.  argparse is imported
+    here, so that importing the package does not pay for it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # a usage error is bad input: exit 1, like every other
+            raise InputError(message)
+
     ap = _Parser(
         prog="clusterfibre",
         description="Cluster pictures and special fibres of hyperelliptic "

@@ -1814,14 +1814,36 @@ def _oracle_draws(sympy, x):
             yield p, f, K.poly([Fraction(int(c)) for c in reversed(f.all_coeffs())])
 
 
+def _has_root(coeffs, p):
+    """Whether the polynomial with these coefficients, constant first, has a
+    root in F_p, by evaluation at every point."""
+    return any(functools.reduce(lambda acc, c: (acc * a + c) % p, reversed(coeffs), 0) == 0
+               for a in range(p))
+
+
 def _factor_draws():
-    """(p, coefficients) over GF(p), p in {3, 5, 7}, constant term first:
-    seeded polynomials of degree 8 to 60, and g^p * h products, whose
-    squarefree decomposition strips a Frobenius layer."""
+    """(p, coefficients) over GF(p), constant term first: seeded polynomials
+    of degree 8 to 60, and up to 200 over GF(3) and GF(5); root-free ones;
+    products of many roots whose multiplicities include multiples of p, times
+    a cofactor; g^p * h products, some with a root-free g, whose squarefree
+    decomposition strips a Frobenius layer; and draws at a prime above
+    ff._ROOT_SCAN_MAX_P, where the roots go through the general path."""
     rng = random.Random(2026)
 
     def rand(deg, p):
         return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    def rootless(deg, p):
+        while True:
+            coeffs = rand(deg, p)
+            if not _has_root(coeffs, p):
+                return coeffs
+
+    def roots_times(k, pairs, cofactor):
+        f = FFPoly.from_ints(k, cofactor)
+        for a, m in pairs:
+            f = f * FFPoly.from_ints(k, [-a, 1]) ** m
+        return list(f.rows)
 
     for p in (3, 5, 7):
         k = prime_field(p)
@@ -1830,14 +1852,39 @@ def _factor_draws():
         for _ in range(4):
             g, h = (FFPoly.from_ints(k, rand(rng.randrange(1, 4), p)) for _ in range(2))
             yield p, list((g ** p * h).rows)
+        for _ in range(2):
+            g, h = FFPoly.from_ints(k, rootless(rng.randrange(2, 5), p)), FFPoly.from_ints(k, rand(3, p))
+            yield p, list((g ** p * h).rows)
+        for _ in range(3):
+            yield p, rootless(rng.randrange(8, 41), p)
+        yield p, roots_times(k, [(1, p), (2, 2 * p + 1)], rand(rng.randrange(0, 9), p))
+        for _ in range(2):
+            pairs = [(a, rng.choice([1, 2, p - 1, p, p + 1, 2 * p, 3 * p]))
+                     for a in rng.sample(range(p), rng.randrange(2, p + 1))]
+            yield p, roots_times(k, pairs, rand(rng.randrange(0, 13), p))
+    for p in (3, 5):
+        for _ in range(2):
+            yield p, rand(rng.randrange(150, 201), p)
+    p, k = 211, prime_field(211)
+    yield p, rand(30, p)
+    yield p, roots_times(k, [(a, rng.randrange(1, 4)) for a in rng.sample(range(p), 8)], rand(6, p))
 
 
 class TestFactorOracle:
     """ff_factor over GF(p) against sympy's factor list modulo p."""
 
+    def test_blocked_loop_matches_plain_loop(self):
+        # the distinct-degree loop in blocks, as ff_factor runs it, against
+        # the plain loop of Ben-Or's test on every squarefree part
+        for p, coeffs in _factor_draws():
+            for g, _ in ff.squarefree_decomposition(FFPoly.from_ints(prime_field(p), coeffs)):
+                assert list(ff._distinct_degree(g, math.isqrt(2 * g.degree))) == \
+                    list(ff._distinct_degree(g)), (p, coeffs)
+
     def test_against_sympy(self, monkeypatch):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
+        assert 211 > ff._ROOT_SCAN_MAX_P  # the last draws take the general path
         stripped = []
         root = FFPoly.compose_frobenius_root
         monkeypatch.setattr(FFPoly, "compose_frobenius_root",
@@ -1845,7 +1892,11 @@ class TestFactorOracle:
         count = 0
         for p, coeffs in _factor_draws():
             k = prime_field(p)
-            got = sorted((tuple(g.rows), m) for g, m in ff_factor(FFPoly.from_ints(k, coeffs)))
+            f = FFPoly.from_ints(k, coeffs)
+            factors = ff_factor(f)
+            # the factor list is canonical, whatever the random draws
+            assert all(ff_factor(f, random.Random(seed)) == factors for seed in range(5))
+            got = sorted((tuple(g.rows), m) for g, m in factors)
             _, pairs = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()
             want = []
             for g, m in pairs:
@@ -1854,7 +1905,7 @@ class TestFactorOracle:
                 want.append((tuple(c * inv % p for c in cs), m))
             assert got == sorted(want), (p, coeffs)
             count += 1
-        assert count == 48 and stripped
+        assert count == 78 and stripped
 
 
 class TestDiscriminantOracle:

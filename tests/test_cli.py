@@ -18,7 +18,8 @@ import pytest
 
 import clusterfibre
 from clusterfibre.field import BaseField
-from clusterfibre import cli, field, newton
+from clusterfibre import cli, clusters, ff, field, newton
+from clusterfibre.ff import FFPoly
 from clusterfibre.cli import parse_poly, run
 from clusterfibre.errors import InputError
 
@@ -542,6 +543,33 @@ class TestExtensionSearch:
         assert time.perf_counter() - start < 10
         out = capsys.readouterr().out.encode()
         assert hashlib.md5(out).hexdigest() == "32b5bc5d7209c3a6f2a40981852bf2e1"
+
+
+class TestResidualFactorization:
+    def test_seeded_degree_512(self, monkeypatch, capsys):
+        # the monic degree-512 input with coefficients random.Random(512) in
+        # [-9, 9] at p = 3: its root residual is f mod 3 over X, of degree
+        # 511, and factoring it took 7 to 10 s with a gcd and a Barrett
+        # constant per Frobenius step; about 0.9 s now (2 vCPUs, CPython 3.11)
+        rng = random.Random(512)
+        coeffs = [rng.randint(-9, 9) for _ in range(512)] + [1]
+        calls = []
+        factor = clusters.ff_factor
+        monkeypatch.setattr(clusters, "ff_factor",
+                            lambda f, rng=None: calls.append((f, factor(f, rng))) or calls[-1][1])
+        start = time.perf_counter()
+        assert run(["fibre", "--coeffs=" + ",".join(map(str, coeffs)), "--prime", "3",
+                    "--format", "json"]) == 0
+        assert time.perf_counter() - start < 3
+        json.loads(capsys.readouterr().out)
+        residual, factors = calls[0]
+        k = residual.field
+        assert residual.shift(1).monic() == FFPoly.from_ints(k, coeffs)
+        rebuilt = residual.lead()
+        for g, mult in factors:
+            assert ff.is_irreducible(g)
+            rebuilt = rebuilt * g ** mult
+        assert rebuilt == residual
 
 
 class TestErrorHierarchy:
