@@ -640,6 +640,9 @@ def squarefree_decomposition(f: FFPoly):
             rec(g.compose_frobenius_root(), mult * F.p)
             return
         c = g.gcd(dg)
+        if c.degree == 0:  # g is squarefree: its one part is itself
+            parts.append((g, mult))
+            return
         w = g // c
         i = 1
         while w.degree > 0:

@@ -16,12 +16,15 @@ basis of the residue field that FField uses, so a valuation is that of the
 content (gcd of the coordinates over the denominator), and a reduction
 takes each coordinate mod p.
 
-Division and phi-adic expansion share one kernel, ``_zdivmod``.  Over Q_p
-(m = 1) its step is scalar: one integer per quotient coefficient, and by a
-linear centre synthetic division.  Inside an ``expansion_scope`` call each
-(polynomial, phi) pair is expanded once, and each polynomial's
-discriminant valuation taken once; the memo is dropped when the outermost
-scoped call returns.
+Division and phi-adic expansion are one kernel, ``_zexpand``: all the
+divisions of an expansion in one in-place pass over the flat coordinates,
+each coefficient built in lowest terms directly; a division is its
+one-step case.  Over Q_p (m = 1) its step is scalar: one integer per
+quotient coefficient, and by a linear centre synthetic division.  Over Q_p
+a product is one int product (Kronecker substitution, ``_kronecker``).
+Inside an ``expansion_scope`` call each (polynomial, phi) pair is expanded
+once, and each polynomial's discriminant valuation taken once; the memo is
+dropped when the outermost scoped call returns.
 
 Separability is certified modulo word-size primes: ``KPoly.is_separable``
 maps f to F_q[X] (theta to a root of gen_minpoly mod q) and asks whether
@@ -121,6 +124,29 @@ def _plus(a, da, b, db, sign):
     return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)], den
 
 
+def _kronecker(a, b):
+    """The product of two nonempty integer coefficient sequences as one int
+    product (Kronecker substitution, as in ff._Packing): each sequence is
+    read as its polynomial at 2^w, with w one bit more than the largest
+    product coefficient needs, so the product's coefficients are its signed
+    base-2^w digits and none carries into the next."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = bound.bit_length() + 1
+    x = y = 0
+    for c in reversed(a):
+        x = (x << w) + c
+    for c in reversed(b):
+        y = (y << w) + c
+    x *= y
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        c = ((x + half) & mask) - half  # the digit in [-half, half)
+        out.append(c)
+        x = (x - c) >> w
+    return out
+
+
 def _content_val(nums, den, p):
     """The least valuation of the coordinates nums / den; OO if all are 0."""
     g = gcd(*nums)
@@ -166,73 +192,91 @@ def _zsolve(cols, *rhs):
     return [[row[n + j] for row in a] for j in range(len(rhs))], prev
 
 
-# Division.  A monic divisor g = G / lead (G integral, lead its
-# denominator) is prepared once by _zdivisor; _zdivmod then divides by it
-# with integer multiplications and subtractions only.
+# Division and phi-adic expansion: one kernel, _zexpand.  A monic divisor
+# phi = G / lead (G integral, lead its denominator) is divided out with
+# integer multiplications and subtractions only.
 
-def _zdivisor(phi):
-    """Prepare the monic KPoly ``phi`` for _zdivmod.
+def _zexpand(f, phi, limit=None):
+    """[a_0, ..., a_(k-1), q] with f = a_0 + a_1 phi + ... + a_(k-1)
+    phi^(k-1) + q phi^k and deg a_i < deg phi, for the monic KPoly ``phi``:
+    k divisions, as many as f takes, so that q is the top coefficient of the
+    phi-adic expansion, or ``limit`` of them if that is fewer.
 
-    Returns (cols, d, lead) with phi = G / lead, G integral of degree d:
-    cols[k] holds the coordinates of theta^k * G_j for j < d, flat.
+    One in-place pass over the flat coordinates of f: dividing the tail
+    rows[lo:] by phi leaves the remainder in its first deg phi coefficients
+    and the quotient above them, and the quotient is the tail of the next
+    division.  A step reads the top coefficient c of what is left of the
+    tail and writes only below it, so the tops stay in place as the
+    quotient.  With phi = G / lead, G integral, a division by lead > 1 is
+    pseudo-division: the tail is first multiplied by lead to the number of
+    quotient terms, and its denominator with it, after which every top c is
+    divisible by lead and a step subtracts c / lead * G.  Over Q_p (m = 1) a
+    quotient coefficient is one integer, and by a linear phi = X + g_0 a
+    step is one update.
     """
-    m = phi.field.m
-    dm = len(phi.rows) - m
-    return _theta_multiples(phi.rows[:dm], phi.field.gen_minpoly), dm // m, phi.den
-
-
-def _zdivmod(rows, den, divisor):
-    """Divide rows / den by the divisor from _zdivisor: returns (q, r, den2)
-    with f = q * g + r, deg r < deg g, both over den2.  Consumes ``rows``.
-
-    When g = G / lead with lead > 1 this is pseudo-division: rows are first
-    multiplied by lead to the number of quotient terms, after which every
-    top coefficient is divisible by lead and all arithmetic is integral.
-
-    Over Q_p (m = 1) a quotient coefficient is one integer, and a step
-    subtracts one multiple of G; by a linear G = g0 + lead X it is synthetic
-    division, one integer update per step.
-    """
-    cols, d, lead = divisor
-    m = len(cols)
+    K = f.field
+    m, d, lead = K.m, phi.degree, phi.den
     dm = d * m
-    nq = len(rows) // m - d
-    if nq <= 0:
-        return [], rows, den
-    if lead != 1:
-        scale = lead ** nq
-        rows = [a * scale for a in rows]
-        den *= scale
-    if m == 1:
-        # a step at lo reads rows[lo + d] and writes only below it, so
-        # rows[d:] ends as the quotient
-        g = cols[0]
-        if d == 1:
-            g0 = g[0]
-            for lo in range(nq - 1, -1, -1):
-                c = rows[lo + 1]
-                if c:
-                    if lead != 1:
-                        c //= lead
-                    rows[lo] -= c * g0
+    rows, den, n = list(f.rows), f.den, len(f.rows)
+    if m > 1:
+        cols = _theta_multiples(phi.rows[:dm], K.gen_minpoly)
+    else:
+        g = phi.rows[:d]
+    dens = []  # the denominator of each division's remainder
+    lo0 = 0
+    while n - lo0 > dm and len(dens) != limit:
+        if lead != 1:
+            scale = lead ** ((n - lo0) // m - d)
+            rows[lo0:] = [a * scale for a in rows[lo0:]]
+            den *= scale
+        if m > 1:
+            for lo in range(n - dm - m, lo0 - 1, -m):
+                for c, col in zip(rows[lo + dm:lo + dm + m], cols):
+                    if c:
+                        if lead != 1:
+                            c //= lead
+                        rows[lo:lo + dm] = [a - c * b for a, b in zip(rows[lo:lo + dm], col)]
+        elif d == 1:
+            g0, c = g[0], rows[n - 1]
+            for lo in range(n - 2, lo0 - 1, -1):
+                if lead != 1:
+                    c //= lead
+                c = rows[lo] = rows[lo] - c * g0
         else:
-            for lo in range(nq - 1, -1, -1):
+            for lo in range(n - d - 1, lo0 - 1, -1):
                 c = rows[lo + d]
                 if c:
                     if lead != 1:
                         c //= lead
                     rows[lo:lo + d] = [a - c * b for a, b in zip(rows[lo:lo + d], g)]
-        return rows[d:], rows[:d], den
-    q = [0] * (nq * m)
-    for lo in range((nq - 1) * m, -1, -m):
-        top = rows[lo + dm:lo + dm + m]
-        q[lo:lo + m] = top
-        for c, col in zip(top, cols):
-            if c:
-                if lead != 1:
-                    c //= lead
-                rows[lo:lo + dm] = [a - c * b for a, b in zip(rows[lo:lo + dm], col)]
-    return q, rows[:dm], den
+        dens.append(den)
+        lo0 += dm
+    dens.append(den)
+    # each piece rows[lo:hi] / den_k becomes a KPoly in lowest terms here;
+    # a zero piece has gcd den_k, so it comes out as () over 1
+    new, out = KPoly.__new__, []
+    if lo0 == n - 1 and dm == 1:
+        # every piece is one integer: one gcd takes it to lowest terms
+        for c, dk in zip(rows, dens):
+            e = gcd(c, dk)
+            a = new(KPoly)
+            a.field, a.rows, a.den, a._gauss = K, (c // e,) if c else (), dk // e, None
+            out.append(a)
+        return out
+    last = len(dens) - 1
+    for k, dk in enumerate(dens):
+        lo = k * dm
+        hi = n if k == last else lo + dm
+        while hi > lo and not any(rows[hi - m:hi]):
+            hi -= m
+        nums = rows[lo:hi]
+        e = gcd(dk, *nums)
+        if e != 1:
+            nums, dk = [c // e for c in nums], dk // e
+        a = new(KPoly)
+        a.field, a.rows, a.den, a._gauss = K, tuple(nums), dk, None
+        out.append(a)
+    return out
 
 
 def _zinverse(nums, mod):
@@ -515,7 +559,7 @@ class KPoly:
             return KPoly._of(K, (), 1)
         m = K.m
         if m == 1:
-            rows = _conv(self.rows, other.rows)
+            rows = _kronecker(self.rows, other.rows)
         else:
             # a coefficient of the product has theta-degree up to 2m - 2:
             # spread each coefficient over w = 2m - 1 places, multiply once,
@@ -538,8 +582,9 @@ class KPoly:
         while n:
             if n & 1:
                 result = result * x
-            x = x * x
             n >>= 1
+            if n:
+                x = x * x
         return result
 
     def divmod(self, other):
@@ -547,11 +592,10 @@ class KPoly:
         ``other``."""
         if not other.is_monic():
             raise InputError("divisor must be monic")
-        K = self.field
         if len(self.rows) < len(other.rows):
-            return K.zero, self
-        q, r, den = _zdivmod(list(self.rows), self.den, _zdivisor(other))
-        return KPoly._of(K, q, den), KPoly._of(K, r, den)
+            return self.field.zero, self
+        r, q = _zexpand(self, other, 1)
+        return q, r
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -597,17 +641,7 @@ class KPoly:
                 return hit[2]
         if not phi.is_monic() or phi.degree < 1:
             raise InputError("expansion base must be monic of positive degree")
-        if self.degree < phi.degree:
-            out = (self,)
-        else:
-            K = self.field
-            divisor = _zdivisor(phi)
-            rows, den = list(self.rows), self.den
-            out = []
-            while rows:
-                rows, r, den = _zdivmod(rows, den, divisor)
-                out.append(KPoly._of(K, r, den))
-            out = tuple(out)
+        out = (self,) if len(self.rows) < len(phi.rows) else tuple(_zexpand(self, phi))
         if memo is not None:
             memo[(id(self), id(phi))] = (self, phi, out)
         return out

@@ -165,12 +165,17 @@ class MacLaneVal:
     def _scaled(self, level: int, g: KPoly):
         """e_level * v_level(g): an int, or OO when g is zero.  v_level is
         the valuation of the depth-``level`` prefix, e_level its group index;
-        each radius is an int or a Fraction, h_level = e_level * lambda_level."""
-        if not g.rows:
+        each radius is an int or a Fraction, h_level = e_level * lambda_level.
+        Every centre has degree at least 1, so a constant g is its own
+        expansion at every level and v_level(g) is its Gauss value v_0(g)."""
+        size = len(g.rows)  # m * (deg g + 1), m coordinates per coefficient
+        if not size:
             return OO
+        if size == self.field.m:  # a constant
+            return self.e_levels[level] * g.gauss_val()
         # a centre of degree above deg g leaves its level's value unchanged
-        j, steps, deg = level, self.steps, g.degree
-        while j and steps[j - 1].phi.degree > deg:
+        j, steps = level, self.steps
+        while j and len(steps[j - 1].phi.rows) > size:
             j -= 1
         if j == 0:
             val = g.gauss_val()

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -422,6 +423,73 @@ class TestScalarKernel:
         assert all(a.degree < degree for a in coeffs)
 
 
+class TestExpansionKernel:
+    """The one expansion kernel against the Fraction model of Q(theta) below:
+    sum a_i phi^i = f with deg a_i < deg phi, each a_i in lowest terms and
+    equal to the model's remainder, for m = 1, 2, 3 and centres of degree 1,
+    2, 3; with denominators in f, and in phi, where each division is a
+    pseudo-division by the integral lead*phi; and for deg f < deg phi."""
+
+    @staticmethod
+    def _draw(K, rng, degree, den):
+        """A polynomial of the given degree over den: integer coordinates
+        and a top coefficient 1/den, so its denominator is den exactly."""
+        coeffs = [K.elem(*[rng.randrange(-30, 31) for _ in range(K.m)]) for _ in range(degree)]
+        return K.poly(coeffs + [K.rat(Fraction(1, den))])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_against_the_fraction_model(self, m, d):
+        K = _kernel_base(m)
+        mod = [Fraction(c) for c in K.gen_minpoly]
+        rng = random.Random(100 * m + d)
+        for den_f, den_phi in [(1, 1), (6, 1), (1, 7), (K.p ** 2, 10), (4, K.p)]:
+            # integral but for a constant term 1/den_phi off an integral element
+            low = [K.elem(*[rng.randrange(-30, 31) for _ in range(m)]) for _ in range(d)]
+            low[0] = low[0] + K.rat(Fraction(1, den_phi))
+            phi = K.poly(low + [K.one])
+            assert phi.is_monic() and phi.degree == d and phi.den == den_phi
+            for degree in (d - 1, d, 3 * d + 1):
+                f = self._draw(K, rng, degree, den_f)
+                assert f.den == den_f
+                digits = f.phi_expand(phi)
+                assert all(_canonical(a) and a.degree < d for a in digits)
+                total = []
+                for a in reversed(digits):
+                    total = _q_polymul(total, _q(phi), mod)
+                    total = _q_trim([tuple(x + y for x, y in zip(u, v)) for u, v in
+                                     zip_longest(total, _q(a), fillvalue=(Fraction(0),) * m)])
+                assert total == _q(f)
+                rest, want = _q(f), []
+                while rest:
+                    rest, r = _q_divmod(rest, _q(phi), mod)
+                    want.append(r)
+                assert [_q(a) for a in digits] == want
+                assert len(digits) == degree // d + 1
+                q, r = f.divmod(phi)
+                assert (_q(q), _q(r)) == _q_divmod(_q(f), _q(phi), mod)
+                assert _canonical(r) and (q.is_zero() or _canonical(q))
+
+
+class TestKroneckerProduct:
+    """Over Q_p a product of polynomials is one int product: its
+    coefficients are the signed digits of that product, and must equal the
+    schoolbook convolution, also where a coefficient reaches the bound the
+    digit width is chosen from."""
+
+    def test_matches_convolution(self):
+        rng = random.Random(24)
+        cases = [([1], [1]), ([0, 1], [-1]), ([-7] * 9, [-7] * 4), ([7, -7] * 5, [-7, 7] * 3),
+                 ([2 ** 64, 0, 0, -1], [0, 2 ** 64 - 1]), ([-1, 1], [1, 1, 1, 1])]
+        for _ in range(200):
+            bits = rng.choice([1, 3, 30, 31, 64, 200])
+            a, b = ([rng.randint(-2 ** bits, 2 ** bits) for _ in range(rng.randrange(1, 12))]
+                    for _ in range(2))
+            cases.append((a, b))
+        for a, b in cases:
+            assert field._kronecker(a, b) == ff._conv(a, b), (a, b)
+
+
 # A test-local model of Q(theta): an element is a tuple of m Fraction
 # power-basis coordinates, a polynomial a list of such tuples.  Every
 # operation is Fraction arithmetic, independent of the integer layer.
@@ -819,13 +887,13 @@ class TestExpansionMemo:
         g = K.poly([7, -3, 0, 2, 1])
         reduce_poly(cc, K.poly([1, 1]))  # builds and caches the residue tower
         counts = [0]
-        original = field._zdivmod
+        original = field._zexpand
 
-        def counting(rows, den, divisor):
+        def counting(f, phi, limit=None):
             counts[0] += 1
-            return original(rows, den, divisor)
+            return original(f, phi, limit)
 
-        monkeypatch.setattr(field, "_zdivmod", counting)
+        monkeypatch.setattr(field, "_zexpand", counting)
         first = reduce_poly(cc, g)
         n_first, counts[0] = counts[0], 0
         second = reduce_poly(cc, g)
@@ -911,6 +979,23 @@ class TestFiniteFields:
             for _ in range(mult):
                 prod = prod * g
         assert prod == f
+
+    def test_squarefree_input_makes_one_gcd(self, monkeypatch):
+        # over GF(5^2) no root scan runs first; Yun's loop ends at the one
+        # gcd(g, g') = 1 of a squarefree g, which is its own part
+        k = _small_field(5, 2)
+        t = k.gen
+        g = FFPoly(k, [t, k.one]) * FFPoly(k, [t + k.one, k.one]) * FFPoly(k, [t, k.zero, k.one])
+        assert g.gcd(g.derivative()).degree == 0
+        calls = []
+        gcd = FFPoly.gcd
+        monkeypatch.setattr(FFPoly, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        assert ff.squarefree_decomposition(g) == [(g, 1)]
+        assert len(calls) == 1
+        # a square still splits by multiplicity
+        h = FFPoly(k, [k.one, k.one])
+        parts = ff.squarefree_decomposition(g * h * h)
+        assert sorted((m, f.degree) for f, m in parts) == [(1, 4), (2, 1)]
 
     def test_extend_trivial(self):
         k = prime_field(5)

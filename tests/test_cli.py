@@ -61,6 +61,21 @@ class TestParse:
             parse_poly("x^2 + ", K)
         assert str(err.value).endswith("(at position 6)")
 
+    def test_binomial_power_is_fast(self):
+        # (x+1)^1024 took 1.07 s when a power squared once past its last bit
+        # and products convolved coefficient by coefficient; one int product
+        # per multiplication and no extra squaring take about 0.25 s
+        K = BaseField(3)
+        best = math.inf
+        for _ in range(2):
+            start = time.perf_counter()
+            f = parse_poly("(x+1)^1024", K)
+            best = min(best, time.perf_counter() - start)
+        assert f.den == 1 and f.rows == tuple(math.comb(1024, k) for k in range(1025))
+        assert parse_poly("(x-1)^33", K).rows == tuple((-1) ** (33 - k) * math.comb(33, k)
+                                                       for k in range(34))
+        assert best < 1
+
     def test_print_parse_fixpoint(self):
         from clusterfibre.fibre import poly_str
         K = BaseField(5)

@@ -406,6 +406,27 @@ class TestScaledKernel:
         assert v.eval(g) == 2
         assert calls == [v.centre]  # each coefficient a_s is a constant
 
+    def test_constants_at_every_level(self, monkeypatch):
+        # a constant is its own expansion at every level, so _scaled gives
+        # e_level * v_0(c), against the model, and expands nothing
+        calls = []
+        expand = KPoly.phi_expand
+        monkeypatch.setattr(KPoly, "phi_expand", lambda g, phi: calls.append(phi) or expand(g, phi))
+        for pm in _FIELDS:
+            K, chains = _chains(*pm)
+            p = K.p
+            t = K.elem(1, 1) if K.m > 1 else K.one
+            consts = [K.one, K.rat(F(-2, p ** 3)), K.rat(p ** 4 * 7), K.rat(F(p, 8)),
+                      t * K.rat(F(1, p)), K.rat(p) + t]
+            for v in chains.values():
+                assert v.e_levels[-1] > 1
+                for level in range(v.depth + 1):
+                    for c in consts:
+                        want = _model_eval(v, level, c) * v.e_levels[level]
+                        del calls[:]
+                        assert v._scaled(level, c) == want and not calls
+                    assert v._scaled(level, K.zero) is OO
+
     def test_fraction_count(self, monkeypatch):
         # eval and reduce_poly build at most one Fraction per call: the
         # conversion of the scaled value at the boundary
