@@ -185,7 +185,7 @@ class _Builder:
 
     def build(self):
         v0 = MacLaneVal.gauss(self.K)
-        self._context(v0, self.K.x(), Fraction(0), None, 0)
+        self._context(v0, self.K.x(), Fraction(0), None, None, 0)
         return self.root
 
     def _attach_node(self, node: ClusterNode, parent: Optional[ClusterNode]):
@@ -204,17 +204,31 @@ class _Builder:
             # an orbit in no proper cluster must be the whole of f
             raise InternalInconsistency("stray orbit outside the tree")
 
-    def _context(self, prefix: MacLaneVal, phi: KPoly, bound, parent, depth) -> bool:
+    def _context(self, prefix: MacLaneVal, phi: KPoly, bound, ell, parent, depth) -> bool:
         """Discover the clusters below (prefix, phi); True when the build
-        stops early, so every caller returns at once."""
+        stops early, so every caller returns at once.
+
+        Only the principal part of the phi-Newton polygon is read, the edges
+        with lam > bound.  Its length ell is the order of the residual
+        factor that phi lifts in the residual polynomial it came from
+        (Guardia-Montes-Nart, Newton polygons of higher order in algebraic
+        number theory, Trans. AMS 364 (2012)): the multiplicity of a lifted
+        factor, the edge width i1 when a same-degree centre is re-lifted,
+        and None, all of f, at the root.  So the polygon and every
+        reduction read the first ell + 1 coefficients of the expansion of
+        f, and the kept edges must end at ell exactly."""
         if depth > self.f.degree + 4 and depth > self.exact_bound():
             raise InternalInconsistency("refinement exceeded the discriminant depth bound")
+        upto = None if ell is None else ell + 1
         # lam falls from edge to edge, so shallowest first is right to left
-        edges = [e for e in reversed(newton_polygon(prefix, phi, self.f)) if e.lam > bound]
+        edges = [e for e in reversed(newton_polygon(prefix, phi, self.f, upto)) if e.lam > bound]
+        if ell is not None and (not edges or edges[0].i1 != ell):
+            raise InternalInconsistency("principal polygon does not end at the order "
+                                        "of the lifted residual factor")
         current = parent
         for e in edges:
             cand = prefix.augment_unchecked(phi, e.lam)
-            red = reduce_poly(cand, self.f)
+            red = reduce_poly(cand, self.f, upto)
             if (red.i0, red.i1) != (e.i0, e.i1):
                 raise InternalInconsistency("edge endpoints disagree with reduction")
             if e.i1 == 1:
@@ -229,7 +243,7 @@ class _Builder:
                     and factors[0][0].degree == 1 and factors[0][1] == e.i1):
                 # not a cluster: a same-degree valuation deeper has the same roots
                 phi2 = lift_key(cand, factors[0][0])
-                return self._context(prefix, phi2, e.lam, current, depth + 1)
+                return self._context(prefix, phi2, e.lam, e.i1, current, depth + 1)
             node = ClusterNode(cand, e.i1 * phi.degree)
             self._attach_node(node, current)
             for h, mult in factors:
@@ -239,10 +253,10 @@ class _Builder:
                                                  lift_from=cand, lift_h=h))
                 else:
                     phi2 = lift_key(cand, h)
-                    if self._context(cand, phi2, cand.eval(phi2), node, depth + 1):
+                    if self._context(cand, phi2, cand.eval(phi2), mult, node, depth + 1):
                         return True
             current = node
-        expansion = self.f.phi_expand(phi)
+        expansion = self.f.phi_expand(phi, 2)
         if expansion[0].is_zero():
             # f = phi * q and q mod phi is the next expansion coefficient
             if expansion[1].is_zero():
@@ -365,7 +379,9 @@ def p0_flag(node: ClusterNode) -> int:
 def _build_cluster_chains(tree: ClusterTree):
     for node in tree.nodes:
         cc = cluster_chain(node)
-        node.reduction = reduce_poly(cc, tree.f)
+        # the edge of the node's radius ends at size / degree (checked in
+        # _verify_tree), and every later term lies above its line
+        node.reduction = reduce_poly(cc, tree.f, node.size // node.degree + 1)
         for child in node.children:
             if child.centre != node.centre:
                 node.child_residuals[id(child)] = reduce_poly(cc, child.centre).poly

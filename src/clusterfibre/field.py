@@ -24,7 +24,11 @@ quotient coefficient, and by a linear centre synthetic division.  Over Q_p
 a product is one int product (Kronecker substitution, ``_kronecker``).
 Inside an ``expansion_scope`` call each (polynomial, phi) pair is expanded
 once, and each polynomial's discriminant valuation taken once; the memo is
-dropped when the outermost scoped call returns.
+dropped when the outermost scoped call returns.  A caller may ask
+``phi_expand`` for only the first ``upto`` coefficients: the memo entry then
+keeps the coefficients so far and the pending quotient q, f = sum_i a_i
+phi^i + q phi^k, and a later request for more resumes the kernel from q,
+so no part of f is divided twice.
 
 Separability is certified modulo word-size primes: ``KPoly.is_separable``
 maps f to F_q[X] (theta to a root of gen_minpoly mod q) and asks whether
@@ -53,7 +57,8 @@ from .rationals import OO
 
 
 # Memo of the innermost open expansion scope: (id(poly), id(phi)) ->
-# (poly, phi, expansion), and (id(f), None) -> (f, None, v(disc f)).
+# (poly, phi, coefficients, pending quotient or None when complete), and
+# (id(f), None) -> (f, None, v(disc f)).
 # Holding the objects keeps their ids from being reused while the scope is
 # open.  A ContextVar keeps each thread's and each task's scope its own.
 _EXPANSIONS = contextvars.ContextVar("clusterfibre_expansions", default=None)
@@ -129,22 +134,45 @@ def _kronecker(a, b):
     product (Kronecker substitution, as in ff._Packing): each sequence is
     read as its polynomial at 2^w, with w one bit more than the largest
     product coefficient needs, so the product's coefficients are its signed
-    base-2^w digits and none carries into the next."""
+    base-2^w digits and none carries into the next.
+
+    A short product takes its digits off one at a time, a shift and a
+    subtraction on the whole remaining int each, which is quadratic in its
+    size.  From 8,192 bits on, w is rounded up to whole bytes and every
+    digit is biased by half = 2^(w-1) into [0, 2^w): the sequences are
+    packed from bytes and the product read back through one ``to_bytes``,
+    in linear time.  In a micro-benchmark (best of 7, CPython 3.11.7, one
+    shared Xeon vCPU) the bytes path took 1.4 to 2 times as long below
+    2,000 bits of product, 0.9 to 1.1 times near 8,000 bits, and 0.37 times
+    for a square of 513 coefficients of 512 bits."""
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     w = bound.bit_length() + 1
-    x = y = 0
-    for c in reversed(a):
-        x = (x << w) + c
-    for c in reversed(b):
-        y = (y << w) + c
-    x *= y
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        c = ((x + half) & mask) - half  # the digit in [-half, half)
-        out.append(c)
-        x = (x - c) >> w
-    return out
+    n = len(a) + len(b) - 1
+    if n * w < 8192:
+        x = y = 0
+        for c in reversed(a):
+            x = (x << w) + c
+        for c in reversed(b):
+            y = (y << w) + c
+        x *= y
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        out = []
+        for _ in range(n):
+            c = ((x + half) & mask) - half  # the digit in [-half, half)
+            out.append(c)
+            x = (x - c) >> w
+        return out
+    wb = (w + 7) // 8
+    half = 1 << (8 * wb - 1)
+    digit_bias = bytes(wb - 1) + b"\x80"  # half, little-endian
+
+    def packed(cs):  # sum c_i 2^(8 wb i), from the biased digits
+        return (int.from_bytes(b"".join([(c + half).to_bytes(wb, "little") for c in cs]), "little")
+                - int.from_bytes(digit_bias * len(cs), "little"))
+
+    biased = packed(a) * packed(b) + int.from_bytes(digit_bias * n, "little")
+    raw = biased.to_bytes(n * wb, "little")
+    return [int.from_bytes(raw[i:i + wb], "little") - half for i in range(0, n * wb, wb)]
 
 
 def _content_val(nums, den, p):
@@ -277,6 +305,14 @@ def _zexpand(f, phi, limit=None):
         a.field, a.rows, a.den, a._gauss = K, tuple(nums), dk, None
         out.append(a)
     return out
+
+
+def _split_pending(pieces, phi):
+    """(coefficients, q) from the pieces [a_0, ..., q] that ``_zexpand``
+    returns: q is None when it is the top coefficient, deg q < deg phi."""
+    if len(pieces[-1].rows) < len(phi.rows):
+        return tuple(pieces), None
+    return tuple(pieces[:-1]), pieces[-1]
 
 
 def _zinverse(nums, mod):
@@ -628,22 +664,36 @@ class KPoly:
         return FFPoly._of(self.field.residue_field,
                           _residues(self.rows, self.den, self.field.p, alpha))
 
-    def phi_expand(self, phi: "KPoly") -> tuple:
-        """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi.
+    def phi_expand(self, phi: "KPoly", upto=None) -> tuple:
+        """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi:
+        all of them, or at least the first ``upto`` (all, when there are no
+        more than that).
 
         Inside an ``expansion_scope`` the result is shared by every caller
-        that expands the same objects, hence a tuple.
+        that expands the same objects, hence a tuple.  The memo entry of a
+        partial expansion keeps the pending quotient q with self = sum_i a_i
+        phi^i + q phi^k, and a later request for more coefficients divides
+        only q, by as many steps as are missing.
         """
         memo = _EXPANSIONS.get()
-        if memo is not None:
-            hit = memo.get((id(self), id(phi)))
-            if hit is not None:
-                return hit[2]
-        if not phi.is_monic() or phi.degree < 1:
+        hit = memo.get((id(self), id(phi))) if memo is not None else None
+        if hit is not None:
+            out, rest = hit[2], hit[3]
+            if rest is None or (upto is not None and len(out) >= upto):
+                return out
+            missing = None if upto is None else upto - len(out)
+            more, rest = _split_pending(_zexpand(rest, phi, missing), phi)
+            out += more
+        elif not phi.is_monic() or phi.degree < 1:
             raise InputError("expansion base must be monic of positive degree")
-        out = (self,) if len(self.rows) < len(phi.rows) else tuple(_zexpand(self, phi))
+        elif len(self.rows) < len(phi.rows):
+            out, rest = (self,), None
+        elif upto is None:
+            out, rest = tuple(_zexpand(self, phi)), None
+        else:
+            out, rest = _split_pending(_zexpand(self, phi, upto), phi)
         if memo is not None:
-            memo[(id(self), id(phi))] = (self, phi, out)
+            memo[(id(self), id(phi))] = (self, phi, out, rest)
         return out
 
     def is_separable(self) -> bool:

@@ -13,13 +13,15 @@ by the child multiplicity law of the tree), and f-tilde twists f-bar by x
 and the marked child factors so that y^n = f-tilde presents the
 component's function field.
 
-Two independent routes are asserted against each other on every run: nu by
-evaluation against the meet sum over leaf orbits, which one walk up the
-parents of the node adds up from the cluster sizes, and the genus from u
-against the genus of the double cover y^2 = f-tilde computed from its
-odd-multiplicity roots.  The intro-flavoured normalization (nu scaled by
-the cluster degree) is reported alongside for display only; it never enters
-the computation.
+Two independent routes are asserted against each other on every run: nu,
+the value alpha of the line of f's reduction along the cluster chain (which
+the chain stage computes from the first size/degree + 1 terms of f's
+expansion in the centre), against the meet sum over leaf orbits, which one
+walk up the parents of the node adds up from the cluster sizes, and the
+genus from u against the genus of the double cover y^2 = f-tilde computed
+from its odd-multiplicity roots.  The intro-flavoured normalization (nu
+scaled by the cluster degree) is reported alongside for display only; it
+never enters the computation.
 """
 
 from __future__ import annotations
@@ -71,10 +73,12 @@ class InvariantRecord:
 def nu(tree: ClusterTree, node: ClusterNode):
     """nu_v = v(f), with the leaf-meet sum of the valuation identity asserted.
 
-    A leaf below v meets v; a leaf below an ancestor a but not below a's
-    child c towards v meets a.  The leaf degrees below a node sum to its
-    size (the additivity law), so the meet sum is one walk up the parents."""
-    direct = cluster_chain(node).eval(tree.f)
+    v(f) along the cluster chain is the value alpha of the line of f's
+    reduction there, which the chain stage has computed.  A leaf below v
+    meets v; a leaf below an ancestor a but not below a's child c towards v
+    meets a.  The leaf degrees below a node sum to its size (the additivity
+    law), so the meet sum is one walk up the parents."""
+    direct = node.reduction.alpha
     total = tree.f.lead().gauss_val() + Fraction(node.size * node.radius) / node.degree
     c, a = node, node.parent
     while a is not None:

@@ -76,16 +76,20 @@ def _lower_hull(points):
     return verts
 
 
-def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly) -> List[EdgeData]:
+def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly, upto=None) -> List[EdgeData]:
     """The edges, left to right, of the lower convex hull of the expansion
     points (i, v_prev(a_i)), taken on the scaled points (i, e v_prev(a_i))
     for the group index e of v_prev.  No three vertices are collinear, so
-    lam falls strictly from edge to edge."""
+    lam falls strictly from edge to edge.
+
+    With ``upto`` only the points i < upto are read, and the hull is theirs:
+    the caller guarantees that the edges it needs end at a vertex below
+    upto, so that they are edges of the whole polygon as well."""
     if f.is_zero():
         raise InputError("Newton polygon of the zero polynomial")
     n, e = v_prev.depth, v_prev.e_levels[-1]
     hull = _lower_hull([(i, v_prev._scaled(n, a))
-                        for i, a in enumerate(f.phi_expand(phi)) if a.rows])
+                        for i, a in enumerate(f.phi_expand(phi, upto)[:upto]) if a.rows])
     return [EdgeData(Fraction(s0 - s1, e * (i1 - i0)), i0, i1)
             for (i0, s0), (i1, s1) in zip(hull, hull[1:])]
 
@@ -223,8 +227,14 @@ class Reduction:
 
 
 @expansion_scope
-def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
-    """The reduction f|_v along the chain of v (Gauss handled coefficientwise)."""
+def reduce_poly(v: MacLaneVal, f: KPoly, upto=None) -> Reduction:
+    """The reduction f|_v along the chain of v (Gauss handled coefficientwise).
+
+    With ``upto`` only the first upto coefficients of the expansion of f in
+    the last centre are read: the caller guarantees that the terms on the
+    line of value alpha = v(f) all lie among them, and every later term
+    strictly above it, as for the right end of an edge of the Newton
+    polygon.  Then alpha, the edge and f|_v are those of the whole of f."""
     if f.is_zero():
         raise InputError("reduction of the zero polynomial")
     if v.is_gauss:
@@ -233,7 +243,7 @@ def reduce_poly(v: MacLaneVal, f: KPoly) -> Reduction:
     tower = residue_tower(v)
     n = v.depth
     e_n, h_n = v.e_rel[n], v.h_rel[n]
-    expansion = f.phi_expand(v.steps[-1].phi)
+    expansion = f.phi_expand(v.steps[-1].phi, upto)[:upto]
     # e_{v_{n-1}} v_{n-1}(a_s), once per term; t is the value of a_s phi^s, scaled
     vals = [v._scaled(n - 1, a) for a in expansion]
     terms = [(s, e_n * u + h_n * s) for s, u in enumerate(vals) if u is not OO]

@@ -489,6 +489,29 @@ class TestKroneckerProduct:
         for a, b in cases:
             assert field._kronecker(a, b) == ff._conv(a, b), (a, b)
 
+    def test_long_products(self):
+        # from 8,192 bits of product on, the digits go through bytes with a
+        # bias of half a digit.  The middle coefficients reach -bound and
+        # +bound: with 128 terms bound has 71 bits and the digit is 9 whole
+        # bytes with no spare bit; with 256 it has 72, so the 73-bit digit
+        # takes 10 bytes, where a digit one bit narrower would take 9, too
+        # few for +-bound and its sign
+        top = (1 << 32) - 1
+        for k in (128, 256):
+            bound = top * top * k
+            for a, b in [([top] * k, [-top] * k), ([top] * k, [top] * k),
+                         ([-top] * k, [-top] * (k + 72))]:
+                assert (len(a) + len(b) - 1) * bound.bit_length() >= 8192
+                got = field._kronecker(a, b)
+                assert max(map(abs, got)) == bound and got == ff._conv(a, b)
+        rng = random.Random(25)
+        for _ in range(40):
+            bits = rng.choice([1, 8, 30, 64, 200, 512])
+            a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(rng.randrange(1, 160))]
+            b = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(rng.randrange(64, 160))]
+            got = field._kronecker(a, b)
+            assert min(got) < 0 and got == ff._conv(a, b), (a, b)
+
 
 # A test-local model of Q(theta): an element is a tuple of m Fraction
 # power-basis coordinates, a polynomial a list of such tuples.  Every
@@ -855,9 +878,9 @@ class TestExpansionMemo:
         scoped = []
         original = KPoly.phi_expand
 
-        def spy(self, phi):
+        def spy(self, phi, upto=None):
             scoped.append(field._EXPANSIONS.get() is not None)
-            return original(self, phi)
+            return original(self, phi, upto)
 
         monkeypatch.setattr(KPoly, "phi_expand", spy)
         tree = self._tree()
@@ -930,6 +953,82 @@ class TestExpansionMemo:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert all(results[t] == expected for t in range(4))
+
+
+class TestResumableExpansion:
+    """Inside a scope a partial expansion keeps its pending quotient q, with
+    f = sum_i a_i phi^i + q phi^k, and a request for more coefficients
+    resumes the kernel from q with the missing count: it never divides a
+    part of f twice, and the result equals a fresh full expansion."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_resume_divides_only_what_is_missing(self, m, monkeypatch):
+        K = _kernel_base(m)
+        rng = random.Random(25 + m)
+        calls = []  # (dividend, divisions made) of every kernel call
+        original = field._zexpand
+
+        def counting(f, phi, limit=None):
+            out = original(f, phi, limit)
+            calls.append((f, len(out) - 1))
+            return out
+
+        # den(phi) in {10, p, 7}: each division is a pseudo-division, and so
+        # is the one that leaves the pending quotient
+        for d, den_phi in [(1, 1), (1, 10), (2, 1), (2, K.p), (3, 7)]:
+            low = [K.elem(*[rng.randrange(-30, 31) for _ in range(m)]) for _ in range(d)]
+            low[0] = low[0] + K.rat(Fraction(1, den_phi))
+            phi = K.poly(low + [K.one])
+            assert phi.den == den_phi
+            f = TestExpansionKernel._draw(K, rng, 5 * d + d // 2, 6)
+            full = f.phi_expand(phi)  # unscoped: fresh, and not kept
+            n = len(full)
+            assert n == 6
+            monkeypatch.setattr(field, "_zexpand", counting)
+            for steps in [(1,), (2, 4), (1, 3, 5), (n - 1,), (n,), (n + 3,)]:
+                del calls[:]
+                parts = self._scoped(f, phi, steps)
+                assert parts[-1] == full
+                for want, part in zip(steps, parts):
+                    assert part == full[:len(part)] and len(part) >= min(want, n)
+                # each call starts from the quotient the last one left and
+                # makes only the divisions that were missing, n - 1 in all
+                done = 0
+                for g, k in calls:
+                    assert g.degree == f.degree - done * d
+                    done += k
+                assert done == n - 1
+            monkeypatch.setattr(field, "_zexpand", original)
+
+    @expansion_scope
+    def _scoped(self, f, phi, steps):
+        """The expansions of f for each count in ``steps`` and then all of
+        it, in one scope, checking each pending quotient on the way."""
+        out = []
+        for upto in steps + (None,):
+            part = f.phi_expand(phi, upto)
+            _, _, coeffs, rest = field._EXPANSIONS.get()[(id(f), id(phi))]
+            assert coeffs is part
+            total = _expand_back(coeffs, phi)
+            if rest is not None:
+                assert rest.degree >= phi.degree
+                total = total + rest * phi ** len(coeffs)
+            assert total == f
+            out.append(part)
+        return out
+
+    def test_short_polynomial_is_its_own_expansion(self, monkeypatch):
+        K = _kernel_base(2)
+        phi = K.poly([K.theta, 0, 1])
+        f = K.poly([K.rat(Fraction(1, 3)), K.theta])
+        monkeypatch.setattr(field, "_zexpand", lambda *a: pytest.fail("kernel called"))
+
+        @expansion_scope
+        def expand():
+            return f.phi_expand(phi, 1), f.phi_expand(phi, 4), f.phi_expand(phi)
+
+        first, second, third = expand()
+        assert first == (f,) and second is first and third is first
 
 
 class TestFiniteFields:

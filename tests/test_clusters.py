@@ -296,9 +296,9 @@ class TestDepthGuard:
         depths = []
         context = clusters._Builder._context
 
-        def spy(builder, prefix, phi, bound, parent, depth):
+        def spy(builder, prefix, phi, bound, ell, parent, depth):
             depths.append(depth)
-            return context(builder, prefix, phi, bound, parent, depth)
+            return context(builder, prefix, phi, bound, ell, parent, depth)
 
         monkeypatch.setattr(clusters._Builder, "_context", spy)
         build_cluster_tree(f, K)
@@ -405,9 +405,9 @@ class TestGeometricMode:
         monkeypatch.setattr(clusters, "discriminant_val", lambda f: calls.append(f) or real(f))
         context = clusters._Builder._context
 
-        def spy(builder, prefix, phi, bound, parent, depth):
+        def spy(builder, prefix, phi, bound, ell, parent, depth):
             depths[builder.K.m] = max(depths.get(builder.K.m, 0), depth)
-            return context(builder, prefix, phi, bound, parent, depth)
+            return context(builder, prefix, phi, bound, ell, parent, depth)
 
         monkeypatch.setattr(clusters._Builder, "_context", spy)
         K = BaseField(5)
@@ -485,3 +485,93 @@ class TestSharedChains:
             low, top = residue_tower(chain.prefix).fields, residue_tower(chain).fields
             assert len(top) == len(low) + 1
             assert all(a is b for a, b in zip(low, top))
+
+
+class TestPrincipalPart:
+    """Discovery reads only the principal part of each phi-Newton polygon,
+    from the first ell + 1 expansion coefficients, and the chain stage only
+    size / degree + 1 of them.  Against the whole expansion: the kept edges
+    of every context are those of the full polygon and end at ell, and each
+    node's reduction value is v(f) along its cluster chain."""
+
+    @staticmethod
+    def _check(f, K, mode, monkeypatch):
+        from clusterfibre import clusters
+        from clusterfibre.newton import newton_polygon
+        contexts = []
+        context = clusters._Builder._context
+
+        def spy(builder, prefix, phi, bound, ell, parent, depth):
+            # all of f at the root of each build, the principal part below
+            assert (ell is None) == (depth == 0)
+            contexts.append((builder.f, prefix, phi, bound, ell))
+            return context(builder, prefix, phi, bound, ell, parent, depth)
+
+        monkeypatch.setattr(clusters._Builder, "_context", spy)
+        tree = build_cluster_tree(f, K, mode=mode)
+        monkeypatch.setattr(clusters._Builder, "_context", context)
+
+        def kept(g, prefix, phi, bound, upto=None):
+            return [(e.lam, e.i0, e.i1) for e in newton_polygon(prefix, phi, g, upto)
+                    if e.lam > bound]
+
+        truncated = 0
+        for g, prefix, phi, bound, ell in contexts:
+            full = kept(g, prefix, phi, bound)
+            if ell is not None:
+                assert kept(g, prefix, phi, bound, ell + 1) == full
+                assert full[-1][2] == ell
+                truncated += 1
+        for node in tree.nodes:
+            assert node.reduction.alpha == cluster_chain(node).eval(tree.f)
+        return truncated
+
+    @staticmethod
+    def _workload_inputs():
+        import importlib.util
+        from pathlib import Path
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in ("linear_roots", "geometric_extension"):
+            for seed in (0, 1):
+                for inp in workloads.WORKLOADS[name].inputs(seed, None):
+                    args = cli._build_parser().parse_args(inp.argv)
+                    K = BaseField(args.prime, args.unramified_degree)
+                    yield K, cli._input_poly(args, K), args.residue_mode
+
+    @staticmethod
+    def _seeded_products(m, count):
+        """Separable products of one or two (x - c)^e - u p^s, c in p Z[theta]
+        and u a unit, drawn from random.Random(m)."""
+        rng = random.Random(m)
+        out = []
+        while len(out) < count:
+            p = rng.choice((3, 5, 7))
+            K = BaseField(p, m)
+            f = K.one
+            for _ in range(rng.choice((1, 2))):
+                c = K.elem(*[p * rng.randrange(-8, 9) for _ in range(m)])
+                u = K.elem(*[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(m - 1)])
+                e, s = rng.choice((2, 3, 4)), rng.randrange(1, 9)
+                f = f * (K.poly([-c, K.one]) ** e - K.poly([u * K.rat(p ** s)]))
+            if f.is_separable():
+                out.append((K, f))
+        return out
+
+    def test_corpus_and_workloads(self, monkeypatch):
+        inputs = [(BaseField(p), expr, mode) for p, expr in cli._CORPUS
+                  for mode in ("exact", "geometric")]
+        inputs = [(K, cli.parse_poly(expr, K), mode) for K, expr, mode in inputs]
+        inputs += list(self._workload_inputs())
+        assert len(inputs) == 22 + 2 * (26 + 26)
+        truncated = sum(self._check(f, K, mode, monkeypatch) for K, f, mode in inputs)
+        assert truncated > 500
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_seeded_products(self, m, monkeypatch):
+        truncated = sum(self._check(f, K, mode, monkeypatch)
+                        for K, f in self._seeded_products(m, 150)
+                        for mode in ("exact", "geometric"))
+        assert truncated > 150
