@@ -525,6 +525,8 @@ def _check_instance(K, f, args, rng) -> bool:
                 return False
             if not _check_reduction_properties(tree, rng):
                 return False
+            if not _check_truncated_reads(tree):
+                return False
     except Exception as ex:  # any failure, including internal asserts, fails the suite
         print(f"      exception: {type(ex).__name__}: {ex}", file=sys.stderr)
         return False
@@ -548,6 +550,28 @@ def _check_reduction_properties(tree, rng) -> bool:
             if rg.poly.degree != (rg.i1 - rg.i0) // rg.b or rg.poly[0].is_zero():
                 return False
             done += 1
+    return True
+
+
+def _check_truncated_reads(tree) -> bool:
+    """Discovery and the chain stage read only the first coefficients of
+    each expansion of f.  Against the whole expansion: each node's discovery
+    edge, of slope its last radius and right end size / deg phi, is an edge
+    of the full Newton polygon over its prefix, and its reduction along the
+    cluster chain is that of all of f.  So an edge that runs past what was
+    read fails here as well as one that ends short of it."""
+    from .newton import newton_polygon, reduce_poly
+    for node in tree.nodes:
+        v = node.valuation
+        phi, lam = v.steps[-1]
+        width = node.size // phi.degree
+        if not any(e.lam == lam and e.i1 == width
+                   for e in newton_polygon(v.prefix, phi, tree.f)):
+            return False
+        full, red = reduce_poly(cluster_chain(node), tree.f), node.reduction
+        if ((full.alpha, full.i0, full.i1, full.b, full.h_exponent, full.poly)
+                != (red.alpha, red.i0, red.i1, red.b, red.h_exponent, red.poly)):
+            return False
     return True
 
 

@@ -379,8 +379,9 @@ def p0_flag(node: ClusterNode) -> int:
 def _build_cluster_chains(tree: ClusterTree):
     for node in tree.nodes:
         cc = cluster_chain(node)
-        # the edge of the node's radius ends at size / degree (checked in
-        # _verify_tree), and every later term lies above its line
+        # the edge of the node's radius ends at size / degree, and every
+        # later term lies above its line: _verify_tree catches an edge that
+        # ends short, selfcheck compares with the whole expansion
         node.reduction = reduce_poly(cc, tree.f, node.size // node.degree + 1)
         for child in node.children:
             if child.centre != node.centre:

@@ -130,49 +130,29 @@ def _plus(a, da, b, db, sign):
 
 
 def _kronecker(a, b):
-    """The product of two nonempty integer coefficient sequences as one int
-    product (Kronecker substitution, as in ff._Packing): each sequence is
-    read as its polynomial at 2^w, with w one bit more than the largest
-    product coefficient needs, so the product's coefficients are its signed
-    base-2^w digits and none carries into the next.
+    """The product of two integer coefficient sequences, neither all zero,
+    as one int product (Kronecker substitution, as in ff._Packing): each
+    sequence is read as its polynomial at 2^w, with w one bit more than the
+    largest product coefficient needs, so the product's coefficients are its
+    signed base-2^w digits and none carries into the next.
 
-    A short product takes its digits off one at a time, a shift and a
-    subtraction on the whole remaining int each, which is quadratic in its
-    size.  From 8,192 bits on, w is rounded up to whole bytes and every
-    digit is biased by half = 2^(w-1) into [0, 2^w): the sequences are
-    packed from bytes and the product read back through one ``to_bytes``,
-    in linear time.  In a micro-benchmark (best of 7, CPython 3.11.7, one
-    shared Xeon vCPU) the bytes path took 1.4 to 2 times as long below
-    2,000 bits of product, 0.9 to 1.1 times near 8,000 bits, and 0.37 times
-    for a square of 513 coefficients of 512 bits."""
+    w is rounded up to whole bytes and every digit biased by half = 2^(w-1)
+    into [0, 2^w), so the sequences are packed from bytes and the product
+    read back through one ``to_bytes``: linear in its size."""
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    w = bound.bit_length() + 1
-    n = len(a) + len(b) - 1
-    if n * w < 8192:
-        x = y = 0
-        for c in reversed(a):
-            x = (x << w) + c
-        for c in reversed(b):
-            y = (y << w) + c
-        x *= y
-        half, mask = 1 << (w - 1), (1 << w) - 1
-        out = []
-        for _ in range(n):
-            c = ((x + half) & mask) - half  # the digit in [-half, half)
-            out.append(c)
-            x = (x - c) >> w
-        return out
-    wb = (w + 7) // 8
+    wb = (bound.bit_length() + 8) // 8
     half = 1 << (8 * wb - 1)
-    digit_bias = bytes(wb - 1) + b"\x80"  # half, little-endian
-
-    def packed(cs):  # sum c_i 2^(8 wb i), from the biased digits
-        return (int.from_bytes(b"".join([(c + half).to_bytes(wb, "little") for c in cs]), "little")
-                - int.from_bytes(digit_bias * len(cs), "little"))
-
-    biased = packed(a) * packed(b) + int.from_bytes(digit_bias * n, "little")
-    raw = biased.to_bytes(n * wb, "little")
+    unit = bytes(wb - 1) + b"\x80"  # half as one little-endian digit
+    n = len(a) + len(b) - 1
+    raw = (_packed(a, wb, half, unit) * _packed(b, wb, half, unit)
+           + int.from_bytes(unit * n, "little")).to_bytes(n * wb, "little")
     return [int.from_bytes(raw[i:i + wb], "little") - half for i in range(0, n * wb, wb)]
+
+
+def _packed(cs, wb, half, unit):
+    """sum_i c_i 2^(8 wb i), read from the digits c_i + half."""
+    return (int.from_bytes(b"".join([(c + half).to_bytes(wb, "little") for c in cs]), "little")
+            - int.from_bytes(unit * len(cs), "little"))
 
 
 def _content_val(nums, den, p):
@@ -595,7 +575,12 @@ class KPoly:
             return KPoly._of(K, (), 1)
         m = K.m
         if m == 1:
-            rows = _kronecker(self.rows, other.rows)
+            a, b = self.rows, other.rows
+            if len(a) > len(b):
+                a, b = b, a
+            # a constant factor, as in the first step of a power and in
+            # lift_key's products of constants, only scales the other
+            rows = [a[0] * c for c in b] if len(a) == 1 else _kronecker(a, b)
         else:
             # a coefficient of the product has theta-degree up to 2m - 2:
             # spread each coefficient over w = 2m - 1 places, multiply once,
@@ -666,10 +651,10 @@ class KPoly:
 
     def phi_expand(self, phi: "KPoly", upto=None) -> tuple:
         """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi:
-        all of them, or at least the first ``upto`` (all, when there are no
-        more than that).
+        all of them, or only the first ``upto`` (all, when there are no more
+        than that).
 
-        Inside an ``expansion_scope`` the result is shared by every caller
+        Inside an ``expansion_scope`` the expansion is shared by every caller
         that expands the same objects, hence a tuple.  The memo entry of a
         partial expansion keeps the pending quotient q with self = sum_i a_i
         phi^i + q phi^k, and a later request for more coefficients divides
@@ -680,7 +665,7 @@ class KPoly:
         if hit is not None:
             out, rest = hit[2], hit[3]
             if rest is None or (upto is not None and len(out) >= upto):
-                return out
+                return out if upto is None else out[:upto]
             missing = None if upto is None else upto - len(out)
             more, rest = _split_pending(_zexpand(rest, phi, missing), phi)
             out += more
@@ -694,7 +679,7 @@ class KPoly:
             out, rest = _split_pending(_zexpand(self, phi, upto), phi)
         if memo is not None:
             memo[(id(self), id(phi))] = (self, phi, out, rest)
-        return out
+        return out if upto is None else out[:upto]
 
     def is_separable(self) -> bool:
         """True when a word-size prime q certifies that self has no repeated

@@ -89,7 +89,7 @@ def newton_polygon(v_prev: MacLaneVal, phi: KPoly, f: KPoly, upto=None) -> List[
         raise InputError("Newton polygon of the zero polynomial")
     n, e = v_prev.depth, v_prev.e_levels[-1]
     hull = _lower_hull([(i, v_prev._scaled(n, a))
-                        for i, a in enumerate(f.phi_expand(phi, upto)[:upto]) if a.rows])
+                        for i, a in enumerate(f.phi_expand(phi, upto)) if a.rows])
     return [EdgeData(Fraction(s0 - s1, e * (i1 - i0)), i0, i1)
             for (i0, s0), (i1, s1) in zip(hull, hull[1:])]
 
@@ -243,7 +243,7 @@ def reduce_poly(v: MacLaneVal, f: KPoly, upto=None) -> Reduction:
     tower = residue_tower(v)
     n = v.depth
     e_n, h_n = v.e_rel[n], v.h_rel[n]
-    expansion = f.phi_expand(v.steps[-1].phi, upto)[:upto]
+    expansion = f.phi_expand(v.steps[-1].phi, upto)
     # e_{v_{n-1}} v_{n-1}(a_s), once per term; t is the value of a_s phi^s, scaled
     vals = [v._scaled(n - 1, a) for a in expansion]
     terms = [(s, e_n * u + h_n * s) for s, u in enumerate(vals) if u is not OO]

@@ -488,6 +488,26 @@ class TestSelfcheck:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
 
+    def test_truncated_reads_are_checked_both_ways(self):
+        # against the whole expansion of f: a chain reduction read from one
+        # coefficient fewer stands for an edge that runs past what was read,
+        # a node one orbit short for a discovery edge that ends short of it
+        K = BaseField(5)
+        f = parse_poly("(x-5)*(x-30)*(x-10)*(x-35)*(x-15)*(x-40)", K)
+        for mode in ("exact", "geometric"):
+            tree = clusters.build_cluster_tree(f, K, mode=mode)
+            assert len(tree.nodes) > 1 and cli._check_truncated_reads(tree)
+            for node in tree.nodes:
+                kept = node.reduction
+                node.reduction = newton.reduce_poly(clusters.cluster_chain(node), tree.f,
+                                                    node.size // node.degree)
+                assert not cli._check_truncated_reads(tree)
+                node.reduction = kept
+                node.size -= node.degree
+                assert not cli._check_truncated_reads(tree)
+                node.size += node.degree
+            assert cli._check_truncated_reads(tree)
+
     def test_farey_failure_is_reported(self, monkeypatch, capsys):
         def broken(alpha, a, b):
             raise ZeroDivisionError("injected")

@@ -527,19 +527,43 @@ class TestPrincipalPart:
         return truncated
 
     @staticmethod
-    def _workload_inputs():
-        import importlib.util
-        from pathlib import Path
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        for name in ("linear_roots", "geometric_extension"):
-            for seed in (0, 1):
-                for inp in workloads.WORKLOADS[name].inputs(seed, None):
-                    args = cli._build_parser().parse_args(inp.argv)
-                    K = BaseField(args.prime, args.unramified_degree)
-                    yield K, cli._input_poly(args, K), args.residue_mode
+    def _root_products():
+        """Products of n distinct rational roots p r, 0 < r < p^4, for n
+        = 8, 10, ..., 24 at p = 3 and 5, drawn from random.Random(48): deep
+        trees of linear centres."""
+        rng = random.Random(48)
+        for p in (3, 5):
+            K = BaseField(p)
+            for n in range(8, 25, 2):
+                roots = set()
+                while len(roots) < n:
+                    roots.add(p * rng.randrange(1, p ** 4))
+                f = K.poly([1])
+                for a in sorted(roots):
+                    f = f * K.poly([-a, 1])
+                yield K, f
+
+    @staticmethod
+    def _power_products(count):
+        """Separable products of one or two g^k - p^e, g monic of degree 2
+        or 3 with small coefficients, theta among them when m = 2, and k in
+        {2, 3} not dividing e, drawn from random.Random(49): centres of
+        degree above 1 and residue extensions in geometric mode."""
+        rng = random.Random(49)
+        out = []
+        while len(out) < count:
+            p, m = rng.choice((3, 5, 7)), rng.choice((1, 2))
+            K = BaseField(p, m)
+            f = K.one
+            for _ in range(rng.choice((1, 2))):
+                low = [K.elem(*[rng.randrange(-2, 3)] + [rng.randrange(-1, 2)] * (m - 1))
+                       for _ in range(rng.choice((2, 3)))]
+                k = rng.choice((2, 3))
+                e = rng.choice([e for e in range(1, 8) if e % k])
+                f = f * (K.poly(low + [K.one]) ** k - K.poly([K.rat(p ** e)]))
+            if f.is_separable():
+                out.append((K, f))
+        return out
 
     @staticmethod
     def _seeded_products(m, count):
@@ -560,13 +584,12 @@ class TestPrincipalPart:
                 out.append((K, f))
         return out
 
-    def test_corpus_and_workloads(self, monkeypatch):
-        inputs = [(BaseField(p), expr, mode) for p, expr in cli._CORPUS
-                  for mode in ("exact", "geometric")]
-        inputs = [(K, cli.parse_poly(expr, K), mode) for K, expr, mode in inputs]
-        inputs += list(self._workload_inputs())
-        assert len(inputs) == 22 + 2 * (26 + 26)
-        truncated = sum(self._check(f, K, mode, monkeypatch) for K, f, mode in inputs)
+    def test_corpus_roots_and_powers(self, monkeypatch):
+        inputs = [(BaseField(p), expr) for p, expr in cli._CORPUS]
+        inputs = [(K, cli.parse_poly(expr, K)) for K, expr in inputs]
+        inputs += list(self._root_products()) + self._power_products(30)
+        truncated = sum(self._check(f, K, mode, monkeypatch) for K, f in inputs
+                        for mode in ("exact", "geometric"))
         assert truncated > 500
 
     @pytest.mark.parametrize("m", [1, 2])
