@@ -430,7 +430,12 @@ def _run_pipeline(args) -> int:
     fib = assemble(tree, records)
     fmt = "ascii" if args.format == "tikz" else args.format
     data = export(fib, fmt)
-    sys.stdout.buffer.write(data)
+    # a text stream without a byte buffer (io.StringIO) takes the text
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(data.decode())
+    else:
+        buffer.write(data)
     return 0
 
 

@@ -91,17 +91,6 @@ def oracle_signature(root: RationalCluster):
     return (root.size, root.radius, root.singleton_count, tuple(kids))
 
 
-def tree_signature(node):
-    """Same canonical form computed from a builder ClusterNode of degree 1."""
-    if node.degree != 1:
-        raise InternalInconsistency("degree-1 oracle given a cluster of higher degree")
-    kids = sorted(tree_signature(c) for c in node.children)
-    singles = len([l for l in node.leaves if l.degree == 1])
-    if singles != len(node.leaves):
-        raise InternalInconsistency("degree-1 oracle instance grew a big orbit")
-    return (node.size, Fraction(node.radius), singles, tuple(kids))
-
-
 # ---------------------------------------------------------------------------
 # The degree-1 specialization of the fibre description, root-data only.
 

@@ -15,10 +15,10 @@ from clusterfibre.newton import reduce_poly
 from clusterfibre.clusters import build_cluster_tree
 from clusterfibre.invariants import all_records
 from clusterfibre.fibre import assemble, fibre_graph, FibreGraph
-from clusterfibre.degree1 import rational_cluster_tree, oracle_signature, tree_signature
+from clusterfibre.degree1 import rational_cluster_tree, oracle_signature
 from clusterfibre.cli import run
 
-from graphs import isomorphic
+from graphs import isomorphic, tree_signature
 
 
 def _announce(capsys, num, text):

@@ -1777,6 +1777,45 @@ class TestFlatResidueRepresentation:
         assert _coords(a * c) == _coords(c * a) == _m_trim(k, [_m_elem_mul(k, x, mc[0]) for x in ma])
         assert _coords(a.shift(2)) == (_m_trim(k, [(0,) * k.degree] * 2 + ma) if ma else [])
 
+    # fields of degree 1, 2, 6 and 15, and the largest prime the kernels take
+    _LONG_FIELDS = [FField(p, find_irreducible_int_poly(p, d))
+                    for p, d in ((3, 1), (5, 2), (3, 6), (3, 15))] + [prime_field(2 ** 61 - 1)]
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["lists", "packed"])
+    @pytest.mark.parametrize("k", _LONG_FIELDS, ids=repr)
+    def test_long_operands_against_the_model(self, k, packed, monkeypatch):
+        # divisions on either side of the crossover, forced to one kernel;
+        # operands of up to 40 coefficients whose leads lie outside F_p
+        # (not 1 over F_p), and gcds with planted common factors
+        monkeypatch.setattr(ff, "_packed", lambda d, deg: packed)
+        rng = random.Random(k.p * 100 + k.degree)
+        p, d = k.p, k.degree
+
+        def draw(n):
+            if not n:
+                return []
+            lead = [rng.randrange(1, p) for _ in range(d)] if d > 1 else [rng.randrange(2, p)]
+            return [tuple(rng.randrange(p) for _ in range(d)) for _ in range(n - 1)] + [tuple(lead)]
+
+        poly = lambda cs: FFPoly._of(k, [c for x in cs for c in x])
+        sizes = [(1, 1), (2, 1), (3, 2), (5, 5), (8, 3), (13, 12), (21, 9), (33, 32),
+                 (40, 17), (40, 39), (6, 40)]
+        for na, nb in sizes:
+            ma, mb = draw(na), draw(nb)
+            a, b = poly(ma), poly(mb)
+            assert _coords(a) == ma and _coords(b) == mb
+            quo, rem = a.divmod(b)
+            assert (_coords(quo), _coords(rem)) == _m_divmod(k, ma, mb), (na, nb)
+            assert _coords(a.gcd(b)) == _m_gcd(k, ma, mb), (na, nb)
+        for nc, nu, nv in [(1, 20, 19), (4, 30, 2), (9, 31, 25), (20, 1, 20)]:
+            mc = draw(nc)
+            ma, mb = _m_mul(k, mc, draw(nu)), _m_mul(k, mc, draw(nv))
+            a, b, c = poly(ma), poly(mb), poly(mc)
+            g = a.gcd(b)
+            assert _coords(g) == _m_gcd(k, ma, mb) and g.is_monic()
+            assert g.degree >= c.degree and (g % c).is_zero()
+            assert a.divmod(c)[1].is_zero() and a // c * c == a
+
     @pytest.mark.parametrize("k", _KERNEL_FIELDS, ids=repr)
     def test_zero_and_constant_operands(self, k):
         zero, one = FFPoly(k, []), k.one
@@ -2058,6 +2097,62 @@ def _factor_draws():
     p, k = 211, prime_field(211)
     yield p, rand(30, p)
     yield p, roots_times(k, [(a, rng.randrange(1, 4)) for a in rng.sample(range(p), 8)], rand(6, p))
+
+
+class TestPackedEuclid:
+    """The packed remainder kernel at the degree cap and at its digit bound."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_gcd_at_the_degree_cap_against_sympy(self, p):
+        # operands of degree 512 to 1024 with planted common factors of
+        # degree 1, 37 and 300, against sympy's gcd over GF(p); the planted
+        # factor also divides its multiple exactly
+        gf = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+        k, rng = prime_field(p), random.Random(p)
+
+        def rand(deg):
+            return FFPoly.from_ints(k, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+        for deg_c in (1, 37, 300):
+            c = rand(deg_c)
+            u, v = rand(rng.randrange(512, 1025) - deg_c), rand(rng.randrange(512, 1025) - deg_c)
+            a, b = c * u, c * v
+            assert 512 <= min(a.degree, b.degree) and max(a.degree, b.degree) <= 1024
+            want = gf.gf_gcd(list(reversed(a.rows)), list(reversed(b.rows)), p, ZZ)
+            g = a.gcd(b)
+            assert list(reversed(g.rows)) == [int(x) for x in want], (p, deg_c)
+            assert g.degree >= deg_c and (g % c).is_zero()
+            assert a.divmod(c) == (u, k.zero)
+
+    def test_a_step_that_keeps_the_degree_raises(self):
+        # a divisor whose lead is not the one given cannot lose its top
+        # coefficient; the kernel raises instead of looping
+        pk = ff._divide_packing(5, (0, 1), 8)
+        with pytest.raises(InternalInconsistency, match="top coefficient"):
+            pk.divide(pk.pack([1, 2, 3, 4]), pk.pack([1, 2]))
+        # with its lead given: three steps, 2^3 * a(-1/2) = 8 * a(2) = 2 mod 5
+        assert pk.divide(pk.pack([1, 2, 3, 4]), pk.pack([1, 2]), 2)[1] == 2
+
+    @pytest.mark.parametrize("p,d", [(3, 1), (7, 1), (10007, 1), (2 ** 61 - 1, 1),
+                                     (5, 2), (7, 3), (3, 6), (3, 15)])
+    def test_reduce_at_the_largest_digits(self, p, d):
+        # every digit of every coefficient at the bound of its size class,
+        # from p up past the bound of a remainder step: the digit width
+        # leaves room for the Barrett step and the residues mod p
+        mod = tuple(find_irreducible_int_poly(p, d)) if d > 1 else (0, 1)
+        step_bound = d * (p - 1) * (2 * p - 1)
+        for bits in range(p.bit_length(), step_bound.bit_length() + 9):
+            pk = ff._packing(p, mod, (1 << bits) - 1, 3)
+            bound = (1 << bits) - 1
+            assert pk is ff._packing(p, mod, bound, 3)  # one per size class
+            row = [bound] * (2 * d - 1)
+            for i in range(2 * d - 2, d - 1, -1):
+                c = row[i]
+                for j in range(d):
+                    row[i - d + j] -= c * mod[j]
+            packed = sum(bound << (u * pk.W) for u in range(3 * pk.S))
+            assert pk.unpack(pk.reduce(packed), 3) == [x % p for x in row[:d]] * 3, bits
 
 
 class TestFactorOracle:

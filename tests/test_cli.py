@@ -3,6 +3,7 @@
 import ast
 import builtins
 import hashlib
+import io
 import json
 import math
 import os
@@ -110,6 +111,19 @@ class TestCommands:
         assert "degree=1 radius=1/2 size=6" in out
         assert "degree=2 radius=5/3 size=6" in out
         assert "orbit: degree=6" in out
+
+    @pytest.mark.parametrize("fmt", ["ascii", "json", "dot"])
+    def test_fibre_to_a_text_stream(self, fmt, monkeypatch):
+        # a stdout without a byte buffer gets the same text as the bytes path
+        argv = ["fibre", "x^3-5", "--prime", "5", "--format", fmt]
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+        assert run(argv) == 0
+        sys.stdout.flush()
+        text = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", text)
+        assert run(argv) == 0
+        assert text.getvalue() == raw.getvalue().decode() and text.getvalue()
 
     def test_picture_tikz(self, capsys):
         code = run(["picture", "(x^2-5)^3 - 5^5", "--prime", "5", "--format", "tikz"])

@@ -12,9 +12,11 @@ from clusterfibre.errors import InputError, InternalInconsistency
 from clusterfibre.field import BaseField, KPoly, discriminant_val
 from clusterfibre.clusters import (normalize_input, build_cluster_tree,
                                    cluster_chain, p0_flag, _depth_bound)
-from clusterfibre.degree1 import rational_cluster_tree, oracle_signature, tree_signature
+from clusterfibre.degree1 import rational_cluster_tree, oracle_signature
 from clusterfibre.newton import residue_tower
 from clusterfibre import cli, field
+
+from graphs import tree_signature
 
 
 def _sextic_tree(p, mode="exact"):
