@@ -2143,9 +2143,9 @@ class TestPackedEuclid:
         mod = tuple(find_irreducible_int_poly(p, d)) if d > 1 else (0, 1)
         step_bound = d * (p - 1) * (2 * p - 1)
         for bits in range(p.bit_length(), step_bound.bit_length() + 9):
-            pk = ff._packing(p, mod, (1 << bits) - 1, 3)
             bound = (1 << bits) - 1
-            assert pk is ff._packing(p, mod, bound, 3)  # one per size class
+            pk = ff._packing(p, mod, bound, 3)
+            assert pk is ff._packing(p, mod, 1 << (bits - 1), 2)  # one per size class
             row = [bound] * (2 * d - 1)
             for i in range(2 * d - 2, d - 1, -1):
                 c = row[i]
