@@ -11,11 +11,12 @@ Elements and polynomials share one type: an element of a field is a
 constant FFPoly.  An FFPoly holds the power-basis coordinates of all its
 coefficients in one flat tuple, d per coefficient, each in [0, p), with no
 trailing zero coefficient, so a nonzero constant has d coordinates and zero
-has none.  A product with a constant factor is one element product per
-coefficient: a convolution reduced by the modulus, mod p (its helpers
-``_conv``, ``_theta_reduce`` and ``_theta_multiples`` serve field.py too),
-over F_p one product and one residue.  The inverse of a constant is the
-extended Euclidean algorithm on coordinates mod p, O(d^2).
+has none.  A product of two constants is one element product: a
+convolution reduced by the modulus, mod p (its helpers ``_conv``,
+``_theta_reduce`` and ``_theta_multiples`` serve field.py too), over F_p
+one product and one residue, as is each coefficient of a product with a
+constant factor there.  The inverse of a constant is the extended
+Euclidean algorithm on coordinates mod p, O(d^2).
 
 Polynomial products and remainders run on packed integers (Kronecker
 substitution, von zur Gathen-Gerhard, *Modern Computer Algebra* 8.4): every
