@@ -1777,9 +1777,11 @@ class TestFlatResidueRepresentation:
         assert _coords(a * c) == _coords(c * a) == _m_trim(k, [_m_elem_mul(k, x, mc[0]) for x in ma])
         assert _coords(a.shift(2)) == (_m_trim(k, [(0,) * k.degree] * 2 + ma) if ma else [])
 
-    # fields of degree 1, 2, 6 and 15, and the largest prime the kernels take
+    # fields of degree 1, 2, 6 and 15, one whose coordinates take more than
+    # a byte, and the largest prime the kernels take
     _LONG_FIELDS = [FField(p, find_irreducible_int_poly(p, d))
-                    for p, d in ((3, 1), (5, 2), (3, 6), (3, 15))] + [prime_field(2 ** 61 - 1)]
+                    for p, d in ((3, 1), (5, 2), (3, 6), (3, 15), (10007, 2))]
+    _LONG_FIELDS.append(prime_field(2 ** 61 - 1))
 
     @pytest.mark.parametrize("packed", [False, True], ids=["lists", "packed"])
     @pytest.mark.parametrize("k", _LONG_FIELDS, ids=repr)
@@ -2135,7 +2137,7 @@ class TestPackedEuclid:
         assert pk.divide(pk.pack([1, 2, 3, 4]), pk.pack([1, 2]), 2)[1] == 2
 
     @pytest.mark.parametrize("p,d", [(3, 1), (7, 1), (10007, 1), (2 ** 61 - 1, 1),
-                                     (5, 2), (7, 3), (3, 6), (3, 15)])
+                                     (5, 2), (10007, 2), (7, 3), (3, 6), (3, 15)])
     def test_reduce_at_the_largest_digits(self, p, d):
         # every digit of every coefficient at the bound of its size class,
         # from p up past the bound of a remainder step: the digit width
