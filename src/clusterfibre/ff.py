@@ -11,12 +11,11 @@ Elements and polynomials share one type: an element of a field is a
 constant FFPoly.  An FFPoly holds the power-basis coordinates of all its
 coefficients in one flat tuple, d per coefficient, each in [0, p), with no
 trailing zero coefficient, so a nonzero constant has d coordinates and zero
-has none.  A product of two constants is one element product: a
-convolution reduced by the modulus, mod p (its helpers ``_conv``,
-``_theta_reduce`` and ``_theta_multiples`` serve field.py too), over F_p
-one product and one residue, as is each coefficient of a product with a
-constant factor there.  The inverse of a constant is the extended
-Euclidean algorithm on coordinates mod p, O(d^2).
+has none.  A product with a constant factor is one element product per
+coefficient: a convolution reduced by the modulus, mod p (its helpers
+``_conv``, ``_theta_reduce`` and ``_theta_multiples`` serve field.py too),
+over F_p one product and one residue.  The inverse of a constant is the
+extended Euclidean algorithm on coordinates mod p, O(d^2).
 
 Polynomial products and remainders run on packed integers (Kronecker
 substitution, von zur Gathen-Gerhard, *Modern Computer Algebra* 8.4): every
@@ -31,12 +30,13 @@ adds top * (P - b) * X^k, which is -top * b * X^k with nonnegative digits,
 and makes the result canonical with one reduction.  Division by a monic
 divisor collects the tops as the quotient; gcd is fraction-free,
 lead(b) * a - top(a) * X^k * b at each step, with one inverse at the end for
-the monic result.  Below a measured crossover (``_packed``: degree 32 over
-F_p, degree 2 and d * degree 6 over GF(p^d)) division runs on coordinate
-lists instead, where packing costs more than it saves.  Products modulo a
-polynomial f stay packed and take remainders by Barrett reduction under one
-``_Modulus`` per f, which holds the quotient of X^(2n-1) by f, n = deg f,
-computed once by the same kernel.
+the monic result; a division of n coefficients packs, divides and unpacks
+even at n = 2, where the list kernel it replaced was about twice as fast
+(3.2 against 6.5 us over F_p), because no workload spends a measurable
+share of its time there.  Products modulo a polynomial f stay packed and
+take remainders by Barrett reduction under one ``_Modulus`` per f, which
+holds the quotient of X^(2n-1) by f, n = deg f, computed once by the same
+kernel.
 
 Irreducibility is Ben-Or's test (Ben-Or, "Probabilistic algorithms in
 finite fields", FOCS 1981): f of degree n is irreducible exactly when
@@ -336,7 +336,8 @@ class _Packing:
         q, n = 0, self.blocks(a)
         while n >= m:
             top, k = a >> ((n - 1) * bits), (n - m) * bits
-            q |= top << k
+            if lead == 1:
+                q |= top << k
             a = self.reduce((a if lead == 1 else a * lead) + ((top * neg_b) << k))
             n, was = self.blocks(a), n
             if n >= was:
@@ -362,60 +363,15 @@ def _divide_packing(p: int, mod, blocks: int) -> _Packing:
     return _packing(p, mod, d * (p - 1) * (2 * p - 1), blocks)
 
 
-# The crossover of the two division kernels.  Against the packed kernel,
-# divmod of degree n by n - 1 and by n / 2 over GF(3^d) and GF(7^d),
-# n = 1 .. 64 (best of 5, CPython 3.11, 2 shared vCPUs): over F_p the list
-# kernel, one list comprehension per step, was faster up to n = 16 to 48
-# (3.2 against 6.5 us at n = 2), hence 32; for d >= 2 it forms the d
-# multiples t^k * g and takes d of them per step, and was about as fast at
-# n = 1 and at d * n = 6 (10.1 against 9.6 us at d = 2, n = 3) and slower
-# at every larger size (74 against 36 us at d = 15, n = 2; 2.7 against
-# 0.28 ms at d = 15, n = 64).
-def _packed(d: int, deg: int) -> bool:
-    """Whether a division of a dividend of degree ``deg`` over GF(p^d)
-    runs packed."""
-    return deg >= 32 if d == 1 else deg >= 2 and d * deg >= 6
-
-
 def _divide(rows, g, p, mod):
     """Divide by the monic g over F_p[t]/(mod), both given by their flat
     coordinates, deg mod per coefficient: (q, r) with rows = q * g + r,
-    deg r < deg g and digits in [0, p).  Packed (``_Packing.divide``) from
-    the crossover on, else on coordinate lists, which consumes ``rows``."""
+    deg r < deg g and digits in [0, p), by ``_Packing.divide``."""
     d = len(mod) - 1
     n, m = len(rows) // d, len(g) // d
-    if not _packed(d, n - 1):
-        return _divide_rows(rows, g, p, mod)
     pk = _divide_packing(p, mod, n)
     q, r = pk.divide(pk.pack(rows), pk.pack(g))
     return pk.unpack(q, n - m + 1), pk.unpack(r, m - 1)
-
-
-def _divide_rows(rows, g, p, mod):
-    """``_divide`` on coordinate lists.  Each quotient coefficient c removes
-    c * g = sum_k c_k * t^k * g, with the t^k * g formed once; digits are
-    reduced mod p only where they are read.  Over F_p (d = 1) a quotient
-    coefficient is one residue and a step subtracts one multiple of g."""
-    d = len(mod) - 1
-    nd = len(g) - d
-    nq = (len(rows) - nd) // d
-    if d == 1:
-        # a step at lo reduces rows[lo + nd] and writes only below it, so
-        # rows[nd:] ends as the quotient
-        g = g[:nd]
-        for lo in range(nq - 1, -1, -1):
-            c = rows[lo + nd] = rows[lo + nd] % p
-            if c:
-                rows[lo:lo + nd] = [a - c * b for a, b in zip(rows[lo:lo + nd], g)]
-        return rows[nd:], [c % p for c in rows[:nd]]
-    cols = [[c % p for c in col] for col in _theta_multiples(g[:nd], mod)]
-    q = [0] * (nq * d)
-    for lo in range((nq - 1) * d, -1, -d):
-        top = q[lo:lo + d] = [c % p for c in rows[lo + nd:lo + nd + d]]
-        for c, col in zip(top, cols):
-            if c:
-                rows[lo:lo + nd] = [a - c * b for a, b in zip(rows[lo:lo + nd], col)]
-    return q, [c % p for c in rows[:nd]]
 
 
 class _Modulus:
@@ -573,17 +529,11 @@ class FFPoly:
         if len(a) == d:
             a, b = b, a
         if len(b) == d:
-            # a constant factor: over F_p one product and one residue per
-            # coefficient; two constants are one element product.  Other
-            # constant factors over GF(p^d) take the packed product: against
-            # one element product per coefficient it took 11 against 9 to
-            # 10 us at two coefficients and d = 2, 42 against 70 us at
-            # d = 15, and under half as long from five coefficients on
+            # a constant factor: one element product per coefficient
             if d == 1:
                 c, p = b[0], F.p
                 return FFPoly._of(F, [x * c % p for x in a])
-            if len(a) == d:
-                return FFPoly._of(F, _fmul(a, b, F))
+            return FFPoly._of(F, [x for lo in range(0, len(a), d) for x in _fmul(a[lo:lo + d], b, F)])
         la, lb = len(a) // d, len(b) // d
         pk = _packing(F.p, F.modulus, min(la, lb) * d * (F.p - 1) ** 2, la + lb - 1)
         return FFPoly._of(F, pk.unpack(pk.reduce(pk.pack(a) * pk.pack(b)), la + lb - 1))
@@ -646,7 +596,7 @@ class FFPoly:
             return FFPoly._of(F, ()), self
         inv = None if other.is_monic() else other.lead().inverse()
         g = other if inv is None else other * inv
-        q, r = _divide(list(self.rows), g.rows, F.p, F.modulus)
+        q, r = _divide(self.rows, g.rows, F.p, F.modulus)
         q = FFPoly._of(F, q)
         return (q if inv is None else q * inv), FFPoly._of(F, r)
 

@@ -1783,13 +1783,10 @@ class TestFlatResidueRepresentation:
                     for p, d in ((3, 1), (5, 2), (3, 6), (3, 15), (10007, 2))]
     _LONG_FIELDS.append(prime_field(2 ** 61 - 1))
 
-    @pytest.mark.parametrize("packed", [False, True], ids=["lists", "packed"])
     @pytest.mark.parametrize("k", _LONG_FIELDS, ids=repr)
-    def test_long_operands_against_the_model(self, k, packed, monkeypatch):
-        # divisions on either side of the crossover, forced to one kernel;
-        # operands of up to 40 coefficients whose leads lie outside F_p
-        # (not 1 over F_p), and gcds with planted common factors
-        monkeypatch.setattr(ff, "_packed", lambda d, deg: packed)
+    def test_long_operands_against_the_model(self, k):
+        # operands of 1 to 40 coefficients whose leads lie outside F_p (not
+        # 1 over F_p), and gcds with planted common factors
         rng = random.Random(k.p * 100 + k.degree)
         p, d = k.p, k.degree
 
