@@ -136,25 +136,23 @@ def normalize_input(f: KPoly):
     into p^c r.  Raises InputError on a constant and on input with repeated
     roots: ``KPoly.is_separable`` certifies almost every separable f, and
     only an f it does not certify pays for the exact ``discriminant_val``.
+    The least root valuation is the radius of the last edge of the Gauss
+    polygon of f = sum a_i x^i, the least (v(a_i) - v(a_n)) / (n - i) over
+    i < n with a_i != 0; f = a_n x^n has none and is separable only for n = 1.
     """
     if f.degree < 1:
         raise InputError("need a non-constant polynomial")
     if not f.is_separable():
         discriminant_val(f)  # raises on a repeated root
-    K = f.field
-    # the root valuations are the edge radii; with no edge f = c * x^d,
-    # which is not separable unless d <= 1
-    edges = newton_polygon(MacLaneVal.gauss(K), K.x(), f)
-    min_rootval = min((e.lam for e in edges), default=OO)
+    *low, top = [a.gauss_val() for a in f.coeffs]  # OO for a zero a_i
+    n = len(low)
+    min_rootval = min((Fraction(u - top, n - i) for i, u in enumerate(low) if u is not OO),
+                      default=OO)
     if min_rootval is OO or min_rootval > 0:
-        c = 0
-    else:
-        # smallest integer c with min_rootval + c > 0; rescaling x by p^-c
-        # turns each root r into p^c r
-        frac = Fraction(-min_rootval)
-        c = frac.numerator // frac.denominator + 1
-        f = f.subst_scaled_x(-c)
-    return f, c
+        return f, 0
+    # the least integer c with min_rootval + c > 0
+    c = -min_rootval // 1 + 1
+    return f.subst_scaled_x(-c), c
 
 
 def _depth_bound(f: KPoly, f_norm: KPoly, shift: int) -> int:

@@ -3,12 +3,11 @@ r"""Assembly of the special fibre: components, chains, open families, exports.
 Chains of projective lines are encoded by the minimal unimodular fraction
 sequence alpha*a = n_0/d_0 > ... > n_{r+1}/d_{r+1} = alpha*b: consecutive
 pairs have determinant one, r is minimal, and the intermediate denominators
-give the multiplicities alpha*d_i.  The sequence is found by repeatedly
-inserting the smallest-denominator fraction of the open interval (any
-unimodular interpolation must pass through it), which also yields minimality;
-the property suite checks unimodularity, the deletion test, and invariance
-under integer translation of both endpoints -- that invariance is what makes
-the fibre independent of the nu-normalization dispute.
+give the multiplicities alpha*d_i.  A loop of Hirzebruch-Jung steps builds
+it (``_unimodular_sequence`` says why it is minimal); the property suite
+checks unimodularity, the deletion test, and invariance under integer
+translation of both endpoints -- that invariance is what makes the fibre
+independent of the nu-normalization dispute.
 
 One component is emitted per proper cluster (two projective lines when it is
 ubereven with split residual polynomial), plus per cluster the chain rows:
@@ -37,32 +36,25 @@ from .rationals import qstr
 # Farey / unimodular chains
 
 
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator fraction strictly inside (lo, hi)."""
-    n = lo.numerator // lo.denominator  # floor
-    if lo < n + 1 < hi:
-        return Fraction(n + 1)
-    frac = lo - n
-    if frac == 0:
-        # interval (0, hi - n) with hi - n <= 1: take 1/q with minimal q
-        width = hi - n
-        q = (width.denominator // width.numerator) + 1
-        return n + Fraction(1, q)
-    inner = simplest_between(1 / (hi - n), 1 / frac)
-    return n + 1 / inner
-
-
-def _det(a: Fraction, b: Fraction) -> int:
-    return a.numerator * b.denominator - b.numerator * a.denominator
-
-
 def _unimodular_sequence(A: Fraction, B: Fraction) -> List[Fraction]:
-    if _det(A, B) == 1:
-        return [A, B]
-    m = simplest_between(B, A)
-    left = _unimodular_sequence(A, m)
-    right = _unimodular_sequence(m, B)
-    return left[:-1] + right
+    """The minimal unimodular sequence A = x_0 > ... > x_r = B.
+
+    The y < x = n/d with det(x, y) = 1 are x - 1/(d e), e = n^-1 mod d; a
+    step takes the least such e with y >= B, e >= den B / det(x, B).  Every
+    unimodular sequence from x to B meets this y: a step from x past y lands
+    below B, and a step across y from u in (y, x) needs den u < den y, while
+    den u >= d + e > den y between the neighbours y and x.  So the loop's
+    sequence is part of every unimodular one, hence the minimal one."""
+    bn, bd = B.numerator, B.denominator
+    n, d = A.numerator, A.denominator
+    seq = [A]
+    while (det := n * bd - bn * d) != 1:
+        least = -(-bd // det)  # ceil(den B / det(x, B))
+        e = least + (pow(n, -1, d) - least) % d
+        n, d = (n * e - 1) // d, e
+        seq.append(Fraction(n, d))
+    seq.append(B)
+    return seq
 
 
 class ChainSpec:

@@ -280,28 +280,27 @@ def is_key(v: MacLaneVal, phi: KPoly) -> bool:
     return is_irreducible(red.poly)
 
 
-def _balanced(x: int, p: int) -> int:
-    x %= p
-    return x if x <= p // 2 else x - p
-
-
-def _lift_subfield_elem(K, t) -> KPoly:
-    """Integer lift of a residue element with balanced coordinates."""
-    return K.elem(*[_balanced(x, K.p) for x in t.rows])
+def _lift(K, rows, alpha: int) -> KPoly:
+    """p^alpha times the polynomial over K whose integer coordinates are the
+    residue coordinates ``rows`` in [0, p), balanced into (-p/2, p/2)."""
+    p = K.p
+    scale = p ** max(alpha, 0)
+    return KPoly._of(K, [(x if 2 * x < p else x - p) * scale for x in rows], p ** max(-alpha, 0))
 
 
 def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
                 c: FFPoly) -> KPoly:
     """Preimage construction: a in K[x] with deg a < deg phi_{level+1},
     value alpha = scaled_alpha / e_level at depth ``level``, and
-    H(level, alpha, a) evaluated by the step k_level -> k_{level+1} is c."""
+    H(level, alpha, a) evaluated by the step k_level -> k_{level+1} is c;
+    at level 0, p^alpha times the ``_lift`` of c's coordinates over k_0."""
     K = v.field
     if c.is_zero():
         raise InputError("preimage of zero requested")
     if level == 0:
-        parts = tower.steps[0].over_src(c)
-        lift = KPoly(K, [_lift_subfield_elem(K, t) for t in parts])
-        return lift * K.rat(Fraction(K.p) ** scaled_alpha)
+        zero = (0,) * K.m
+        rows = [x for t in tower.steps[0].over_src(c) for x in t.rows or zero]
+        return _lift(K, rows, scaled_alpha)
     e_i, h_i = v.e_rel[level], v.h_rel[level]
     u_a, i_a = _ui_pair(e_i, h_i, scaled_alpha)
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
@@ -322,7 +321,7 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
 
     The result is monic of degree b_v * deg(v) * deg(h) with integral
     coefficients; the roundtrip through reduce_poly is checked before
-    returning.
+    returning.  Over the Gauss valuation it is the ``_lift`` of h.
     """
     tower = residue_tower(v)
     kv = tower.top
@@ -334,7 +333,8 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
         raise InputError("cannot lift a residual polynomial divisible by X")
     K = v.field
     if v.is_gauss:
-        phi = KPoly(K, [_lift_subfield_elem(K, c) for c in h.coeffs[:-1]] + [K.one])
+        # k_0 is the residue field of K, and the lift of the lead 1 is 1
+        phi = _lift(K, h.rows, 0)
         if not is_key(v, phi):
             raise InternalInconsistency("lifted Gauss-level centre is not a key polynomial")
         return phi

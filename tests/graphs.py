@@ -32,6 +32,7 @@ def _labelled(g):
 
 def isomorphic(g1, g2) -> bool:
     """Are the FibreGraphs g1 and g2 isomorphic as multigraphs, node labels
-    (multiplicity, genus) and edge multiplicities kept?"""
-    return nx.is_isomorphic(_labelled(g1), _labelled(g2),
-                            node_match=lambda a, b: a["label"] == b["label"])
+    (multiplicity, genus) and edge multiplicities kept?  By VF2++, which
+    matches a chain of a thousand equal labels in a fraction of a second,
+    where VF2 took seconds."""
+    return nx.vf2pp_is_isomorphic(_labelled(g1), _labelled(g2), node_label="label")

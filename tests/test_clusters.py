@@ -38,6 +38,21 @@ def _assert_all_roots_positive(g):
     assert all(e.lam > 0 for e in newton_polygon(MacLaneVal.gauss(g.field), g.field.x(), g))
 
 
+def _gauss_polygon_shift(f):
+    """The rescaling exponent c of normalize_input by the Newton polygon of f
+    over the Gauss valuation: the least root valuation is the least radius
+    of an edge, and c is the least integer making it positive."""
+    from clusterfibre.valuation import MacLaneVal
+    from clusterfibre.newton import newton_polygon
+    from clusterfibre.rationals import OO
+    K = f.field
+    edges = newton_polygon(MacLaneVal.gauss(K), K.x(), f)
+    least = min((e.lam for e in edges), default=OO)
+    if least is OO or least > 0:
+        return 0
+    return math.floor(-least) + 1
+
+
 class TestNormalize:
     def test_untouched(self):
         K = BaseField(5)
@@ -63,6 +78,42 @@ class TestNormalize:
         K = BaseField(5)
         with pytest.raises(InputError, match="polynomial has repeated roots"):
             normalize_input(K.poly([-5, 0, 1]) ** 2)
+
+    @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2), (7, 2)])
+    def test_against_the_gauss_polygon(self, p, m):
+        # the least root valuation read off the coefficients against the
+        # radii of the Gauss-valuation Newton polygon, on seeded f with zero
+        # and rational coefficients whose valuations are spread over -3..4
+        rng = random.Random(100 * p + m)
+        K = BaseField(p, m)
+
+        def coeff():
+            if rng.random() < 0.3:
+                return K.zero
+            coords = [F(rng.randint(-20, 20), rng.choice([1, 2, p, p ** 2, 3 * p]))
+                      for _ in range(m)]
+            return K.elem(*coords) * K.rat(F(p) ** rng.randint(-2, 3))
+
+        checked = 0
+        while checked < 60:
+            n = rng.randint(1, 9)
+            f = KPoly(K, [coeff() for _ in range(n)] + [K.rat(rng.choice([1, 2, p, F(1, p)]))])
+            try:
+                g, c = normalize_input(f)
+            except InputError:
+                continue  # repeated roots
+            assert c == _gauss_polygon_shift(f)
+            assert g == (f.subst_scaled_x(-c) if c else f)
+            checked += 1
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_multiple_of_x(self, m):
+        # f = a x has no edge: its one root 0 has valuation OO, and x stays
+        K = BaseField(5, m)
+        for a in (K.one, K.rat(F(2, 25)), K.theta if m > 1 else K.rat(125)):
+            f = KPoly(K, [K.zero, a])
+            assert normalize_input(f) == (f, 0)
+            assert _gauss_polygon_shift(f) == 0
 
     @pytest.mark.parametrize("p, coeffs", [
         (3, "seeded 16"), (3, "seeded 48"), (5, "seeded 24"),

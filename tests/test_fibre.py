@@ -4,6 +4,7 @@ import ast
 import enum
 import json
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,12 +17,23 @@ from clusterfibre.field import BaseField
 from clusterfibre.clusters import build_cluster_tree
 from clusterfibre.invariants import all_records
 from clusterfibre.fibre import (ChainSpec, open_chain_bound, open_chain,
-                                simplest_between, assemble, fibre_graph,
-                                FibreGraph, export, json_text,
-                                check_genus_identity)
-from clusterfibre.degree1 import oracle_fibre_graph
+                                assemble, fibre_graph, FibreGraph, export,
+                                json_text, check_genus_identity)
+from clusterfibre.degree1 import (oracle_fibre_graph, oracle_signature,
+                                  rational_cluster_tree)
 
-from graphs import isomorphic
+from graphs import isomorphic, tree_signature
+from oracles.farey import det, simplest_between, unimodular_sequence
+
+
+def _check_minimal_unimodular(fr):
+    """Consecutive fractions fall with determinant one, and no intermediate
+    fraction can be deleted (the deletion test)."""
+    for x, y in zip(fr, fr[1:]):
+        assert x > y
+        assert det(x, y) == 1
+    for k in range(1, len(fr) - 1):
+        assert det(fr[k - 1], fr[k + 1]) != 1
 
 
 class TestFarey:
@@ -60,18 +72,35 @@ class TestFarey:
             a = F(rng.randrange(-40, 40), rng.randrange(1, 9))
             b = a - F(rng.randrange(1, 30), rng.randrange(1, 9))
             ch = ChainSpec(alpha, a, b)
-            fr = ch.fractions
-            for x, y in zip(fr, fr[1:]):
-                assert x > y
-                assert x.numerator * y.denominator - y.numerator * x.denominator == 1
-            # deletion test: removing any intermediate breaks unimodularity
-            for k in range(1, len(fr) - 1):
-                x, y = fr[k - 1], fr[k + 1]
-                assert x.numerator * y.denominator - y.numerator * x.denominator != 1
+            _check_minimal_unimodular(ch.fractions)
             # integer translation of both endpoints preserves denominators
             t = rng.randrange(-3, 4)
             ch2 = ChainSpec(alpha, a + t, b + t)
             assert ch2.dens == ch.dens
+
+    def test_loop_against_recursive_insertion(self):
+        # the Hirzebruch-Jung loop against the recursive construction of
+        # tests/oracles/farey.py, which alone gets a raised recursion limit
+        rng = random.Random(2022)
+        limit = sys.getrecursionlimit()
+        for _ in range(10_000):
+            a = F(rng.randrange(-60, 60), rng.randrange(1, 41))
+            b = a - F(rng.randrange(1, 60), rng.randrange(1, 41))
+            got = ChainSpec(1, a, b).fractions
+            sys.setrecursionlimit(20_000)
+            try:
+                want = unimodular_sequence(a, b)
+            finally:
+                sys.setrecursionlimit(limit)
+            assert got == want, (a, b)
+
+    def test_long_chain_needs_no_stack(self):
+        # 5,002 fractions: the recursive insertion exceeds Python's default
+        # recursion limit of 1,000 here, the loop keeps one frame
+        ch = ChainSpec(1, F(10001, 2), F(0))
+        assert ch.fractions == [F(10001, 2)] + [F(k) for k in range(5000, -1, -1)]
+        assert ch.mults == [1] * 5000
+        _check_minimal_unimodular(ch.fractions)
 
     def test_simplest_between(self):
         assert simplest_between(F(0), F(5, 3)) == 1
@@ -244,6 +273,36 @@ class TestDegree1FibreOracle:
             fib = assemble(tree)
             assert isomorphic(fibre_graph(fib), oracle_fibre_graph(roots, p))
             done += 1
+
+
+class TestDeepPair:
+    """Two roots at distance 11^1000 among five rational roots at p = 11: the
+    connector between the pair's cluster and the root cluster is a chain of
+    about a thousand lines, which the recursive Farey split could not build
+    within Python's recursion limit."""
+
+    ROOTS = [11, 11 + 11 ** 1000, 22, 33, 44]
+    EXPR = "(x-11)*(x-11-11^1000)*(x-22)*(x-33)*(x-44)"
+
+    @pytest.mark.parametrize("mode", ["exact", "geometric"])
+    def test_fibre_exits_0(self, mode, capsys):
+        from clusterfibre.cli import run
+        code = run(["fibre", self.EXPR, "--prime", "11", "--residue-mode", mode,
+                    "--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        chains = json.loads(out)["fibre"]["chains"]
+        assert max(len(ch["mults"]) for ch in chains) > 900
+
+    def test_against_the_degree1_oracle(self):
+        K = BaseField(11)
+        f = K.poly([1])
+        for a in self.ROOTS:
+            f = f * K.poly([-a, 1])
+        tree = build_cluster_tree(f, K)
+        assert tree_signature(tree.root) == oracle_signature(rational_cluster_tree(self.ROOTS, 11))
+        fib = assemble(build_cluster_tree(f, K, mode="geometric"))
+        assert isomorphic(fibre_graph(fib), oracle_fibre_graph(self.ROOTS, 11))
 
 
 class TestExports:
