@@ -278,8 +278,7 @@ class TestDegree1FibreOracle:
 class TestDeepPair:
     """Two roots at distance 11^1000 among five rational roots at p = 11: the
     connector between the pair's cluster and the root cluster is a chain of
-    about a thousand lines, which the recursive Farey split could not build
-    within Python's recursion limit."""
+    about a thousand lines, as many as Python's default recursion limit."""
 
     ROOTS = [11, 11 + 11 ** 1000, 22, 33, 44]
     EXPR = "(x-11)*(x-11-11^1000)*(x-22)*(x-33)*(x-44)"
