@@ -137,17 +137,6 @@ class SpecialFibre:
         self.open_p1: List[OpenP1Family] = []
 
 
-def _is_square_in(k, ft: FFPoly) -> bool:
-    """Is ft a square in k[x]? (even multiplicities and square leading unit)."""
-    if ft.is_zero():
-        return True
-    for g, mult in squarefree_decomposition(ft):
-        if mult % 2:
-            return False
-    lead = ft.lead()
-    return (lead ** ((k.order - 1) // 2)) == k.one
-
-
 def assemble(tree: ClusterTree,
              records: Optional[Dict[int, InvariantRecord]] = None) -> SpecialFibre:
     """Build the special fibre data from a cluster tree and its records."""
@@ -166,7 +155,9 @@ def assemble(tree: ClusterTree,
             if split and any(m % 2 for _, m in squarefree_decomposition(r.ftilde)):
                 raise InternalInconsistency("ubereven component with odd branch part")
         else:
-            split = (r.n == 2 and r.u == 0 and _is_square_in(r.k_v, r.ftilde))
+            # u = deg ftilde (compute_record): a constant, split if a square in k_v
+            split = (r.n == 2 and r.u == 0
+                     and r.ftilde.lead() ** ((r.k_v.order - 1) // 2) == r.k_v.one)
         fib.components[node.id] = Component(node.id, r.m, r.genus, split)
         if r.n == 1:
             count = r.f_v * r.fbar.degree

@@ -19,9 +19,13 @@ takes each coordinate mod p.
 Division and phi-adic expansion are one kernel, ``_zexpand``: all the
 divisions of an expansion in one in-place pass over the flat coordinates,
 each coefficient built in lowest terms directly; a division is its
-one-step case.  Over Q_p (m = 1) its step is scalar: one integer per
-quotient coefficient, and by a linear centre synthetic division.  Over Q_p
-a product is one int product (Kronecker substitution, ``_kronecker``).
+one-step case.  It divides only by a monic divisor with integer
+coordinates, as every key polynomial of the pipeline is, so there is no
+pseudo-division and every piece keeps the one denominator of f; a divisor
+with a denominator is refused.  Over Q_p (m = 1) its step is scalar: one
+integer per quotient coefficient, and by a linear centre synthetic
+division.  Over Q_p a product is one int product (Kronecker
+substitution, ``_kronecker``).
 Inside an ``expansion_scope`` call each (polynomial, phi) pair is expanded
 once, and each polynomial's discriminant valuation taken once; the memo is
 dropped when the outermost scoped call returns.  A caller may ask
@@ -200,89 +204,74 @@ def _zsolve(cols, *rhs):
     return [[row[n + j] for row in a] for j in range(len(rhs))], prev
 
 
-# Division and phi-adic expansion: one kernel, _zexpand.  A monic divisor
-# phi = G / lead (G integral, lead its denominator) is divided out with
-# integer multiplications and subtractions only.
+# Division and phi-adic expansion: one kernel, _zexpand.  The divisor is monic
+# with integer coordinates, so it is divided out with integer multiplications
+# and subtractions only, and every piece keeps the denominator of f.
 
 def _zexpand(f, phi, limit=None):
     """[a_0, ..., a_(k-1), q] with f = a_0 + a_1 phi + ... + a_(k-1)
-    phi^(k-1) + q phi^k and deg a_i < deg phi, for the monic KPoly ``phi``:
-    k divisions, as many as f takes, so that q is the top coefficient of the
-    phi-adic expansion, or ``limit`` of them if that is fewer.
+    phi^(k-1) + q phi^k and deg a_i < deg phi, for the monic KPoly ``phi``
+    with integer coordinates (den 1): k divisions, as many as f takes, so
+    that q is the top coefficient of the phi-adic expansion, or ``limit`` of
+    them if that is fewer.
 
     One in-place pass over the flat coordinates of f: dividing the tail
     rows[lo:] by phi leaves the remainder in its first deg phi coefficients
     and the quotient above them, and the quotient is the tail of the next
     division.  A step reads the top coefficient c of what is left of the
-    tail and writes only below it, so the tops stay in place as the
-    quotient.  With phi = G / lead, G integral, a division by lead > 1 is
-    pseudo-division: the tail is first multiplied by lead to the number of
-    quotient terms, and its denominator with it, after which every top c is
-    divisible by lead and a step subtracts c / lead * G.  Over Q_p (m = 1) a
-    quotient coefficient is one integer, and by a linear phi = X + g_0 a
-    step is one update.
+    tail, subtracts c * phi and writes only below it, so the tops stay in
+    place as the quotient.  No step divides, so every piece is over the
+    denominator of f.  Over Q_p (m = 1) a quotient coefficient is one
+    integer, and by a linear phi = X + g_0 a step is one update.
     """
     K = f.field
-    m, d, lead = K.m, phi.degree, phi.den
+    m, d = K.m, phi.degree
     dm = d * m
     rows, den, n = list(f.rows), f.den, len(f.rows)
     if m > 1:
         cols = _theta_multiples(phi.rows[:dm], K.gen_minpoly)
     else:
         g = phi.rows[:d]
-    dens = []  # the denominator of each division's remainder
-    lo0 = 0
-    while n - lo0 > dm and len(dens) != limit:
-        if lead != 1:
-            scale = lead ** ((n - lo0) // m - d)
-            rows[lo0:] = [a * scale for a in rows[lo0:]]
-            den *= scale
+    k = lo0 = 0  # divisions made, and the start of the tail
+    while n - lo0 > dm and k != limit:
         if m > 1:
             for lo in range(n - dm - m, lo0 - 1, -m):
                 for c, col in zip(rows[lo + dm:lo + dm + m], cols):
                     if c:
-                        if lead != 1:
-                            c //= lead
                         rows[lo:lo + dm] = [a - c * b for a, b in zip(rows[lo:lo + dm], col)]
         elif d == 1:
             g0, c = g[0], rows[n - 1]
             for lo in range(n - 2, lo0 - 1, -1):
-                if lead != 1:
-                    c //= lead
                 c = rows[lo] = rows[lo] - c * g0
         else:
             for lo in range(n - d - 1, lo0 - 1, -1):
                 c = rows[lo + d]
                 if c:
-                    if lead != 1:
-                        c //= lead
                     rows[lo:lo + d] = [a - c * b for a, b in zip(rows[lo:lo + d], g)]
-        dens.append(den)
+        k += 1
         lo0 += dm
-    dens.append(den)
-    # each piece rows[lo:hi] / den_k becomes a KPoly in lowest terms here;
-    # a zero piece has gcd den_k, so it comes out as () over 1
+    # each piece rows[lo:hi] / den becomes a KPoly in lowest terms here; a
+    # zero piece has gcd den, so it comes out as () over 1
     new, out = KPoly.__new__, []
     if lo0 == n - 1 and dm == 1:
         # every piece is one integer: one gcd takes it to lowest terms
-        for c, dk in zip(rows, dens):
-            e = gcd(c, dk)
+        for c in rows:
+            e = gcd(c, den)
             a = new(KPoly)
-            a.field, a.rows, a.den, a._gauss = K, (c // e,) if c else (), dk // e, None
+            a.field, a.rows, a.den, a._gauss = K, (c // e,) if c else (), den // e, None
             out.append(a)
         return out
-    last = len(dens) - 1
-    for k, dk in enumerate(dens):
-        lo = k * dm
-        hi = n if k == last else lo + dm
+    for j in range(k + 1):
+        lo = j * dm
+        hi = n if j == k else lo + dm
         while hi > lo and not any(rows[hi - m:hi]):
             hi -= m
         nums = rows[lo:hi]
-        e = gcd(dk, *nums)
+        e = gcd(den, *nums)
         if e != 1:
-            nums, dk = [c // e for c in nums], dk // e
+            nums = [c // e for c in nums]
         a = new(KPoly)
-        a.field, a.rows, a.den, a._gauss = K, tuple(nums), dk, None
+        a.field, a.rows, a.den, a._gauss = K, tuple(nums), den // e, None
         out.append(a)
     return out
 
@@ -610,9 +599,9 @@ class KPoly:
 
     def divmod(self, other):
         """(q, r) with self = q * other + r, deg r < deg other, for a monic
-        ``other``."""
-        if not other.is_monic():
-            raise InputError("divisor must be monic")
+        ``other`` with integer coordinates."""
+        if not other.is_monic() or other.den != 1:
+            raise InputError("divisor must be monic with integer coordinates")
         if len(self.rows) < len(other.rows):
             return self.field.zero, self
         r, q = _zexpand(self, other, 1)
@@ -650,9 +639,10 @@ class KPoly:
                           _residues(self.rows, self.den, self.field.p, alpha))
 
     def phi_expand(self, phi: "KPoly", upto=None) -> tuple:
-        """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi:
-        all of them, or only the first ``upto`` (all, when there are no more
-        than that).
+        """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi,
+        for phi monic of positive degree with integer coordinates: all of
+        them, or only the first ``upto`` (all, when there are no more than
+        that).
 
         Inside an ``expansion_scope`` the expansion is shared by every caller
         that expands the same objects, hence a tuple.  The memo entry of a
@@ -669,8 +659,9 @@ class KPoly:
             missing = None if upto is None else upto - len(out)
             more, rest = _split_pending(_zexpand(rest, phi, missing), phi)
             out += more
-        elif not phi.is_monic() or phi.degree < 1:
-            raise InputError("expansion base must be monic of positive degree")
+        elif not phi.is_monic() or phi.degree < 1 or phi.den != 1:
+            raise InputError("expansion base must be monic of positive degree "
+                             "with integer coordinates")
         elif len(self.rows) < len(phi.rows):
             out, rest = (self,), None
         elif upto is None:

@@ -263,10 +263,10 @@ def reduce_poly(v: MacLaneVal, f: KPoly, upto=None) -> Reduction:
 
 def is_key(v: MacLaneVal, phi: KPoly) -> bool:
     """Key-polynomial test over v: same-degree equivalent-to-centre case, or
-    irreducible reduction with full edge and i0 = 0."""
-    if not phi.is_monic() or phi.degree < 1:
-        return False
-    if phi.gauss_val() < 0:
+    irreducible reduction with full edge and i0 = 0.  Every key the pipeline
+    makes is monic with integer coordinates, so a phi with a denominator is
+    not one."""
+    if not phi.is_monic() or phi.degree < 1 or phi.den != 1:
         return False
     if phi.degree == v.deg and v.equiv(phi, v.centre):
         return True

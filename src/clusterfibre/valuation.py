@@ -21,10 +21,9 @@ Values at depth i lie in (1/e_{v_i}) Z, so the evaluation kernel
 
     e_{v_i} v_i(g) = min_s ( e_i * e_{v_{i-1}} v_{i-1}(a_s) + h_i * s ).
 
-A centre of degree above deg g expands g to itself, so v_i(g) = v_{i-1}(g)
-there, and the kernel starts at the deepest level whose centre has degree at
-most deg g.  The radii lambda_i are kept as given; ``eval`` converts the
-scaled value to a Fraction once.
+The radii lambda_i are kept as given; ``eval`` converts the scaled value to
+a Fraction once.  Every centre is monic with integer coordinates (den 1),
+the only divisor the expansion kernel takes.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ class MacLaneVal:
             raise InputError("augmentation radius must be an int or a Fraction")
         if not phi.is_monic() or phi.degree < 1:
             raise InputError("centres must be monic of positive degree")
-        if phi.gauss_val() < 0:
-            raise InputError("centres must have integral coefficients")
+        if phi.den != 1:
+            raise InputError("centres must have integral coefficients (integer coordinates)")
         if prefix.steps and phi.degree % prefix.deg:
             raise InputError("centre degrees must divide along the chain")
         vphi = prefix._scaled(prefix.depth, phi)
@@ -105,9 +104,9 @@ class MacLaneVal:
     def augment_unchecked(self, phi: KPoly, lam) -> "MacLaneVal":
         """[self; phi -> lam], without testing that phi is a key polynomial.
 
-        Chain-shape conditions (monic, integral, a finite radius above the
-        centre value, non-equivalence with the previous centre) are still
-        enforced.
+        Chain-shape conditions (monic with integer coordinates, a finite
+        radius above the centre value, non-equivalence with the previous
+        centre) are still enforced.
         """
         out = MacLaneVal.__new__(MacLaneVal)
         out._link(self, AugStep(phi, lam))
@@ -173,19 +172,11 @@ class MacLaneVal:
             return OO
         if size == self.field.m:  # a constant
             return self.e_levels[level] * g.gauss_val()
-        # a centre of degree above deg g leaves its level's value unchanged
-        j, steps = level, self.steps
-        while j and len(steps[j - 1].phi.rows) > size:
-            j -= 1
-        if j == 0:
-            val = g.gauss_val()
-        else:
-            e_j, h_j = self.e_rel[j], self.h_rel[j]
-            val = min(e_j * self._scaled(j - 1, a) + h_j * s
-                      for s, a in enumerate(g.phi_expand(steps[j - 1].phi)) if a.rows)
-        if j == level:
-            return val
-        return val * (self.e_levels[level] // self.e_levels[j])
+        if level == 0:
+            return g.gauss_val()
+        e_i, h_i = self.e_rel[level], self.h_rel[level]
+        return min(e_i * self._scaled(level - 1, a) + h_i * s
+                   for s, a in enumerate(g.phi_expand(self.steps[level - 1].phi)) if a.rows)
 
     def equiv(self, g: KPoly, h: KPoly) -> bool:
         """g =_v h, tested as v(g - h) > v(g)."""

@@ -20,6 +20,8 @@ from clusterfibre import field
 from clusterfibre.ff import (FField, FFPoly, prime_field, ff_factor, ff_extend,
                              is_irreducible, find_irreducible_int_poly, find_irreducible_over)
 from clusterfibre import ff
+from clusterfibre.newton import is_key
+from clusterfibre.valuation import MacLaneVal
 
 from guards import refuse_constant_arithmetic
 
@@ -302,6 +304,17 @@ def _element(K):
                      st.lists(_coordinate(K.p), min_size=K.m, max_size=K.m).map(K.elem))
 
 
+def _integer_element(K):
+    """An element with integer coordinates, such as a key polynomial's."""
+    return st.lists(st.integers(-40, 40), min_size=K.m, max_size=K.m).map(K.elem)
+
+
+def _centre(K, min_degree, max_degree):
+    """A monic divisor with integer coordinates, the only one the kernel takes."""
+    return st.lists(_integer_element(K), min_size=min_degree,
+                    max_size=max_degree).map(lambda low: K.poly(low + [K.one]))
+
+
 def _kpoly(K, max_degree):
     return st.lists(_element(K), max_size=max_degree + 1).map(K.poly)
 
@@ -315,7 +328,8 @@ def _expand_back(coeffs, phi):
 
 class TestIntegerKernel:
     """phi_expand and divmod run on integer coordinates over a common
-    denominator; they must agree exactly with the Fraction loop."""
+    denominator, by centres with integer coordinates; they must agree
+    exactly with the Fraction loop."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @given(data=st.data())
@@ -323,8 +337,8 @@ class TestIntegerKernel:
     def test_matches_reference(self, m, data):
         K = _kernel_base(m)
         f = data.draw(_kpoly(K, 9))
-        phi = K.poly(data.draw(st.lists(_element(K), min_size=1, max_size=3)) + [K.one])
-        g = K.poly(data.draw(st.lists(_element(K), max_size=4)) + [K.one])
+        phi = data.draw(_centre(K, 1, 3))
+        g = data.draw(_centre(K, 0, 4))
         assert f.phi_expand(phi) == _reference_expand(f, phi)
         assert f.divmod(g) == _reference_divmod(f, g)
         assert f.divmod(phi) == _reference_divmod(f, phi)
@@ -335,7 +349,7 @@ class TestIntegerKernel:
     def test_expansion_identity(self, m, data):
         K = _kernel_base(m)
         f = data.draw(_kpoly(K, 12))
-        phi = K.poly(data.draw(st.lists(_element(K), min_size=1, max_size=4)) + [K.one])
+        phi = data.draw(_centre(K, 1, 4))
         coeffs = f.phi_expand(phi)
         assert _expand_back(coeffs, phi) == f
         assert all(a.degree < phi.degree for a in coeffs)
@@ -355,7 +369,7 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_small_cases(self, m):
         K = _kernel_base(m)
-        phi = K.poly([K.rat(Fraction(-2, 9)), 1, 1])
+        phi = K.poly([-2, 1, 1])
         zero, const = K.poly([]), K.poly([K.rat(Fraction(7, 4))])
         low = K.poly([K.rat(3), K.rat(Fraction(1, 5))])
         for f in (zero, const, low):
@@ -366,21 +380,56 @@ class TestIntegerKernel:
 
     def test_after_extend_unramified(self):
         # the image of theta under this embedding has denominator 72,
-        # prime to p = 5, so f and phi carry such denominators
+        # prime to p = 5, so f carries such denominators; a centre with
+        # rational integer coefficients embeds with integer coordinates, and
+        # one in the generator of K2 has them by construction
         K = BaseField(5, 2)
         K2, embed = extend_unramified(K, 3)
-        th = K.theta
+        th, th2 = K.theta, K2.theta
         f = K.poly([th, 5, K.rat(Fraction(1, 25)), th * th, -th, 1]) ** 2
-        phi = K.poly([th - K.rat(5), th, 1])
+        phi = K.poly([-5, 3, 1])
         f2, phi2 = (K2.poly([embed(c) for c in h.coeffs]) for h in (f, phi))
+        assert phi2.den == 1
         assert any(c.denominator % 5 and c.denominator > 1
                    for a in f2.coeffs for c in _kcoords(a))
         assert f2.phi_expand(phi2) == _reference_expand(f2, phi2)
         assert tuple(K2.poly([embed(c) for c in a.coeffs]) for a in f.phi_expand(phi)) \
             == f2.phi_expand(phi2)
-        df = f2.derivative()
-        monic = K2.poly(list(df.coeffs[:-1]) + [K2.one])
+        psi2 = K2.poly([th2 - K2.rat(5), th2 * th2, 1])
+        assert psi2.den == 1
+        assert f2.phi_expand(psi2) == _reference_expand(f2, psi2)
+        monic = K2.poly([th2 ** 3, -th2, 0, 1])
         assert f2.divmod(monic) == _reference_divmod(f2, monic)
+
+
+class TestIntegerCentres:
+    """The kernel divides only by monic centres with integer coordinates.  A
+    monic centre over a denominator prime to p, integral as a p-adic
+    polynomial, is refused by divmod, phi_expand and the chain, and is not a
+    key polynomial."""
+
+    @staticmethod
+    def _centres():
+        K, K2 = BaseField(11), BaseField(11, 2)
+        return [K.poly([K.rat(Fraction(-1, 2)), 1]),
+                K2.poly([K2.theta * K2.rat(Fraction(1, 7)), 0, 1])]
+
+    def test_centres_with_a_denominator_are_refused(self):
+        for phi in self._centres():
+            K = phi.field
+            assert phi.is_monic() and phi.gauss_val() == 0 and phi.den in (2, 7)
+            for f in (K.one, K.poly([1, 2, 3, 4, 5])):
+                with pytest.raises(InputError, match="divisor must be monic with integer"):
+                    f.divmod(phi)
+                with pytest.raises(InputError, match="expansion base must be monic of "
+                                   "positive degree with integer coordinates"):
+                    f.phi_expand(phi)
+            with pytest.raises(InputError, match="integer coordinates"):
+                MacLaneVal.gauss(K).augment_unchecked(phi, 1)
+
+    def test_centres_with_a_denominator_are_not_keys(self):
+        for phi in self._centres():
+            assert not is_key(MacLaneVal.gauss(phi.field), phi)
 
 
 def _fraction_divmod(f, g):
@@ -406,10 +455,7 @@ class TestScalarKernel:
     def test_centres_match_fraction_division(self, degree, data):
         K = BaseField(5)
         f = data.draw(st.lists(_coordinate(5), max_size=12))
-        # integral centres, and centres over a denominator prime to p, which
-        # the kernel divides by pseudo-division with lead != 1
-        den = data.draw(st.sampled_from([1, 1, 2, 3, 12, 49]))
-        phi = [Fraction(data.draw(st.integers(-60, 60)), den) for _ in range(degree)]
+        phi = [Fraction(data.draw(st.integers(-60, 60))) for _ in range(degree)]
         phi.append(Fraction(1))
         F, Phi = K.poly(f), K.poly(phi)
         assert F.divmod(Phi) == tuple(K.poly(h) for h in _fraction_divmod(f, phi))
@@ -427,8 +473,8 @@ class TestExpansionKernel:
     """The one expansion kernel against the Fraction model of Q(theta) below:
     sum a_i phi^i = f with deg a_i < deg phi, each a_i in lowest terms and
     equal to the model's remainder, for m = 1, 2, 3 and centres of degree 1,
-    2, 3; with denominators in f, and in phi, where each division is a
-    pseudo-division by the integral lead*phi; and for deg f < deg phi."""
+    2, 3 with integer coordinates; with denominators in f, and for
+    deg f < deg phi."""
 
     @staticmethod
     def _draw(K, rng, degree, den):
@@ -443,12 +489,10 @@ class TestExpansionKernel:
         K = _kernel_base(m)
         mod = [Fraction(c) for c in K.gen_minpoly]
         rng = random.Random(100 * m + d)
-        for den_f, den_phi in [(1, 1), (6, 1), (1, 7), (K.p ** 2, 10), (4, K.p)]:
-            # integral but for a constant term 1/den_phi off an integral element
+        for den_f in (1, 6, K.p ** 2, 4):
             low = [K.elem(*[rng.randrange(-30, 31) for _ in range(m)]) for _ in range(d)]
-            low[0] = low[0] + K.rat(Fraction(1, den_phi))
             phi = K.poly(low + [K.one])
-            assert phi.is_monic() and phi.degree == d and phi.den == den_phi
+            assert phi.is_monic() and phi.degree == d and phi.den == 1
             for degree in (d - 1, d, 3 * d + 1):
                 f = self._draw(K, rng, degree, den_f)
                 assert f.den == den_f
@@ -683,7 +727,7 @@ class TestIntegerRepresentation:
         K = _kernel_base(m)
         mod = [Fraction(c) for c in K.gen_minpoly]
         f, g = data.draw(_kpoly(K, 6)), data.draw(_kpoly(K, 3))
-        monic = K.poly(data.draw(st.lists(_element(K), max_size=3)) + [K.one])
+        monic = data.draw(_centre(K, 0, 3))
         assert _q(f * g) == _q_polymul(_q(f), _q(g), mod)
         assert all(_canonical(x) for x in (f, g, f * g, f + g, f - g, f.derivative()))
         one = (Fraction(1),) + (Fraction(0),) * (m - 1)
@@ -692,7 +736,7 @@ class TestIntegerRepresentation:
         q, r = f.divmod(monic)
         assert (_q(q), _q(r)) == _q_divmod(_q(f), _q(monic), mod)
         assert _canonical(q) and _canonical(r)
-        phi = K.poly(data.draw(st.lists(_element(K), min_size=1, max_size=3)) + [K.one])
+        phi = data.draw(_centre(K, 1, 3))
         rest, expansion = _q(f), []
         while rest:
             rest, r = _q_divmod(rest, _q(phi), mod)
@@ -979,13 +1023,10 @@ class TestResumableExpansion:
             calls.append((f, len(out) - 1))
             return out
 
-        # den(phi) in {10, p, 7}: each division is a pseudo-division, and so
-        # is the one that leaves the pending quotient
-        for d, den_phi in [(1, 1), (1, 10), (2, 1), (2, K.p), (3, 7)]:
+        for d in (1, 1, 2, 2, 3):
             low = [K.elem(*[rng.randrange(-30, 31) for _ in range(m)]) for _ in range(d)]
-            low[0] = low[0] + K.rat(Fraction(1, den_phi))
             phi = K.poly(low + [K.one])
-            assert phi.den == den_phi
+            assert phi.den == 1
             f = TestExpansionKernel._draw(K, rng, 5 * d + d // 2, 6)
             full = f.phi_expand(phi)  # unscoped: fresh, and not kept
             n = len(full)
