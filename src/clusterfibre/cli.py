@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalInconsistency
 from .field import BaseField, KPoly, expansion_scope
 from .rationals import qstr
 from .clusters import build_cluster_tree, cluster_chain, normalize_input
@@ -393,7 +393,9 @@ def _render_invariants(tree, records, fmt):
 
 def run(argv=None) -> int:
     """The command line: 0 on success, 1 on an InputError, 2 on any other
-    failure, which is a bug.  ``--help`` raises SystemExit(0)."""
+    failure, which is a bug.  Only an InternalInconsistency names a broken
+    law; any other exception is reported by its type.  ``--help`` raises
+    SystemExit(0)."""
     try:
         args = _build_parser().parse_args(argv)
         if args.prime is None and (args.command != "selfcheck" or args.expression
@@ -405,9 +407,13 @@ def run(argv=None) -> int:
     except InputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    except Exception as ex:
+    except InternalInconsistency as ex:
         print(f"internal consistency failure: {str(ex) or type(ex).__name__}",
               file=sys.stderr)
+        return 2
+    except Exception as ex:
+        what = f"{type(ex).__name__}: {ex}" if str(ex) else type(ex).__name__
+        print(f"internal error: {what}", file=sys.stderr)
         return 2
 
 

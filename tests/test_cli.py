@@ -293,7 +293,17 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "build_cluster_tree", broken)
         assert run(["fibre", "x^2-5", "--prime", "5"]) == 2
-        assert "internal consistency failure: x" in capsys.readouterr().err
+        # a bare assert names no law of the construction
+        assert capsys.readouterr().err == "internal error: AssertionError: x\n"
+
+    def test_recursion_error_is_an_internal_error(self, monkeypatch, capsys):
+        def deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "build_cluster_tree", deep)
+        assert run(["picture", "x^2-5", "--prime", "5"]) == 2
+        assert capsys.readouterr().err == \
+            "internal error: RecursionError: maximum recursion depth exceeded\n"
 
     def test_inexact_subresultant_division_is_an_internal_failure(self, monkeypatch, capsys):
         # a Bareiss inverse whose denominator is off by a large prime makes
@@ -677,4 +687,4 @@ class TestErrorHierarchy:
 
         monkeypatch.setattr(cli, "build_cluster_tree", broken)
         assert run(["fibre", "x^2-5", "--prime", "5"]) == 2
-        assert capsys.readouterr().err == "internal consistency failure: x\n"
+        assert capsys.readouterr().err == "internal error: ValueError: x\n"
