@@ -393,9 +393,8 @@ def _render_invariants(tree, records, fmt):
 
 def run(argv=None) -> int:
     """The command line: 0 on success, 1 on an InputError, 2 on any other
-    failure, which is a bug.  Only an InternalInconsistency names a broken
-    law; any other exception is reported by its type.  ``--help`` raises
-    SystemExit(0)."""
+    failure, which is a bug: an InternalInconsistency names its broken law,
+    anything else its type.  ``--help`` raises SystemExit(0)."""
     try:
         args = _build_parser().parse_args(argv)
         if args.prime is None and (args.command != "selfcheck" or args.expression

@@ -19,20 +19,18 @@ takes each coordinate mod p.
 Division and phi-adic expansion are one kernel, ``_zexpand``: all the
 divisions of an expansion in one in-place pass over the flat coordinates,
 each coefficient built in lowest terms directly; a division is its
-one-step case.  It divides only by a monic divisor with integer
-coordinates, as every key polynomial of the pipeline is, so there is no
-pseudo-division and every piece keeps the one denominator of f; a divisor
-with a denominator is refused.  Over Q_p (m = 1) its step is scalar: one
-integer per quotient coefficient, and by a linear centre synthetic
-division.  Over Q_p a product is one int product (Kronecker
-substitution, ``_kronecker``).
-Inside an ``expansion_scope`` call each (polynomial, phi) pair is expanded
-once, and each polynomial's discriminant valuation taken once; the memo is
-dropped when the outermost scoped call returns.  A caller may ask
-``phi_expand`` for only the first ``upto`` coefficients: the memo entry then
-keeps the coefficients so far and the pending quotient q, f = sum_i a_i
-phi^i + q phi^k, and a later request for more resumes the kernel from q,
-so no part of f is divided twice.
+one-step case.  Its divisor is monic with integer coordinates, as every
+key polynomial is, so every piece keeps the one denominator of f.  Over Q_p
+(m = 1) its step is scalar: one integer per quotient coefficient, and by a
+linear centre synthetic division.  Over Q_p a product is one int product
+(Kronecker substitution, ``_kronecker``).  Inside an ``expansion_scope``
+call each (polynomial, phi) pair is expanded once, and each polynomial's
+discriminant valuation taken once; the memo is dropped when the outermost
+scoped call returns.  A caller may ask ``phi_expand`` for only the first
+``upto`` coefficients: the memo entry then keeps the coefficients so far
+and the pending quotient q, f = sum_i a_i phi^i + q phi^k, and a later
+request for more resumes the kernel from q, so no part of f is divided
+twice.
 
 Separability is certified modulo word-size primes: ``KPoly.is_separable``
 maps f to F_q[X] (theta to a root of gen_minpoly mod q) and asks whether
@@ -204,16 +202,13 @@ def _zsolve(cols, *rhs):
     return [[row[n + j] for row in a] for j in range(len(rhs))], prev
 
 
-# Division and phi-adic expansion: one kernel, _zexpand.  The divisor is monic
-# with integer coordinates, so it is divided out with integer multiplications
-# and subtractions only, and every piece keeps the denominator of f.
+# Division and phi-adic expansion: one kernel, _zexpand.
 
 def _zexpand(f, phi, limit=None):
     """[a_0, ..., a_(k-1), q] with f = a_0 + a_1 phi + ... + a_(k-1)
-    phi^(k-1) + q phi^k and deg a_i < deg phi, for the monic KPoly ``phi``
-    with integer coordinates (den 1): k divisions, as many as f takes, so
-    that q is the top coefficient of the phi-adic expansion, or ``limit`` of
-    them if that is fewer.
+    phi^(k-1) + q phi^k and deg a_i < deg phi, for the monic ``phi`` with
+    integer coordinates: k divisions, as many as f takes, so that q is the
+    top coefficient of the phi-adic expansion, or ``limit`` if fewer.
 
     One in-place pass over the flat coordinates of f: dividing the tail
     rows[lo:] by phi leaves the remainder in its first deg phi coefficients
@@ -640,9 +635,8 @@ class KPoly:
 
     def phi_expand(self, phi: "KPoly", upto=None) -> tuple:
         """Coefficients (a_0, a_1, ...) of the phi-adic expansion, deg a_i < deg phi,
-        for phi monic of positive degree with integer coordinates: all of
-        them, or only the first ``upto`` (all, when there are no more than
-        that).
+        for a monic phi with integer coordinates: all of them, or only the
+        first ``upto`` (all, when there are no more than that).
 
         Inside an ``expansion_scope`` the expansion is shared by every caller
         that expands the same objects, hence a tuple.  The memo entry of a

@@ -263,9 +263,8 @@ def reduce_poly(v: MacLaneVal, f: KPoly, upto=None) -> Reduction:
 
 def is_key(v: MacLaneVal, phi: KPoly) -> bool:
     """Key-polynomial test over v: same-degree equivalent-to-centre case, or
-    irreducible reduction with full edge and i0 = 0.  Every key the pipeline
-    makes is monic with integer coordinates, so a phi with a denominator is
-    not one."""
+    irreducible reduction with full edge and i0 = 0; never a phi with a
+    denominator, since every key the pipeline makes has integer coordinates."""
     if not phi.is_monic() or phi.degree < 1 or phi.den != 1:
         return False
     if phi.degree == v.deg and v.equiv(phi, v.centre):

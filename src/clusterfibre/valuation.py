@@ -22,8 +22,7 @@ Values at depth i lie in (1/e_{v_i}) Z, so the evaluation kernel
     e_{v_i} v_i(g) = min_s ( e_i * e_{v_{i-1}} v_{i-1}(a_s) + h_i * s ).
 
 The radii lambda_i are kept as given; ``eval`` converts the scaled value to
-a Fraction once.  Every centre is monic with integer coordinates (den 1),
-the only divisor the expansion kernel takes.
+a Fraction once.
 """
 
 from __future__ import annotations

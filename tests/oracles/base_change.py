@@ -23,10 +23,11 @@ conjugates over K' whose mutual distances it included.  The prediction
 leaves them out.
 
 The faults this oracle must catch, both invisible to the other tier-1
-tests: ``fibre._is_square_in`` with the Euler exponent (p - 1) / 2 in place
-of (|k_v| - 1) / 2, and chain ``geometric_copies`` of f_v + 1.  A fault
-that breaks K and K' alike, such as ``_is_square_in`` always true, escapes
-it by construction.
+tests: the exact-mode ``split`` of ``fibre.assemble`` testing the constant
+f~ with the Euler exponent (p - 1) / 2 in place of (|k_v| - 1) / 2, and
+chain ``geometric_copies`` of f_v + 1.  A fault that breaks K and K' alike,
+such as a ``split`` that is always true at u = 0, escapes it by
+construction.
 """
 
 from collections import Counter
