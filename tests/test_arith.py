@@ -304,14 +304,10 @@ def _element(K):
                      st.lists(_coordinate(K.p), min_size=K.m, max_size=K.m).map(K.elem))
 
 
-def _integer_element(K):
-    """An element with integer coordinates, such as a key polynomial's."""
-    return st.lists(st.integers(-40, 40), min_size=K.m, max_size=K.m).map(K.elem)
-
-
 def _centre(K, min_degree, max_degree):
     """A monic divisor with integer coordinates, the only one the kernel takes."""
-    return st.lists(_integer_element(K), min_size=min_degree,
+    element = st.lists(st.integers(-40, 40), min_size=K.m, max_size=K.m).map(K.elem)
+    return st.lists(element, min_size=min_degree,
                     max_size=max_degree).map(lambda low: K.poly(low + [K.one]))
 
 
