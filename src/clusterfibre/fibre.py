@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .clusters import ClusterTree
 from .errors import InputError, InternalInconsistency
-from .ff import FFPoly, squarefree_decomposition
+from .ff import FFPoly
 from .invariants import InvariantRecord, all_records
 from .rationals import qstr
 
@@ -149,11 +149,8 @@ def assemble(tree: ClusterTree,
     for node in tree.nodes:
         r = records[node.id]
         if mode == "geometric":
-            # over the closure every unit is a square, so u = 0 already splits;
-            # the polynomial part must then consist of even multiplicities
+            # u = 0 makes ftilde a nonzero constant (compute_record): a square over the closure
             split = (r.n == 2 and r.u == 0)
-            if split and any(m % 2 for _, m in squarefree_decomposition(r.ftilde)):
-                raise InternalInconsistency("ubereven component with odd branch part")
         else:
             # u = deg ftilde (compute_record): a constant, split if a square in k_v
             split = (r.n == 2 and r.u == 0

@@ -25,8 +25,9 @@ key polynomial is, so every piece keeps the one denominator of f.  Over Q_p
 linear centre synthetic division.  Over Q_p a product is one int product
 (Kronecker substitution, ``_kronecker``).  Inside an ``expansion_scope``
 call each (polynomial, phi) pair is expanded once, and each polynomial's
-discriminant valuation taken once; the memo is dropped when the outermost
-scoped call returns.  A caller may ask ``phi_expand`` for only the first
+discriminant valuation taken once; the same memo holds the reductions of
+``newton.reduce_poly``, one per (chain, polynomial, upto), and is dropped
+when the outermost scoped call returns.  A caller may ask ``phi_expand`` for only the first
 ``upto`` coefficients: the memo entry then keeps the coefficients so far
 and the pending quotient q, f = sum_i a_i phi^i + q phi^k, and a later
 request for more resumes the kernel from q, so no part of f is divided
@@ -59,17 +60,18 @@ from .rationals import OO
 
 
 # Memo of the innermost open expansion scope: (id(poly), id(phi)) ->
-# (poly, phi, coefficients, pending quotient or None when complete), and
-# (id(f), None) -> (f, None, v(disc f)).
+# (poly, phi, coefficients, pending quotient or None when complete),
+# (id(f), None) -> (f, None, v(disc f)), and (id(v), id(f), upto) ->
+# (v, f, reduction) for newton.reduce_poly.
 # Holding the objects keeps their ids from being reused while the scope is
 # open.  A ContextVar keeps each thread's and each task's scope its own.
 _EXPANSIONS = contextvars.ContextVar("clusterfibre_expansions", default=None)
 
 
 def expansion_scope(fn):
-    """Decorator: phi-adic expansions and discriminant valuations made
-    during a call of ``fn`` are memoized and dropped when it returns or
-    raises.  A call made inside an open scope shares the outer memo."""
+    """Decorator: phi-adic expansions, discriminant valuations and
+    reductions made during a call of ``fn`` are memoized and dropped when it
+    returns or raises.  A call made inside an open scope shares the outer memo."""
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
         if _EXPANSIONS.get() is not None:

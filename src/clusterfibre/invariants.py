@@ -22,6 +22,13 @@ genus from u against the genus of the double cover y^2 = f-tilde computed
 from its odd-multiplicity roots.  The intro-flavoured normalization (nu
 scaled by the cluster degree) is reported alongside for display only; it
 never enters the computation.
+
+The record is computed on integers in units of 1/(2e), e the group index
+of the cluster chain: N = e nu and L = e lambda, integers by a law that
+raises InternalInconsistency.  Every parity and integrality condition is
+a divisibility test on a numerator over its common denominator, and
+Fractions appear only in the record's public fields (lambda, nu, s, s0 and
+their intro forms).
 """
 
 from __future__ import annotations
@@ -36,14 +43,10 @@ from .field import expansion_scope
 from .newton import residue_tower
 
 
-def _is_odd_integer(x) -> bool:
-    x = Fraction(x)
-    return x.denominator == 1 and x.numerator % 2 == 1
-
-
-def _not_in_2Z(x) -> bool:
-    x = Fraction(x)
-    return x.denominator != 1 or x.numerator % 2 != 0
+def _odd_multiple(x: int, e: int) -> bool:
+    """x / e is an odd integer."""
+    q, r = divmod(x, e)
+    return not r and q % 2 == 1
 
 
 class InvariantRecord:
@@ -99,76 +102,83 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     tower = residue_tower(cc)
     K = tree.field
     r = InvariantRecord()
-    r.degree = node.degree
+    r.degree = d = node.degree
     r.size = node.size
     r.lam = Fraction(node.radius)
-    r.epsilon = cc.epsilon
-    r.b = cc.b_last
-    r.ell = cc.ell_last + ell_offset * r.b
-    r.e = cc.group_index
+    r.epsilon = eps = cc.epsilon
+    r.b = b = cc.b_last
+    r.ell = ell = cc.ell_last + ell_offset * b
+    r.e = e = cc.group_index
     r.k_v = tower.top
-    r.f_v = tower.top.degree // K.m
+    r.f_v = f_v = tower.top.degree // K.m
     r.nu = nu(tree, node)
-    r.i_v = node.reduction.i1
-    e_nu = r.e * r.nu
-    if Fraction(e_nu).denominator != 1:
-        raise InternalInconsistency(f"e * nu must be an integer, got {e_nu}")
-    r.n = 1 if int(e_nu) % 2 == 1 else 2
-    r.m = 2 * r.e // r.n
-    r.p = 1 if r.i_v % 2 == 1 else 2
-    r.s = Fraction(r.i_v * r.lam + r.p * r.lam - r.nu, 2)
-    r.gamma = 2 if (r.i_v % 2 == 0 and _is_odd_integer(r.epsilon * (r.nu - r.i_v * r.lam))) else 1
+    r.i_v = i = node.reduction.i1
+    # N = e nu and L = e lambda: the record in units of 1 / (2e)
+    N, L = e * r.nu, e * r.lam
+    if N.denominator != 1:
+        raise InternalInconsistency(f"e * nu must be an integer, got {N}")
+    if L.denominator != 1:
+        raise InternalInconsistency(f"e * lambda must be an integer, got {L}")
+    N, L = N.numerator, L.numerator
+    r.n = 1 if N % 2 == 1 else 2
+    r.m = 2 * e // r.n
+    r.p = p = 1 if i % 2 == 1 else 2
+    r.s = Fraction((i + p) * L - N, 2 * e)
+    # gamma: eps (nu - i lambda) an odd integer, for even i
+    r.gamma = 2 if (i % 2 == 0 and _odd_multiple(eps * (N - i * L), e)) else 1
     r.delta = 1 if node.is_degree_minimal else 0
-    r.p0 = p0_flag(node)
-    r.s0 = -r.nu / 2 + r.lam
-    r.gamma0 = 2 if (r.p0 == 2 and _is_odd_integer(r.epsilon * r.nu)) else 1
-    # marked children: odd crossing parity with the component
+    r.p0 = p0 = p0_flag(node)
+    r.s0 = Fraction(2 * L - N, 2 * e)
+    r.gamma0 = 2 if (p0 == 2 and _odd_multiple(eps * N, e)) else 1
+    # marked children: odd crossing parity with the component, the crossing
+    # f_v size_w / (f_w b d) - ell nu eps_w taken over its denominator
+    # f_w b d e, so it is outside 2Z iff 2 f_w b d e does not divide the top
     r.vtilde = set()
-    f_w = {}
+    marked_f = 0
     for child in node.children:
         ccw = cluster_chain(child)
-        f_w[child.id] = residue_tower(ccw).top.degree // K.m
-        crit = (Fraction(r.f_v * child.size, f_w[child.id] * r.b * r.degree)
-                - r.ell * r.nu * ccw.epsilon)
-        if _not_in_2Z(crit):
+        f_w = residue_tower(ccw).top.degree // K.m
+        den = f_w * b * d
+        if (f_v * child.size * e - ell * N * ccw.epsilon * den) % (2 * den * e):
             r.vtilde.add(child.id)
-    c0_crit = Fraction(2 - r.p0, r.b) - r.ell * r.nu * r.epsilon
-    r.c0 = 1 if _not_in_2Z(c0_crit) else 0
-    child_sum = sum(c.size for c in node.children)
+            marked_f += f_w
+    # c0: (2 - p0) / b - ell nu eps outside 2Z, over the denominator b e
+    r.c0 = 1 if ((2 - p0) * e - ell * N * eps * b) % (2 * b * e) else 0
+    leaf_part = node.size - sum(c.size for c in node.children)
+    # u = (leaf_part - (2 - p0) d) / (e f_v) + sum_marked f_w / f_v + delta c0:
     # the main term counts the leaf-orbit part per component of the residue
     # extension, i.e. the degree of the f-bar polynomial; the e_v-only
     # denominator would over-count by f_v whenever k_v is bigger than k
-    u_main = Fraction(node.size - child_sum - (2 - r.p0) * r.degree,
-                      r.e * r.f_v)
-    u_marks = Fraction(sum(f_w[c] for c in r.vtilde), r.f_v)
-    u = u_main + u_marks + r.delta * r.c0
-    if Fraction(u).denominator != 1 or u < 0:
-        raise InternalInconsistency(f"u must be a nonnegative integer, got {u}")
-    r.u = int(u)
-    r.genus = 0 if r.n == 1 else max((r.u - 1) // 2, 0)
-    r.ubereven = (r.n == 2 and r.u == 0)
+    u_num = leaf_part - (2 - p0) * d + e * marked_f + r.delta * r.c0 * e * f_v
+    u, u_rem = divmod(u_num, e * f_v)
+    if u_rem or u < 0:
+        raise InternalInconsistency(
+            f"u must be a nonnegative integer, got {Fraction(u_num, e * f_v)}")
+    r.u = u
+    r.genus = 0 if r.n == 1 else max((u - 1) // 2, 0)
+    r.ubereven = (r.n == 2 and u == 0)
     # residual constants from the two selected-edge endpoint coefficients
     red = node.reduction
-    r.gbar_exp = r.p // r.gamma
+    r.gbar_exp = p // r.gamma
     r.gbar_const = red.poly.lead()
-    r.gbar0_exp = r.p0 // r.gamma0 if r.delta else None
+    r.gbar0_exp = p0 // r.gamma0 if r.delta else None
     r.gbar0_const = red.poly[0] if r.delta else None
-    r.x_exponent_parity = (red.h_exponent - ell_offset * int(e_nu)) % 2
+    r.x_exponent_parity = (red.h_exponent - ell_offset * N) % 2
     r.fbar = node.fbar
     r.ftilde = ftilde_poly(node, r)
     # open-ended count law ties the residual degree to the cluster counts
-    open_count = Fraction(node.size - child_sum + r.degree * (r.p0 - 2), r.e)
-    if Fraction(open_count).denominator != 1 or r.f_v * r.fbar.degree != int(open_count):
+    open_count, open_rem = divmod(leaf_part + d * (p0 - 2), e)
+    if open_rem or f_v * r.fbar.degree != open_count:
         raise InternalInconsistency("open-ended count law violated")
     # u is exactly the branch degree of the component's double-cover equation
-    if r.u != r.ftilde.degree:
+    if u != r.ftilde.degree:
         raise InternalInconsistency("u does not match the branch polynomial degree")
     # the genus of y^2 = ftilde must reproduce the combinatorial genus
     if genus_double_cover(r.ftilde, r.n) != r.genus:
         raise InternalInconsistency("genus cross-check failed")
-    r.nu_intro = r.degree * r.nu
-    r.s_intro = Fraction(r.i_v * r.lam + r.p * r.lam - r.nu_intro, 2)
-    r.s0_intro = -r.nu_intro / 2 + r.lam
+    r.nu_intro = d * r.nu
+    r.s_intro = Fraction((i + p) * L - d * N, 2 * e)
+    r.s0_intro = Fraction(2 * L - d * N, 2 * e)
     return r
 
 

@@ -16,7 +16,17 @@ alpha contribute, their indices form an arithmetic progression with gap
 e_level, and each contributes its own lower-level H image.  Each term's
 value is computed once: ``reduce_poly`` keeps the values it finds the line
 with, and ``_graded_H`` takes a g already known to have value alpha and
-evaluates only its progression one level down.
+evaluates only its progression one level down.  A constant, like any g
+of lower degree than the centre, is its own one-term expansion and goes
+down the descent without a ``phi_expand`` call; at level 0 the image is
+the residue coordinates of g.
+
+Inside an ``expansion_scope`` (field.py) ``reduce_poly`` computes each
+(chain, polynomial, upto) once and keeps the Reduction in the scope's memo,
+beside the expansions.  So a chain's tower step reads the reduction of its
+centre that ``lift_key``'s roundtrip check made over the prefix, and
+``is_key`` the one the tower step made.  A truncated and a whole read stay
+separate computations.
 
 No graded ring is ever materialized: ``_graded_H`` returns the pair
 (shift, rows), rows the flat coordinates of poly, and the step below the
@@ -38,7 +48,7 @@ from fractions import Fraction
 from typing import List
 
 from .errors import InputError, InternalInconsistency
-from .field import KPoly, expansion_scope
+from .field import _EXPANSIONS, KPoly, _residues, expansion_scope
 from .ff import FField, FFPoly, ff_extend, is_irreducible
 from .rationals import OO
 from .valuation import MacLaneVal
@@ -166,14 +176,19 @@ def _graded_H(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: int,
     with rows the flat coordinates of poly, for alpha = scaled_alpha /
     e_level and a g of value alpha."""
     if level == 0:
-        return 0, g.residue(scaled_alpha).rows
+        return 0, _residues(g.rows, g.den, g.field.p, scaled_alpha)
     e_i = v.e_rel[level]
     u_a, i_a = _ui_pair(e_i, v.h_rel[level], scaled_alpha)
     c_a = v.ellp[level] * i_a - v.ell[level] * u_a
     # u_a again, from i_a alone: an index off the progression leaves a remainder
     child = _child_value(v, level, scaled_alpha, i_a)
-    terms = [(a, v._scaled(level - 1, a))
-             for a in g.phi_expand(v.steps[level - 1].phi)[i_a::e_i]]
+    phi = v.steps[level - 1].phi
+    if len(g.rows) < len(phi.rows):
+        # a constant, or any g of lower degree than the centre, is its own
+        # one-term expansion: index 0, on the progression only when i_a is
+        terms = [(g, v._scaled(level - 1, g))] if i_a == 0 else []
+    else:
+        terms = [(a, v._scaled(level - 1, a)) for a in g.phi_expand(phi)[i_a::e_i]]
     return c_a, _images(v, tower, level, child, terms)
 
 
@@ -234,7 +249,20 @@ def reduce_poly(v: MacLaneVal, f: KPoly, upto=None) -> Reduction:
     the last centre are read: the caller guarantees that the terms on the
     line of value alpha = v(f) all lie among them, and every later term
     strictly above it, as for the right end of an edge of the Newton
-    polygon.  Then alpha, the edge and f|_v are those of the whole of f."""
+    polygon.  Then alpha, the edge and f|_v are those of the whole of f.
+
+    Inside an ``expansion_scope`` each (v, f, upto) is reduced once, and
+    every later call returns the same Reduction."""
+    memo = _EXPANSIONS.get()
+    key = (id(v), id(f), upto)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (v, f, _reduce(v, f, upto))
+    return hit[2]
+
+
+def _reduce(v: MacLaneVal, f: KPoly, upto) -> Reduction:
+    """The kernel of ``reduce_poly``, without the memo."""
     if f.is_zero():
         raise InputError("reduction of the zero polynomial")
     if v.is_gauss:

@@ -12,6 +12,8 @@ from clusterfibre.errors import InternalInconsistency
 from clusterfibre.invariants import all_records, nu, genus_double_cover
 from clusterfibre.ff import FFPoly, prime_field
 
+from oracles.records import reference_record
+
 
 def _sextic(p, mode="exact"):
     K = BaseField(p)
@@ -328,3 +330,78 @@ class TestUbereven:
         assert r.n == 1 and r.m == 2 * r.e
         assert r.genus == 0
         assert r.fbar.degree == 1
+
+
+def _root_products():
+    """Seeded products of 3 to 14 rational roots at p = 3, 5 and 7, some
+    with a lead that is not a unit."""
+    out = []
+    for p in (3, 5, 7):
+        rng = random.Random(300 + p)
+        for k in range(6):
+            roots = sorted({p * rng.randrange(1, p ** 4) for _ in range(rng.randrange(3, 15))})
+            lead = [1, 2, p, F(1, p), F(3, p ** 2), 1][k]
+            out.append((f"p={p} roots={roots} lead={lead}", p, 1, (roots, lead), "exact"))
+    return out
+
+
+def _record_inputs():
+    """(label, p, m, spec, mode): the selfcheck corpus in both residue modes,
+    the inputs of tests/test_base_change.py over Q_p and over its quadratic
+    extension, and products of rational roots."""
+    from test_base_change import INPUTS
+    out = [(f"{expr} {mode}", p, 1, expr, mode)
+           for p, expr in cli._CORPUS for mode in ("exact", "geometric")]
+    out += [(f"{expr} m={m}", p, m, expr, "exact")
+            for p, expr in INPUTS[len(cli._CORPUS):] for m in (1, 2)]
+    return out + _root_products()
+
+
+_RECORD_INPUTS = _record_inputs()
+
+
+def _record_tree(p, m, spec, mode):
+    K = BaseField(p, m)
+    if isinstance(spec, str):
+        f = cli.parse_poly(spec, K)
+    else:
+        roots, lead = spec
+        f = K.poly([lead])
+        for a in roots:
+            f = f * K.poly([-a, 1])
+    return build_cluster_tree(f, K, mode=mode)
+
+
+class TestRecordsAgainstReference:
+    """Every field of every record, at ell_offset 0 and 1, against the
+    Fraction formulas of tests/oracles/records.py."""
+
+    @pytest.mark.parametrize("label, p, m, spec, mode", _RECORD_INPUTS,
+                             ids=[x[0] for x in _RECORD_INPUTS])
+    def test_every_field(self, label, p, m, spec, mode):
+        tree = _record_tree(p, m, spec, mode)
+        for offset in (0, 1):
+            records = all_records(tree, ell_offset=offset)
+            for node in tree.nodes:
+                want = reference_record(tree, node, offset)
+                got = records[node.id]
+                for name, value in want.items():
+                    assert type(getattr(got, name)) is type(value), (node.id, name)
+                    assert getattr(got, name) == value, (node.id, offset, name)
+
+    def test_inputs_reach_every_branch(self):
+        # marks and c0 with e > 1, so that every term of u is read with its
+        # factor e, both parities of each flag, and nonzero u with marks
+        seen = set()
+        for _, p, m, spec, mode in _RECORD_INPUTS:
+            tree = _record_tree(p, m, spec, mode)
+            for r in all_records(tree).values():
+                seen.add(("marked, e > 1", bool(r.vtilde) and r.e > 1))
+                seen.add(("delta c0, e > 1", r.delta * r.c0 == 1 and r.e > 1))
+                seen.add(("marked, u > 0", bool(r.vtilde) and r.u > 0))
+                seen.update({("n", r.n), ("gamma", r.gamma), ("gamma0", r.gamma0),
+                             ("c0", r.c0), ("p0", r.p0), ("f_v > 1", r.f_v > 1)})
+        for flag in ("marked, e > 1", "delta c0, e > 1", "marked, u > 0", "f_v > 1"):
+            assert (flag, True) in seen, flag
+        for name in ("n", "gamma", "gamma0", "c0", "p0"):
+            assert {v for k, v in seen if k == name} == ({1, 2} if name != "c0" else {0, 1}), name

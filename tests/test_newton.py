@@ -3,15 +3,16 @@
 import functools
 import inspect
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from clusterfibre import newton
-from clusterfibre.cli import parse_poly
+from clusterfibre import clusters, field, newton
+from clusterfibre.cli import _CORPUS, parse_poly
 from clusterfibre.clusters import build_cluster_tree, cluster_chain
-from clusterfibre.field import BaseField, KPoly
+from clusterfibre.field import BaseField, KPoly, expansion_scope
 from clusterfibre.ff import (Extension, FFPoly, FField, ff_extend,
                              find_irreducible_int_poly, is_irreducible, prime_field)
 from clusterfibre.rationals import OO
@@ -668,3 +669,168 @@ class TestGradedDescent:
         k = residue_tower(sample[0][0]).top
         with pytest.raises(AssertionError, match="constant __add__"):
             k.one + k.one  # the guard is live
+
+
+# ---------------------------------------------------------------------------
+# One reduction per (chain, polynomial, upto) per expansion scope
+
+
+def _count_kernel(monkeypatch):
+    """The (v, f, upto) of every reduction the kernel computes from now on."""
+    computed, kernel = [], newton._reduce
+
+    def spy(v, f, upto):
+        computed.append((v, f, upto))
+        return kernel(v, f, upto)
+
+    monkeypatch.setattr(newton, "_reduce", spy)
+    return computed
+
+
+class TestReductionMemo:
+    def test_once_per_key_within_a_scope(self, monkeypatch):
+        K, v0, v1, v2, f = _chains(5)
+        computed = _count_kernel(monkeypatch)
+
+        @expansion_scope
+        def within():
+            red = reduce_poly(v2, f)
+            assert reduce_poly(v2, f) is red
+            n = len(computed)
+            # the same chain and polynomial read to the end of the edge only:
+            # a computation of its own, with the same fields
+            part = reduce_poly(v2, f, 4)
+            assert part is not red and len(computed) == n + 1
+            assert reduce_poly(v2, f, 4) is part and len(computed) == n + 1
+            assert _fields(part) == _fields(red)
+            # the entry holds v and f, so their ids stay theirs
+            entry = field._EXPANSIONS.get()[(id(v2), id(f), None)]
+            assert entry[0] is v2 and entry[1] is f and entry[2] is red
+            return red
+
+        red = within()
+        assert field._EXPANSIONS.get() is None
+        n = len(computed)
+        again = reduce_poly(v2, f)
+        assert again is not red and len(computed) == n + 1
+        assert _fields(again) == _fields(red)
+        # outside a scope each call opens its own, so nothing is shared
+        assert reduce_poly(v2, f) is not again and len(computed) == n + 2
+
+    def test_errors_are_not_kept(self, monkeypatch):
+        K, v0, v1, v2, f = _chains(5)
+        computed = _count_kernel(monkeypatch)
+
+        @expansion_scope
+        def within():
+            for _ in range(2):
+                with pytest.raises(InputError, match="zero polynomial"):
+                    reduce_poly(v2, K.zero)
+            return len(computed)
+
+        assert within() == 2
+
+    @pytest.mark.parametrize("mode", ["exact", "geometric"])
+    def test_towers_and_key_tests_reuse_reductions(self, monkeypatch, mode):
+        # a chain's tower step reduces its centre over the prefix: for a key
+        # that lift_key made over that prefix object, its roundtrip check has
+        # already computed that reduction; and the key tests of _verify_tree
+        # reduce centres whose reductions the cluster chains' towers made
+        computed = _count_kernel(monkeypatch)
+        lifted, watched, phase = [], [], ["build"]
+        entry = newton.reduce_poly
+
+        def requests(v, f, upto=None):
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "lift_key" or (caller == "is_key"
+                                        and sys._getframe(2).f_code.co_name == "lift_key"):
+                lifted.append((v, f))
+            watch = ((caller == "residue_tower" and any(v is a and f is b for a, b in lifted))
+                     or (caller == "is_key" and phase[0] == "verify"))
+            n = len(computed)
+            red = entry(v, f, upto)
+            if watch:
+                watched.append((caller, len(computed) - n))
+            return red
+
+        verify = clusters._verify_tree
+
+        def verifying(tree):
+            phase[0] = "verify"
+            try:
+                return verify(tree)
+            finally:
+                phase[0] = "build"
+
+        monkeypatch.setattr(newton, "reduce_poly", requests)
+        monkeypatch.setattr(clusters, "_verify_tree", verifying)
+        for p, expr in _CORPUS:
+            K = BaseField(p)
+            lifted.clear()
+            build_cluster_tree(parse_poly(expr, K), K, mode=mode, seed=0)
+        assert {caller for caller, _ in watched} == {"residue_tower", "is_key"}
+        assert all(count == 0 for _, count in watched), watched
+        # the memo holds for the whole build: no reduction is computed twice
+        keys = [(id(v), id(f), upto) for v, f, upto in computed]
+        assert keys and len(set(keys)) == len(keys)
+
+
+@functools.lru_cache(maxsize=None)
+def _deep_chains():
+    """Chains of depth 3 by m: x, then two lifted keys, of degree 2 and 12
+    over Q_3 (residue steps of degree 1 and 2), and of degree 6 and 12 over
+    Q_3(theta), m = 2 (steps of degree 2 and 1)."""
+    out = {}
+    for m, steps in ((1, [(1, F(1, 3)), (2, F(1, 2))]), (2, [(2, F(1, 2)), (1, F(2, 3))])):
+        K = BaseField(3, m)
+        v = MacLaneVal.gauss(K).augment_unchecked(K.x(), F(1, 2) if m == 1 else F(1, 3))
+        for d, bump in steps:
+            phi = lift_key(v, _pick_irreducible(residue_tower(v).top, d, avoid_x=True))
+            v = v.augment_unchecked(phi, v.eval(phi) + bump)
+        residue_tower(v)
+        out[m] = v
+    return out
+
+
+class TestConstantDescent:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_graded_multiplicativity_with_constants(self, m):
+        # H(c g) = H(c) H(g) for constants c, whose H takes the constant path
+        # at every level, against non-constant g, whose H expands
+        v = _deep_chains()[m]
+        assert v.depth == 3
+        K, p = v.field, v.field.p
+        rng = random.Random(m)
+        for level in (1, 2, 3):
+            for _ in range(10):
+                c = K.poly([K.elem(*[rng.choice([-1, 1]) * rng.randint(1, p - 1)]
+                                   + [rng.randint(-4, 4) for _ in range(m - 1)])])
+                c = c * K.poly([F(p) ** rng.randint(-2, 2)])
+                g = K.poly([1])
+                while g.degree < 1:
+                    g = _descent_poly(rng.randint, v)
+                a_c = F(v._scaled(level, c), v.e_levels[level])
+                a_g = F(v._scaled(level, g), v.e_levels[level])
+                s_c, h_c = graded_H(v, level, a_c, c)
+                s_g, h_g = graded_H(v, level, a_g, g)
+                s, h = graded_H(v, level, a_c + a_g, c * g)
+                assert h_c.degree == 0 and not h_g.is_zero()
+                assert h == h_c * h_g and s == s_c + s_g
+
+    def test_constants_expand_nothing(self, monkeypatch):
+        # a g of lower degree than the centre needs no phi_expand
+        v = _deep_chains()[2]
+        K = v.field
+        expand = KPoly.phi_expand
+        asked = []
+
+        def spy(self, phi, upto=None):
+            asked.append(self)
+            return expand(self, phi, upto)
+
+        monkeypatch.setattr(KPoly, "phi_expand", spy)
+        c = K.poly([K.elem(2, 1)])
+        for level in (1, 2, 3):
+            shift, h = graded_H(v, level, F(0), c)
+            assert h.degree == 0
+        assert not asked
