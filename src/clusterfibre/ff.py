@@ -194,8 +194,9 @@ class Extension:
     def evaluate(self, rows, shift: int = 0) -> list:
         """The coordinates in G of root^shift * g(root) for the nonzero g over
         k with flat coordinates ``rows``, trailing zero coefficients allowed,
-        by Horner's rule on the mapped coordinates.  The root is zero when h = Y,
-        and a zero constant has no rows, so its coordinates are padded."""
+        by Horner's rule on the mapped coordinates.  The root is zero when
+        h = Y, and a zero constant has no rows, so its coordinates are
+        padded."""
         G, root = self.dst, self.root
         rows = self.image(rows)
         d, p = G.degree, G.p

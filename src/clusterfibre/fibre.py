@@ -149,7 +149,7 @@ def assemble(tree: ClusterTree,
     for node in tree.nodes:
         r = records[node.id]
         if mode == "geometric":
-            # u = 0 makes ftilde a nonzero constant (compute_record): a square over the closure
+            # ftilde is a nonzero constant at u = 0 (compute_record), a square over k-bar
             split = (r.n == 2 and r.u == 0)
         else:
             # u = deg ftilde (compute_record): a constant, split if a square in k_v

@@ -27,11 +27,11 @@ linear centre synthetic division.  Over Q_p a product is one int product
 call each (polynomial, phi) pair is expanded once, and each polynomial's
 discriminant valuation taken once; the same memo holds the reductions of
 ``newton.reduce_poly``, one per (chain, polynomial, upto), and is dropped
-when the outermost scoped call returns.  A caller may ask ``phi_expand`` for only the first
-``upto`` coefficients: the memo entry then keeps the coefficients so far
-and the pending quotient q, f = sum_i a_i phi^i + q phi^k, and a later
-request for more resumes the kernel from q, so no part of f is divided
-twice.
+when the outermost scoped call returns.  A caller may ask ``phi_expand``
+for only the first ``upto`` coefficients: the memo entry then keeps the
+coefficients so far and the pending quotient q, f = sum_i a_i phi^i +
+q phi^k, and a later request for more resumes the kernel from q, so no
+part of f is divided twice.
 
 Separability is certified modulo word-size primes: ``KPoly.is_separable``
 maps f to F_q[X] (theta to a root of gen_minpoly mod q) and asks whether
@@ -70,8 +70,9 @@ _EXPANSIONS = contextvars.ContextVar("clusterfibre_expansions", default=None)
 
 def expansion_scope(fn):
     """Decorator: phi-adic expansions, discriminant valuations and
-    reductions made during a call of ``fn`` are memoized and dropped when it
-    returns or raises.  A call made inside an open scope shares the outer memo."""
+    reductions made during a call of ``fn`` are memoized and dropped when
+    it returns or raises.  A call made inside an open scope shares the
+    outer memo."""
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
         if _EXPANSIONS.get() is not None:

@@ -26,9 +26,9 @@ never enters the computation.
 The record is computed on integers in units of 1/(2e), e the group index
 of the cluster chain: N = e nu and L = e lambda, integers by a law that
 raises InternalInconsistency.  Every parity and integrality condition is
-a divisibility test on a numerator over its common denominator, and
+a divisibility test on a numerator over its common denominator.
 Fractions appear only in the record's public fields (lambda, nu, s, s0 and
-their intro forms).
+their intro forms) and in the meet sum of ``nu``, the independent check.
 """
 
 from __future__ import annotations
