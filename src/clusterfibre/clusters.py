@@ -1,10 +1,11 @@
 r"""Discovery of the rooted tree of MacLane clusters of a separable polynomial.
 
-The construction is recursive refinement.  A *context* is a valuation v
-together with a key polynomial phi over it; the edges of the principal
-Newton polygon of f relative to (v, phi) give a nested chain of candidate
-valuations [v, phi -> lam], shallowest first.  For each candidate the
-residual polynomial of f is factored over the residue field:
+The construction is refinement by one loop over a stack of contexts, so
+its depth is not bounded by the interpreter's stack.  A *context* is a
+valuation v together with a key polynomial phi over it; the edges of the
+principal Newton polygon of f relative to (v, phi) give a nested chain of
+candidate valuations [v, phi -> lam], shallowest first.  For each candidate
+the residual polynomial of f is factored over the residue field:
 
   * width-1 edges certify a single non-proper orbit (a leaf);
   * a candidate whose residual polynomial is a full power of one linear
@@ -16,7 +17,8 @@ residual polynomial of f is factored over the residue field:
     leaf orbits, exact divisibility of f by the centre is the deepest leaf,
     and deeper edges of the same context become same-centre children.
 
-After discovery the section-5 centre rule runs bottom-up (degree-minimal
+Child contexts run depth first, so node ids count in discovery order, a
+preorder with each parent before its children.  After discovery the section-5 centre rule runs bottom-up (degree-minimal
 nodes take the minimal polynomial of a same-degree orbit when one exists,
 other nodes inherit a same-degree child's centre), each node gets its
 unique cluster chain, and all reductions are recomputed along those chains.
@@ -107,26 +109,23 @@ class ClusterNode:
     def same_degree_children(self):
         return [c for c in self.children if c.degree == self.degree]
 
-    def descendants(self):
-        yield self
-        for c in self.children:
-            yield from c.descendants()
-
     def __repr__(self):
         return (f"Cluster(deg={self.degree}, radius={qstr(self.radius)}, "
                 f"size={self.size}, children={len(self.children)}, leaves={len(self.leaves)})")
 
 
 class ClusterTree:
-    def __init__(self, field, f, root, mode, shift):
+    """The proper clusters of f over ``field`` in discovery order: ``nodes[i]``
+    has id i, each parent comes before its children, and ``root`` is the
+    first node (None when f is a single orbit)."""
+
+    def __init__(self, field, f, nodes: List[ClusterNode], mode, shift):
         self.field = field
         self.f = f
-        self.root = root
+        self.nodes = nodes
+        self.root = nodes[0] if nodes else None
         self.mode = mode
         self.shift = shift
-        self.nodes: List[ClusterNode] = list(root.descendants()) if root else []
-        for idx, n in enumerate(self.nodes):
-            n.id = idx
 
 
 def normalize_input(f: KPoly):
@@ -174,37 +173,44 @@ class _Builder:
         self.f = f
         self.K = K
         self.rng = random.Random(seed)
-        self.root: Optional[ClusterNode] = None
+        self.nodes: List[ClusterNode] = []
         self.exact_bound = exact_bound  # () -> the depth bound, computed once
         self.geometric = geometric
         # geometric mode: the degree of the first nonlinear residual factor,
         # where the build stops, since the base must grow by that degree
         self.nonlinear_residual: Optional[int] = None
 
-    def build(self):
+    def build(self) -> List[ClusterNode]:
         v0 = MacLaneVal.gauss(self.K)
-        self._context(v0, self.K.x(), Fraction(0), None, None, 0)
-        return self.root
+        stack = [self._context(v0, self.K.x(), Fraction(0), None, None, 0)]
+        while stack and self.nonlinear_residual is None:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(self._context(*child))
+        return self.nodes
 
     def _attach_node(self, node: ClusterNode, parent: Optional[ClusterNode]):
         node.parent = parent
-        if parent is None:
-            if self.root is not None:
-                raise InternalInconsistency("two roots discovered")
-            self.root = node
-        else:
+        if parent is not None:
             parent.children.append(node)
+        elif self.nodes:
+            raise InternalInconsistency("two roots discovered")
+        node.id = len(self.nodes)
+        self.nodes.append(node)
 
     def _attach_leaf(self, leaf: LeafOrbit, parent: Optional[ClusterNode]):
         if parent is not None:
             parent.leaves.append(leaf)
-        elif self.root is not None:
+        elif self.nodes:
             # an orbit in no proper cluster must be the whole of f
             raise InternalInconsistency("stray orbit outside the tree")
 
-    def _context(self, prefix: MacLaneVal, phi: KPoly, bound, ell, parent, depth) -> bool:
-        """Discover the clusters below (prefix, phi); True when the build
-        stops early, so every caller returns at once.
+    def _context(self, prefix: MacLaneVal, phi: KPoly, bound, ell, parent, depth):
+        """Discover the clusters below (prefix, phi), yielding the arguments
+        of each child context, which ``build`` runs before resuming this
+        one; a re-lifted centre is its last child.
 
         Only the principal part of the phi-Newton polygon is read, the edges
         with lam > bound.  Its length ell is the order of the residual
@@ -233,15 +239,18 @@ class _Builder:
                 # single orbit of degree = deg phi: a non-proper cluster
                 self._attach_leaf(LeafOrbit(phi.degree, 1, "residual", lift_from=cand,
                                             lift_h=red.poly.monic()), current)
-                return False
+                return
             factors = ff_factor(red.poly, self.rng)
-            if self._stops_at(factors):
-                return True
+            nonlinear = [h.degree for h, _ in factors if h.degree > 1]
+            if self.geometric and nonlinear:
+                self.nonlinear_residual = nonlinear[0]
+                return
             if (e.i0 == 0 and red.b == 1 and len(factors) == 1
                     and factors[0][0].degree == 1 and factors[0][1] == e.i1):
                 # not a cluster: a same-degree valuation deeper has the same roots
                 phi2 = lift_key(cand, factors[0][0])
-                return self._context(prefix, phi2, e.lam, e.i1, current, depth + 1)
+                yield prefix, phi2, e.lam, e.i1, current, depth + 1
+                return
             node = ClusterNode(cand, e.i1 * phi.degree)
             self._attach_node(node, current)
             for h, mult in factors:
@@ -251,8 +260,7 @@ class _Builder:
                                                  lift_from=cand, lift_h=h))
                 else:
                     phi2 = lift_key(cand, h)
-                    if self._context(cand, phi2, cand.eval(phi2), mult, node, depth + 1):
-                        return True
+                    yield cand, phi2, cand.eval(phi2), mult, node, depth + 1
             current = node
         expansion = self.f.phi_expand(phi, 2)
         if expansion[0].is_zero():
@@ -260,15 +268,6 @@ class _Builder:
             if expansion[1].is_zero():
                 raise InputError("centre divides the input twice")
             self._attach_leaf(LeafOrbit(phi.degree, 1, "divides", phi), current)
-        return False
-
-    def _stops_at(self, factors) -> bool:
-        """In geometric mode, True at the first nonlinear factor, whose
-        degree is recorded."""
-        if self.geometric:
-            self.nonlinear_residual = next((h.degree for h, _ in factors if h.degree > 1),
-                                           None)
-        return self.nonlinear_residual is not None
 
 
 @expansion_scope
@@ -295,7 +294,7 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
     work_f, work_K = f_norm, K
     while True:
         builder = _Builder(work_f, work_K, seed, exact_bound, mode == "geometric")
-        root = builder.build()
+        nodes = builder.build()
         grow = builder.nonlinear_residual
         if grow is None:
             break
@@ -305,8 +304,8 @@ def build_cluster_tree(f: KPoly, K: BaseField, mode: str = "exact",
                              f"> budget {MAX_UNRAMIFIED_DEGREE}")
         work_K, embed = extend_unramified(work_K, grow)
         work_f = KPoly(work_K, [embed(c) for c in work_f.coeffs])
-    tree = ClusterTree(work_K, work_f, root, mode, shift)
-    if root is not None:
+    tree = ClusterTree(work_K, work_f, nodes, mode, shift)
+    if nodes:
         assign_centres(tree)
         _build_cluster_chains(tree)
         _verify_tree(tree)

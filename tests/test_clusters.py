@@ -369,6 +369,47 @@ class TestDepthGuard:
             else:
                 build_cluster_tree(f, K)
 
+    @pytest.mark.parametrize("mode", ["exact", "geometric"])
+    def test_thousand_digit_pair_among_unit_roots(self, mode, capsys):
+        # the pair needs about a thousand relifts, each one context deeper:
+        # run as nested calls they overran the interpreter's stack and the
+        # command exited 2 with a RecursionError
+        roots = [F(1, 2), F(1, 2) + 11 ** 1000, F(2), F(3), F(4)]
+        K = BaseField(11)
+        f = _linear_product(K, roots)
+        tree = build_cluster_tree(f, K, mode=mode)
+        scaled = [r * 11 ** tree.shift for r in roots]
+        assert tree_signature(tree.root) == oracle_signature(rational_cluster_tree(scaled, 11))
+        assert sorted((n.size, n.radius) for n in tree.nodes) == [(2, 1001), (5, 1)]
+        expr = "(x-1/2)*(x-1/2-11^1000)*(x-2)*(x-3)*(x-4)"
+        assert cli.run(["picture", expr, "--prime", "11", "--residue-mode", mode]) == 0
+        assert "radius=1001 size=2" in capsys.readouterr().out
+
+
+class TestNodeOrder:
+    """Discovery numbers the nodes in preorder: ``tree.nodes[i]`` has id i and
+    every parent comes before its children."""
+
+    @staticmethod
+    def _preorder(root):
+        out, stack = [], [root] if root is not None else []
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(reversed(node.children))
+        return out
+
+    @pytest.mark.parametrize("mode", ["exact", "geometric"])
+    @pytest.mark.parametrize("p, expr", cli._CORPUS + [
+        # two children with a child each, where breadth first is not preorder
+        (5, "(x-5)*(x-30)*(x-155)*(x-10)*(x-35)*(x-160)")])
+    def test_nodes_in_preorder(self, p, expr, mode):
+        K = BaseField(p)
+        tree = build_cluster_tree(cli.parse_poly(expr, K), K, mode=mode)
+        assert tree.nodes == self._preorder(tree.root)
+        assert [n.id for n in tree.nodes] == list(range(len(tree.nodes)))
+        assert all(n.parent.id < n.id for n in tree.nodes[1:])
+
 
 class TestExactModeAtLargeM:
     def test_degree_32_base_is_fast(self):
