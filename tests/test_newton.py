@@ -526,7 +526,10 @@ def _descent_chains():
     return out
 
 
-_DESCENT_NAMES = sorted(_descent_chains())
+# the names of _descent_chains(), written out so that collecting this module
+# builds no chain: a fault in the descent then fails tests by name
+_DESCENT_NAMES = ["F_625", "F_81", "cubic", "exact #0", "exact #1", "geometric #0",
+                  "geometric #1", "geometric #2", "sextic"]
 
 
 def _descent_poly(draw, v):
@@ -559,6 +562,9 @@ def _sample(count, seed=0):
 
 
 class TestGradedDescent:
+    def test_names_are_the_chains(self):
+        assert _DESCENT_NAMES == sorted(_descent_chains())
+
     def test_chains_cover_the_tower_shapes(self):
         towers = [residue_tower(v) for v in _descent_chains().values()]
         steps = [s for t in towers for s in t.steps]
