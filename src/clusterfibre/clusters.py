@@ -17,8 +17,8 @@ the residual polynomial of f is factored over the residue field:
     leaf orbits, exact divisibility of f by the centre is the deepest leaf,
     and deeper edges of the same context become same-centre children.
 
-Child contexts run depth first, so node ids count in discovery order, a
-preorder with each parent before its children.  After discovery the section-5 centre rule runs bottom-up (degree-minimal
+Child contexts run depth first, so node ids follow discovery, a preorder.
+After discovery the section-5 centre rule runs bottom-up (degree-minimal
 nodes take the minimal polynomial of a same-degree orbit when one exists,
 other nodes inherit a same-degree child's centre), each node gets its
 unique cluster chain, and all reductions are recomputed along those chains.
