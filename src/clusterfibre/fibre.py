@@ -22,7 +22,6 @@ intersections; empty open tails vanish.
 from __future__ import annotations
 
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
 from .clusters import ClusterTree
@@ -422,23 +421,31 @@ def cluster_dicts(tree: ClusterTree,
     return clusters
 
 
-def json_text(obj, nl: str = "\n") -> str:
+def json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, on dicts
     with str keys, lists, str, int, bool and None; any other type raises
     TypeError.  (With ``indent`` set, json falls back to its pure-Python
-    encoder.)  ``nl`` is the line break and indent of the enclosing level."""
+    encoder.)  json is imported here, once per call, so that only JSON
+    output loads it."""
+    from json.encoder import encode_basestring_ascii
+    return _json_text(obj, "\n", encode_basestring_ascii)
+
+
+def _json_text(obj, nl: str, quote) -> str:
+    """``json_text`` of obj at the level whose line break and indent is
+    ``nl``; ``quote`` encodes a str."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+        return quote(obj)
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     inner = nl + " "
     if isinstance(obj, list):
-        ends, items = "[]", [json_text(x, inner) for x in obj]
+        ends, items = "[]", [_json_text(x, inner, quote) for x in obj]
     elif isinstance(obj, dict):
         # a key that is not a str makes the sort or the key encoder raise
-        ends, items = "{}", [encode_basestring_ascii(k) + ": " + json_text(v, inner)
+        ends, items = "{}", [quote(k) + ": " + _json_text(v, inner, quote)
                              for k, v in sorted(obj.items())]
     else:
         raise TypeError(f"no JSON form for {type(obj).__name__}")
