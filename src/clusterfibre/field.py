@@ -677,10 +677,11 @@ class KPoly:
 
         A prime q is skipped when it is p, divides the denominator or the
         image of the lead, or (m > 1) when gen_minpoly has no root mod q;
-        otherwise theta maps to such a root, a ring map Z[theta] -> F_q."""
+        otherwise theta maps to such a root, a ring map Z[theta] -> F_q.
+        For m > 1 the ``_ROOT_PRIMES`` follow the certificate primes."""
         K = self.field
         m, rows = K.m, self.rows
-        for q in _CERTIFICATE_PRIMES:
+        for q in _CERTIFICATE_PRIMES + (_ROOT_PRIMES if m > 1 else ()):
             if q == K.p or self.den % q == 0:
                 continue
             Fq = prime_field(q)
@@ -723,6 +724,12 @@ class KPoly:
 # The primes of KPoly.is_separable: below 2^30, where a CPython int is one
 # digit.  An input that none of them certifies pays for discriminant_val.
 _CERTIFICATE_PRIMES = (1_000_000_007, 1_000_000_009, 998_244_353)
+# Tried after those over a base of degree m > 1, whose theta needs a root
+# of gen_minpoly mod q: the primes past 10^9 + 9, in increasing order, that
+# give a root to a base that none before them did, until every base with
+# m <= 64 and p in {3, 5, 7, 11} has one; (3, 10), (5, 8) and 17 more had
+# none among the first three.
+_ROOT_PRIMES = (1_000_000_021, 1_000_000_033, 1_000_000_093, 1_000_000_103, 1_000_000_123)
 
 
 def _root_mod(g, F):

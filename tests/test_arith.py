@@ -2428,6 +2428,46 @@ class TestSeparabilityCertificate:
         assert normalize_input(f) == (f, 0)
 
 
+class TestRootPrimes:
+    """Over a base whose gen_minpoly has no root modulo the certificate
+    primes, theta maps to a root modulo one of ``field._ROOT_PRIMES``."""
+
+    # the root _root_mod takes, or None, modulo each certificate prime and
+    # then each root prime: its split draws from random.Random(0), and these
+    # are the roots it took before the root primes were added
+    ROOTS = {
+        (3, 2): [None, 430477711, 86583718, 484563811, 324344011, 545422843, None, None],
+        (5, 2): [None, 53417020, 861252819, None, 219110065, None, None, 975587297],
+        (7, 3): [326661172, None, 722897168, None, None, None, 892612686, 535719785],
+        (3, 8): [None, 718513459, None, None, 326910674, 871018973, None, 891250266],
+        (3, 10): [None, None, None, None, None, 846051511, 215298726, 920644818],
+        (5, 8): [None, None, None, None, None, None, None, 354658086],
+        (3, 27): [None, None, None, 395846854, 196441918, None, 726713102, 980318047],
+        (11, 7): [None, None, None, 192121197, None, None, 850313714, None],
+    }
+
+    def test_roots_are_pinned(self):
+        primes = field._CERTIFICATE_PRIMES + field._ROOT_PRIMES
+        assert all(field._is_prime(q) and q < 2 ** 30 for q in field._ROOT_PRIMES)
+        for (p, m), roots in self.ROOTS.items():
+            g = find_irreducible_int_poly(p, m)
+            assert [field._root_mod(g, prime_field(q)) for q in primes] == roots, (p, m)
+
+    @pytest.mark.parametrize("p,m", [(3, 10), (3, 15), (3, 27), (5, 8), (5, 15), (5, 16),
+                                     (5, 32)])
+    def test_separable_inputs_skip_the_discriminant(self, monkeypatch, p, m):
+        from clusterfibre import clusters
+        K = BaseField(p, m)
+        assert all(field._root_mod(K.gen_minpoly, prime_field(q)) is None
+                   for q in field._CERTIFICATE_PRIMES)
+        calls = []
+        monkeypatch.setattr(clusters, "discriminant_val", lambda f: calls.append(f))
+        f = K.x() ** 3 + K.theta * K.x() - K.rat(p)
+        assert f.is_separable()
+        clusters.normalize_input(f)
+        assert calls == []
+
+
 def _rational_root_product(n, p, seed=48):
     """Integer coefficients, constant first, of the product of x - a over n
     distinct seeded roots a = p * r, 0 < r < p^4."""
