@@ -9,14 +9,17 @@ checks unimodularity, the deletion test, and invariance under integer
 translation of both endpoints -- that invariance is what makes the fibre
 independent of the nu-normalization dispute.
 
-One component is emitted per proper cluster (two projective lines when it is
-ubereven with split residual polynomial), plus per cluster the chain rows:
+One component is emitted per proper cluster (split when it is ubereven and
+its residual constant is a square in k_v), plus per cluster the chain rows:
 a connector to the parent, an open tail for the root, and an open tail for
 each degree-minimal cluster, each doubled onto the plus side when the
 corresponding parity p/gamma (resp. p0/gamma0) equals two.  Clusters with
 odd e*nu contribute open-ended projective lines counted by the residual
 polynomial of their leaf part.  Empty connector chains become direct
-intersections; empty open tails vanish.
+intersections; empty open tails vanish.  ``fibre_graph`` lays the dual graph
+over k-bar in both residue modes: a cluster of residue degree f_v stands for
+f_v geometric ones, and an ubereven component is two lines on each.  Every
+assembly checks the adjunction count and connectivity on that graph.
 """
 
 from __future__ import annotations
@@ -147,13 +150,10 @@ def assemble(tree: ClusterTree,
     fib = SpecialFibre(tree, records, mode)
     for node in tree.nodes:
         r = records[node.id]
-        if mode == "geometric":
-            # ftilde is a nonzero constant at u = 0 (compute_record), a square over k-bar
-            split = (r.n == 2 and r.u == 0)
-        else:
-            # u = deg ftilde (compute_record): a constant, split if a square in k_v
-            split = (r.n == 2 and r.u == 0
-                     and r.ftilde.lead() ** ((r.k_v.order - 1) // 2) == r.k_v.one)
+        # ubereven: ftilde is a nonzero constant (compute_record), a square
+        # over k-bar; in exact mode split only if a square in k_v
+        split = r.ubereven and (mode == "geometric" or r.ftilde.lead() ** (
+            (r.k_v.order - 1) // 2) == r.k_v.one)
         fib.components[node.id] = Component(node.id, r.m, r.genus, split)
         if r.n == 1:
             count = r.f_v * r.fbar.degree
@@ -185,8 +185,7 @@ def assemble(tree: ClusterTree,
                 ch.geometric_copies = r.f_v
                 fib.chains.append(ch)
     _check_attachments(fib)
-    if mode == "geometric":
-        check_genus_identity(fib)
+    check_genus_identity(fib)
     return fib
 
 
@@ -202,20 +201,27 @@ def _check_attachments(fib: SpecialFibre):
                 else (r.p0 // r.gamma0 == 2)
             if not ok:
                 raise InternalInconsistency("plus-side chain without even parity")
-    # a split component must receive its chains in plus/minus pairs, so the
-    # two designated points always land on distinct halves
-    for cid, comp in fib.components.items():
-        if not comp.split:
-            continue
+        # a cluster's residue field extends its parent's, so copy j of the
+        # chain's cluster meets copy j mod f_target of its target in fibre_graph
+        if ch.to_cluster is not None and \
+                fib.records[ch.cluster].f_v % fib.records[ch.to_cluster].f_v:
+            raise InternalInconsistency(
+                "chain's cluster has f_v not a multiple of its target's f_v")
+    # an ubereven component is two lines over k-bar, so it must receive its
+    # chains in plus/minus pairs and the two designated points always land
+    # on distinct halves
+    for cid in fib.components:
         r = fib.records[cid]
+        if not r.ubereven:
+            continue
         if r.p // r.gamma != 2 or (r.delta == 1 and r.p0 // r.gamma0 != 2):
-            raise InternalInconsistency("split component with odd chain parity")
+            raise InternalInconsistency("ubereven component with odd chain parity")
         for ch in fib.chains:
             if ch.to_cluster == cid:
                 rc = fib.records[ch.cluster]
                 if rc.p // rc.gamma != 2:
                     raise InternalInconsistency(
-                        "single chain into a split component")
+                        "single chain into an ubereven component")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,7 @@ def check_genus_identity(fib: SpecialFibre):
         2 g(C) - 2  =  sum_i m_i (2 g_i - 2)  +  sum_{edges ij} (m_i + m_j),
 
     summed over geometric components and transversal intersection points,
-    with g(C) read off the input degree.  Checked in geometric mode; it ties
+    with g(C) read off the input degree.  Checked on every assembly; it ties
     multiplicities, genera, chain sequences, and attachments together, so a
     failure anywhere in the pipeline surfaces here.  The graph must also be
     connected, as the fibre of a model of a geometrically connected curve.
@@ -282,33 +288,33 @@ def _connected(g: FibreGraph) -> bool:
 
 
 def fibre_graph(fib: SpecialFibre) -> FibreGraph:
-    """Geometric dual graph: every irreducible component over the closure is
-    one node; chains contribute their lines, each copy counted."""
+    """Dual graph over k-bar: a component of residue degree f_v is f_v
+    copies, each two genus-0 nodes when ubereven, else one node; each open
+    family puts count / f_v lines on every copy, and each chain is laid once
+    per copy j of its cluster, into copy j mod f_target of its target."""
     g = FibreGraph()
-    ends: Dict[Tuple[int, str], int] = {}
+    ends: Dict[Tuple[int, int, str], int] = {}
     for cid, comp in fib.components.items():
-        if comp.split:
-            a = g.add_node(comp.multiplicity, 0)
-            b = g.add_node(comp.multiplicity, 0)
-            ends[(cid, "minus")] = a
-            ends[(cid, "plus")] = b
-        else:
-            node = g.add_node(comp.multiplicity, comp.genus)
-            ends[(cid, "minus")] = node
-            ends[(cid, "plus")] = node
+        r = fib.records[cid]
+        for j in range(r.f_v):
+            minus = g.add_node(comp.multiplicity, comp.genus)
+            ends[(cid, j, "minus")] = minus
+            ends[(cid, j, "plus")] = g.add_node(comp.multiplicity, 0) if r.ubereven else minus
     for fam in fib.open_p1:
-        for _ in range(fam.count):
-            n = g.add_node(fam.multiplicity, 0)
-            g.add_edge(ends[(fam.cluster, "minus")], n)
+        f_v = fib.records[fam.cluster].f_v
+        for j in range(f_v):
+            for _ in range(fam.count // f_v):
+                g.add_edge(ends[(fam.cluster, j, "minus")], g.add_node(fam.multiplicity, 0))
     for ch in fib.chains:
-        for _ in range(ch.geometric_copies if fib.mode == "geometric" else 1):
-            prev = ends[(ch.cluster, ch.side)]
+        for j in range(fib.records[ch.cluster].f_v):
+            prev = ends[(ch.cluster, j, ch.side)]
             for m in ch.mults:
                 n = g.add_node(m, 0)
                 g.add_edge(prev, n)
                 prev = n
             if ch.to_cluster is not None:
-                g.add_edge(prev, ends[(ch.to_cluster, ch.side)])
+                f_target = fib.records[ch.to_cluster].f_v
+                g.add_edge(prev, ends[(ch.to_cluster, j % f_target, ch.side)])
     return g
 
 

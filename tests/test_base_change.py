@@ -1,5 +1,7 @@
 """Exact mode over Q_p against exact mode over its unramified extensions, by
-the base-change predictor of tests/oracles/base_change.py."""
+the base-change predictor of tests/oracles/base_change.py, and exact mode's
+dual graph over k-bar against the geometric build's and its own over the
+extensions."""
 
 import functools
 import json
@@ -9,9 +11,10 @@ import pytest
 
 from clusterfibre.cli import _CORPUS, parse_poly
 from clusterfibre.clusters import build_cluster_tree
-from clusterfibre.fibre import assemble, export
+from clusterfibre.fibre import assemble, export, fibre_graph
 from clusterfibre.field import BaseField
 
+from graphs import isomorphic
 from oracles.base_change import predict, signature
 
 # leads that are not squares mod p: over an extension of even degree they
@@ -57,11 +60,35 @@ def _inputs():
 INPUTS = _inputs()
 
 
+def _draw_over_m2(rng):
+    """A product of one or two (g^k - p^e) over Q_p(theta) of degree 2, g
+    monic of degree 2 or 3 with coefficients c or c*th, c in [-2, 2], k in
+    {2, 3} and k not dividing e."""
+    p = rng.choice((3, 5, 7))
+    factors = []
+    for _ in range(rng.choice((1, 2))):
+        d, k = rng.choice((2, 3)), rng.choice((2, 3))
+        e = rng.choice([e for e in range(1, 8) if e % k])
+        terms = [f"x^{d}"] + [f"{c:+d}{'*th' if rng.random() < 0.3 else ''}*x^{i}"
+                              for i in range(d - 1, -1, -1) if (c := rng.randrange(-2, 3))]
+        factor = f"(({''.join(terms)})^{k}-{p}^{e})"
+        if factor not in factors:
+            factors.append(factor)
+    return p, "*".join(factors)
+
+
+_rng = random.Random(36)
+OVER_M2 = [_draw_over_m2(_rng) for _ in range(20)]
+
+
 @functools.lru_cache(maxsize=None)
-def _fibre_json(p, m, expr):
+def _fibre(p, m, expr, mode="exact"):
     K = BaseField(p, m)
-    tree = build_cluster_tree(parse_poly(expr, K), K)
-    return json.loads(export(assemble(tree), "json"))
+    return assemble(build_cluster_tree(parse_poly(expr, K), K, mode=mode))
+
+
+def _fibre_json(p, m, expr):
+    return json.loads(export(_fibre(p, m, expr), "json"))
 
 
 def _split_count(sig):
@@ -78,3 +105,35 @@ def test_extension_of_degree_k_matches_the_prediction(k):
         flips += _split_count(predicted) != _split_count(signature(over_qp))
     # the split flags turn only over extensions of even degree
     assert flips >= 2 if k % 2 == 0 else flips == 0
+
+
+def _both_modes():
+    """(p, m, expr) of the base-change inputs over Q_p and the draws over
+    Q_p(theta), m = 2."""
+    return [(p, 1, expr) for p, expr in INPUTS] + [(p, 2, expr) for p, expr in OVER_M2]
+
+
+def test_exact_dual_graph_is_the_geometric_one():
+    # a cluster of residue degree f_v stands for f_v geometric clusters
+    copied = 0
+    for p, m, expr in _both_modes():
+        exact = _fibre(p, m, expr)
+        geometric = _fibre(p, m, expr, "geometric")
+        assert isomorphic(fibre_graph(exact), fibre_graph(geometric)), (p, m, expr)
+        copied += any(r.f_v > 1 for r in exact.records.values())
+    assert copied >= 30
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exact_dual_graph_is_unchanged_over_an_extension(k):
+    for p, expr in INPUTS:
+        assert isomorphic(fibre_graph(_fibre(p, k, expr)),
+                          fibre_graph(_fibre(p, 1, expr))), (p, expr, k)
+
+
+def test_geometric_records_have_residue_degree_one():
+    # why geometric dot and JSON output did not move when fibre_graph began
+    # to lay f_v copies of each component
+    for p, m, expr in _both_modes():
+        fib = _fibre(p, m, expr, "geometric")
+        assert all(r.f_v == 1 for r in fib.records.values()), (p, m, expr)

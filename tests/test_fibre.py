@@ -362,9 +362,35 @@ class TestAdjunctionCount:
         with pytest.raises(InternalInconsistency, match="adjunction count"):
             check_genus_identity(fib)
 
+    def test_perturbed_residue_degree_breaks_the_copy_law(self):
+        # the cluster of (x^2+1)^2 - 3^5 at p = 3 over x^2 + 1 has f_v = 2
+        # under the root's 1; a root of f_v = 3 cannot take its two copies
+        K = BaseField(3)
+        f = K.poly([1, 0, 1]) ** 2 - K.poly([3 ** 5])
+        tree = build_cluster_tree(f, K, mode="exact")
+        records = all_records(tree)
+        assert records[tree.root.id].f_v == 1
+        assert [r.f_v for r in records.values() if r is not records[tree.root.id]] == [2]
+        records[tree.root.id].f_v = 3
+        with pytest.raises(InternalInconsistency, match="not a multiple of its target's f_v"):
+            assemble(tree, records)
+
+    def test_perturbed_parity_breaks_the_ubereven_law(self):
+        # the root of 2*((x^2+1)^2 - 3^5) at p = 3 is ubereven and not split
+        # over F_3: it is still two lines over k-bar and needs even parity
+        K = BaseField(3)
+        f = (K.poly([1, 0, 1]) ** 2 - K.poly([3 ** 5])) * K.poly([2])
+        tree = build_cluster_tree(f, K, mode="exact")
+        records = all_records(tree)
+        root = records[tree.root.id]
+        assert root.ubereven and not assemble(tree, records).components[tree.root.id].split
+        root.gamma = 2
+        with pytest.raises(InternalInconsistency, match="ubereven component with odd chain parity"):
+            assemble(tree, records)
+
     def test_randomized(self):
-        # assemble() itself raises if the adjunction count fails in geometric
-        # mode; run a spread of shapes through it
+        # assemble() itself raises if the adjunction count fails, in either
+        # residue mode; run a spread of shapes through it
         rng = random.Random(5150)
         built = 0
         while built < 25:
