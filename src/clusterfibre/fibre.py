@@ -9,17 +9,18 @@ checks unimodularity, the deletion test, and invariance under integer
 translation of both endpoints -- that invariance is what makes the fibre
 independent of the nu-normalization dispute.
 
-One component is emitted per proper cluster (split when it is ubereven and
-its residual constant is a square in k_v), plus per cluster the chain rows:
-a connector to the parent, an open tail for the root, and an open tail for
-each degree-minimal cluster, each doubled onto the plus side when the
-corresponding parity p/gamma (resp. p0/gamma0) equals two.  Clusters with
-odd e*nu contribute open-ended projective lines counted by the residual
-polynomial of their leaf part.  Empty connector chains become direct
-intersections; empty open tails vanish.  ``fibre_graph`` lays the dual graph
-over k-bar in both residue modes: a cluster of residue degree f_v stands for
-f_v geometric ones, and an ubereven component is two lines on each.  Every
-assembly checks the adjunction count and connectivity on that graph.
+One component is emitted per proper cluster (split when it is ubereven and,
+in exact mode, its residual constant is a square in k_v), plus per cluster
+the chain rows: a connector to the parent, an open tail for the root, and an
+open tail for each degree-minimal cluster, each doubled onto the plus side
+when the corresponding parity p/gamma (resp. p0/gamma0) equals two.
+Clusters with odd e*nu contribute open-ended projective lines counted by
+the residual polynomial of their leaf part.  Empty connector chains become
+direct intersections; empty open tails vanish.  ``fibre_graph`` lays the
+dual graph over k-bar in both residue modes: a cluster of residue degree
+f_v stands for f_v geometric ones, and an ubereven component is two lines
+on each.  Every assembly checks the adjunction count and connectivity on
+that graph.
 """
 
 from __future__ import annotations

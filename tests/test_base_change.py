@@ -77,8 +77,12 @@ def _draw_over_m2(rng):
     return p, "*".join(factors)
 
 
-_rng = random.Random(36)
-OVER_M2 = [_draw_over_m2(_rng) for _ in range(20)]
+def _over_m2():
+    rng = random.Random(36)
+    return [_draw_over_m2(rng) for _ in range(20)]
+
+
+OVER_M2 = _over_m2()
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,8 +136,8 @@ def test_exact_dual_graph_is_unchanged_over_an_extension(k):
 
 
 def test_geometric_records_have_residue_degree_one():
-    # why geometric dot and JSON output did not move when fibre_graph began
-    # to lay f_v copies of each component
+    # every residual factor of a geometric build is linear; geometric dot
+    # output rests on it, as fibre_graph lays f_v copies of each component
     for p, m, expr in _both_modes():
         fib = _fibre(p, m, expr, "geometric")
         assert all(r.f_v == 1 for r in fib.records.values()), (p, m, expr)
