@@ -416,11 +416,16 @@ def run(argv=None) -> int:
         return 2
 
 
+# The base field of each (p, m), once per process, with the x and the
+# unramified extensions it keeps: a later run builds none of them again.
+_base_field = functools.lru_cache(maxsize=16)(BaseField)
+
+
 @expansion_scope
 def _run_pipeline(args) -> int:
     """picture, invariants or fibre: build, records, assemble and export
     share one expansion memo."""
-    K = BaseField(args.prime, args.unramified_degree)
+    K = _base_field(args.prime, args.unramified_degree)
     f = _input_poly(args, K)
     tree = build_cluster_tree(f, K, mode=args.residue_mode, seed=args.seed)
     if args.command == "picture":

@@ -68,12 +68,13 @@ under the ``_Modulus`` of what is left to split, and takes its Frobenius
 steps in blocks of growing length, one gcd per block (the interval
 partition of von zur Gathen-Shoup), refining a block only when its gcd is
 not 1; Ben-Or's test keeps the plain loop, one gcd per step.  The
-equal-degree step splits a product of degree-D factors by the absolute
-trace T of a random element, which is in F_p modulo each factor: by
-gcd(g, T - c) over every c in F_p for p up to ``_TRACE_CLASSES_MAX_P``,
-and by Cantor-Zassenhaus (q^D - 1)/2-th powers above it.  It draws from a
-caller-supplied ``random.Random``; the returned factor list is sorted into
-a canonical order, so it does not depend on the draws.
+equal-degree step splits a product of degree-D factors by an absolute
+trace T, which is in F_p modulo each factor: by gcd(g, T - c) over every c
+in F_p for p up to ``_TRACE_CLASSES_MAX_P``, T that of gamma X for roots,
+read off one Frobenius chain X^(p^i) mod f, and that of a random element
+for D > 1; by Cantor-Zassenhaus (q^D - 1)/2-th powers above it.  It draws
+from a caller-supplied ``random.Random``; the returned factor list is
+sorted into a canonical order, so it does not depend on the draws.
 """
 
 from __future__ import annotations
@@ -836,26 +837,68 @@ def _distinct_degree(f: FFPoly, block: int = 1):
 
 
 # _equal_degree_split splits by every class of the absolute trace for p up
-# to this bound and by a (q^D - 1)/2-th power above it: a round of classes
-# takes up to p - 1 gcds.  Against the power, on 16 roots over GF(p^e),
+# to this bound, in its gamma X rounds (D = 1) and its random-a rounds
+# (D > 1), and by a (q^D - 1)/2-th power above it: a round of classes takes
+# up to p - 1 gcds per part.  Against the power, on 16 roots over GF(p^e),
 # e = 2, 3, 4, 6, and 4 quadratics or cubics over GF(p^2) (best of 21 or 11,
-# CPython 3.11, 2 shared vCPUs), classes took 0.62 to 1.04 times as long for
-# p <= 13, and 1.08 to 1.13 times at p = 17 and 23 over GF(p^2).
+# CPython 3.11, 2 shared vCPUs), random-a classes took 0.62 to 1.04 times as
+# long for p <= 13, and 1.08 to 1.13 times at p = 17 and 23 over GF(p^2).
 _TRACE_CLASSES_MAX_P = 13
+
+
+def _trace_classes(g: FFPoly, trace: FFPoly, D: int):
+    """The parts of g of degree > 0 among gcd(g, trace - c), c in F_p, the
+    last with no gcd: g split by the value of ``trace`` at its roots."""
+    F, rest, parts = g.field, g, []
+    for c in range(F.p - 1):
+        h = rest.gcd(trace - F.elem(c))
+        if h.degree > 0:
+            parts.append(h)
+            rest = rest // h
+            if rest.degree <= D:
+                break
+    if rest.degree > 0:
+        parts.append(rest)
+    return parts
 
 
 def _equal_degree_split(f: FFPoly, D: int, rng: random.Random):
     """Split a squarefree monic product of degree-D irreducibles over
-    GF(p^e), odd p, into its factors, depth first.
+    GF(p^e), odd p, into its factors.
 
-    Each part g draws random nonconstant a mod g until one splits it.  For
-    p up to ``_TRACE_CLASSES_MAX_P`` the absolute trace T = sum_(i < e D)
-    a^(p^i) mod g lies in F_p modulo each factor (Berlekamp, Math. Comp. 24,
-    1970), so g splits into up to p parts gcd(g, T - c), c in F_p, the last
-    with no gcd.  Above it, g splits in two by gcd(g, a^((q^D - 1)/2) - 1)
-    (Cantor-Zassenhaus, Math. Comp. 36, 1981)."""
+    For p up to ``_TRACE_CLASSES_MAX_P`` a split takes the classes of an
+    absolute trace, in F_p modulo each factor (Berlekamp's trace algorithm,
+    Math. Comp. 24, 1970).  For roots (D = 1) the chain X^(p^i) mod f,
+    i < e, is computed once; a round draws gamma in GF(p^e) and splits every
+    open part by sum_i gamma^(p^i) X^(p^i), whose value at a root a is
+    Tr(gamma a), with no modular product.  For D > 1 gamma X cannot part
+    two factors whose roots have equal trace to GF(p^e), so each part g
+    draws nonconstant a mod g until sum_(i < e D) a^(p^i) mod g splits it.
+    Above the bound g splits in two by gcd(g, a^((q^D - 1)/2) - 1)
+    (Cantor-Zassenhaus, Math. Comp. 36, 1981).  ff_factor sorts the
+    factors, so the order of the splits does not show."""
     F = f.field
     p, e = F.p, F.degree
+    if D == 1 and p <= _TRACE_CLASSES_MAX_P and f.degree > 1:
+        ctx = _Modulus(f)
+        pk, chain = ctx.pk, [ctx.pack(FFPoly.x(F))]
+        for _ in range(e - 1):
+            chain.append(ctx.pow(chain[-1], p))
+        todo, out = [f], []
+        while todo:
+            gamma = pk.pack([rng.randrange(p) for _ in range(e)])
+            if not gamma:
+                continue
+            total = 0
+            for x in chain:
+                total += pk.reduce(gamma * x)
+                gamma = pk.power(gamma, p)
+            trace, parts = ctx.unpack(pk.reduce(total)), []
+            for g in todo:
+                parts += _trace_classes(g, trace % g, 1)
+            out += [g for g in parts if g.degree == 1]
+            todo = [g for g in parts if g.degree > 1]
+        return out
     todo, out = [f], []
     while todo:
         g = todo.pop()
@@ -876,16 +919,7 @@ def _equal_degree_split(f: FFPoly, D: int, rng: random.Random):
             for _ in range(e * D - 1):
                 power = ctx.pow(power, p)
                 total += power
-            trace, rest, parts = ctx.unpack(ctx.pk.reduce(total)), g, []
-            for c in range(p - 1):
-                h = rest.gcd(trace - F.elem(c))
-                if h.degree > 0:
-                    parts.append(h)
-                    rest = rest // h
-                    if rest.degree <= D:
-                        break
-            if rest.degree > 0:
-                parts.append(rest)
+            parts = _trace_classes(g, ctx.unpack(ctx.pk.reduce(total)), D)
         todo += reversed(parts)
     return out
 

@@ -31,7 +31,8 @@ when the outermost scoped call returns.  A caller may ask ``phi_expand``
 for only the first ``upto`` coefficients: the memo entry then keeps the
 coefficients so far and the pending quotient q, f = sum_i a_i phi^i +
 q phi^k, and a later request for more resumes the kernel from q, so no
-part of f is divided twice.
+part of f is divided twice.  Expanding in x divides nothing: a field's x
+is one object, and its expansion is the coefficient list.
 
 Separability is certified modulo word-size primes: ``KPoly.is_separable``
 maps f to F_q[X] (theta to a root of gen_minpoly mod q) and asks whether
@@ -52,6 +53,7 @@ import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 from .errors import InputError, InternalInconsistency
 from .ff import (FField, FFPoly, prime_field, is_irreducible,
                  find_irreducible_int_poly, find_irreducible_over,
@@ -220,7 +222,9 @@ def _zexpand(f, phi, limit=None):
     tail, subtracts c * phi and writes only below it, so the tops stay in
     place as the quotient.  No step divides, so every piece is over the
     denominator of f.  Over Q_p (m = 1) a quotient coefficient is one
-    integer, and by a linear phi = X + g_0 a step is one update.
+    integer.  By a linear phi = X + g_0 a step is one update per
+    coefficient, c <- r - g_0 c; for m > 1 coordinate j of g_0 c is one dot
+    product of c with row j of the transposed table of theta^i g_0.
     """
     K = f.field
     m, d = K.m, phi.degree
@@ -228,11 +232,18 @@ def _zexpand(f, phi, limit=None):
     rows, den, n = list(f.rows), f.den, len(f.rows)
     if m > 1:
         cols = _theta_multiples(phi.rows[:dm], K.gen_minpoly)
+        if d == 1:
+            table = list(zip(*cols))
     else:
         g = phi.rows[:d]
     k = lo0 = 0  # divisions made, and the start of the tail
     while n - lo0 > dm and k != limit:
-        if m > 1:
+        if m > 1 and d == 1:
+            c = rows[n - m:n]
+            for lo in range(n - 2 * m, lo0 - 1, -m):
+                c = rows[lo:lo + m] = [r - sum(map(mul, c, t))
+                                       for r, t in zip(rows[lo:lo + m], table)]
+        elif m > 1:
             for lo in range(n - dm - m, lo0 - 1, -m):
                 for c, col in zip(rows[lo + dm:lo + dm + m], cols):
                     if c:
@@ -447,6 +458,8 @@ class BaseField:
             self.residue_field = FField(p, gen_minpoly)
         self.zero = KPoly._of(self, (), 1)
         self.one = KPoly._of(self, (1,) + (0,) * (m - 1), 1)
+        self._x = KPoly._of(self, (0,) * m + self.one.rows, 1)
+        self._extensions = {}  # t -> extend_unramified(self, t)
 
     def elem(self, *coords) -> "KPoly":
         """The constant with the power-basis coordinates ``coords``."""
@@ -470,7 +483,8 @@ class BaseField:
         return KPoly(self, [c if isinstance(c, KPoly) else self.rat(c) for c in coeffs])
 
     def x(self) -> "KPoly":
-        return self.poly([0, 1])
+        """The polynomial x, one object per field."""
+        return self._x
 
     def __repr__(self):
         return f"Q_{self.p}" if self.m == 1 else f"Q_{self.p}(theta_deg{self.m})"
@@ -515,7 +529,17 @@ class KPoly:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(self[i] for i in range(len(self.rows) // self.field.m))
+        """The coefficients, each built in lowest terms directly."""
+        K, rows, den = self.field, self.rows, self.den
+        m, new, out = K.m, KPoly.__new__, []
+        for lo in range(0, len(rows), m):
+            nums = rows[lo:lo + m]
+            e = gcd(den, *nums)
+            a = new(KPoly)
+            a.field, a.den, a._gauss = K, den // e, None
+            a.rows = (nums if e == 1 else tuple(c // e for c in nums)) if any(nums) else ()
+            out.append(a)
+        return tuple(out)
 
     @property
     def degree(self) -> int:
@@ -645,7 +669,8 @@ class KPoly:
         that expands the same objects, hence a tuple.  The memo entry of a
         partial expansion keeps the pending quotient q with self = sum_i a_i
         phi^i + q phi^k, and a later request for more coefficients divides
-        only q, by as many steps as are missing.
+        only q, by as many steps as are missing.  In the field's own
+        ``x()``, known by identity, the expansion is the coefficient list.
         """
         memo = _EXPANSIONS.get()
         hit = memo.get((id(self), id(phi))) if memo is not None else None
@@ -661,6 +686,8 @@ class KPoly:
                              "with integer coordinates")
         elif len(self.rows) < len(phi.rows):
             out, rest = (self,), None
+        elif phi is self.field.x():
+            out, rest = self.coeffs, None
         elif upto is None:
             out, rest = tuple(_zexpand(self, phi)), None
         else:
@@ -688,7 +715,7 @@ class KPoly:
             if m == 1:
                 image = [c % q for c in rows]
             else:
-                a = _root_mod(K.gen_minpoly, Fq)
+                a = _theta_root(K.gen_minpoly, q)
                 if a is None:
                     continue
                 powers = [pow(a, k, q) for k in range(m)]
@@ -743,6 +770,12 @@ def _root_mod(g, F):
     return -_equal_degree_split(linear, 1, random.Random(0))[0].rows[0] % F.p
 
 
+@functools.lru_cache(maxsize=256)
+def _theta_root(gen_minpoly, q):
+    """``_root_mod`` of gen_minpoly in F_q, once per process."""
+    return _root_mod(gen_minpoly, prime_field(q))
+
+
 def discriminant_val(f: KPoly):
     """Valuation of disc(f) = res(f, f') / lc(f), exactly.
 
@@ -772,10 +805,13 @@ def extend_unramified(K: BaseField, t: int):
     m * t and embed maps the constants of K to those of K2 exactly (over
     Q).  The construction finds a global compositum Q(theta, eta) with eta
     a root of a lift of an irreducible residue polynomial, then a primitive
-    element whose minimal polynomial stays irreducible mod p.
+    element whose minimal polynomial stays irreducible mod p.  K keeps the
+    pair: a later call with the same t returns it again.
     """
     if t <= 1:
         return K, lambda a: a
+    if t in K._extensions:
+        return K._extensions[t]
     p, m = K.p, K.m
     M = m * t
 
@@ -821,5 +857,6 @@ def extend_unramified(K: BaseField, t: int):
         # the image of theta must still satisfy the old defining polynomial
         if any(sum(c * col[j] for c, col in zip(K.gen_minpoly, img_cols)) for j in range(M)):
             raise InternalInconsistency("embedding failed minimal polynomial check")
+        K._extensions[t] = K2, embed
         return K2, embed
     raise InternalInconsistency("no primitive element found for the compositum")

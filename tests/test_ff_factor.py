@@ -235,3 +235,60 @@ class TestLargeResidueFields:
             f = _root_product(p, 2, 12, seed=p)
             _assert_split_into_roots(f, 12)
             assert ff_factor(f, _Budget(0)) == ff_factor(f, _Budget(1))
+
+
+def _slow_case_octic(monkeypatch, capsys):
+    """The octic over GF(5^15) that the slow case's last build factors."""
+    seen = []
+    factor = clusters.ff_factor
+    monkeypatch.setattr(clusters, "ff_factor", lambda f, rng: seen.append(f) or factor(f, rng))
+    assert cli.run(["fibre", "2*x^8+33*x^7-10*x^6+27*x^5+7*x^4-80*x^3-100*x^2-68*x-3",
+                    "--prime", "5", "--residue-mode", "geometric", "--format", "json"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(clusters, "ff_factor", factor)
+    return next(f for f in seen if f.field.degree == 15 and f.degree == 8)
+
+
+class TestRootSplit:
+    """Roots over GF(p^e) split by the trace of gamma X against one
+    Frobenius chain; products of higher-degree factors keep random-a rounds,
+    and primes past the class bound keep Cantor-Zassenhaus."""
+
+    @pytest.mark.parametrize("p,d", [(3, 2), (5, 3)])
+    def test_quadratics_with_equal_x_coefficient(self, p, d):
+        # X^2 + a X + b_1 and X^2 + a X + b_2 have roots of equal relative
+        # trace -a to GF(p^d): the trace of gamma X cannot tell them apart
+        k = _field(p, d)
+        elements, rng = _elements(k), random.Random(p * d)
+        a = rng.choice(elements[1:])
+        pair = []
+        for b in rng.sample(elements, len(elements)):
+            g = FFPoly(k, [b, a, k.one])
+            if all(not _evaluate(g, r).is_zero() for r in elements):
+                pair.append(g)
+            if len(pair) == 2:
+                break
+        factors = [(g, 1) for g in pair]
+        f = _product(k, factors)
+        assert [h.degree for h, _ in ff.squarefree_decomposition(f)] == [4]
+        assert list(ff._distinct_degree(f)) == [(f, 2)]
+        assert _check(f, elements) == _expected(factors)
+
+    def test_slow_case_octic_takes_few_products(self, monkeypatch, capsys):
+        # one Frobenius chain of 14 p-th powers, where each round of random
+        # a took 14 of its own: 221 products with random.Random(0) before
+        f = _slow_case_octic(monkeypatch, capsys)
+        calls = []
+        mul = ff._Modulus.mul
+        monkeypatch.setattr(ff._Modulus, "mul", lambda s, a, b: calls.append(1) or mul(s, a, b))
+        factors = ff_factor(f, _Budget(0))
+        assert len(calls) <= 110
+        assert [(g.degree, mult) for g, mult in factors] == [(1, 1)] * 8
+
+    def test_past_the_class_bound_roots_take_powers(self, monkeypatch):
+        p = 17
+        assert p > ff._TRACE_CLASSES_MAX_P
+        f = _root_product(p, 2, 12, seed=p)
+        monkeypatch.setattr(ff, "_trace_classes",
+                            lambda *args: pytest.fail("trace classes past the bound"))
+        _assert_split_into_roots(f, 12)
