@@ -886,10 +886,7 @@ def _equal_degree_split(f: FFPoly, D: int, rng: random.Random):
             chain.append(ctx.pow(chain[-1], p))
         todo, out = [f], []
         while todo:
-            gamma = pk.pack([rng.randrange(p) for _ in range(e)])
-            if not gamma:
-                continue
-            total = 0
+            gamma, total = pk.pack([rng.randrange(p) for _ in range(e)]), 0
             for x in chain:
                 total += pk.reduce(gamma * x)
                 gamma = pk.power(gamma, p)
