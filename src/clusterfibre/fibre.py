@@ -26,21 +26,25 @@ that graph.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .clusters import ClusterTree
 from .errors import InputError, InternalInconsistency
 from .ff import FFPoly
 from .invariants import InvariantRecord, all_records
-from .rationals import qstr
+from .rationals import qstr, ratio_str
+
+Pair = Tuple[int, int]  # a rational as (numerator, denominator > 0)
 
 
 # ---------------------------------------------------------------------------
 # Farey / unimodular chains
 
 
-def _unimodular_sequence(A: Fraction, B: Fraction) -> List[Fraction]:
-    """The minimal unimodular sequence A = x_0 > ... > x_r = B.
+def _unimodular_sequence(A: Pair, B: Pair) -> List[Pair]:
+    """The minimal unimodular sequence A = x_0 > ... > x_r = B, on reduced
+    (numerator, denominator) pairs.
 
     The y < x = n/d with det(x, y) = 1 are x - 1/(d e), e = n^-1 mod d; a
     step takes the least such e with y >= B, e >= den B / det(x, B).  Every
@@ -48,22 +52,33 @@ def _unimodular_sequence(A: Fraction, B: Fraction) -> List[Fraction]:
     below B, and a step across y from u in (y, x) needs den u < den y, while
     den u >= d + e > den y between the neighbours y and x.  So the loop's
     sequence is part of every unimodular one, hence the minimal one."""
-    bn, bd = B.numerator, B.denominator
-    n, d = A.numerator, A.denominator
+    bn, bd = B
+    n, d = A
     seq = [A]
     while (det := n * bd - bn * d) != 1:
         least = -(-bd // det)  # ceil(den B / det(x, B))
         e = least + (pow(n, -1, d) - least) % d
         n, d = (n * e - 1) // d, e
-        seq.append(Fraction(n, d))
+        seq.append((n, d))
     seq.append(B)
     return seq
 
 
-class ChainSpec:
-    """P^1(alpha, a, b): multiplicities alpha*d_i along the minimal sequence."""
+def _times(alpha: int, q: Pair) -> Pair:
+    """alpha * q as a reduced pair, for a reduced pair q."""
+    n, d = q
+    g = gcd(alpha, d)
+    return alpha // g * n, d // g
 
-    __slots__ = ("alpha", "a", "b", "fractions", "dens", "mults",
+
+class ChainSpec:
+    """P^1(alpha, a, b): multiplicities alpha*d_i along the minimal sequence.
+
+    The endpoints a > b are kept as reduced (numerator, denominator) pairs
+    ``a_nd`` and ``b_nd``; ``a``, ``b`` and the sequence ``fractions`` are
+    Fractions built from them when read."""
+
+    __slots__ = ("alpha", "a_nd", "b_nd", "dens", "mults",
                  "row", "cluster", "side", "to_cluster", "geometric_copies")
 
     def __init__(self, alpha: int, a: Fraction, b: Fraction):
@@ -72,9 +87,19 @@ class ChainSpec:
         a, b = Fraction(a), Fraction(b)
         if a <= b:
             raise InputError("chain needs a > b")
-        self.alpha, self.a, self.b = alpha, a, b
-        self.fractions = _unimodular_sequence(alpha * a, alpha * b)
-        self.dens = [f.denominator for f in self.fractions[1:-1]]
+        self._fill(alpha, (a.numerator, a.denominator), (b.numerator, b.denominator))
+
+    @classmethod
+    def _of_pairs(cls, alpha: int, a_nd: Pair, b_nd: Pair) -> "ChainSpec":
+        """The chain between reduced pairs; the caller has checked alpha >= 1
+        and a > b."""
+        ch = cls.__new__(cls)
+        ch._fill(alpha, a_nd, b_nd)
+        return ch
+
+    def _fill(self, alpha: int, a_nd: Pair, b_nd: Pair):
+        self.alpha, self.a_nd, self.b_nd = alpha, a_nd, b_nd
+        self.dens = [d for _, d in self._sequence()[1:-1]]
         self.mults = [alpha * d for d in self.dens]
         self.row = None
         self.cluster = None
@@ -82,19 +107,43 @@ class ChainSpec:
         self.to_cluster = None  # None = open-ended
         self.geometric_copies = 1
 
+    def _sequence(self) -> List[Pair]:
+        return _unimodular_sequence(_times(self.alpha, self.a_nd),
+                                    _times(self.alpha, self.b_nd))
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(*self.a_nd)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(*self.b_nd)
+
+    @property
+    def fractions(self) -> List[Fraction]:
+        return [Fraction(n, d) for n, d in self._sequence()]
+
     @property
     def length(self) -> int:
         return len(self.mults)
 
     def __repr__(self):
-        return f"ChainSpec(alpha={self.alpha}, {qstr(self.a)}->{qstr(self.b)}, mults={self.mults})"
+        return (f"ChainSpec(alpha={self.alpha}, {ratio_str(*self.a_nd)}->"
+                f"{ratio_str(*self.b_nd)}, mults={self.mults})")
+
+
+def _open_bound(alpha: int, a_nd: Pair) -> Pair:
+    """floor(alpha*a - 1)/alpha as a reduced pair, for a reduced pair a."""
+    n, d = a_nd
+    fl = (alpha * n - d) // d
+    g = gcd(fl, alpha)
+    return fl // g, alpha // g
 
 
 def open_chain_bound(alpha: int, a) -> Fraction:
-    """Lower endpoint floor((alpha*a - 1))/alpha of an open-ended chain."""
-    aa = Fraction(alpha) * Fraction(a)
-    fl = (aa - 1).numerator // (aa - 1).denominator
-    return Fraction(fl, alpha)
+    """Lower endpoint floor((alpha*a - 1))/alpha of an open-ended chain; a is
+    an int or a Fraction."""
+    return Fraction(*_open_bound(alpha, (a.numerator, a.denominator)))
 
 
 def open_chain(alpha: int, a) -> ChainSpec:
@@ -164,22 +213,35 @@ def assemble(tree: ClusterTree,
             if count:
                 fib.open_p1.append(OpenP1Family(node.id, r.e, count))
         # the connector to the parent, or the root's open tail, then the
-        # minimal tail, as (row, alpha, a, b, copies, target); an open tail
-        # has no target and vanishes when empty
+        # minimal tail, as (row, alpha, a, b, copies, target) with a and b
+        # reduced pairs; an open tail has no target and vanishes when empty
         alpha, copies = r.epsilon * r.gamma, 1 + (r.p // r.gamma == 2)
+        s = (r.s.numerator, r.s.denominator)
         if node.parent is not None:
             rp = records[node.parent.id]
-            end = r.s - Fraction(r.p, 2) * (r.lam - Fraction(r.degree, node.parent.degree) * rp.lam)
-            rows = [("connector", alpha, r.s, end, copies, node.parent.id)]
+            # end = s - p/2 (lambda - d / d_parent lambda_parent) over 2h,
+            # h = e e_parent d_parent: the denominators of s, lambda and
+            # lambda_parent divide 2e, e and e_parent
+            h = r.e * rp.e * node.parent.degree
+            end = (_over(r.s, 2 * h)
+                   - r.p * (_over(r.lam, h) - r.degree * _over(rp.lam, r.e * rp.e)))
+            g = gcd(end, 2 * h)
+            rows = [("connector", alpha, s, (end // g, 2 * h // g), copies, node.parent.id)]
         else:
-            rows = [("root_tail", alpha, r.s, open_chain_bound(alpha, r.s), copies, None)]
+            rows = [("root_tail", alpha, s, _open_bound(alpha, s), copies, None)]
         if r.delta == 1:
             alpha = r.epsilon * r.gamma0
-            rows.append(("minimal_tail", alpha, -r.s0, open_chain_bound(alpha, -r.s0),
+            s0 = (-r.s0.numerator, r.s0.denominator)
+            rows.append(("minimal_tail", alpha, s0, _open_bound(alpha, s0),
                          1 + (r.p0 // r.gamma0 == 2), None))
         for row, alpha, a, b, copies, target in rows:
+            # the chain law: P^1(alpha, a, b) needs alpha >= 1 and a > b
+            if alpha < 1 or a[0] * b[1] <= b[0] * a[1]:
+                raise InternalInconsistency(
+                    f"{row} chain law violated at cluster {node.id}: alpha = {alpha}, "
+                    f"a = {ratio_str(*a)}, b = {ratio_str(*b)}; it needs alpha >= 1 and a > b")
             for side in ("minus", "plus")[:copies]:
-                ch = ChainSpec(alpha, a, b)
+                ch = ChainSpec._of_pairs(alpha, a, b)
                 if target is None and ch.length == 0:
                     continue
                 ch.row, ch.cluster, ch.side, ch.to_cluster = row, node.id, side, target
@@ -188,6 +250,11 @@ def assemble(tree: ClusterTree,
     _check_attachments(fib)
     check_genus_identity(fib)
     return fib
+
+
+def _over(q: Fraction, den: int) -> int:
+    """The numerator of q over den, a multiple of q's denominator."""
+    return q.numerator * (den // q.denominator)
 
 
 def _check_attachments(fib: SpecialFibre):
@@ -348,12 +415,12 @@ def _coeff_str(c) -> str:
     for i, n in enumerate(c.rows):
         if n == 0:
             continue
-        q = Fraction(n, c.den)
+        q = ratio_str(n, c.den)
         if i == 0:
-            parts.append(str(q))
+            parts.append(q)
         else:
             th = "th" if i == 1 else f"th^{i}"
-            parts.append(th if q == 1 else f"{q}*{th}")
+            parts.append(th if q == "1" else f"{q}*{th}")
     if not parts:
         return "0"
     if len(parts) == 1:
@@ -432,33 +499,94 @@ def json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, on dicts
     with str keys, lists, str, int, bool and None; any other type raises
     TypeError.  (With ``indent`` set, json falls back to its pure-Python
-    encoder.)  json is imported here, once per call, so that only JSON
+    encoder.)
+
+    The text is appended to one list of parts.  Values are dispatched by
+    exact class first; a subclass of str, int, list or dict takes the
+    isinstance path, as in json.  A dict's sorted keys and their quoted
+    ``",\n<indent>\"key\": "`` prefixes are kept in ``_LAYOUTS`` per (key
+    tuple, indent), so each key of an export's fixed schema is quoted once
+    per process.  json is imported here, once per call, so that only JSON
     output loads it."""
     from json.encoder import encode_basestring_ascii
-    return _json_text(obj, "\n", encode_basestring_ascii)
+    parts: List[str] = []
+    _json_parts(obj, "\n", parts.append, encode_basestring_ascii)
+    return "".join(parts)
 
 
-def _json_text(obj, nl: str, quote) -> str:
-    """``json_text`` of obj at the level whose line break and indent is
-    ``nl``; ``quote`` encodes a str."""
-    if isinstance(obj, str):
-        return quote(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+# (key tuple in insertion order, line break and indent) -> (sorted keys,
+# their prefixes, the indent of the values, the closing text)
+_LAYOUTS: Dict[Tuple[tuple, str], Tuple[tuple, tuple, str, str]] = {}
+_LAYOUTS_MAX = 1024
+
+
+def _dict_layout(obj: dict, nl: str, quote):
+    """The ``_LAYOUTS`` entry of obj's key tuple at indent nl, made and kept
+    on a miss; a key that is not a str makes the sort or quote raise."""
+    keys = tuple(sorted(obj))
     inner = nl + " "
-    if isinstance(obj, list):
-        ends, items = "[]", [_json_text(x, inner, quote) for x in obj]
-    elif isinstance(obj, dict):
-        # a key that is not a str makes the sort or the key encoder raise
-        ends, items = "{}", [quote(k) + ": " + _json_text(v, inner, quote)
-                             for k, v in sorted(obj.items())]
+    prefixes = tuple(("," if i else "{") + inner + quote(k) + ": "
+                     for i, k in enumerate(keys))
+    layout = keys, prefixes, inner, nl + "}"
+    if len(_LAYOUTS) >= _LAYOUTS_MAX:
+        _LAYOUTS.clear()
+    _LAYOUTS[tuple(obj), nl] = layout
+    return layout
+
+
+def _json_parts(obj, nl: str, put, quote):
+    """Put the ``json_text`` parts of obj at the level whose line break and
+    indent is ``nl``; ``quote`` encodes a str."""
+    t = type(obj)
+    if t is str:
+        put(quote(obj))
+    elif t is int:
+        put(int.__repr__(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif t is dict or isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        keys, prefixes, inner, close = (_LAYOUTS.get((tuple(obj), nl))
+                                        or _dict_layout(obj, nl, quote))
+        for k, prefix in zip(keys, prefixes):
+            put(prefix)
+            v = obj[k]
+            t = type(v)
+            if t is str:
+                put(quote(v))
+            elif t is int:
+                put(int.__repr__(v))
+            else:
+                _json_parts(v, inner, put, quote)
+        put(close)
+    elif t is list or isinstance(obj, list):
+        if not obj:
+            put("[]")
+            return
+        inner = nl + " "
+        sep = "," + inner
+        put("[")
+        prefix = inner
+        for v in obj:
+            put(prefix)
+            prefix = sep
+            if type(v) is int:
+                put(int.__repr__(v))
+            else:
+                _json_parts(v, inner, put, quote)
+        put(nl + "]")
+    elif isinstance(obj, str):
+        put(quote(obj))
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
     else:
         raise TypeError(f"no JSON form for {type(obj).__name__}")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + nl + ends[1]
 
 
 def export_json(fib: SpecialFibre) -> bytes:
@@ -478,8 +606,8 @@ def export_json(fib: SpecialFibre) -> bytes:
             } for c in fib.components.values()],
             "chains": [{
                 "alpha": ch.alpha,
-                "a": qstr(ch.a),
-                "b": qstr(ch.b),
+                "a": ratio_str(*ch.a_nd),
+                "b": ratio_str(*ch.b_nd),
                 "mults": ch.mults,
                 "from": {"cluster": ch.cluster, "side": ch.side},
                 "to": ({"cluster": ch.to_cluster, "side": ch.side}

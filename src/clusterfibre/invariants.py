@@ -28,7 +28,10 @@ of the cluster chain: N = e nu and L = e lambda, integers by a law that
 raises InternalInconsistency.  Every parity and integrality condition is
 a divisibility test on a numerator over its common denominator.
 Fractions appear only in the record's public fields (lambda, nu, s, s0 and
-their intro forms) and in the meet sum of ``nu``, the independent check.
+their intro forms), each built once from its integer numerator over e or
+2e; ``as_dict`` and the chain rows of ``fibre.assemble`` read them back as
+numerator and denominator.  The meet sum of ``nu``, the independent check,
+is added up on integers as well.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .errors import InputError, InternalInconsistency
 from .ff import FFPoly, squarefree_decomposition
 from .field import expansion_scope
 from .newton import residue_tower
+from .rationals import qstr
 
 
 def _odd_multiple(x: int, e: int) -> bool:
@@ -58,7 +62,6 @@ class InvariantRecord:
                  "x_exponent_parity")
 
     def as_dict(self):
-        from .rationals import qstr
         return {
             "degree": self.degree, "size": self.size,
             "lambda": qstr(self.lam), "epsilon": self.epsilon, "b": self.b,
@@ -80,16 +83,20 @@ def nu(tree: ClusterTree, node: ClusterNode):
     reduction there, which the chain stage has computed.  A leaf below v
     meets v; a leaf below an ancestor a but not below a's child c towards v
     meets a.  The leaf degrees below a node sum to its size (the additivity
-    law), so the meet sum is one walk up the parents."""
+    law), so the meet sum is one walk up the parents.  It is added up as
+    num / den on integers: the term (a.size - c.size) * radius / degree of
+    an ancestor a has the denominator den(radius) * degree."""
     direct = node.reduction.alpha
-    total = tree.f.lead().gauss_val() + Fraction(node.size * node.radius) / node.degree
-    c, a = node, node.parent
+    num, den = tree.f.lead().gauss_val(), 1
+    a, below = node, 0
     while a is not None:
-        total += Fraction((a.size - c.size) * a.radius) / a.degree
-        c, a = a, a.parent
-    if direct != total:
+        r = a.radius
+        rd = r.denominator * a.degree
+        num, den = num * rd + (a.size - below) * r.numerator * den, den * rd
+        a, below = a.parent, a.size
+    if direct.numerator * den != num * direct.denominator:
         raise InternalInconsistency(
-            f"nu mismatch: eval gives {direct}, leaf meets give {total}")
+            f"nu mismatch: eval gives {direct}, leaf meets give {Fraction(num, den)}")
     return direct
 
 
@@ -111,15 +118,15 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     r.e = e = cc.group_index
     r.k_v = tower.top
     r.f_v = f_v = tower.top.degree // K.m
-    r.nu = nu(tree, node)
+    r.nu = nu_v = nu(tree, node)
     r.i_v = i = node.reduction.i1
     # N = e nu and L = e lambda: the record in units of 1 / (2e)
-    N, L = e * r.nu, e * r.lam
-    if N.denominator != 1:
-        raise InternalInconsistency(f"e * nu must be an integer, got {N}")
-    if L.denominator != 1:
-        raise InternalInconsistency(f"e * lambda must be an integer, got {L}")
-    N, L = N.numerator, L.numerator
+    N, N_rem = divmod(e * nu_v.numerator, nu_v.denominator)
+    if N_rem:
+        raise InternalInconsistency(f"e * nu must be an integer, got {e * nu_v}")
+    L, L_rem = divmod(e * r.lam.numerator, r.lam.denominator)
+    if L_rem:
+        raise InternalInconsistency(f"e * lambda must be an integer, got {e * r.lam}")
     r.n = 1 if N % 2 == 1 else 2
     r.m = 2 * e // r.n
     r.p = p = 1 if i % 2 == 1 else 2
@@ -176,7 +183,7 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     # the genus of y^2 = ftilde must reproduce the combinatorial genus
     if genus_double_cover(r.ftilde, r.n) != r.genus:
         raise InternalInconsistency("genus cross-check failed")
-    r.nu_intro = d * r.nu
+    r.nu_intro = Fraction(d * N, e)
     r.s_intro = Fraction((i + p) * L - d * N, 2 * e)
     r.s0_intro = Fraction(2 * L - d * N, 2 * e)
     return r

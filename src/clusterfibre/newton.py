@@ -335,11 +335,14 @@ def _inv_graded(v: MacLaneVal, tower: ResidueTower, level: int, scaled_alpha: in
     parts = step.over_src(c * step.root ** (-c_a) if c_a else c)
     phi = v.steps[level - 1].phi
     child = _child_value(v, level, scaled_alpha, i_a)
-    acc = K.zero
+    # c != 0 has a nonzero coordinate, so acc is set; a term a_j phi^0 is a_j
+    acc = None
     for j, t_j in enumerate(parts):
         if not t_j.is_zero():
             a_j = _inv_graded(v, tower, level - 1, child - j * h_i, t_j)
-            acc = acc + a_j * phi ** (i_a + j * e_i)
+            k = i_a + j * e_i
+            term = a_j * phi ** k if k else a_j
+            acc = term if acc is None else acc + term
     return acc
 
 
@@ -376,7 +379,7 @@ def lift_key(v: MacLaneVal, h: FFPoly) -> KPoly:
             continue
         # alpha_j = (d - j) e_n lambda_n at depth n - 1, times e_{n-1}
         a_j = _inv_graded(v, tower, n - 1, (d - j) * v.h_rel[n], c_j)
-        acc = acc + a_j * phi_n ** (j * e_n)
+        acc = acc + (a_j * phi_n ** (j * e_n) if j else a_j)
     if acc.gauss_val() < 0:
         raise InternalInconsistency("lifted key has non-integral coefficients")
     red = reduce_poly(v, acc)

@@ -10,7 +10,7 @@ Throughout the package an "extended rational" means either a Fraction or OO.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 
 class _Infinity:
@@ -49,11 +49,19 @@ OO = _Infinity()
 
 
 def qstr(x) -> str:
-    """Compact display form: '5/3', '2', or 'inf'."""
+    """Compact display form: '5/3', '2', or 'inf'.  x is OO, an int or a
+    Fraction, read off its numerator and denominator without a copy."""
     if x is OO:
         return "inf"
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    if type(x) is int:
+        return int.__repr__(x)
+    n, d = x.numerator, x.denominator
+    return f"{n}" if d == 1 else f"{n}/{d}"
 
+
+def ratio_str(n: int, d: int) -> str:
+    """qstr of n / d for ints n and d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return f"{n}" if d == 1 else f"{n}/{d}"

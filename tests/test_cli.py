@@ -350,6 +350,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "internal consistency failure: graded reduction below the stated degree" in err
 
+    def test_connector_that_does_not_descend_is_an_internal_failure(self, monkeypatch, capsys):
+        # a child record whose radius equals its parent's makes the connector
+        # end at its start: a broken chain law of the assembly, exit 2, not
+        # the InputError that ChainSpec raises for a bad argument
+        records = cli.all_records
+
+        def flat(tree):
+            out = records(tree)
+            child = tree.root.children[0]
+            out[child.id].lam = out[tree.root.id].lam
+            return out
+
+        monkeypatch.setattr(cli, "all_records", flat)
+        assert run(["fibre", "(x-5)*(x+5)*(x-30)*(x+30)", "--prime", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency failure: connector chain law violated")
+
     def test_geometric_over_unramified_base(self, capsys):
         # extending GF(25) by a cubic with prime-field coefficients: the
         # first generator tried lies in GF(125), not a primitive element

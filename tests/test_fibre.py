@@ -21,6 +21,8 @@ from clusterfibre.fibre import (ChainSpec, open_chain_bound, open_chain,
                                 json_text, check_genus_identity)
 from clusterfibre.degree1 import (oracle_fibre_graph, oracle_signature,
                                   rational_cluster_tree)
+from clusterfibre.rationals import OO, qstr
+from clusterfibre import cli
 
 from graphs import isomorphic, tree_signature
 from oracles.farey import det, simplest_between, unimodular_sequence
@@ -465,6 +467,40 @@ class TestJsonText:
         out = export(assemble(tree), "json")
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=1).encode()
 
+    @pytest.mark.parametrize("command", ["picture", "invariants"])
+    def test_picture_and_invariants_use_it(self, command, capsys):
+        for p, expr in cli._CORPUS:
+            assert cli.run([command, expr, "--prime", str(p), "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n", expr
+
+    def test_one_key_set_at_two_depths(self):
+        # the cached prefixes of a key set carry the indent of their depth
+        for payload in ({"a": {"a": 1}}, [{"a": {"a": {"a": []}}}, {"a": 2}],
+                        {"b": [{"a": 1, "b": {"a": 1, "b": None}}], "a": {"a": 1, "b": 2}}):
+            assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+    def test_one_key_slot_with_every_scalar_class(self):
+        member = enum.IntEnum("E", "A B")(2)
+        for order in ([True, 1, member, None], [None, member, 1, True]):
+            payload = {"rows": [{"k": v, "j": [v]} for v in order] + [{"j": [], "k": False}]}
+            assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_empty_containers_at_each_depth(self, depth):
+        for empty in ({}, []):
+            payload = empty
+            for k in range(depth):
+                payload = {"x": payload, "y": [payload, 0]} if k % 2 else [payload, {"z": payload}]
+            assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+    def test_known_key_set_with_new_value_types(self):
+        for payload in ({"a": 1, "b": "x"}, {"a": [1, "y"], "b": {"c": None}},
+                        {"b": True, "a": {"a": "z"}}, {"a": None, "b": []}):
+            assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+        with pytest.raises(TypeError):
+            json_text({"a": 1.5, "b": "x"})
+
     def test_no_indented_json_dumps_in_the_package(self):
         # json.dumps with an indent runs CPython's pure-Python encoder: the
         # package writes indented JSON through json_text only
@@ -476,3 +512,59 @@ class TestJsonText:
                       and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
                       and any(k.arg == "indent" for k in node.keywords)]
         assert found == []
+
+
+def _qstr_by_fraction(x) -> str:
+    """qstr as it read through a Fraction copy of x."""
+    if x is OO:
+        return "inf"
+    x = F(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _sequence_by_fractions(A, B):
+    """The minimal unimodular sequence by the Hirzebruch-Jung loop on Fractions."""
+    seq = [A]
+    n, d = A.numerator, A.denominator
+    while (det := n * B.denominator - B.numerator * d) != 1:
+        least = -(-B.denominator // det)
+        e = least + (pow(n, -1, d) - least) % d
+        n, d = (n * e - 1) // d, e
+        seq.append(F(n, d))
+    return seq + [B]
+
+
+_BIG = st.integers(-2 ** 100, 2 ** 100)
+# small denominators keep chains short: the loop takes up to den steps
+_RATIONAL = st.builds(F, st.one_of(st.integers(-200, 200), _BIG), st.integers(1, 60))
+
+
+class TestIntegerPaths:
+    """Chains and display strings on (numerator, denominator) pairs and ints
+    against the same computation on Fractions."""
+
+    @given(st.one_of(st.integers(), _BIG, _RATIONAL, st.builds(F, _BIG, _BIG.filter(bool)),
+                     st.sampled_from([OO, F(0), F(-7, 3), F(-1), F(2 ** 64 + 1, 3), -2 ** 64])))
+    @settings(max_examples=300, deadline=None)
+    def test_qstr(self, x):
+        assert qstr(x) == _qstr_by_fraction(x)
+
+    @given(st.integers(1, 12), _RATIONAL, st.builds(F, st.integers(1, 300), st.integers(1, 60)))
+    @settings(max_examples=300, deadline=None)
+    def test_chain_matches_fractions(self, alpha, a, gap):
+        b = a - gap
+        ch = ChainSpec(alpha, a, b)
+        fr = _sequence_by_fractions(alpha * a, alpha * b)
+        assert ch.fractions == fr
+        assert ch.dens == [x.denominator for x in fr[1:-1]]
+        assert ch.mults == [alpha * x.denominator for x in fr[1:-1]]
+        assert (ch.a, ch.b) == (a, b)
+
+    @given(st.integers(1, 12), st.one_of(_RATIONAL, st.integers(-50, 50)))
+    @settings(max_examples=300, deadline=None)
+    def test_open_chain_bound(self, alpha, a):
+        aa = F(alpha) * F(a)
+        want = F((aa - 1).numerator // (aa - 1).denominator, alpha)
+        got = open_chain_bound(alpha, a)
+        assert type(got) is F and got == want
+        assert open_chain(alpha, a).mults == ChainSpec(alpha, a, want).mults

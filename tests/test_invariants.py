@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterfibre import cli, invariants
 from clusterfibre.field import BaseField
@@ -122,6 +123,14 @@ def _depth(node):
     return 0 if node.parent is None else 1 + _depth(node.parent)
 
 
+def _is_below(node, ancestor):
+    while node.parent is not None:
+        node = node.parent
+        if node is ancestor:
+            return True
+    return False
+
+
 def _nu_tree(p, spec, mode):
     K = BaseField(p)
     if isinstance(spec, str):
@@ -155,6 +164,25 @@ class TestNu:
                 nu(tree, node)
             node.radius -= F(1, 7)
             nu(tree, node)
+
+    @given(st.integers(0, 2 ** 32), st.sampled_from([3, 5, 7]),
+           st.builds(F, st.integers(-50, 50).filter(bool), st.integers(1, 12)))
+    @settings(max_examples=40, deadline=None)
+    def test_any_radius_shift_breaks_the_nu_law(self, seed, p, shift):
+        # the meet sum on integers still sees a shift of any node's radius,
+        # at that node and at every node below it
+        rng = random.Random(seed)
+        roots = {p * rng.randrange(1, p ** 4) for _ in range(rng.randrange(3, 9))}
+        tree = _nu_tree(p, "*".join(f"(x-{a})" for a in sorted(roots)), "exact")
+        node = rng.choice(tree.nodes)
+        node.radius += shift
+        below = [n for n in tree.nodes if n is node or _is_below(n, node)]
+        for n in below:
+            with pytest.raises(InternalInconsistency, match="nu mismatch"):
+                nu(tree, n)
+        node.radius -= shift
+        for n in below:
+            nu(tree, n)
 
     def test_perturbed_leaf_degree_breaks_additivity(self):
         # nu reads sizes, not leaf degrees: the additivity law guards them
