@@ -75,8 +75,8 @@ class ChainSpec:
     """P^1(alpha, a, b): multiplicities alpha*d_i along the minimal sequence.
 
     The endpoints a > b are kept as reduced (numerator, denominator) pairs
-    ``a_nd`` and ``b_nd``; ``a``, ``b`` and the sequence ``fractions`` are
-    Fractions built from them when read."""
+    ``a_nd`` and ``b_nd``; the sequence ``fractions`` is built as Fractions
+    when read."""
 
     __slots__ = ("alpha", "a_nd", "b_nd", "dens", "mults",
                  "row", "cluster", "side", "to_cluster", "geometric_copies")
@@ -110,14 +110,6 @@ class ChainSpec:
     def _sequence(self) -> List[Pair]:
         return _unimodular_sequence(_times(self.alpha, self.a_nd),
                                     _times(self.alpha, self.b_nd))
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(*self.a_nd)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(*self.b_nd)
 
     @property
     def fractions(self) -> List[Fraction]:

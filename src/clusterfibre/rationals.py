@@ -55,8 +55,7 @@ def qstr(x) -> str:
         return "inf"
     if type(x) is int:
         return int.__repr__(x)
-    n, d = x.numerator, x.denominator
-    return f"{n}" if d == 1 else f"{n}/{d}"
+    return ratio_str(x.numerator, x.denominator)
 
 
 def ratio_str(n: int, d: int) -> str:

@@ -558,7 +558,7 @@ class TestIntegerPaths:
         assert ch.fractions == fr
         assert ch.dens == [x.denominator for x in fr[1:-1]]
         assert ch.mults == [alpha * x.denominator for x in fr[1:-1]]
-        assert (ch.a, ch.b) == (a, b)
+        assert (ch.a_nd, ch.b_nd) == ((a.numerator, a.denominator), (b.numerator, b.denominator))
 
     @given(st.integers(1, 12), st.one_of(_RATIONAL, st.integers(-50, 50)))
     @settings(max_examples=300, deadline=None)
