@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import random
-from fractions import Fraction
 from typing import List, Optional
 
 from .errors import InputError, InternalInconsistency
@@ -145,12 +144,11 @@ def normalize_input(f: KPoly):
         discriminant_val(f)  # raises on a repeated root
     *low, top = [a.gauss_val() for a in f.coeffs]  # OO for a zero a_i
     n = len(low)
-    min_rootval = min((Fraction(u - top, n - i) for i, u in enumerate(low) if u is not OO),
-                      default=OO)
-    if min_rootval is OO or min_rootval > 0:
+    # the least integer c >= 0 with (u_i - top) / (n - i) + c > 0 for all i
+    c = max(0, max(((top - u) // (n - i) for i, u in enumerate(low) if u is not OO),
+                   default=-1) + 1)
+    if c == 0:
         return f, 0
-    # the least integer c with min_rootval + c > 0
-    c = -min_rootval // 1 + 1
     return f.subst_scaled_x(-c), c
 
 
@@ -182,7 +180,7 @@ class _Builder:
 
     def build(self) -> List[ClusterNode]:
         v0 = MacLaneVal.gauss(self.K)
-        stack = [self._context(v0, self.K.x(), Fraction(0), None, None, 0)]
+        stack = [self._context(v0, self.K.x(), 0, None, None, 0)]
         while stack and self.nonlinear_residual is None:
             child = next(stack[-1], None)
             if child is None:

@@ -53,7 +53,7 @@ def rational_cluster_tree(roots, p):
         return None
 
     def vdiff(a, b):
-        d = Fraction(a) - Fraction(b)
+        d = a - b
         return Fraction(_vp(d.numerator, p) - _vp(d.denominator, p))
 
     # candidate clusters: for each root and each threshold, the ball around it
@@ -104,7 +104,7 @@ def oracle_fibre_graph(roots, p):
     unimodular sequences as the main path but with data that never touches
     a Newton polygon or residue field.
     """
-    from .fibre import FibreGraph, ChainSpec, open_chain
+    from .fibre import FibreGraph, ChainSpec, open_chain_bound
 
     root = rational_cluster_tree(roots, p)
     if root is None:
@@ -121,13 +121,13 @@ def oracle_fibre_graph(roots, p):
 
     data = {}
     for c in _postorder(root):
-        lam = Fraction(c.radius)
+        lam = c.radius
         # chain radii: ancestors whose centre differs from their designated child
         radii = []
         cur, prev = c, None
         while cur is not None:
             if prev is None or centre[id(cur)] != centre[id(prev)]:
-                radii.append(Fraction(cur.radius))
+                radii.append(cur.radius)
             prev, cur = cur, cur.parent
         radii = radii[::-1]
         e = lcm(*(r_.denominator for r_ in radii))
@@ -145,7 +145,7 @@ def oracle_fibre_graph(roots, p):
             inner = m
             if r_ in c.roots:
                 inner = c
-            nu_v += Fraction(inner.radius)
+            nu_v += inner.radius
         i_v = c.size
         n_v = 1 if int(e * nu_v) % 2 else 2
         m_v = 2 * e // n_v
@@ -207,12 +207,13 @@ def oracle_fibre_graph(roots, p):
         for kind, alpha, a_val, b_val, copies, target in rows:
             for side_i in range(copies):
                 side = "minus" if side_i == 0 else "plus"
+                a_nd = (a_val.numerator, a_val.denominator)
                 if kind == "open":
-                    ch = open_chain(alpha, a_val)
+                    ch = ChainSpec(alpha, a_nd, open_chain_bound(alpha, a_nd))
                     if not ch.mults:
                         continue
                 else:
-                    ch = ChainSpec(alpha, a_val, b_val)
+                    ch = ChainSpec(alpha, a_nd, (b_val.numerator, b_val.denominator))
                 prev = ends[(id(c), side)]
                 for mult in ch.mults:
                     nn = g.add_node(mult, 0)
@@ -240,10 +241,8 @@ def _postorder(root):
 
 
 def _odd_int(x) -> bool:
-    x = Fraction(x)
     return x.denominator == 1 and x.numerator % 2 == 1
 
 
 def _not2z(x) -> bool:
-    x = Fraction(x)
     return x.denominator != 1 or x.numerator % 2 != 0

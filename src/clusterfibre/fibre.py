@@ -25,7 +25,6 @@ that graph.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -74,32 +73,20 @@ def _times(alpha: int, q: Pair) -> Pair:
 class ChainSpec:
     """P^1(alpha, a, b): multiplicities alpha*d_i along the minimal sequence.
 
-    The endpoints a > b are kept as reduced (numerator, denominator) pairs
-    ``a_nd`` and ``b_nd``; the sequence ``fractions`` is built as Fractions
-    when read."""
+    The endpoints a > b are reduced (numerator, denominator) pairs ``a_nd``
+    and ``b_nd``; ``sequence`` gives the minimal sequence from alpha*a down
+    to alpha*b as such pairs."""
 
     __slots__ = ("alpha", "a_nd", "b_nd", "dens", "mults",
                  "row", "cluster", "side", "to_cluster", "geometric_copies")
 
-    def __init__(self, alpha: int, a: Fraction, b: Fraction):
+    def __init__(self, alpha: int, a_nd: Pair, b_nd: Pair):
         if alpha < 1:
             raise InputError("chain multiplier must be positive")
-        a, b = Fraction(a), Fraction(b)
-        if a <= b:
+        if a_nd[0] * b_nd[1] <= b_nd[0] * a_nd[1]:
             raise InputError("chain needs a > b")
-        self._fill(alpha, (a.numerator, a.denominator), (b.numerator, b.denominator))
-
-    @classmethod
-    def _of_pairs(cls, alpha: int, a_nd: Pair, b_nd: Pair) -> "ChainSpec":
-        """The chain between reduced pairs; the caller has checked alpha >= 1
-        and a > b."""
-        ch = cls.__new__(cls)
-        ch._fill(alpha, a_nd, b_nd)
-        return ch
-
-    def _fill(self, alpha: int, a_nd: Pair, b_nd: Pair):
         self.alpha, self.a_nd, self.b_nd = alpha, a_nd, b_nd
-        self.dens = [d for _, d in self._sequence()[1:-1]]
+        self.dens = [d for _, d in self.sequence[1:-1]]
         self.mults = [alpha * d for d in self.dens]
         self.row = None
         self.cluster = None
@@ -107,13 +94,10 @@ class ChainSpec:
         self.to_cluster = None  # None = open-ended
         self.geometric_copies = 1
 
-    def _sequence(self) -> List[Pair]:
+    @property
+    def sequence(self) -> List[Pair]:
         return _unimodular_sequence(_times(self.alpha, self.a_nd),
                                     _times(self.alpha, self.b_nd))
-
-    @property
-    def fractions(self) -> List[Fraction]:
-        return [Fraction(n, d) for n, d in self._sequence()]
 
     @property
     def length(self) -> int:
@@ -124,25 +108,13 @@ class ChainSpec:
                 f"{ratio_str(*self.b_nd)}, mults={self.mults})")
 
 
-def _open_bound(alpha: int, a_nd: Pair) -> Pair:
-    """floor(alpha*a - 1)/alpha as a reduced pair, for a reduced pair a."""
+def open_chain_bound(alpha: int, a_nd: Pair) -> Pair:
+    """Lower endpoint floor(alpha*a - 1)/alpha of an open-ended chain from
+    a, as a reduced pair, for a reduced pair a."""
     n, d = a_nd
     fl = (alpha * n - d) // d
     g = gcd(fl, alpha)
     return fl // g, alpha // g
-
-
-def open_chain_bound(alpha: int, a) -> Fraction:
-    """Lower endpoint floor((alpha*a - 1))/alpha of an open-ended chain; a is
-    an int or a Fraction."""
-    return Fraction(*_open_bound(alpha, (a.numerator, a.denominator)))
-
-
-def open_chain(alpha: int, a) -> ChainSpec:
-    """P^1(alpha, a): the open-ended chain down to floor(alpha*a - 1)/alpha;
-    its multiplicity list may be empty."""
-    b = open_chain_bound(alpha, a)
-    return ChainSpec(alpha, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +192,21 @@ def assemble(tree: ClusterTree,
             g = gcd(end, 2 * h)
             rows = [("connector", alpha, s, (end // g, 2 * h // g), copies, node.parent.id)]
         else:
-            rows = [("root_tail", alpha, s, _open_bound(alpha, s), copies, None)]
+            rows = [("root_tail", alpha, s, open_chain_bound(alpha, s), copies, None)]
         if r.delta == 1:
             alpha = r.epsilon * r.gamma0
             s0 = (-r.s0.numerator, r.s0.denominator)
-            rows.append(("minimal_tail", alpha, s0, _open_bound(alpha, s0),
+            rows.append(("minimal_tail", alpha, s0, open_chain_bound(alpha, s0),
                          1 + (r.p0 // r.gamma0 == 2), None))
         for row, alpha, a, b, copies, target in rows:
-            # the chain law: P^1(alpha, a, b) needs alpha >= 1 and a > b
+            # the chain law, P^1(alpha, a, b) needs alpha >= 1 and a > b: a
+            # bug here, so checked before ChainSpec raises its InputError
             if alpha < 1 or a[0] * b[1] <= b[0] * a[1]:
                 raise InternalInconsistency(
                     f"{row} chain law violated at cluster {node.id}: alpha = {alpha}, "
                     f"a = {ratio_str(*a)}, b = {ratio_str(*b)}; it needs alpha >= 1 and a > b")
             for side in ("minus", "plus")[:copies]:
-                ch = ChainSpec._of_pairs(alpha, a, b)
+                ch = ChainSpec(alpha, a, b)
                 if target is None and ch.length == 0:
                     continue
                 ch.row, ch.cluster, ch.side, ch.to_cluster = row, node.id, side, target
@@ -244,8 +217,8 @@ def assemble(tree: ClusterTree,
     return fib
 
 
-def _over(q: Fraction, den: int) -> int:
-    """The numerator of q over den, a multiple of q's denominator."""
+def _over(q, den: int) -> int:
+    """The numerator of the rational q over den, a multiple of q's denominator."""
     return q.numerator * (den // q.denominator)
 
 

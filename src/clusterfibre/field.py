@@ -9,12 +9,13 @@ A polynomial holds the integer power-basis coordinates (1, theta, ...,
 theta^(m-1)) of all its coefficients in one flat tuple over one positive
 denominator, in lowest terms.  An element of K is a constant polynomial:
 m coordinates, or none for zero.  Products are reduced by the monic integer
-defining polynomial, so the arithmetic forms no Fraction; Fractions appear
-only where values enter (``BaseField.elem``, ``rat``, ``poly``) and in
-valuations.  The valuation has val(p) = 1.  The power basis reduces to the
-basis of the residue field that FField uses, so a valuation is that of the
-content (gcd of the coordinates over the denominator), and a reduction
-takes each coordinate mod p.
+defining polynomial, so the arithmetic forms no Fraction.  Values enter
+through ``BaseField.elem`` and ``poly`` as ints or Fractions, read off
+their numerators and denominators; Fractions appear only in valuations.
+The valuation has val(p) = 1.  The power basis reduces to the basis of
+the residue field that FField uses, so a valuation is that of the content
+(gcd of the coordinates over the denominator), and a reduction takes each
+coordinate mod p.
 
 Division and phi-adic expansion are one kernel, ``_zexpand``: all the
 divisions of an expansion in one in-place pass over the flat coordinates,
@@ -58,7 +59,7 @@ from .errors import InputError, InternalInconsistency
 from .ff import (FField, FFPoly, prime_field, is_irreducible,
                  find_irreducible_int_poly, find_irreducible_over,
                  _conv, _equal_degree_split, _theta_reduce, _theta_multiples)
-from .rationals import OO
+from .rationals import OO, ratio_str
 
 
 # Memo of the innermost open expansion scope: (id(poly), id(phi)) ->
@@ -462,25 +463,26 @@ class BaseField:
         self._extensions = {}  # t -> extend_unramified(self, t)
 
     def elem(self, *coords) -> "KPoly":
-        """The constant with the power-basis coordinates ``coords``."""
+        """The constant with the power-basis coordinates ``coords``, each an
+        int or a Fraction."""
         if len(coords) == 1 and isinstance(coords[0], (list, tuple)):
             coords = tuple(coords[0])
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > self.m:
+        if len(coords) > self.m:
             raise InputError("too many coordinates")
-        den = lcm(*[c.denominator for c in cs])
-        nums = [c.numerator * (den // c.denominator) for c in cs]
-        return KPoly._of(self, nums + [0] * (self.m - len(cs)), den)
-
-    def rat(self, x) -> "KPoly":
-        return self.elem(Fraction(x))
+        for c in coords:
+            if not isinstance(c, (int, Fraction)):
+                raise InputError(f"a coordinate must be an int or a Fraction, not {type(c).__name__}")
+        den = lcm(*[c.denominator for c in coords])
+        nums = [c.numerator * (den // c.denominator) for c in coords]
+        return KPoly._of(self, nums + [0] * (self.m - len(coords)), den)
 
     @property
     def theta(self) -> "KPoly":
         return self.elem(0, 1) if self.m > 1 else self.zero
 
     def poly(self, coeffs) -> "KPoly":
-        return KPoly(self, [c if isinstance(c, KPoly) else self.rat(c) for c in coeffs])
+        """Coefficients constant term first: ints, Fractions or constants of the field."""
+        return KPoly(self, [c if isinstance(c, KPoly) else self.elem(c) for c in coeffs])
 
     def x(self) -> "KPoly":
         """The polynomial x, one object per field."""
@@ -740,10 +742,10 @@ class KPoly:
         m, den = self.field.m, self.den
 
         def coeff(lo):
-            cs = [Fraction(n, den) for n in self.rows[lo:lo + m]]
+            cs = [ratio_str(n, den) for n in self.rows[lo:lo + m]]
             if m == 1:
-                return str(cs[0])
-            terms = [f"{c}*th^{i}" if i else str(c) for i, c in enumerate(cs) if c]
+                return cs[0]
+            terms = [f"{c}*th^{i}" if i else c for i, c in enumerate(cs) if c != "0"]
             return "(" + " + ".join(terms) + ")" if terms else "0"
         return "KPoly[" + ", ".join(coeff(lo) for lo in range(0, len(self.rows), m)) + "]"
 
@@ -825,7 +827,7 @@ def extend_unramified(K: BaseField, t: int):
         return list(v.rows) + [0] * (M - len(v.rows))
 
     for mult in range(1, p + 1):  # acceptance depends on mult mod p only
-        gen = K.poly([K.rat(mult) * K.theta, 1]) if m > 1 else K.x()
+        gen = K.poly([K.elem(mult) * K.theta, 1]) if m > 1 else K.x()
         powers = [K.one]
         for _ in range(M):
             powers.append(powers[-1] * gen % h)

@@ -27,11 +27,11 @@ The record is computed on integers in units of 1/(2e), e the group index
 of the cluster chain: N = e nu and L = e lambda, integers by a law that
 raises InternalInconsistency.  Every parity and integrality condition is
 a divisibility test on a numerator over its common denominator.
-Fractions appear only in the record's public fields (lambda, nu, s, s0 and
-their intro forms), each built once from its integer numerator over e or
-2e; ``as_dict`` and the chain rows of ``fibre.assemble`` read them back as
-numerator and denominator.  The meet sum of ``nu``, the independent check,
-is added up on integers as well.
+Fractions appear only in the record's public fields: lambda is the node's
+radius, and nu, s, s0 and their intro forms are each built once from an
+integer numerator over e or 2e; ``as_dict`` and the chain rows of
+``fibre.assemble`` read them back as numerator and denominator.  The meet
+sum of ``nu``, the independent check, is added up on integers as well.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def compute_record(tree: ClusterTree, node: ClusterNode,
     r = InvariantRecord()
     r.degree = d = node.degree
     r.size = node.size
-    r.lam = Fraction(node.radius)
+    r.lam = node.radius
     r.epsilon = eps = cc.epsilon
     r.b = b = cc.b_last
     r.ell = ell = cc.ell_last + ell_offset * b

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -69,9 +70,9 @@ def _kcoords(a):
 class TestBaseField:
     def test_val_plain(self):
         K = BaseField(5)
-        assert K.rat(Fraction(50, 3)).gauss_val() == 2
-        assert K.rat(0).gauss_val() is OO
-        assert K.rat(Fraction(3, 25)).gauss_val() == -2
+        assert K.elem(Fraction(50, 3)).gauss_val() == 2
+        assert K.elem(0).gauss_val() is OO
+        assert K.elem(Fraction(3, 25)).gauss_val() == -2
 
     def test_val_unramified(self):
         # min of coordinate valuations: v3(6 + 9*theta) = min(1, 2) = 1
@@ -99,10 +100,10 @@ class TestBaseField:
 
     def test_residue_values(self):
         K = BaseField(5)
-        assert K.rat(7).residue()[0] == K.residue_field.elem(2)
-        assert K.rat(Fraction(10, 3)).residue()[0] == K.residue_field.elem(0)
+        assert K.elem(7).residue()[0] == K.residue_field.elem(2)
+        assert K.elem(Fraction(10, 3)).residue()[0] == K.residue_field.elem(0)
         with pytest.raises(InputError, match="cannot reduce an element of negative valuation"):
-            K.rat(Fraction(1, 5)).residue()
+            K.elem(Fraction(1, 5)).residue()
 
     def test_residue_unramified(self):
         K = BaseField(3, 2)
@@ -138,6 +139,85 @@ class TestBaseField:
         assert repr(K.poly([K.elem(Fraction(1, 2), 1), 0, 1])) == "KPoly[(1/2 + 1*th^1), 0, (1)]"
         assert repr(K.zero) == "KPoly[]"
         assert repr(BaseField(5).poly([Fraction(-2, 3), 0, 1])) == "KPoly[-2/3, 0, 1]"
+
+
+# ints: zero, small of either sign, and past 64 bits; Fractions: negative,
+# and built from numerators and denominators that share factors
+_ENTRY_INTS = st.one_of(st.just(0), st.integers(-50, 50),
+                        st.integers(2 ** 64, 2 ** 80), st.integers(-2 ** 80, -2 ** 64))
+_ENTRY_FRACTIONS = st.builds(lambda n, d, k: Fraction(n * k, d * k),
+                             st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 20),
+                             st.integers(1, 12))
+
+
+def _entries(K):
+    """Coefficients that K.poly takes: ints, Fractions and constants of K."""
+    rational = st.one_of(_ENTRY_INTS, _ENTRY_FRACTIONS)
+    constant = st.lists(rational, max_size=K.m).map(lambda cs: K.elem(*cs))
+    return st.lists(st.one_of(rational, constant), max_size=6)
+
+
+def _expression(K, coeffs):
+    """The coefficient list as an expression of parse_poly: each coefficient
+    a parenthesized sum of a/b literals times powers of th, times x^i."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if not isinstance(c, KPoly):
+            c = K.elem(c)
+        coords = [f"({n}/{c.den})" + (f"*th^{j}" if j else "")
+                  for j, n in enumerate(c.rows)]
+        terms.append("(" + (" + ".join(coords) or "0") + f")*x^{i}")
+    return " + ".join(terms) or "0"
+
+
+class TestIntegerEntryPoints:
+    """BaseField.elem and poly read ints and Fractions off their numerators
+    and denominators, and parse_poly builds integer literals as ints."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_poly_is_the_sum_of_its_terms(self, m, data):
+        K = _kernel_base(m)
+        coeffs = data.draw(_entries(K))
+        want = K.zero
+        for i, c in enumerate(coeffs):
+            want = want + (c if isinstance(c, KPoly) else K.elem(c)) * K.x() ** i
+        got = K.poly(coeffs)
+        assert (got.rows, got.den) == (want.rows, want.den)
+        # lowest terms, no trailing zero coefficient
+        assert math.gcd(got.den, *got.rows) == 1
+        assert len(got.rows) % m == 0 and (not got.rows or any(got.rows[-m:]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_parse_poly_of_the_printed_list(self, m, data):
+        from clusterfibre.cli import parse_poly
+        K = _kernel_base(m)
+        coeffs = data.draw(_entries(K))
+        assert parse_poly(_expression(K, coeffs), K) == K.poly(coeffs)
+
+    def test_integer_literals_are_ints(self):
+        from clusterfibre.cli import _Tokens, _coefficient_list
+        assert [type(_Tokens(t).number()) for t in ("0", " 12", "4/2", "3 / 7")] == \
+            [int, int, Fraction, Fraction]
+        assert _coefficient_list("-5,+0,2/4,7") == [-5, 0, Fraction(1, 2), 7]
+        assert [type(c) for c in _coefficient_list("-5,+0,2/4,7")] == [int, int, Fraction, int]
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.5")])
+    def test_other_types_are_refused(self, bad):
+        # a float, a str or a Decimal is not read as a rational
+        name = type(bad).__name__
+        for K in (BaseField(5), BaseField(3, 2)):
+            with pytest.raises(InputError, match=f"not {name}"):
+                K.elem(bad)
+            with pytest.raises(InputError, match=f"not {name}"):
+                K.poly([bad, 1])
+            with pytest.raises(InputError, match=f"not {name}"):
+                K.poly([1, K.one, bad])
+        with pytest.raises(InputError, match=f"not {name}"):
+            BaseField(3, 2).elem(1, bad)
 
 
 class TestPrimality:
@@ -366,8 +446,8 @@ class TestIntegerKernel:
     def test_small_cases(self, m):
         K = _kernel_base(m)
         phi = K.poly([-2, 1, 1])
-        zero, const = K.poly([]), K.poly([K.rat(Fraction(7, 4))])
-        low = K.poly([K.rat(3), K.rat(Fraction(1, 5))])
+        zero, const = K.poly([]), K.poly([K.elem(Fraction(7, 4))])
+        low = K.poly([K.elem(3), K.elem(Fraction(1, 5))])
         for f in (zero, const, low):
             assert f.phi_expand(phi) == (f,)
             assert f.divmod(phi) == (zero, f)
@@ -382,7 +462,7 @@ class TestIntegerKernel:
         K = BaseField(5, 2)
         K2, embed = extend_unramified(K, 3)
         th, th2 = K.theta, K2.theta
-        f = K.poly([th, 5, K.rat(Fraction(1, 25)), th * th, -th, 1]) ** 2
+        f = K.poly([th, 5, K.elem(Fraction(1, 25)), th * th, -th, 1]) ** 2
         phi = K.poly([-5, 3, 1])
         f2, phi2 = (K2.poly([embed(c) for c in h.coeffs]) for h in (f, phi))
         assert phi2.den == 1
@@ -391,7 +471,7 @@ class TestIntegerKernel:
         assert f2.phi_expand(phi2) == _reference_expand(f2, phi2)
         assert tuple(K2.poly([embed(c) for c in a.coeffs]) for a in f.phi_expand(phi)) \
             == f2.phi_expand(phi2)
-        psi2 = K2.poly([th2 - K2.rat(5), th2 * th2, 1])
+        psi2 = K2.poly([th2 - K2.elem(5), th2 * th2, 1])
         assert psi2.den == 1
         assert f2.phi_expand(psi2) == _reference_expand(f2, psi2)
         monic = K2.poly([th2 ** 3, -th2, 0, 1])
@@ -407,8 +487,8 @@ class TestIntegerCentres:
     @staticmethod
     def _centres():
         K, K2 = BaseField(11), BaseField(11, 2)
-        return [K.poly([K.rat(Fraction(-1, 2)), 1]),
-                K2.poly([K2.theta * K2.rat(Fraction(1, 7)), 0, 1])]
+        return [K.poly([K.elem(Fraction(-1, 2)), 1]),
+                K2.poly([K2.theta * K2.elem(Fraction(1, 7)), 0, 1])]
 
     def test_centres_with_a_denominator_are_refused(self):
         for phi in self._centres():
@@ -477,7 +557,7 @@ class TestExpansionKernel:
         """A polynomial of the given degree over den: integer coordinates
         and a top coefficient 1/den, so its denominator is den exactly."""
         coeffs = [K.elem(*[rng.randrange(-30, 31) for _ in range(K.m)]) for _ in range(degree)]
-        return K.poly(coeffs + [K.rat(Fraction(1, den))])
+        return K.poly(coeffs + [K.elem(Fraction(1, den))])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -773,7 +853,7 @@ class TestIntegerRepresentation:
     def test_monic(self):
         K = BaseField(5, 2)
         assert K.poly([K.theta, 1]).is_monic()
-        for lead in (K.theta, K.one + K.theta, K.rat(2), K.rat(Fraction(1, 5))):
+        for lead in (K.theta, K.one + K.theta, K.elem(2), K.elem(Fraction(1, 5))):
             f = K.poly([1, lead])
             assert not f.is_monic()
             with pytest.raises(ValueError):
@@ -783,7 +863,7 @@ class TestIntegerRepresentation:
     def test_no_fraction_in_the_arithmetic(self, monkeypatch):
         # the arithmetic must not build a Fraction: make building one fail
         K = BaseField(5, 2)
-        f = K.poly([K.elem(Fraction(1, 3), 2), K.rat(Fraction(5, 7)), K.elem(0, 1), 1])
+        f = K.poly([K.elem(Fraction(1, 3), 2), K.elem(Fraction(5, 7)), K.elem(0, 1), 1])
         g = K.poly([K.elem(2, Fraction(-1, 25)), K.elem(3, 1)])
         a = K.elem(Fraction(2, 15), 4)
         b = K.elem(3, Fraction(5, 7))
@@ -848,8 +928,8 @@ class TestResultant:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_constant_and_zero_operands(self, m):
         K = _kernel_base(m)
-        c = K.elem(Fraction(2, 9), Fraction(-1, 7)) if m > 1 else K.rat(Fraction(2, 9))
-        f = K.poly([K.rat(Fraction(1, 3)), 0, c, K.rat(5)])
+        c = K.elem(Fraction(2, 9), Fraction(-1, 7)) if m > 1 else K.elem(Fraction(2, 9))
+        f = K.poly([K.elem(Fraction(1, 3)), 0, c, K.elem(5)])
         const, zero = K.poly([c]), K.poly([])
         assert f.resultant(const) == const.resultant(f) == c ** 3
         assert const.resultant(K.poly([7])) == K.one
@@ -877,7 +957,7 @@ class TestResultant:
         K = BaseField(5, 2)
         th = K.theta
         f = K.poly([th, 0, 0, 3, 0, 0, 0, 0, 1])
-        g = K.poly([K.rat(Fraction(2, 7)), 0, th, 0, 0, 0, 1])
+        g = K.poly([K.elem(Fraction(2, 7)), 0, th, 0, 0, 0, 1])
         del seen[:]
         res = f.resultant(g)
         assert seen[:3] == [(8, 6), (6, 4), (4, 3)]
@@ -1063,7 +1143,7 @@ class TestResumableExpansion:
     def test_short_polynomial_is_its_own_expansion(self, monkeypatch):
         K = _kernel_base(2)
         phi = K.poly([K.theta, 0, 1])
-        f = K.poly([K.rat(Fraction(1, 3)), K.theta])
+        f = K.poly([K.elem(Fraction(1, 3)), K.theta])
         monkeypatch.setattr(field, "_zexpand", lambda *a: pytest.fail("kernel called"))
 
         @expansion_scope
@@ -2013,7 +2093,7 @@ class TestUnramifiedExtension:
         K = BaseField(3)
         K2, embed = extend_unramified(K, 2)
         assert K2.m == 2
-        a = K.rat(Fraction(7, 2))
+        a = K.elem(Fraction(7, 2))
         assert embed(a).gauss_val() == a.gauss_val()
         assert (embed(a) * embed(a)) == embed(a * a)
 
@@ -2026,7 +2106,7 @@ class TestUnramifiedExtension:
         img = embed(th)
         acc = K2.zero
         for c in reversed(K.gen_minpoly):
-            acc = acc * img + K2.rat(c)
+            acc = acc * img + K2.elem(c)
         assert acc.is_zero()
         # the embedding is a ring map, over denominators too
         a, b = K.elem(Fraction(2, 7), -5), K.elem(Fraction(1, 9), Fraction(4, 3))
@@ -2284,7 +2364,7 @@ class TestDiscriminantOracle:
     def test_theta_coefficients(self):
         K = BaseField(5, 2)
         th = K.theta
-        f = K.poly([th * K.rat(5), K.rat(Fraction(1, 25)), th * th - K.rat(3),
+        f = K.poly([th * K.elem(5), K.elem(Fraction(1, 25)), th * th - K.elem(3),
                     K.elem(Fraction(2, 7), 1), 0, th])
         mod = [Fraction(c) for c in K.gen_minpoly]
         res = _q_resultant(_q(f), _q(f.derivative()), mod)
@@ -2462,7 +2542,7 @@ class TestRootPrimes:
                    for q in field._CERTIFICATE_PRIMES)
         calls = []
         monkeypatch.setattr(clusters, "discriminant_val", lambda f: calls.append(f))
-        f = K.x() ** 3 + K.theta * K.x() - K.rat(p)
+        f = K.x() ** 3 + K.theta * K.x() - K.elem(p)
         assert f.is_separable()
         clusters.normalize_input(f)
         assert calls == []

@@ -45,6 +45,15 @@ class TestParse:
         K = BaseField(5)
         assert parse_poly("1/2*x + 3/4", K) == K.poly([F(3, 4), F(1, 2)])
 
+    @pytest.mark.parametrize("expr", ["x^4/2-5", "(x^2-5)^6/3-5", "x^ 4 / 2 - 5"])
+    def test_exponent_is_an_integer_literal(self, expr, capsys):
+        # the grammar has no division, so a/b after ^ is refused rather than
+        # read as the rational exponent 4/2 = 2
+        with pytest.raises(InputError, match="exponents must be integers"):
+            parse_poly(expr, BaseField(5))
+        assert run(["picture", expr, "--prime", "5"]) == 1
+        assert "error: exponents must be integers" in capsys.readouterr().err
+
     def test_unary_minus(self):
         K = BaseField(5)
         assert parse_poly("-x^2 + 5", K) == K.poly([5, 0, -1])

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from clusterfibre.errors import InputError, InternalInconsistency
 from clusterfibre.field import BaseField, KPoly, discriminant_val
@@ -53,7 +54,48 @@ def _gauss_polygon_shift(f):
     return math.floor(-least) + 1
 
 
+def _fraction_shift(f):
+    """The rescaling exponent c of normalize_input by the Fraction formula it
+    replaced: the least root valuation min (v(a_i) - v(a_n)) / (n - i) over
+    the nonzero a_i, i < n, and the least integer c >= 0 making it positive."""
+    from clusterfibre.rationals import OO
+    *low, top = [a.gauss_val() for a in f.coeffs]
+    n = len(low)
+    least = min((F(u - top, n - i) for i, u in enumerate(low) if u is not OO), default=OO)
+    return 0 if least is OO or least > 0 else -least // 1 + 1
+
+
+# a coefficient as (valuation, unit), or None for a zero coefficient
+_VALUED = st.tuples(st.integers(-4, 6), st.sampled_from([1, -1, 2, F(1, 2), F(-1, 2)]))
+
+
 class TestNormalize:
+    @given(p=st.sampled_from([3, 5, 7]), low=st.lists(st.one_of(st.none(), _VALUED),
+                                                      min_size=1, max_size=7),
+           top=_VALUED)
+    @example(p=5, low=[(1, 1), (2, -1), (3, 2)], top=(0, 1))  # all valuations positive
+    @example(p=3, low=[(0, 1), None, (5, 1)], top=(0, 1))  # least root valuation 0
+    @example(p=5, low=[(-2, 1), (0, F(1, 2))], top=(1, -1))
+    @example(p=5, low=[None], top=(2, 1))  # f = a x
+    @settings(max_examples=150, deadline=None)
+    def test_integer_shift_against_the_fraction_formula(self, p, low, top):
+        K = BaseField(p)
+        f = K.poly([0 if c is None else c[1] * F(p) ** c[0] for c in low + [top]])
+        assert [a.gauss_val() for a in f.coeffs][-1] == top[0]
+        try:
+            g, c = normalize_input(f)
+        except InputError:
+            assume(False)  # repeated roots
+        assert c == _fraction_shift(f)
+        assert g == (f.subst_scaled_x(-c) if c else f)
+
+    def test_a_power_of_x_has_repeated_roots(self):
+        # f = a x^n has no finite root valuation; for n >= 2 its root 0 repeats
+        K = BaseField(5)
+        for n in (2, 3, 4):
+            with pytest.raises(InputError, match="polynomial has repeated roots"):
+                normalize_input(K.poly([0] * n + [F(2, 25)]))
+
     def test_untouched(self):
         K = BaseField(5)
         f = K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5])
@@ -92,12 +134,12 @@ class TestNormalize:
                 return K.zero
             coords = [F(rng.randint(-20, 20), rng.choice([1, 2, p, p ** 2, 3 * p]))
                       for _ in range(m)]
-            return K.elem(*coords) * K.rat(F(p) ** rng.randint(-2, 3))
+            return K.elem(*coords) * K.elem(F(p) ** rng.randint(-2, 3))
 
         checked = 0
         while checked < 60:
             n = rng.randint(1, 9)
-            f = KPoly(K, [coeff() for _ in range(n)] + [K.rat(rng.choice([1, 2, p, F(1, p)]))])
+            f = KPoly(K, [coeff() for _ in range(n)] + [K.elem(rng.choice([1, 2, p, F(1, p)]))])
             try:
                 g, c = normalize_input(f)
             except InputError:
@@ -110,7 +152,7 @@ class TestNormalize:
     def test_a_multiple_of_x(self, m):
         # f = a x has no edge: its one root 0 has valuation OO, and x stays
         K = BaseField(5, m)
-        for a in (K.one, K.rat(F(2, 25)), K.theta if m > 1 else K.rat(125)):
+        for a in (K.one, K.elem(F(2, 25)), K.theta if m > 1 else K.elem(125)):
             f = KPoly(K, [K.zero, a])
             assert normalize_input(f) == (f, 0)
             assert _gauss_polygon_shift(f) == 0
@@ -654,7 +696,7 @@ class TestPrincipalPart:
                        for _ in range(rng.choice((2, 3)))]
                 k = rng.choice((2, 3))
                 e = rng.choice([e for e in range(1, 8) if e % k])
-                f = f * (K.poly(low + [K.one]) ** k - K.poly([K.rat(p ** e)]))
+                f = f * (K.poly(low + [K.one]) ** k - K.poly([K.elem(p ** e)]))
             if f.is_separable():
                 out.append((K, f))
         return out
@@ -673,7 +715,7 @@ class TestPrincipalPart:
                 c = K.elem(*[p * rng.randrange(-8, 9) for _ in range(m)])
                 u = K.elem(*[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(m - 1)])
                 e, s = rng.choice((2, 3, 4)), rng.randrange(1, 9)
-                f = f * (K.poly([-c, K.one]) ** e - K.poly([u * K.rat(p ** s)]))
+                f = f * (K.poly([-c, K.one]) ** e - K.poly([u * K.elem(p ** s)]))
             if f.is_separable():
                 out.append((K, f))
         return out

@@ -16,7 +16,7 @@ from clusterfibre.errors import InputError, InternalInconsistency
 from clusterfibre.field import BaseField
 from clusterfibre.clusters import build_cluster_tree
 from clusterfibre.invariants import all_records
-from clusterfibre.fibre import (ChainSpec, open_chain_bound, open_chain,
+from clusterfibre.fibre import (ChainSpec, open_chain_bound,
                                 assemble, fibre_graph, FibreGraph, export,
                                 json_text, check_genus_identity)
 from clusterfibre.degree1 import (oracle_fibre_graph, oracle_signature,
@@ -26,6 +26,21 @@ from clusterfibre import cli
 
 from graphs import isomorphic, tree_signature
 from oracles.farey import det, simplest_between, unimodular_sequence
+
+
+def nd(q):
+    """An int or a Fraction as its reduced (numerator, denominator) pair."""
+    return q.numerator, q.denominator
+
+
+def fractions_of(ch):
+    """A chain's sequence as Fractions."""
+    return [F(n, d) for n, d in ch.sequence]
+
+
+def open_chain(alpha, a):
+    """The open-ended chain from a down to open_chain_bound(alpha, a)."""
+    return ChainSpec(alpha, nd(a), open_chain_bound(alpha, nd(a)))
 
 
 def _check_minimal_unimodular(fr):
@@ -40,27 +55,27 @@ def _check_minimal_unimodular(fr):
 
 class TestFarey:
     def test_connector_example(self):
-        ch = ChainSpec(2, F(-5, 3), F(-2))
+        ch = ChainSpec(2, nd(F(-5, 3)), nd(F(-2)))
         assert ch.mults == [4]
-        assert ch.fractions == [F(-10, 3), F(-7, 2), F(-4)]
+        assert fractions_of(ch) == [F(-10, 3), F(-7, 2), F(-4)]
 
     def test_tail_example(self):
-        ch = ChainSpec(2, F(5, 6), F(0))
+        ch = ChainSpec(2, nd(F(5, 6)), nd(F(0)))
         assert ch.mults == [4, 2]
-        assert ch.fractions == [F(5, 3), F(3, 2), F(1), F(0)]
+        assert fractions_of(ch) == [F(5, 3), F(3, 2), F(1), F(0)]
 
     def test_consecutive_integers(self):
-        ch = ChainSpec(1, F(7), F(6))
+        ch = ChainSpec(1, nd(F(7)), nd(F(6)))
         assert ch.mults == []
 
     def test_degenerate(self):
         with pytest.raises(InputError, match="chain needs a > b"):
-            ChainSpec(2, F(1), F(1))
+            ChainSpec(2, nd(F(1)), nd(F(1)))
 
     def test_open_chain_bounds(self):
-        assert open_chain_bound(2, F(5, 6)) == 0
-        assert open_chain_bound(1, F(1, 2)) == -1
-        assert open_chain_bound(2, F(1)) == F(1, 2)
+        assert open_chain_bound(2, nd(F(5, 6))) == nd(0)
+        assert open_chain_bound(1, nd(F(1, 2))) == nd(-1)
+        assert open_chain_bound(2, nd(F(1))) == nd(F(1, 2))
 
     def test_open_chain_examples(self):
         assert open_chain(1, F(1, 2)).mults == [1]
@@ -73,11 +88,11 @@ class TestFarey:
             alpha = rng.randrange(1, 7)
             a = F(rng.randrange(-40, 40), rng.randrange(1, 9))
             b = a - F(rng.randrange(1, 30), rng.randrange(1, 9))
-            ch = ChainSpec(alpha, a, b)
-            _check_minimal_unimodular(ch.fractions)
+            ch = ChainSpec(alpha, nd(a), nd(b))
+            _check_minimal_unimodular(fractions_of(ch))
             # integer translation of both endpoints preserves denominators
             t = rng.randrange(-3, 4)
-            ch2 = ChainSpec(alpha, a + t, b + t)
+            ch2 = ChainSpec(alpha, nd(a + t), nd(b + t))
             assert ch2.dens == ch.dens
 
     def test_loop_against_recursive_insertion(self):
@@ -88,7 +103,7 @@ class TestFarey:
         for _ in range(10_000):
             a = F(rng.randrange(-60, 60), rng.randrange(1, 41))
             b = a - F(rng.randrange(1, 60), rng.randrange(1, 41))
-            got = ChainSpec(1, a, b).fractions
+            got = fractions_of(ChainSpec(1, nd(a), nd(b)))
             sys.setrecursionlimit(20_000)
             try:
                 want = unimodular_sequence(a, b)
@@ -99,10 +114,10 @@ class TestFarey:
     def test_long_chain_needs_no_stack(self):
         # 5,002 fractions: the recursive insertion exceeds Python's default
         # recursion limit of 1,000 here, the loop keeps one frame
-        ch = ChainSpec(1, F(10001, 2), F(0))
-        assert ch.fractions == [F(10001, 2)] + [F(k) for k in range(5000, -1, -1)]
+        ch = ChainSpec(1, nd(F(10001, 2)), nd(F(0)))
+        assert fractions_of(ch) == [F(10001, 2)] + [F(k) for k in range(5000, -1, -1)]
         assert ch.mults == [1] * 5000
-        _check_minimal_unimodular(ch.fractions)
+        _check_minimal_unimodular(fractions_of(ch))
 
     def test_simplest_between(self):
         assert simplest_between(F(0), F(5, 3)) == 1
@@ -212,7 +227,7 @@ class TestSplitAndOpen:
     def test_unramified_base_pipeline(self):
         # theta in the coefficients: single cluster over Q_3(theta)
         K = BaseField(3, 2)
-        f = K.poly([-(K.theta * K.rat(3)), K.zero, K.one])  # x^2 - 3*theta
+        f = K.poly([-(K.theta * K.elem(3)), K.zero, K.one])  # x^2 - 3*theta
         tree = build_cluster_tree(f, K, mode="exact")
         assert len(tree.nodes) == 1
         node = tree.root
@@ -553,9 +568,9 @@ class TestIntegerPaths:
     @settings(max_examples=300, deadline=None)
     def test_chain_matches_fractions(self, alpha, a, gap):
         b = a - gap
-        ch = ChainSpec(alpha, a, b)
+        ch = ChainSpec(alpha, nd(a), nd(b))
         fr = _sequence_by_fractions(alpha * a, alpha * b)
-        assert ch.fractions == fr
+        assert ch.sequence == [nd(x) for x in fr]
         assert ch.dens == [x.denominator for x in fr[1:-1]]
         assert ch.mults == [alpha * x.denominator for x in fr[1:-1]]
         assert (ch.a_nd, ch.b_nd) == ((a.numerator, a.denominator), (b.numerator, b.denominator))
@@ -565,6 +580,6 @@ class TestIntegerPaths:
     def test_open_chain_bound(self, alpha, a):
         aa = F(alpha) * F(a)
         want = F((aa - 1).numerator // (aa - 1).denominator, alpha)
-        got = open_chain_bound(alpha, a)
-        assert type(got) is F and got == want
-        assert open_chain(alpha, a).mults == ChainSpec(alpha, a, want).mults
+        got = open_chain_bound(alpha, nd(a))
+        assert type(got) is tuple and got == nd(want)
+        assert open_chain(alpha, a).mults == ChainSpec(alpha, nd(a), nd(want)).mults

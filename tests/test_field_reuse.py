@@ -51,7 +51,7 @@ class TestFieldState:
         K = BaseField(5, m)
         x = K.x()
         coeffs = [K.elem(*[Fraction(7 * i - 3 * j, 1 + i % 3) for j in range(m)])
-                  for i in range(6)] + [K.zero, K.rat(Fraction(2, 5))]
+                  for i in range(6)] + [K.zero, K.elem(Fraction(2, 5))]
         f = K.poly(coeffs)
         pieces = field._zexpand(f, x)
         assert len(pieces) == len(coeffs)
@@ -118,7 +118,7 @@ class TestLinearUpdate:
         n = data.draw(st.integers(1, 7))
         den = data.draw(st.sampled_from([1, 2, p, p ** 3, 7 * p]))
         coeffs = [K.elem(*data.draw(_element(m))) for _ in range(n)]
-        f = K.poly(coeffs + [K.elem(*data.draw(_element(m))) + K.one]) * K.rat(Fraction(1, den))
+        f = K.poly(coeffs + [K.elem(*data.draw(_element(m))) + K.one]) * K.elem(Fraction(1, den))
         phi = K.poly([K.elem(*data.draw(_element(m))), K.one])
         for limit in list(range(1, f.degree + 2)) + [None]:
             pieces = field._zexpand(f, phi, limit)

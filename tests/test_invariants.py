@@ -201,7 +201,7 @@ class TestNu:
 
     def test_nu_nonmonic_leading(self):
         K = BaseField(5)
-        f = (K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5])) * K.rat(F(5, 3))
+        f = (K.poly([-5, 0, 1]) ** 3 - K.poly([5 ** 5])) * K.elem(F(5, 3))
         tree = build_cluster_tree(f, K)
         recs = all_records(tree)
         assert recs[tree.root.id].nu == 4  # v_K(c_f) = 1 shifts nu by 1

@@ -199,9 +199,9 @@ class TestIsKeyAugment:
         # m = 2), so both x + (multiple of p) and x + unit occur
         K = BaseField(p, m)
         v0 = MacLaneVal.gauss(K)
-        values = [K.rat(c) for c in [-p * p, -p] + list(range(-2, p + 2))]
+        values = [K.elem(c) for c in [-p * p, -p] + list(range(-2, p + 2))]
         if m == 2:
-            values += [K.theta, K.rat(p) * K.theta, K.one - K.theta]
+            values += [K.theta, K.elem(p) * K.theta, K.one - K.theta]
         verdicts = []
         for n in range(1, 4):
             for code in range(len(values) ** n):

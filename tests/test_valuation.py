@@ -416,8 +416,8 @@ class TestScaledKernel:
             K, chains = _chains(*pm)
             p = K.p
             t = K.elem(1, 1) if K.m > 1 else K.one
-            consts = [K.one, K.rat(F(-2, p ** 3)), K.rat(p ** 4 * 7), K.rat(F(p, 8)),
-                      t * K.rat(F(1, p)), K.rat(p) + t]
+            consts = [K.one, K.elem(F(-2, p ** 3)), K.elem(p ** 4 * 7), K.elem(F(p, 8)),
+                      t * K.elem(F(1, p)), K.elem(p) + t]
             for v in chains.values():
                 assert v.e_levels[-1] > 1
                 for level in range(v.depth + 1):
